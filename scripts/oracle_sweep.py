@@ -1,11 +1,12 @@
 """Exhaustive cross-check of the fast path-counting planarity criterion.
 
-Enumerates every labelled tree up to --trees vertices (via Pruefer
-sequences), every admissible boundary-vertex set, and every cyclic order
-of that set, then compares the path-counting criterion against a brute
-force search over all rotation systems.  A second sweep feeds every
-small connected multigraph up to --graphs vertices through the full
-decision pipeline and prints the verdict tallies.
+Enumerates every tree up to --trees vertices, one per isomorphism class
+(networkx.nonisomorphic_trees), every admissible boundary-vertex set,
+and every cyclic order of that set, then compares the path-counting
+criterion against a brute force search over all rotation systems.  A
+second sweep feeds every small connected multigraph up to --graphs
+vertices through the full decision pipeline and prints the verdict
+tallies.
 """
 import argparse
 import sys

@@ -20,7 +20,12 @@ from diskdiagram.conditions import is_delta_graph
 from diskdiagram.families import build_instance, corpus_specs
 from diskdiagram.orders import check_A4
 from diskdiagram.planarity import face_arcs
-from diskdiagram.realization import induced_order, realize, sign_census
+from diskdiagram.realization import (
+    extend_to_faces,
+    induced_order,
+    place,
+    sign_census,
+)
 
 
 def check_instance(g, f):
@@ -74,7 +79,7 @@ def main(argv=None):
                 print(f"REJECTED {spec.name} [{mode}]: "
                       f"{verdict.failed_condition()}")
                 continue
-            f = realize(g)
+            f = extend_to_faces(*place(verdict))
             problems = check_instance(g, f)
             total += 1
             if problems:
@@ -87,8 +92,8 @@ def main(argv=None):
             if args.strict:
                 a4 = check_A4(g.order).passed
                 congruent += a4
-                fs = realize(g, mode="strict")
-                eq = induced_order(fs.heights).pairs == g.order.pairs
+                _, strict_heights = place(verdict, mode="strict")
+                eq = induced_order(strict_heights).pairs == g.order.pairs
                 equal_strict += eq
                 if eq != a4:
                     mismatched += 1

@@ -1,4 +1,4 @@
-"""Quick fixture run of the condition battery and embedding builder."""
+"""Quick fixture run of the condition battery and the placed embeddings."""
 import sys
 from pathlib import Path
 
@@ -6,7 +6,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.fixtures import EXPECTED, build
-from diskdiagram.planarity import build_embedding, face_arcs
+from diskdiagram.planarity import face_arcs
+from diskdiagram.realization import place
 
 
 def main():
@@ -25,7 +26,7 @@ def main():
             for r in v.reports:
                 print("   ", r.condition, r.passed, r.witnesses[:3])
         if v.delta:
-            emb = build_embedding(v.decomposition)
+            emb, _ = place(v)
             arcs = face_arcs(emb)
             print(f"{'':14s} faces={len(emb.faces)} arcs={arcs}")
             if any(a not in (1, 2) for a in arcs):

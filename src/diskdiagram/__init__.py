@@ -22,7 +22,6 @@ from .errors import (
     MalformedFile,
     NotAForest,
     NotASubset,
-    NotConvenient,
     NotDeltaGraph,
     NotInCarrier,
     NotInTree,
@@ -41,6 +40,7 @@ from .graph import (
     Edge,
     PoGraph,
     TreeComponent,
+    adjacency,
     build_graph,
     decompose,
     make_edges,
@@ -49,14 +49,9 @@ from .graph import (
 )
 from .orders import (
     A4Result,
-    BinaryRelation,
     CyclicOrder,
-    RelationComponent,
     StrictPartialOrder,
     check_A4,
-    comparability,
-    is_convenient,
-    rho_components,
     transitive_closure,
 )
 from .conditions import (
@@ -78,7 +73,6 @@ from .planarity import (
     build_embedding,
     check_S2,
     face_arcs,
-    graph_is_disk_planar,
     separation_ok,
     trace_faces,
     tree_is_disk_planar,
@@ -93,6 +87,7 @@ from .realization import (
     extend_to_faces,
     induced_order,
     level_set,
+    place,
     realize,
     sign_census,
 )

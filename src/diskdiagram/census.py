@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 import networkx as nx
 
 from .conditions import is_delta_graph
-from .errors import BudgetExceeded
+from .errors import DiskDiagramError
 from .graph import DEFAULT_BUDGET, build_graph, make_edges
 from .orders import CyclicOrder
 from .planarity import brute_force_tree_embedding, tree_is_disk_planar
@@ -51,7 +51,9 @@ def _cyclic_orders(items):
 def trees_census(max_vertices, budget=DEFAULT_BUDGET, collect_limit=5):
     """Criterion-vs-oracle agreement for all trees up to `max_vertices`."""
     if not 2 <= max_vertices <= 8:
-        raise BudgetExceeded(max_vertices, "trees census size must be 2..8")
+        raise DiskDiagramError(
+            f"trees census size must be between 2 and 8, got {max_vertices}"
+        )
     rows = []
     for size in range(2, max_vertices + 1):
         trees = _all_trees(size)
@@ -165,8 +167,8 @@ class GraphsCensusResult:
 def graphs_census(max_vertices, budget=DEFAULT_BUDGET):
     """Verdict tabulation over all small partially ordered multigraphs."""
     if not 2 <= max_vertices <= 4:
-        raise BudgetExceeded(
-            max_vertices, "graphs census is exhaustive only up to 4 vertices"
+        raise DiskDiagramError(
+            f"graphs census size must be between 2 and 4, got {max_vertices}"
         )
     by_outcome = {}
     profiles = set()

@@ -21,8 +21,8 @@ from .conditions import is_delta_graph
 from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
 from .graph import DEFAULT_BUDGET
-from .planarity import build_embedding, face_arcs
-from .realization import assign_coords, assign_heights, extend_to_faces
+from .planarity import face_arcs
+from .realization import extend_to_faces, place, realize
 from .svg import render_svg
 
 
@@ -47,7 +47,14 @@ def _load(path):
     return parse(text)
 
 
-def _verdict_doc(verdict, g, strict=False):
+def _refuse(what, exc):
+    print(f"{what}: fails {exc.condition}", file=sys.stderr)
+    for w in exc.witnesses[:5]:
+        print(f"  - {w}", file=sys.stderr)
+    return 1
+
+
+def _verdict_doc(verdict):
     doc = {
         "delta": verdict.delta,
         "reports": [
@@ -60,10 +67,7 @@ def _verdict_doc(verdict, g, strict=False):
         ],
     }
     if verdict.delta:
-        emb = assign_coords(build_embedding(verdict.decomposition))
-        heights = assign_heights(
-            g, verdict.decomposition, mode="strict" if strict else "default"
-        )
+        emb, heights = place(verdict)
         f = extend_to_faces(emb, heights)
         doc["embedding"] = {
             "faces": len(emb.faces),
@@ -80,7 +84,7 @@ def cmd_check(args):
     g = _load(args.file)
     verdict = is_delta_graph(g, budget=_budget())
     if args.json:
-        doc = _verdict_doc(verdict, g)
+        doc = _verdict_doc(verdict)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"Δ-graph: {'yes' if verdict.delta else 'no'}")
@@ -95,23 +99,11 @@ def cmd_check(args):
 
 def cmd_realize(args):
     g = _load(args.file)
+    mode = "strict" if args.strict_order else "default"
     try:
-        verdict = is_delta_graph(g, budget=_budget())
-        if not verdict.delta:
-            bad = next(r for r in verdict.reports if not r.passed)
-            raise NotDeltaGraph(bad.condition, bad.witnesses)
-        emb = assign_coords(build_embedding(verdict.decomposition))
-        heights = assign_heights(
-            g,
-            verdict.decomposition,
-            mode="strict" if args.strict_order else "default",
-        )
-        f = extend_to_faces(emb, heights)
+        f = realize(g, mode=mode, budget=_budget())
     except NotDeltaGraph as exc:
-        print(f"not realizable: fails {exc.condition}", file=sys.stderr)
-        for w in exc.witnesses[:5]:
-            print(f"  - {w}", file=sys.stderr)
-        return 1
+        return _refuse("not realizable", exc)
     text = render_svg(f, levels=args.levels, resolution=args.resolution)
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -120,15 +112,10 @@ def cmd_realize(args):
 
 def cmd_embed(args):
     g = _load(args.file)
-    verdict = is_delta_graph(g, budget=_budget())
-    if not verdict.delta:
-        bad = next(r for r in verdict.reports if not r.passed)
-        print(f"cannot embed: fails {bad.condition}", file=sys.stderr)
-        for w in bad.witnesses[:5]:
-            print(f"  - {w}", file=sys.stderr)
-        return 1
-    emb = assign_coords(build_embedding(verdict.decomposition))
-    heights = assign_heights(g, verdict.decomposition)
+    try:
+        emb, heights = place(is_delta_graph(g, budget=_budget()))
+    except NotDeltaGraph as exc:
+        return _refuse("cannot embed", exc)
     if args.format == "dot":
         sys.stdout.write(to_dot(g, heights))
     else:

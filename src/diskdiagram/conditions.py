@@ -218,11 +218,13 @@ class DeltaVerdict:
     def __bool__(self):
         return self.delta
 
+    def failed_report(self):
+        """The report of the first failing condition, or None."""
+        return next((r for r in self.reports if not r.passed), None)
+
     def failed_condition(self):
-        for r in self.reports:
-            if not r.passed:
-                return r.condition
-        return None
+        bad = self.failed_report()
+        return None if bad is None else bad.condition
 
 
 def is_delta_graph(g, budget=DEFAULT_BUDGET):

@@ -50,12 +50,6 @@ class NotASubset(DiskDiagramError):
         super().__init__(f"items {sorted(extra)} are outside the carrier")
 
 
-class NotConvenient(DiskDiagramError):
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(f"relation is not convenient: {reason}")
-
-
 class BudgetExceeded(DiskDiagramError):
     def __init__(self, budget, where="enumeration"):
         self.budget = budget

@@ -125,7 +125,7 @@ def to_dot(g, heights=None):
         for level in sorted(by_level):
             vs = " ".join(f'"{v}"' for v in sorted(by_level[level]))
             lines.append(f"  {{ rank=same; {vs} }}")
-    for v in g.vertices:
+    for v in sorted(g.vertices):
         lines.append(f'  "{v}";')
     for e in sorted(g.edges):
         lines.append(f'  "{e.a}" -- "{e.b}";')

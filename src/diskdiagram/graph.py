@@ -12,9 +12,11 @@ from .errors import (
     BudgetExceeded,
     DegreeBelowTwo,
     DisconnectedGraph,
+    InvariantViolation,
     NotAForest,
     NotInTree,
     SelfLoop,
+    UnknownId,
 )
 from .orders import StrictPartialOrder
 
@@ -63,6 +65,19 @@ def make_edges(pairs):
     return tuple(out)
 
 
+def adjacency(edges, vertices=()):
+    """Vertex -> sorted tuple of incident edges.
+
+    Every vertex in ``vertices`` gets an entry, isolated ones included;
+    other vertices appear when some edge touches them.
+    """
+    adj = {v: [] for v in vertices}
+    for e in edges:
+        adj.setdefault(e.a, []).append(e)
+        adj.setdefault(e.b, []).append(e)
+    return {v: tuple(sorted(es)) for v, es in adj.items()}
+
+
 @dataclass(frozen=True)
 class Cycle:
     """A simple cycle: vertices[i] -- edges[i] -- vertices[i+1 mod n]."""
@@ -93,12 +108,6 @@ class Cycle:
         i = self.vertices.index(v)
         n = len(self.vertices)
         return self.vertices[(i - 1) % n], self.vertices[(i + 1) % n]
-
-    def edges_at(self, v):
-        """(incoming, outgoing) edge at v following the stored direction."""
-        i = self.vertices.index(v)
-        n = len(self.vertices)
-        return self.edges[(i - 1) % n], self.edges[i]
 
     def arcs_without(self, removed):
         """Maximal runs of consecutive vertices avoiding ``removed``.
@@ -148,11 +157,6 @@ class Cycle:
                     best = cand
         return best
 
-    def canonical_form(self):
-        """This cycle rewritten to start at its canonical rotation."""
-        vs, es = self.canonical()
-        return Cycle(vs, tuple(Edge(*t) for t in es))
-
     def __hash__(self):
         return hash(self.canonical())
 
@@ -187,16 +191,11 @@ def build_graph(vertices, edge_pairs, order_pairs):
     """
     vertices = frozenset(vertices)
     edges = make_edges(edge_pairs)  # raises SelfLoop
-    incident = {v: [] for v in sorted(vertices)}
     for e in edges:
         for x in (e.a, e.b):
             if x not in vertices:
-                from .errors import UnknownId
-
                 raise UnknownId(x, "edge list")
-        incident[e.a].append(e)
-        incident[e.b].append(e)
-    incident = {v: tuple(sorted(es)) for v, es in incident.items()}
+    incident = adjacency(edges, sorted(vertices))
     if vertices:
         comp = _component(incident, min(vertices))
         if comp != vertices:
@@ -230,12 +229,7 @@ def enumerate_simple_cycles(vertices, edges, max_len=None, budget=DEFAULT_BUDGET
     BudgetExceeded after ``budget`` search steps.
     """
     verts = sorted(set(vertices))
-    incident = {v: [] for v in verts}
-    for e in edges:
-        incident[e.a].append(e)
-        incident[e.b].append(e)
-    for v in incident:
-        incident[v].sort()
+    incident = adjacency(edges, verts)
     cycles = []
     # length-2 cycles: each unordered pair of parallel edges, keys ascending
     by_ends = {}
@@ -305,9 +299,6 @@ class TreeComponent:
     def incident(self, v):
         return tuple(e for e in self.edges if e.touches(v))
 
-    def tree_degree(self, v):
-        return len(self.incident(v))
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -343,11 +334,7 @@ def decompose(g, gamma):
     """
     gamma_edges = set(gamma.edges)
     gamma_verts = set(gamma.vertices)
-    rest = [e for e in g.edges if e not in gamma_edges]
-    adj = {}
-    for e in rest:
-        adj.setdefault(e.a, []).append(e)
-        adj.setdefault(e.b, []).append(e)
+    adj = adjacency(e for e in g.edges if e not in gamma_edges)
     seen = set()
     comps = []
     for start in sorted(adj):
@@ -386,8 +373,6 @@ def decompose(g, gamma):
 
 
 def _validate_decomposition(dec):
-    from .errors import InvariantViolation
-
     seen_edges = set(dec.gamma.edges)
     for t in dec.trees:
         if not t.terminal <= t.attach:
@@ -409,28 +394,28 @@ def _validate_decomposition(dec):
                 )
 
 
-def tree_path(tree, u, v):
-    """The unique edge sequence joining u and v inside a tree component."""
+def tree_path(adj, u, v):
+    """The unique edge sequence joining u and v in a tree.
+
+    ``adj`` is the tree's `adjacency`; build it once per tree and reuse
+    it across calls.
+    """
     for x in (u, v):
-        if x not in tree.vertices:
+        if x not in adj:
             raise NotInTree(x)
-    if u == v:
-        return ()
-    adj = {}
-    for e in tree.edges:
-        adj.setdefault(e.a, []).append(e)
-        adj.setdefault(e.b, []).append(e)
     prev = {u: None}
     stack = [u]
     while stack:
         x = stack.pop()
         if x == v:
             break
-        for e in sorted(adj.get(x, ())):
+        for e in adj[x]:
             w = e.other(x)
             if w not in prev:
                 prev[w] = (x, e)
                 stack.append(w)
+    if v not in prev:
+        raise NotInTree(v)
     path = []
     node = v
     while prev[node] is not None:
@@ -440,9 +425,9 @@ def tree_path(tree, u, v):
     return tuple(reversed(path))
 
 
-def path_vertices(tree, u, v):
+def path_vertices(adj, u, v):
     """Vertex sequence of the unique tree path from u to v, inclusive."""
-    edges = tree_path(tree, u, v)
+    edges = tree_path(adj, u, v)
     seq = [u]
     for e in edges:
         seq.append(e.other(seq[-1]))

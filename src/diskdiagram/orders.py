@@ -1,4 +1,4 @@
-"""Strict partial orders, cyclic orders, and small binary relations.
+"""Strict partial orders and cyclic orders.
 
 Vertices are identified by strings throughout.  A strict partial order is
 stored transitively closed, so membership tests are single lookups.  Cyclic
@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NotASubset,
-    NotConvenient,
-    NotInCarrier,
-    OrderCycle,
-    TooSmallCarrier,
-)
+from .errors import NotASubset, NotInCarrier, OrderCycle, TooSmallCarrier
 
 
 def transitive_closure(pairs):
@@ -69,20 +63,6 @@ class StrictPartialOrder:
     def comparable(self, a, b):
         return (a, b) in self.pairs or (b, a) in self.pairs
 
-    def covers(self):
-        """Pairs (a, b) with a < b and nothing strictly between."""
-        out = []
-        for a, b in self.pairs:
-            if not any(self.lt(a, c) and self.lt(c, b) for c in self.carrier):
-                out.append((a, b))
-        return sorted(out)
-
-    def below(self, v):
-        return frozenset(a for a, b in self.pairs if b == v)
-
-    def above(self, v):
-        return frozenset(b for a, b in self.pairs if a == v)
-
     def minimal_elements(self):
         tops = {b for _, b in self.pairs}
         return frozenset(self.carrier - tops)
@@ -116,14 +96,6 @@ def _cycle_witness(pairs, start):
         path.append(nxt)
         seen.add(nxt)
         node = nxt
-
-
-def comparability(order, a, b):
-    """Classify a pair: "C1" if comparable, "C2" otherwise."""
-    for x in (a, b):
-        if x not in order.carrier:
-            raise NotInCarrier(x)
-    return "C1" if order.comparable(a, b) else "C2"
 
 
 @dataclass(frozen=True)
@@ -233,86 +205,3 @@ class CyclicOrder:
 
     def same_up_to_reflection(self, other):
         return self == other or self == other.reversed()
-
-    def between(self, a, b, c):
-        """True when walking forward from a reaches b strictly before c."""
-        ia, ib, ic = self.index(a), self.index(b), self.index(c)
-        n = len(self.items)
-        return (ib - ia) % n < (ic - ia) % n
-
-
-@dataclass(frozen=True)
-class BinaryRelation:
-    carrier: frozenset
-    pairs: frozenset  # directed (a, b)
-
-    @classmethod
-    def of(cls, carrier, pairs):
-        carrier = frozenset(carrier)
-        pairs = frozenset(pairs)
-        for a, b in pairs:
-            for x in (a, b):
-                if x not in carrier:
-                    raise NotInCarrier(x)
-        return cls(carrier, pairs)
-
-
-def is_convenient(rel):
-    """Irreflexive with in-degree and out-degree at most one everywhere."""
-    outs, ins = set(), set()
-    for a, b in rel.pairs:
-        if a == b:
-            return False
-        if a in outs or b in ins:
-            return False
-        outs.add(a)
-        ins.add(b)
-    return True
-
-
-@dataclass(frozen=True)
-class RelationComponent:
-    kind: str  # "chain" or "cycle"
-    items: tuple
-
-    def __len__(self):
-        return len(self.items)
-
-
-def rho_components(rel):
-    """Decompose a convenient relation into chains and cycles.
-
-    Every carrier element appears in exactly one component.  A chain may
-    consist of a single element (length zero).  Components are returned
-    deterministically: chains first, sorted by first element, then cycles
-    rotated to start at their minimum, sorted.
-    """
-    if not is_convenient(rel):
-        raise NotConvenient("some element repeats as a source or a target")
-    succ = {a: b for a, b in rel.pairs}
-    pred = {b: a for a, b in rel.pairs}
-    chains, cycles = [], []
-    placed = set()
-    for start in sorted(rel.carrier):
-        if start in placed or start in pred:
-            continue
-        seq = [start]
-        while seq[-1] in succ:
-            seq.append(succ[seq[-1]])
-        placed.update(seq)
-        chains.append(RelationComponent("chain", tuple(seq)))
-    for start in sorted(rel.carrier):
-        if start in placed:
-            continue
-        seq = [start]
-        while True:
-            nxt = succ[seq[-1]]
-            if nxt == start:
-                break
-            seq.append(nxt)
-        placed.update(seq)
-        k = seq.index(min(seq))
-        cycles.append(RelationComponent("cycle", tuple(seq[k:] + seq[:k])))
-    chains.sort(key=lambda c: c.items[0])
-    cycles.sort(key=lambda c: c.items[0])
-    return tuple(chains + cycles)

@@ -27,48 +27,12 @@ from .errors import (
     NotPlanar,
     TerminalNotInVstar,
 )
-from .graph import DEFAULT_BUDGET
+from .graph import DEFAULT_BUDGET, adjacency, tree_path
 from .orders import CyclicOrder
-
-SAMPLES_PER_BOUNDARY_EDGE = 16
-
-
-def _adjacency(edges):
-    adj = {}
-    for e in edges:
-        adj.setdefault(e.a, []).append(e)
-        adj.setdefault(e.b, []).append(e)
-    return {v: sorted(es) for v, es in adj.items()}
-
-
-def _tree_path_edges(adj, start, goal):
-    """Edge sequence of the unique path between two tree vertices."""
-    if start == goal:
-        return []
-    stack = [(start, None, None)]
-    parent = {start: (None, None)}
-    while stack:
-        v, _, _ = stack.pop()
-        if v == goal:
-            break
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in parent:
-                parent[w] = (v, e)
-                stack.append((w, v, e))
-    if goal not in parent:
-        raise NotInTree(goal)
-    path = []
-    v = goal
-    while v != start:
-        v, e = parent[v]
-        path.append(e)
-    path.reverse()
-    return path
 
 
 def _validate_tree_input(edges, boundary):
-    adj = _adjacency(edges)
+    adj = adjacency(edges)
     vertices = set(adj)
     for v in boundary:
         if v not in vertices:
@@ -104,7 +68,7 @@ def tree_is_disk_planar(edges, boundary, co=None):
     else:
         pairs = ()
     for u, w in pairs:
-        for e in _tree_path_edges(adj, u, w):
+        for e in tree_path(adj, u, w):
             counts[e] += 1
     if len(boundary) <= 2:
         return True, counts
@@ -214,7 +178,7 @@ def separation_ok(gamma, attach_sets):
     return True, None
 
 
-def graph_is_disk_planar(dec):
+def check_S2(dec):
     """Combined embedding test for a decomposed graph (condition S2)."""
     witnesses = []
     full = CyclicOrder(dec.gamma.vertices)
@@ -237,9 +201,6 @@ def graph_is_disk_planar(dec):
     from .conditions import ConditionReport
 
     return ConditionReport("S2", not witnesses, tuple(witnesses))
-
-
-check_S2 = graph_is_disk_planar
 
 
 @dataclass(frozen=True)

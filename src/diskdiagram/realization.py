@@ -3,13 +3,14 @@
 The pipeline: quotient the vertex set into level blocks and pick a
 monotone integer height per block; place the boundary cycle on the unit
 circle and solve for interior tree positions; then extend the heights
-continuously over every face.  Each inner face is modeled on a standard
-region — a triangle for one-arc faces (one boundary extremum between
-two visits of a single tree) or a square for two-arc faces (a band
-between two tree levels) — and carries an explicit piecewise-linear
-map onto that region; the function value is an affine function of the
-model's second coordinate, so boundary traces are exact and face values
-always stay between the two defining levels.
+continuously over every face.  An inner face is either a one-arc face
+(one boundary extremum between two visits of a single tree) or a
+two-arc face (a band between two levels).  Its boundary is sampled into
+a polygon — circle arcs with heights interpolated between their end
+vertices, tree paths at their tree's level — and ear-clipped into
+triangles; the function is linear on each triangle, so it agrees with
+the vertex heights, is constant on every tree, and stays between the
+face's two defining levels.
 """
 from __future__ import annotations
 
@@ -29,10 +30,11 @@ from .errors import (
     OutsideDisk,
 )
 from .graph import DEFAULT_BUDGET
-from .orders import BinaryRelation, StrictPartialOrder, check_A4, rho_components
-from .planarity import SAMPLES_PER_BOUNDARY_EDGE, build_embedding
+from .orders import StrictPartialOrder, check_A4
+from .planarity import build_embedding
 
 SNAP = 1e-9
+SAMPLES_PER_BOUNDARY_EDGE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,6 @@ class FaceMap:
     extremum_vertex: str | None
     points: np.ndarray  # (N, 2) polygon, counterclockwise
     values: np.ndarray  # (N,)
-    model: np.ndarray  # (N, 2) image in the model region
     triangles: np.ndarray  # (M, 3) indices into points
 
 
@@ -407,15 +408,21 @@ def _arc_points(dart, emb, heights, gamma_pos, n):
     return pts, vals
 
 
-def _path_points(darts, emb):
-    """Positions along a tree path, final endpoint excluded, with length."""
-    coords = emb.coords
-    pts = [tuple(coords[u]) for u, _ in darts]
-    seglens = []
-    for u, e in darts:
-        w = e.other(u)
-        seglens.append(float(np.hypot(*(coords[w] - coords[u]))))
-    return pts, seglens
+def _face_polygon(runs, emb, heights, gamma_pos, n):
+    """Polygon points and values: each boundary arc, then its tree path.
+
+    ``runs`` holds (arc darts, path darts, path level) triples in walk
+    order; each run contributes its points up to its final endpoint.
+    """
+    pts, vals = [], []
+    for arc, path, level in runs:
+        for dart in arc:
+            ps, vs = _arc_points(dart, emb, heights, gamma_pos, n)
+            pts += ps
+            vals += vs
+        pts += [tuple(emb.coords[u]) for u, _ in path]
+        vals += [level] * len(path)
+    return np.array(pts), np.array(vals)
 
 
 def _build_one_arc(face, emb, heights, gamma_pos, n, dec):
@@ -438,25 +445,7 @@ def _build_one_arc(face, emb, heights, gamma_pos, n, dec):
     if c == c_i:
         raise InvariantViolation(f"face {face.index}: extremum level equals tree level")
     tree = dec.tree_of(path[0][0])
-    pts, vals, model = [], [], []
-    for k, dart in enumerate(arc):
-        ps, vs = _arc_points(dart, emb, heights, gamma_pos, n)
-        for p, val in zip(ps, vs):
-            psi = (val - c) / (c_i - c)
-            pts.append(p)
-            vals.append(val)
-            model.append((0.0, psi) if k == 0 else (psi, psi))
-    ppts, seglens = _path_points(path, emb)
-    total = sum(seglens) or 1.0
-    walked = 0.0
-    for p, L in zip(ppts, seglens):
-        pts.append(p)
-        vals.append(c_i)
-        model.append((1.0 - walked / total, 1.0))
-        walked += L
-    pts = np.array(pts)
-    vals = np.array(vals)
-    model = np.array(model)
+    pts, vals = _face_polygon(((arc, path, c_i),), emb, heights, gamma_pos, n)
     tris = _ear_clip(pts, vals)
     return FaceMap(
         face.index,
@@ -466,7 +455,6 @@ def _build_one_arc(face, emb, heights, gamma_pos, n, dec):
         y_vertex,
         pts,
         vals,
-        model,
         tris,
     )
 
@@ -496,41 +484,9 @@ def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
         sides.append((dec.tree_of(path_q[0][0]).index, c_bottom, c_top))
     if path_p:
         sides.append((dec.tree_of(path_p[0][0]).index, c_top, c_bottom))
-    span = c_top - c_bottom
-    pts, vals, model = [], [], []
-    for dart in arc_a:
-        ps, vs = _arc_points(dart, emb, heights, gamma_pos, n)
-        for p, val in zip(ps, vs):
-            pts.append(p)
-            vals.append(val)
-            model.append((1.0, (val - c_bottom) / span))
-    if path_p:
-        ppts, seglens = _path_points(path_p, emb)
-        total = sum(seglens) or 1.0
-        walked = 0.0
-        for p, L in zip(ppts, seglens):
-            pts.append(p)
-            vals.append(c_top)
-            model.append((1.0 - walked / total, 1.0))
-            walked += L
-    for dart in arc_b:
-        ps, vs = _arc_points(dart, emb, heights, gamma_pos, n)
-        for p, val in zip(ps, vs):
-            pts.append(p)
-            vals.append(val)
-            model.append((0.0, (val - c_bottom) / span))
-    if path_q:
-        ppts, seglens = _path_points(path_q, emb)
-        total = sum(seglens) or 1.0
-        walked = 0.0
-        for p, L in zip(ppts, seglens):
-            pts.append(p)
-            vals.append(c_bottom)
-            model.append((walked / total, 0.0))
-            walked += L
-    pts = np.array(pts)
-    vals = np.array(vals)
-    model = np.array(model)
+    pts, vals = _face_polygon(
+        ((arc_a, path_p, c_top), (arc_b, path_q, c_bottom)), emb, heights, gamma_pos, n
+    )
     tris = _ear_clip(pts, vals)
     return FaceMap(
         face.index,
@@ -540,15 +496,12 @@ def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
         None,
         pts,
         vals,
-        model,
         tris,
     )
 
 
 def extend_to_faces(emb, heights):
-    """Build the face maps and bundle everything into a DiskFunction."""
-    if emb.coords is None:
-        emb = assign_coords(emb)
+    """Build the face maps of a placed embedding into a DiskFunction."""
     dec = emb.decomposition
     gamma = dec.gamma
     n = len(gamma.vertices)
@@ -750,15 +703,25 @@ class DiskFunction:
         }
 
 
-def realize(g, mode="default", seed=None, budget=DEFAULT_BUDGET):
-    """Full pipeline: decide, embed, place, lift; raises NotDeltaGraph."""
-    verdict = is_delta_graph(g, budget=budget)
-    if not verdict.delta:
-        bad = next(r for r in verdict.reports if not r.passed)
+def place(verdict, mode="default", seed=None):
+    """Placed embedding and heights for an accepted verdict.
+
+    Returns ``(embedding, heights)``: the rotation system with
+    coordinates assigned, and the level heights in the given mode.
+    Raises NotDeltaGraph, carrying the failing report, when the verdict
+    rejects the graph.
+    """
+    bad = verdict.failed_report()
+    if bad is not None:
         raise NotDeltaGraph(bad.condition, bad.witnesses)
-    heights = assign_heights(g, verdict.decomposition, mode=mode, seed=seed)
-    emb = assign_coords(build_embedding(verdict.decomposition))
-    return extend_to_faces(emb, heights)
+    dec = verdict.decomposition
+    heights = assign_heights(dec.graph, dec, mode=mode, seed=seed)
+    return assign_coords(build_embedding(dec)), heights
+
+
+def realize(g, mode="default", seed=None, budget=DEFAULT_BUDGET):
+    """Full pipeline: decide, place, lift; raises NotDeltaGraph."""
+    return extend_to_faces(*place(is_delta_graph(g, budget=budget), mode, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -967,36 +930,24 @@ def sign_census(f, dec=None):
             if missing:
                 continue
             corner_signs[v] = tuple(signs)
+            # Consecutive corners always form one sequence: a chain of
+            # deg - 1 >= 2 corners between the two boundary edges at an
+            # attachment, a closed cycle around an interior vertex (even
+            # degree >= 4).  So alternation is checked on `signs` directly.
             m = len(signs)
-            items = frozenset(range(m))
-            if v in t.attach:
-                pairs = frozenset((i, i + 1) for i in range(m - 1))
-            else:
-                pairs = frozenset((i, (i + 1) % m) for i in range(m))
-            rel = BinaryRelation.of(items, pairs)
-            comps = rho_components(rel)
-            if len(comps) != 1:
-                witnesses.append(f"corner relation at {v} is not a single component")
-                continue
-            comp = comps[0]
-            seq = [signs[i] for i in comp.items]
-            closed = comp.kind == "cycle"
-            for i in range(len(seq) - (0 if closed else 1)):
-                if seq[i] == seq[(i + 1) % len(seq)]:
+            for i in range(m - 1 if v in t.attach else m):
+                if signs[i] == signs[(i + 1) % m]:
                     witnesses.append(
                         f"signs around {v} fail to alternate at position {i}"
                     )
                     break
             if v in t.attach:
-                if comp.kind != "chain":
-                    witnesses.append(f"corner relation at {v} should be a chain")
-                    continue
                 d = g.degree(v)
-                if d % 2 == 1 and seq[0] == seq[-1]:
+                if d % 2 == 1 and signs[0] == signs[-1]:
                     witnesses.append(
                         f"odd-degree vertex {v}: chain ends carry equal signs"
                     )
-                if d % 2 == 0 and seq[0] != seq[-1]:
+                if d % 2 == 0 and signs[0] != signs[-1]:
                     witnesses.append(
                         f"even-degree vertex {v}: chain ends carry opposite signs"
                     )
@@ -1005,19 +956,16 @@ def sign_census(f, dec=None):
                 prv = dec.gamma.vertices[i_gamma - 1]
                 want_first = 1 if heights.value[nxt] > c_k else -1
                 want_last = 1 if heights.value[prv] > c_k else -1
-                if seq[0] != want_first:
+                if signs[0] != want_first:
                     witnesses.append(
-                        f"first corner at {v} has sign {seq[0]}, expected "
+                        f"first corner at {v} has sign {signs[0]}, expected "
                         f"{want_first} from neighbor {nxt}"
                     )
-                if seq[-1] != want_last:
+                if signs[-1] != want_last:
                     witnesses.append(
-                        f"last corner at {v} has sign {seq[-1]}, expected "
+                        f"last corner at {v} has sign {signs[-1]}, expected "
                         f"{want_last} from neighbor {prv}"
                     )
-            else:
-                if comp.kind != "cycle":
-                    witnesses.append(f"corner relation at {v} should be a cycle")
-                if len(seq) % 2 == 1:
-                    witnesses.append(f"odd face count around interior vertex {v}")
+            elif m % 2 == 1:
+                witnesses.append(f"odd face count around interior vertex {v}")
     return CensusResult(not witnesses, tuple(witnesses), corner_signs)

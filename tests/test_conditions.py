@@ -1,5 +1,6 @@
 import pytest
 
+from diskdiagram.census import graphs_census
 from diskdiagram.conditions import (
     boundary_pairs,
     check_A1,
@@ -253,3 +254,17 @@ class TestS3:
         report = check_S3(decompose(g, gamma))
         assert report.passed
         assert report.witnesses == ()
+
+
+class TestGraphsCensus:
+    def test_exact_tally_up_to_four_vertices(self):
+        """Every poset multigraph with at most 4 vertices, verdict by verdict."""
+        res = graphs_census(4)
+        assert res.instances == 93944
+        assert res.by_outcome == {
+            "A1": 66870,
+            "A2": 26898,
+            "S2": 6,
+            "A3": 156,
+            "delta": 14,
+        }

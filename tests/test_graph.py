@@ -15,6 +15,7 @@ from diskdiagram.errors import (
 from diskdiagram.fixtures import build
 from diskdiagram.graph import (
     Cycle,
+    adjacency,
     build_graph,
     decompose,
     enumerate_simple_cycles,
@@ -227,9 +228,10 @@ class TestDecompose:
 
 class TestTreePath:
     def _star(self):
+        """Adjacency of the star tree of G3."""
         g = build("G3")
         ring = ["w1", "M1", "w2", "m1", "w3", "M2", "w4", "m2"]
-        return decompose(g, ring_cycle(g, ring)).trees[0]
+        return adjacency(decompose(g, ring_cycle(g, ring)).trees[0].edges)
 
     def test_leaf_to_leaf(self):
         t = self._star()

@@ -1,5 +1,8 @@
 import json
+import os
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +251,30 @@ class TestCliEmbed:
         assert main(["embed", files["interleaved"]]) == 1
         assert "cannot embed" in capsys.readouterr().err
 
+    def test_dot_bytes_independent_of_hash_seed(self, tmp_path, delta_names):
+        paths = []
+        for name in delta_names:
+            p = tmp_path / f"{name}.json"
+            p.write_text(serialize(build(name)))
+            paths.append(str(p))
+        script = (
+            "import sys\n"
+            "from diskdiagram.cli import main\n"
+            "for p in sys.argv[1:]:\n"
+            "    main(['embed', p, '--format', 'dot'])\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *paths],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"graph diagram {") == len(paths)
+        assert outputs[0] == outputs[1]
+
 
 class TestCliEnumerate:
     def test_trees_small(self, capsys):
@@ -263,7 +290,11 @@ class TestCliEnumerate:
 
     def test_size_out_of_range(self, capsys):
         assert main(["enumerate", "--max", "40", "--mode", "trees"]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: trees census size must be between 2 and 8, got 40\n"
+        assert main(["enumerate", "--max", "9", "--mode", "graphs"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: graphs census size must be between 2 and 4, got 9\n"
 
 
 class TestBudgetEnv:

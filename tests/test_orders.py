@@ -4,20 +4,15 @@ from hypothesis import strategies as st
 
 from diskdiagram.errors import (
     NotASubset,
-    NotConvenient,
     NotInCarrier,
     OrderCycle,
     TooSmallCarrier,
 )
 from diskdiagram.orders import (
     A4Result,
-    BinaryRelation,
     CyclicOrder,
     StrictPartialOrder,
     check_A4,
-    comparability,
-    is_convenient,
-    rho_components,
     transitive_closure,
 )
 
@@ -51,13 +46,6 @@ class TestStrictPartialOrder:
         big = order_of([("m", "a"), ("a", "M")])
         assert big.extends(small)
         assert not small.extends(big)
-
-    def test_comparability_classes(self):
-        o = order_of([("m", "a"), ("m", "b"), ("a", "M"), ("b", "M")])
-        assert comparability(o, "m", "M") == "C1"
-        assert comparability(o, "a", "b") == "C2"
-        with pytest.raises(NotInCarrier):
-            comparability(o, "a", "zz")
 
     @given(
         st.sets(
@@ -149,58 +137,3 @@ class TestCyclicOrder:
             prev_a, next_a = co.adjacent(a)
             assert co.adjacent(next_a)[0] == a
             assert co.adjacent(prev_a)[1] == a
-
-
-class TestConvenientRelations:
-    def test_chain_is_convenient(self):
-        rel = BinaryRelation.of("abc", {("a", "b"), ("b", "c")})
-        assert is_convenient(rel)
-
-    def test_branching_not_convenient(self):
-        rel = BinaryRelation.of("abc", {("a", "b"), ("a", "c")})
-        assert not is_convenient(rel)
-
-    def test_reflexive_not_convenient(self):
-        rel = BinaryRelation.of("a", {("a", "a")})
-        assert not is_convenient(rel)
-
-    def test_chain_component(self):
-        rel = BinaryRelation.of("abc", {("a", "b"), ("b", "c")})
-        comps = rho_components(rel)
-        assert len(comps) == 1
-        assert comps[0].kind == "chain"
-        assert comps[0].items == ("a", "b", "c")
-
-    def test_two_cycle(self):
-        rel = BinaryRelation.of("ab", {("a", "b"), ("b", "a")})
-        comps = rho_components(rel)
-        assert [c.kind for c in comps] == ["cycle"]
-        assert comps[0].items == ("a", "b")
-
-    def test_isolated_element_is_trivial_chain(self):
-        rel = BinaryRelation.of("a", set())
-        comps = rho_components(rel)
-        assert [c.kind for c in comps] == ["chain"]
-        assert comps[0].items == ("a",)
-
-    def test_not_convenient_raises(self):
-        rel = BinaryRelation.of("abc", {("a", "b"), ("a", "c")})
-        with pytest.raises(NotConvenient):
-            rho_components(rel)
-
-    def test_components_cover_exactly(self):
-        rel = BinaryRelation.of(
-            "abcdefg",
-            {("a", "b"), ("b", "c"), ("d", "e"), ("e", "d"), ("f", "g")},
-        )
-        comps = rho_components(rel)
-        seen = [x for c in comps for x in c.items]
-        assert sorted(seen) == sorted(rel.carrier)
-        covered = set()
-        for c in comps:
-            n = len(c.items)
-            if c.kind == "chain":
-                covered |= {(c.items[i], c.items[i + 1]) for i in range(n - 1)}
-            else:
-                covered |= {(c.items[i], c.items[(i + 1) % n]) for i in range(n)}
-        assert covered == set(rel.pairs)
