@@ -6,8 +6,10 @@ checked against the structural invariants: inner faces carry one or two
 boundary arcs, face counts satisfy the Euler relation, boundary extrema
 alternate with even count at exactly the even-degree boundary vertices,
 the corner-sign census passes, and the order induced by the heights
-extends the input order.  With --strict the strict height mode runs as
-well and the equality-vs-congruence tallies are reported.
+extends the input order.  Without --limit the size-ladder shapes
+d = 1..3 (up to 191 vertices) follow the corpus specs.  With --strict
+the strict height mode runs as well and the equality-vs-congruence
+tallies are reported.
 """
 import argparse
 import sys
@@ -17,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diskdiagram.conditions import is_delta_graph
-from diskdiagram.families import build_instance, corpus_specs
+from diskdiagram.families import build_instance, corpus_specs, ladder_spec
 from diskdiagram.orders import check_A4
 from diskdiagram.planarity import face_arcs
 from diskdiagram.realization import (
@@ -64,6 +66,8 @@ def main(argv=None):
     specs = corpus_specs()
     if args.limit is not None:
         specs = specs[: args.limit]
+    else:
+        specs += [ladder_spec(d) for d in (1, 2, 3)]
     t0 = time.perf_counter()
     bad = 0
     total = 0

@@ -164,29 +164,39 @@ class GraphsCensusResult:
     delta_edge_profiles: tuple  # sorted multiset signatures of accepted graphs
 
 
-def graphs_census(max_vertices, budget=DEFAULT_BUDGET):
-    """Verdict tabulation over all small partially ordered multigraphs."""
+def census_inputs(max_vertices):
+    """(vertices, edge pairs, order pairs) of every census instance, in order.
+
+    Covers every poset multigraph on 2..max_vertices vertices; feed each
+    triple to ``build_graph``.
+    """
     if not 2 <= max_vertices <= 4:
         raise DiskDiagramError(
             f"graphs census size must be between 2 and 4, got {max_vertices}"
         )
-    by_outcome = {}
-    profiles = set()
-    instances = 0
-    sizes = tuple(range(2, max_vertices + 1))
-    for size in sizes:
+    for size in range(2, max_vertices + 1):
         names = [f"v{i}" for i in range(size)]
         posets = _posets(names)
         for edges in _multigraphs(names):
             for rel in posets:
-                instances += 1
-                g = build_graph(names, edges, rel)
-                verdict = is_delta_graph(g, budget=budget)
-                key = "delta" if verdict.delta else verdict.failed_condition()
-                by_outcome[key] = by_outcome.get(key, 0) + 1
-                if verdict.delta:
-                    degs = tuple(sorted(g.degree(v) for v in names))
-                    profiles.add((size, len(edges), degs))
+                yield names, edges, rel
+
+
+def graphs_census(max_vertices, budget=DEFAULT_BUDGET):
+    """Verdict tabulation over all small partially ordered multigraphs."""
+    by_outcome = {}
+    profiles = set()
+    instances = 0
+    for names, edges, rel in census_inputs(max_vertices):
+        instances += 1
+        g = build_graph(names, edges, rel)
+        verdict = is_delta_graph(g, budget=budget)
+        key = "delta" if verdict.delta else verdict.failed_condition()
+        by_outcome[key] = by_outcome.get(key, 0) + 1
+        if verdict.delta:
+            degs = tuple(sorted(g.degree(v) for v in g.vertices))
+            profiles.add((len(g.vertices), len(g.edges), degs))
+    sizes = tuple(range(2, max_vertices + 1))
     return GraphsCensusResult(
         sizes, instances, by_outcome, tuple(sorted(profiles))
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotAForest
-from .graph import DEFAULT_BUDGET, decompose, simple_cycles
+from .graph import DEFAULT_BUDGET, decompose, enumerate_simple_cycles
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,21 @@ class ConditionReport:
 
 
 def find_cr_cycles(g, budget=DEFAULT_BUDGET):
-    """Simple cycles in which every pair of cycle-adjacent vertices is comparable."""
-    out = []
-    for c in simple_cycles(g, budget=budget):
-        n = len(c.vertices)
-        ok = True
-        for i in range(n if n > 2 else 1):
-            u, v = c.vertices[i], c.vertices[(i + 1) % n]
-            if not g.order.comparable(u, v):
-                ok = False
-                break
-        if ok:
-            out.append(c)
-    return out
+    """Simple cycles in which every pair of cycle-adjacent vertices is comparable.
+
+    The search runs over the comparable edges only.  A cycle qualifies
+    exactly when each of its edges joins two comparable vertices, so the
+    simple cycles of that subgraph are the qualifying cycles of ``g``;
+    the subgraph keeps the sorted vertex list and each vertex's sorted
+    incident edges, so they come out in the order a search of all of
+    ``g`` would list them.  Every search step over the subgraph matches a
+    step over ``g`` and each node visits a subset of its edges, so the
+    search never takes more of ``budget`` than the full one would.  On a
+    Δ-graph the subgraph is the boundary cycle alone (A2 makes tree
+    vertices pairwise incomparable).
+    """
+    comparable = [e for e in g.edges if g.order.comparable(e.a, e.b)]
+    return enumerate_simple_cycles(g.vertices, comparable, budget=budget)
 
 
 def check_A1(g, budget=DEFAULT_BUDGET):

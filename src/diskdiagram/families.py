@@ -210,6 +210,23 @@ def corpus_specs():
     return specs
 
 
+def nest(depth):
+    """nest(0) = EXT, nest(d) = star4 of three copies of nest(d - 1)."""
+    if depth == 0:
+        return EXT
+    inner = nest(depth - 1)
+    return star4(inner, inner, inner)
+
+
+def ladder_spec(depth):
+    """Size-ladder shape star4[nest(d), EXT, nest(d), EXT].
+
+    Valid by construction; the vertex count roughly triples per step
+    (V = 23, 65, 191, 569 for d = 1..4).
+    """
+    return _spec("star", 4, (nest(depth), EXT, nest(depth), EXT))
+
+
 def corpus_instances(specs=None):
     """Yield (spec, order_mode, graph) for the whole corpus."""
     if specs is None:

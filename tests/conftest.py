@@ -1,7 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from diskdiagram.conditions import is_delta_graph
-from diskdiagram.families import corpus_instances, corpus_specs
+from diskdiagram.families import (
+    build_instance,
+    corpus_instances,
+    corpus_specs,
+    ladder_spec,
+)
 from diskdiagram.fixtures import EXPECTED, FIXTURES, build
 from diskdiagram.realization import realize
 
@@ -38,3 +46,23 @@ def realized_corpus(corpus):
     return [
         (spec, mode, g, realize(g)) for spec, mode, g in corpus
     ]
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    """Size-ladder graphs d = 1..3 in both order modes: (d, mode) -> graph."""
+    return {
+        (d, mode): build_instance(ladder_spec(d), mode)
+        for d in (1, 2, 3)
+        for mode in ("minimal", "saturated")
+    }
+
+
+@pytest.fixture(scope="session")
+def check_instance():
+    """The invariant audit of scripts/run_corpus.py."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.check_instance

@@ -1,6 +1,9 @@
+import random
+from itertools import islice
+
 import pytest
 
-from diskdiagram.census import graphs_census
+from diskdiagram.census import census_inputs, graphs_census
 from diskdiagram.conditions import (
     boundary_pairs,
     check_A1,
@@ -11,9 +14,16 @@ from diskdiagram.conditions import (
     is_delta_graph,
 )
 from diskdiagram.fixtures import EXPECTED, build
-from diskdiagram.graph import Cycle, build_graph, decompose
+from diskdiagram.graph import Cycle, build_graph, decompose, simple_cycles
 
 CONDITION_SEQUENCE = ("A1", "A2", "S2", "S3", "A3")
+# every 13th census instance: A1, A2, S2 and A3 rejections, ~7 200 graphs
+CENSUS_STEP = 13
+
+
+@pytest.fixture(scope="module")
+def census_slice():
+    return [build_graph(*raw) for raw in islice(census_inputs(4), 0, None, CENSUS_STEP)]
 
 
 def ring_cycle(g, names):
@@ -84,6 +94,29 @@ class TestA1:
         assert gamma is None
         assert "qualifying cycles" in report.witnesses[0]
         assert len(report.witnesses) > 1
+
+    def test_matches_filtered_full_enumeration(self, graphs, census_slice):
+        """Reference: list every simple cycle, keep the all-comparable ones."""
+
+        def reference(g):
+            return [
+                c
+                for c in simple_cycles(g)
+                if all(
+                    g.order.comparable(c.vertices[i], c.vertices[(i + 1) % len(c)])
+                    for i in range(len(c))
+                )
+            ]
+
+        def exact(cycles):
+            return [(c.vertices, c.edges) for c in cycles]
+
+        several = 0
+        for g in list(graphs.values()) + census_slice:
+            want = reference(g)
+            assert exact(find_cr_cycles(g)) == exact(want), sorted(g.vertices)
+            several += len(want) >= 2
+        assert several > 1000
 
     def test_cyclic_complement_reported_as_a2(self):
         names = [f"v{i}" for i in range(1, 7)]
@@ -254,6 +287,55 @@ class TestS3:
         report = check_S3(decompose(g, gamma))
         assert report.passed
         assert report.witnesses == ()
+
+
+def renamed(g, rng):
+    """g with its vertices renamed by a random permutation of their names."""
+    names = sorted(g.vertices)
+    perm = names[:]
+    rng.shuffle(perm)
+    to = dict(zip(names, perm))
+    return build_graph(
+        perm,
+        [(to[e.a], to[e.b]) for e in g.edges],
+        [(to[a], to[b]) for a, b in sorted(g.order.pairs)],
+    )
+
+
+def flipped(g):
+    """g with every order pair reversed (heights f -> -f)."""
+    return build_graph(
+        g.vertices,
+        [(e.a, e.b) for e in g.edges],
+        [(b, a) for a, b in sorted(g.order.pairs)],
+    )
+
+
+class TestMetamorphic:
+    """Verdicts ignore vertex names and turning the order upside down."""
+
+    def _assert_invariant(self, cases):
+        rng = random.Random(20091003)
+        for label, g in cases:
+            v = is_delta_graph(g)
+            for variant in (renamed(g, rng), flipped(g)):
+                w = is_delta_graph(variant)
+                assert (w.delta, w.failed_condition()) == (
+                    v.delta,
+                    v.failed_condition(),
+                ), label
+
+    def test_fixtures(self, graphs):
+        self._assert_invariant(sorted(graphs.items()))
+
+    def test_corpus(self, corpus):
+        self._assert_invariant((f"{s.name} [{m}]", g) for s, m, g in corpus)
+
+    def test_ladder(self, ladder):
+        self._assert_invariant(sorted(ladder.items()))
+
+    def test_census_slice(self, census_slice):
+        self._assert_invariant(enumerate(census_slice))
 
 
 class TestGraphsCensus:

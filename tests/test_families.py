@@ -5,9 +5,15 @@ from diskdiagram.families import (
     content_pool,
     corpus_specs,
     dstar6,
+    ladder_spec,
+    nest,
     star4,
 )
+from diskdiagram.conditions import is_delta_graph
 from diskdiagram.orders import check_A4
+from diskdiagram.realization import realize
+
+MODES = ("minimal", "saturated")
 
 
 class TestCorpusShape:
@@ -68,3 +74,29 @@ class TestInstances:
         assert wide[1] == 4
         double = dstar6(*([EXT] * 5))
         assert double[1] == 6
+
+
+class TestLadder:
+    def test_nest_recursion(self):
+        assert nest(0) == EXT
+        assert nest(1) == star4(EXT, EXT, EXT)
+        assert nest(2) == star4(nest(1), nest(1), nest(1))
+
+    def test_shape_and_sizes(self, ladder):
+        assert ladder_spec(1).pockets == (nest(1), EXT, nest(1), EXT)
+        for d, size in ((1, 23), (2, 65), (3, 191)):
+            for mode in MODES:
+                assert len(ladder[d, mode].vertices) == size
+
+    def test_decides_and_realizes(self, ladder, check_instance):
+        for d in (2, 3):
+            for mode in MODES:
+                g = ladder[d, mode]
+                assert is_delta_graph(g).delta, (d, mode)
+                assert check_instance(g, realize(g)) == [], (d, mode)
+
+    def test_deepest_rung_decides(self):
+        for mode in MODES:
+            g = build_instance(ladder_spec(4), mode)
+            assert len(g.vertices) == 569
+            assert is_delta_graph(g).delta, mode
