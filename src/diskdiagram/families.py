@@ -188,7 +188,7 @@ def content_pool():
 
 
 def corpus_specs():
-    """Deterministic list of 212 distinct corpus shapes."""
+    """Deterministic list of 210 distinct corpus shapes (420 instances)."""
     pool = content_pool()
     e = EXT
     specs = []

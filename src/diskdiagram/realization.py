@@ -548,6 +548,7 @@ class DiskFunction:
         self._seg_a = np.array([a for _, a, _ in segs]).reshape(-1, 2)
         self._seg_b = np.array([b for _, _, b in segs]).reshape(-1, 2)
         self._seg_val = np.array([heights.value[e.a] for e, _, _ in segs])
+        self._grids = {}
 
     # -- evaluation --------------------------------------------------------
 
@@ -674,6 +675,25 @@ class DiskFunction:
             out[missing] = self._nearest_edge_values(pts[missing], self.face_maps)
         return out
 
+    def grid_values(self, resolution):
+        """Contour grid ``(xs, vals)``, evaluated once per resolution.
+
+        ``xs`` holds the ``resolution + 1`` sample coordinates spanning
+        [-1.02, 1.02] on each axis and ``vals[i, j]`` is the value at
+        ``(xs[j], xs[i])``, points outside the disk taken radially from
+        the rim.  Both arrays are shared between calls and read-only.
+        """
+        cached = self._grids.get(resolution)
+        if cached is None:
+            xs = np.linspace(-1.02, 1.02, resolution + 1)
+            gx, gy = np.meshgrid(xs, xs)
+            grid = np.column_stack([gx.ravel(), gy.ravel()])
+            vals = self.evaluate_many(grid, clip=True).reshape(gx.shape)
+            xs.flags.writeable = False
+            vals.flags.writeable = False
+            cached = self._grids[resolution] = (xs, vals)
+        return cached
+
     def evaluate(self, p):
         p = np.asarray(p, dtype=float)
         if float(np.hypot(*p)) > 1 + SNAP:
@@ -734,36 +754,35 @@ def _stitch_segments(segments):
     def key(p):
         return (round(p[0], 7), round(p[1], 7))
 
-    ends = {}
-    polylines = []
+    keys = [(key(a), key(b)) for a, b in segments]
     used = [False] * len(segments)
     by_end = {}
-    for i, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(i)
-        by_end.setdefault(key(b), []).append(i)
+    for i, (ka, kb) in enumerate(keys):
+        by_end.setdefault(ka, []).append(i)
+        by_end.setdefault(kb, []).append(i)
+    polylines = []
     for start in range(len(segments)):
         if used[start]:
             continue
         used[start] = True
         a, b = segments[start]
-        chain = [a, b]
-        for head, append in ((chain[-1], True), (chain[0], False)):
-            cur = head
+        ka, kb = keys[start]
+        forward, backward = [b], [a]
+        for cur, tail in ((kb, forward), (ka, backward)):
             while True:
-                cands = [i for i in by_end.get(key(cur), []) if not used[i]]
-                if not cands:
+                i = next((i for i in by_end[cur] if not used[i]), None)
+                if i is None:
                     break
-                i = cands[0]
                 used[i] = True
-                pa, pb = segments[i]
-                nxt = pb if key(pa) == key(cur) else pa
-                if append:
-                    chain.append(nxt)
+                qa, qb = keys[i]
+                if qa == cur:
+                    tail.append(segments[i][1])
+                    cur = qb
                 else:
-                    chain.insert(0, nxt)
-                cur = nxt
-        polylines.append(chain)
-    polylines.sort(key=lambda ch: (round(ch[0][0], 7), round(ch[0][1], 7)))
+                    tail.append(segments[i][0])
+                    cur = qa
+        polylines.append(backward[::-1] + forward)
+    polylines.sort(key=lambda ch: key(ch[0]))
     return polylines
 
 
@@ -814,7 +833,10 @@ def level_set(f, c, resolution=64):
 
     Marching squares runs on a grid covering the disk (values outside
     are taken radially from the rim); whenever `c` matches a tree level
-    the exact tree segments are added as well.
+    the exact tree segments are added as well.  The grid is evaluated
+    once per function and resolution (`DiskFunction.grid_values`), and
+    only the cells the level crosses are marched: a cell whose corners
+    all lie on one side of `c` emits no segment.
     """
     polylines = []
     dec = f.decomposition
@@ -827,42 +849,47 @@ def level_set(f, c, resolution=64):
             ]
             exact.extend((np.array(a), np.array(b)) for a, b in segs)
             polylines.extend(_stitch_segments(segs))
-    xs = np.linspace(-1.02, 1.02, resolution + 1)
-    gx, gy = np.meshgrid(xs, xs)
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    vals = f.evaluate_many(grid, clip=True).reshape(gx.shape) - c
+    xs, grid = f.grid_values(resolution)
+    vals = grid - c
+    above = vals > 0
+    corners_above = (
+        above[:-1, :-1].astype(int)
+        + above[:-1, 1:]
+        + above[1:, 1:]
+        + above[1:, :-1]
+    )
+    crossed = (corners_above > 0) & (corners_above < 4)
     segments = []
-    for i in range(resolution):
-        for j in range(resolution):
-            segs = _cell_segments(
-                xs[j],
-                xs[j + 1],
-                xs[i],
-                xs[i + 1],
-                vals[i, j],
-                vals[i, j + 1],
-                vals[i + 1, j + 1],
-                vals[i + 1, j],
-            )
-            for a, b in segs:
-                ra, rb = math.hypot(*a), math.hypot(*b)
-                if ra > 1 and rb > 1:
+    for i, j in zip(*np.nonzero(crossed)):
+        segs = _cell_segments(
+            xs[j],
+            xs[j + 1],
+            xs[i],
+            xs[i + 1],
+            vals[i, j],
+            vals[i, j + 1],
+            vals[i + 1, j + 1],
+            vals[i + 1, j],
+        )
+        for a, b in segs:
+            ra, rb = math.hypot(*a), math.hypot(*b)
+            if ra > 1 and rb > 1:
+                continue
+            if ra > 1:
+                a = (a[0] / ra, a[1] / ra)
+            if rb > 1:
+                b = (b[0] / rb, b[1] / rb)
+            if math.hypot(a[0] - b[0], a[1] - b[1]) <= 1e-12:
+                continue
+            if exact:
+                # grid approximations of an exactly drawn tree are noise
+                mid = np.array([(a[0] + b[0]) / 2, (a[1] + b[1]) / 2])
+                cell = 2.04 / resolution * 1.5
+                if any(
+                    _seg_point_dist(mid, sa, sb) <= cell for sa, sb in exact
+                ):
                     continue
-                if ra > 1:
-                    a = (a[0] / ra, a[1] / ra)
-                if rb > 1:
-                    b = (b[0] / rb, b[1] / rb)
-                if math.hypot(a[0] - b[0], a[1] - b[1]) <= 1e-12:
-                    continue
-                if exact:
-                    # grid approximations of an exactly drawn tree are noise
-                    mid = np.array([(a[0] + b[0]) / 2, (a[1] + b[1]) / 2])
-                    cell = 2.04 / resolution * 1.5
-                    if any(
-                        _seg_point_dist(mid, sa, sb) <= cell for sa, sb in exact
-                    ):
-                        continue
-                segments.append((a, b))
+            segments.append((a, b))
     polylines.extend(_stitch_segments(segments))
     return polylines
 

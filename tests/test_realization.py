@@ -6,7 +6,10 @@ import pytest
 from diskdiagram.errors import EqualLevels, NotDeltaGraph, OutsideDisk
 from diskdiagram.fixtures import build
 from diskdiagram.realization import (
+    SNAP,
     HeightAssignment,
+    _cell_segments,
+    _seg_point_dist,
     assign_coords,
     assign_heights,
     extend_to_faces,
@@ -15,6 +18,7 @@ from diskdiagram.realization import (
     realize,
     sign_census,
 )
+from diskdiagram.svg import render_svg
 
 
 def heights_for(verdicts, name, mode="default", seed=None):
@@ -321,6 +325,151 @@ class TestLevelSet:
             assert len(line) >= 2
             for a, b in zip(line, line[1:]):
                 assert math.dist(a, b) > 0
+
+
+def fresh_grid(f, resolution):
+    """The contour grid evaluated directly, bypassing the memo."""
+    xs = np.linspace(-1.02, 1.02, resolution + 1)
+    gx, gy = np.meshgrid(xs, xs)
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    return xs, f.evaluate_many(grid, clip=True).reshape(gx.shape)
+
+
+def reference_stitch(segments):
+    """Segment stitching that recomputes every endpoint key it compares."""
+
+    def key(p):
+        return (round(p[0], 7), round(p[1], 7))
+
+    polylines = []
+    used = [False] * len(segments)
+    by_end = {}
+    for i, (a, b) in enumerate(segments):
+        by_end.setdefault(key(a), []).append(i)
+        by_end.setdefault(key(b), []).append(i)
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        a, b = segments[start]
+        chain = [a, b]
+        for head, append in ((chain[-1], True), (chain[0], False)):
+            cur = head
+            while True:
+                cands = [i for i in by_end.get(key(cur), []) if not used[i]]
+                if not cands:
+                    break
+                i = cands[0]
+                used[i] = True
+                pa, pb = segments[i]
+                nxt = pb if key(pa) == key(cur) else pa
+                if append:
+                    chain.append(nxt)
+                else:
+                    chain.insert(0, nxt)
+                cur = nxt
+        polylines.append(chain)
+    polylines.sort(key=lambda ch: (round(ch[0][0], 7), round(ch[0][1], 7)))
+    return polylines
+
+
+def reference_level_set(f, c, xs, grid):
+    """Marching squares over every cell of a fresh grid (see fresh_grid)."""
+    resolution = len(xs) - 1
+    polylines = []
+    coords = f.embedding.coords
+    exact = []
+    for t in f.decomposition.trees:
+        if abs(f.heights.level(t) - c) <= SNAP:
+            segs = [
+                (tuple(coords[e.a]), tuple(coords[e.b])) for e in sorted(t.edges)
+            ]
+            exact.extend((np.array(a), np.array(b)) for a, b in segs)
+            polylines.extend(reference_stitch(segs))
+    vals = grid - c
+    segments = []
+    for i in range(resolution):
+        for j in range(resolution):
+            segs = _cell_segments(
+                xs[j], xs[j + 1], xs[i], xs[i + 1],
+                vals[i, j], vals[i, j + 1], vals[i + 1, j + 1], vals[i + 1, j],
+            )
+            for a, b in segs:
+                ra, rb = math.hypot(*a), math.hypot(*b)
+                if ra > 1 and rb > 1:
+                    continue
+                if ra > 1:
+                    a = (a[0] / ra, a[1] / ra)
+                if rb > 1:
+                    b = (b[0] / rb, b[1] / rb)
+                if math.hypot(a[0] - b[0], a[1] - b[1]) <= 1e-12:
+                    continue
+                if exact:
+                    mid = np.array([(a[0] + b[0]) / 2, (a[1] + b[1]) / 2])
+                    cell = 2.04 / resolution * 1.5
+                    if any(_seg_point_dist(mid, sa, sb) <= cell for sa, sb in exact):
+                        continue
+                segments.append((a, b))
+    polylines.extend(reference_stitch(segments))
+    return polylines
+
+
+def oracle_levels(f):
+    """Every vertex height, every midpoint between heights, one level above."""
+    values = sorted(set(f.heights.value.values()))
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return values + mids + [values[-1] + 1.0]
+
+
+def as_tuples(polylines):
+    return [[tuple(float(x) for x in p) for p in line] for line in polylines]
+
+
+class TestLevelSetOracle:
+    """level_set equals the full-grid march, float for float."""
+
+    def check(self, f, label):
+        for resolution in (32, 48, 64):
+            xs, grid = fresh_grid(f, resolution)
+            for c in oracle_levels(f):
+                want = as_tuples(reference_level_set(f, c, xs, grid))
+                got = as_tuples(level_set(f, c, resolution=resolution))
+                assert got == want, (label, resolution, c)
+
+    def test_fixtures(self, realized):
+        for name, f in realized.items():
+            self.check(f, name)
+
+    def test_corpus_slice_both_order_modes(self, corpus):
+        chosen = [inst for k in range(0, len(corpus), 70) for inst in corpus[k:k + 2]]
+        assert {mode for _, mode, _ in chosen} == {"minimal", "saturated"}
+        for spec, mode, g in chosen:
+            self.check(realize(g), (spec, mode))
+
+
+class TestGridMemo:
+    def test_grid_evaluated_once_per_resolution(self, graphs, monkeypatch):
+        f = realize(graphs["G3"])
+        evaluate_many = f.evaluate_many
+        sizes = []
+
+        def counting(pts, clip=False):
+            sizes.append(len(pts))
+            return evaluate_many(pts, clip=clip)
+
+        monkeypatch.setattr(f, "evaluate_many", counting)
+        first = render_svg(f)
+        for resolution in (32, 48, 32):
+            level_set(f, 0.5, resolution=resolution)
+        second = render_svg(f)
+        assert first == second
+        assert sizes == [65 ** 2, 33 ** 2, 49 ** 2]
+        monkeypatch.undo()
+        for resolution in (32, 48, 64):
+            xs, vals = f.grid_values(resolution)
+            fresh_xs, fresh = fresh_grid(f, resolution)
+            assert np.array_equal(xs, fresh_xs)
+            assert np.array_equal(vals, fresh)
 
 
 class TestSignCensus:
