@@ -18,8 +18,8 @@ from diskdiagram.realization import realize
 from diskdiagram.svg import render_svg
 
 
-def write_all(out, name, g, f, levels, resolution):
-    svg = render_svg(f, levels=levels, resolution=resolution)
+def write_all(out, name, g, f, levels):
+    svg = render_svg(f, levels=levels)
     (out / f"{name}.svg").write_text(svg, encoding="utf-8")
     (out / f"{name}.dot").write_text(
         to_dot(g, f.heights), encoding="utf-8"
@@ -43,8 +43,6 @@ def main(argv=None):
                     help="seed for random height mode")
     ap.add_argument("--levels", type=int, default=5,
                     help="number of intermediate level curves")
-    ap.add_argument("--resolution", type=int, default=64,
-                    help="marching-squares grid resolution")
     args = ap.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -53,13 +51,12 @@ def main(argv=None):
             continue
         g = build(name)
         f = realize(g, mode=args.mode, seed=args.seed)
-        write_all(args.out, name, g, f, args.levels, args.resolution)
+        write_all(args.out, name, g, f, args.levels)
     for spec in corpus_specs()[: args.corpus]:
         g = build_instance(spec, "minimal")
         f = realize(g, mode=args.mode, seed=args.seed)
         safe = spec.name.replace("[", "_").replace("]", "").replace(",", "-")
-        write_all(args.out, f"corpus_{safe}", g, f,
-                  args.levels, args.resolution)
+        write_all(args.out, f"corpus_{safe}", g, f, args.levels)
     return 0
 
 

@@ -153,7 +153,12 @@ def make_parser():
     r.add_argument("file")
     r.add_argument("--out", required=True, help="output SVG path")
     r.add_argument("--levels", type=int, default=5, help="level curves to draw")
-    r.add_argument("--resolution", type=int, default=64, help="contour grid size")
+    r.add_argument(
+        "--resolution",
+        type=int,
+        default=64,
+        help="no effect: level curves are drawn exactly (kept for old command lines)",
+    )
     r.add_argument(
         "--strict-order",
         action="store_true",

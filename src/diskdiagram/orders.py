@@ -14,10 +14,55 @@ from .errors import NotASubset, NotInCarrier, OrderCycle, TooSmallCarrier
 
 
 def transitive_closure(pairs):
-    """Closure of a set of (a, b) pairs under transitivity."""
+    """Closure of a set of (a, b) pairs under transitivity.
+
+    Each element's reach set is built once, after the sets of all its
+    successors, as the union of its successors and their reach sets; a
+    successor already reached is skipped, since its set is then already
+    included.  A cyclic input has no topological order and is closed by
+    a search from every element instead, which relates each element on
+    a cycle to itself.
+    """
     succ = {}
     for a, b in pairs:
         succ.setdefault(a, set()).add(b)
+    order = _topological_order(succ)
+    if order is None:
+        return _closure_by_search(succ)
+    reach = {}
+    closed = set()
+    for v in reversed(order):
+        r = set()
+        for s in succ.get(v, ()):
+            if s not in r:
+                r.add(s)
+                r |= reach[s]
+        reach[v] = r
+        closed.update((v, x) for x in r)
+    return closed
+
+
+def _topological_order(succ):
+    """Elements in an order where every pair points forward, or None."""
+    indeg = {}
+    for a, bs in succ.items():
+        indeg.setdefault(a, 0)
+        for b in bs:
+            indeg[b] = indeg.get(b, 0) + 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in succ.get(v, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return order if len(order) == len(indeg) else None
+
+
+def _closure_by_search(succ):
+    """Closure by a search from every element; also handles cycles."""
     closed = set()
     for start in succ:
         seen = set()

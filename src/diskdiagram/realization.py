@@ -10,7 +10,9 @@ a polygon — circle arcs with heights interpolated between their end
 vertices, tree paths at their tree's level — and ear-clipped into
 triangles; the function is linear on each triangle, so it agrees with
 the vertex heights, is constant on every tree, and stays between the
-face's two defining levels.
+face's two defining levels.  The same triangles give every level set
+exactly: `level_set` cuts each triangle the level crosses along one
+segment, with no sampling grid.
 """
 from __future__ import annotations
 
@@ -548,7 +550,36 @@ class DiskFunction:
         self._seg_a = np.array([a for _, a, _ in segs]).reshape(-1, 2)
         self._seg_b = np.array([b for _, _, b in segs]).reshape(-1, 2)
         self._seg_val = np.array([heights.value[e.a] for e, _, _ in segs])
-        self._grids = {}
+        self._stack_triangles()
+
+    def _stack_triangles(self):
+        """Every face map's triangles in one array, for `level_set`.
+
+        ``_tri_points``/``_tri_values`` hold the polygon points of all
+        face maps in turn and ``_triangles`` indexes them (face-global
+        point ids).  ``_point_keys`` keys a point at a graph vertex by
+        the vertex name, which is the same in every face and in the
+        exact tree segments, and any other point by its id.
+        """
+        by_xy = {tuple(p): v for v, p in self.embedding.coords.items()}
+        pts, vals, tris, keys = [], [], [], []
+        offset = 0
+        for fm in self.face_maps:
+            pts.append(fm.points)
+            vals.append(fm.values)
+            tris.append(fm.triangles + offset)
+            keys += [by_xy.get(tuple(p), offset + k) for k, p in enumerate(fm.points)]
+            offset += len(fm.points)
+        self._tri_points = np.concatenate(pts).reshape(-1, 2)
+        self._tri_values = np.concatenate(vals)
+        self._triangles = np.concatenate(tris).reshape(-1, 3)
+        self._point_keys = keys
+        self._tree_edges = {
+            pair
+            for t in self.decomposition.trees
+            for e in t.edges
+            for pair in ((e.a, e.b), (e.b, e.a))
+        }
 
     # -- evaluation --------------------------------------------------------
 
@@ -646,16 +677,11 @@ class DiskFunction:
             out[i] = best[1]
         return out
 
-    def evaluate_many(self, pts, clip=False):
-        """Vectorized evaluation; `clip` maps outside points to the rim."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+    def evaluate_many(self, pts):
+        """Vectorized evaluation of points in the closed disk."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
-        if clip:
-            far = r > 1.0
-            if far.any():
-                pts[far] /= r[far][:, None]
-                r[far] = 1.0
-        elif (r > 1 + SNAP).any():
+        if (r > 1 + SNAP).any():
             bad = pts[r > 1 + SNAP][0]
             raise OutsideDisk((float(bad[0]), float(bad[1])))
         out = self._snap_values(pts)
@@ -674,25 +700,6 @@ class DiskFunction:
         if missing.any():
             out[missing] = self._nearest_edge_values(pts[missing], self.face_maps)
         return out
-
-    def grid_values(self, resolution):
-        """Contour grid ``(xs, vals)``, evaluated once per resolution.
-
-        ``xs`` holds the ``resolution + 1`` sample coordinates spanning
-        [-1.02, 1.02] on each axis and ``vals[i, j]`` is the value at
-        ``(xs[j], xs[i])``, points outside the disk taken radially from
-        the rim.  Both arrays are shared between calls and read-only.
-        """
-        cached = self._grids.get(resolution)
-        if cached is None:
-            xs = np.linspace(-1.02, 1.02, resolution + 1)
-            gx, gy = np.meshgrid(xs, xs)
-            grid = np.column_stack([gx.ravel(), gy.ravel()])
-            vals = self.evaluate_many(grid, clip=True).reshape(gx.shape)
-            xs.flags.writeable = False
-            vals.flags.writeable = False
-            cached = self._grids[resolution] = (xs, vals)
-        return cached
 
     def evaluate(self, p):
         p = np.asarray(p, dtype=float)
@@ -748,149 +755,111 @@ def realize(g, mode="default", seed=None, budget=DEFAULT_BUDGET):
 # level sets
 
 
-def _stitch_segments(segments):
-    """Join segments sharing endpoints into maximal polylines."""
+def _stitch(segments):
+    """Join segments into maximal polylines by their endpoint keys.
 
-    def key(p):
-        return (round(p[0], 7), round(p[1], 7))
-
-    keys = [(key(a), key(b)) for a, b in segments]
+    Each segment is ``(key_a, key_b, point_a, point_b)``; two segments
+    join where they share a key.  Polylines are sorted by first point.
+    """
+    by_key = {}
+    for i, (ka, kb, _, _) in enumerate(segments):
+        by_key.setdefault(ka, []).append(i)
+        by_key.setdefault(kb, []).append(i)
     used = [False] * len(segments)
-    by_end = {}
-    for i, (ka, kb) in enumerate(keys):
-        by_end.setdefault(ka, []).append(i)
-        by_end.setdefault(kb, []).append(i)
     polylines = []
-    for start in range(len(segments)):
+    for start, (ka, kb, a, b) in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        ka, kb = keys[start]
         forward, backward = [b], [a]
         for cur, tail in ((kb, forward), (ka, backward)):
             while True:
-                i = next((i for i in by_end[cur] if not used[i]), None)
+                i = next((i for i in by_key[cur] if not used[i]), None)
                 if i is None:
                     break
                 used[i] = True
-                qa, qb = keys[i]
+                qa, qb, pa, pb = segments[i]
                 if qa == cur:
-                    tail.append(segments[i][1])
+                    tail.append(pb)
                     cur = qb
                 else:
-                    tail.append(segments[i][0])
+                    tail.append(pa)
                     cur = qa
         polylines.append(backward[::-1] + forward)
-    polylines.sort(key=lambda ch: key(ch[0]))
+    polylines.sort(key=lambda ch: ch[0])
     return polylines
 
 
-def _cell_segments(x0, x1, y0, y1, g00, g10, g11, g01):
-    """Marching-squares segments for one grid cell of f - c values."""
-    corners = [
-        ((x0, y0), g00),
-        ((x1, y0), g10),
-        ((x1, y1), g11),
-        ((x0, y1), g01),
-    ]
-    code = 0
-    for k, (_, gv) in enumerate(corners):
-        if gv > 0:
-            code |= 1 << k
-    if code in (0, 15):
-        return []
+def _crossings(f, c, lo, hi):
+    """Points and keys where level `c` crosses the triangle edges (lo, hi).
 
-    def lerp(pa, ga, pb, gb):
-        t = ga / (ga - gb) if ga != gb else 0.5
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-    edge_pts = {}
-    sides = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    for s, (i, j) in enumerate(sides):
-        (pa, ga), (pb, gb) = corners[i], corners[j]
-        if (ga > 0) != (gb > 0):
-            edge_pts[s] = lerp(pa, ga, pb, gb)
-    crossed = sorted(edge_pts)
-    if len(crossed) == 2:
-        return [(edge_pts[crossed[0]], edge_pts[crossed[1]])]
-    if len(crossed) == 4:
-        center = (g00 + g10 + g11 + g01) / 4.0
-        if (center > 0) == (g00 > 0):
-            return [
-                (edge_pts[0], edge_pts[1]),
-                (edge_pts[2], edge_pts[3]),
-            ]
-        return [
-            (edge_pts[3], edge_pts[0]),
-            (edge_pts[1], edge_pts[2]),
-        ]
-    return []
+    ``lo``/``hi`` are point ids with ``lo < hi`` and values on opposite
+    sides of `c`.  The point is interpolated from the lower-id end, so
+    the two triangles sharing an edge get bit-identical points; an end
+    whose value equals `c` is taken exactly and keyed as that point, an
+    interior crossing is keyed by the edge.
+    """
+    p, v = f._tri_points, f._tri_values
+    t = (c - v[lo]) / (v[hi] - v[lo])
+    pts = p[lo] + t[:, None] * (p[hi] - p[lo])
+    at_lo = v[lo] == c
+    at_hi = v[hi] == c
+    pts[at_lo] = p[lo[at_lo]]
+    pts[at_hi] = p[hi[at_hi]]
+    names = f._point_keys
+    rows = zip(lo.tolist(), hi.tolist(), at_lo.tolist(), at_hi.tolist())
+    keys = [names[i] if a else names[j] if b else (i, j) for i, j, a, b in rows]
+    return pts.tolist(), keys
 
 
 def level_set(f, c, resolution=64):
-    """Polylines of the level {f = c}, trees included exactly.
+    """Polylines of the level {f = c}, exactly.
 
-    Marching squares runs on a grid covering the disk (values outside
-    are taken radially from the rim); whenever `c` matches a tree level
-    the exact tree segments are added as well.  The grid is evaluated
-    once per function and resolution (`DiskFunction.grid_values`), and
-    only the cells the level crosses are marched: a cell whose corners
-    all lie on one side of `c` emits no segment.
+    The witness is linear on each triangle of its face maps, so {f = c}
+    is one segment per triangle whose vertices lie on both sides of `c`
+    (a vertex at exactly `c` counts as below, so a triangle flat at `c`
+    emits nothing).  Segments are joined by the keys of their ends (see
+    `_crossings`); zero-length segments and segments along a tree edge
+    are dropped, since every tree at level `c` is added from its drawn
+    edges.  `resolution` is accepted for compatibility and has no
+    effect.
+
+    Face-local keys are enough away from graph vertices: a point that is
+    not a graph vertex is a rim sample, on the boundary of one face
+    only, and an interior crossing lies on an edge inside one face.  At
+    a level no tree has, no crossing lies on a tree path, whose points
+    all sit at its tree's level; each face is bounded by rim arcs and
+    such paths, so every level curve stays in its face and ends on the
+    rim.
     """
-    polylines = []
-    dec = f.decomposition
     coords = f.embedding.coords
-    exact = []
-    for t in dec.trees:
+    polylines = []
+    for t in f.decomposition.trees:
         if abs(f.heights.level(t) - c) <= SNAP:
-            segs = [
-                (tuple(coords[e.a]), tuple(coords[e.b])) for e in sorted(t.edges)
+            edges = [
+                (e.a, e.b, tuple(coords[e.a].tolist()), tuple(coords[e.b].tolist()))
+                for e in sorted(t.edges)
             ]
-            exact.extend((np.array(a), np.array(b)) for a, b in segs)
-            polylines.extend(_stitch_segments(segs))
-    xs, grid = f.grid_values(resolution)
-    vals = grid - c
-    above = vals > 0
-    corners_above = (
-        above[:-1, :-1].astype(int)
-        + above[:-1, 1:]
-        + above[1:, 1:]
-        + above[1:, :-1]
-    )
-    crossed = (corners_above > 0) & (corners_above < 4)
-    segments = []
-    for i, j in zip(*np.nonzero(crossed)):
-        segs = _cell_segments(
-            xs[j],
-            xs[j + 1],
-            xs[i],
-            xs[i + 1],
-            vals[i, j],
-            vals[i, j + 1],
-            vals[i + 1, j + 1],
-            vals[i + 1, j],
-        )
-        for a, b in segs:
-            ra, rb = math.hypot(*a), math.hypot(*b)
-            if ra > 1 and rb > 1:
-                continue
-            if ra > 1:
-                a = (a[0] / ra, a[1] / ra)
-            if rb > 1:
-                b = (b[0] / rb, b[1] / rb)
-            if math.hypot(a[0] - b[0], a[1] - b[1]) <= 1e-12:
-                continue
-            if exact:
-                # grid approximations of an exactly drawn tree are noise
-                mid = np.array([(a[0] + b[0]) / 2, (a[1] + b[1]) / 2])
-                cell = 2.04 / resolution * 1.5
-                if any(
-                    _seg_point_dist(mid, sa, sb) <= cell for sa, sb in exact
-                ):
-                    continue
-            segments.append((a, b))
-    polylines.extend(_stitch_segments(segments))
+            polylines.extend(_stitch(edges))
+    tris = f._triangles
+    above = f._tri_values[tris] > c
+    n_above = above.sum(axis=1)
+    hit = np.nonzero((n_above == 1) | (n_above == 2))[0]
+    # the vertex alone on its side of c; the level crosses its two edges
+    side = above[hit]
+    k = np.where(n_above[hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
+    lone = tris[hit, k]
+    ends = []
+    for step in (1, 2):
+        other = tris[hit, (k + step) % 3]
+        ends.append(_crossings(f, c, np.minimum(lone, other), np.maximum(lone, other)))
+    (pts_a, keys_a), (pts_b, keys_b) = ends
+    segments = [
+        (ka, kb, tuple(a), tuple(b))
+        for a, b, ka, kb in zip(pts_a, pts_b, keys_a, keys_b)
+        if a != b and (ka, kb) not in f._tree_edges
+    ]
+    polylines.extend(_stitch(segments))
     return polylines
 
 

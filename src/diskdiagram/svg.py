@@ -32,7 +32,11 @@ def _color(t):
 
 
 def render_svg(f, levels=5, resolution=64, size=600.0):
-    """Render boundary circle, trees, vertices, and level polylines."""
+    """Render boundary circle, trees, vertices, and level polylines.
+
+    The level curves are exact (see `level_set`); `resolution` is
+    accepted for compatibility and has no effect.
+    """
     coords = f.embedding.coords
     heights = f.heights
     values = sorted(set(heights.value.values()))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from diskdiagram.orders import (
     A4Result,
     CyclicOrder,
     StrictPartialOrder,
+    _cycle_witness,
     check_A4,
     transitive_closure,
 )
@@ -63,6 +66,74 @@ class TestStrictPartialOrder:
             for c, d in closed:
                 if b == c:
                     assert (a, d) in closed
+
+
+def search_closure(pairs):
+    """Reference closure: a depth-first search from every element."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closed = set()
+    for start in succ:
+        seen = set()
+        stack = list(succ[start])
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            stack.extend(succ.get(x, ()))
+        closed.update((start, x) for x in seen)
+    return closed
+
+
+def random_pairs(rng, n, m, acyclic):
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    pairs = set()
+    while len(pairs) < m:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            if acyclic:
+                i, j = min(i, j), max(i, j)
+            pairs.add((names[i], names[j]))
+    return pairs
+
+
+class TestClosure:
+    """transitive_closure equals the per-element search it replaced."""
+
+    def test_random_dags(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randrange(2, 30)
+            pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) // 2 + 1), True)
+            assert transitive_closure(pairs) == search_closure(pairs)
+
+    def test_random_cyclic_inputs_same_witness(self):
+        rng = random.Random(6)
+        cyclic = 0
+        for _ in range(300):
+            n = rng.randrange(2, 15)
+            pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) + 1), False)
+            closed = search_closure(pairs)
+            assert transitive_closure(pairs) == closed
+            start = next((a for a, b in closed if a == b or (b, a) in closed), None)
+            if start is None:
+                continue
+            cyclic += 1
+            with pytest.raises(OrderCycle) as info:
+                order_of(pairs)
+            assert info.value.witness == _cycle_witness(pairs, start)
+        assert cyclic > 100
+
+    def test_ladder_orders(self, ladder):
+        rng = random.Random(7)
+        for (d, mode), g in ladder.items():
+            pairs = set(g.order.pairs)
+            half = {p for p in sorted(pairs) if rng.random() < 0.5}
+            assert transitive_closure(pairs) == pairs, (d, mode)
+            assert transitive_closure(half) == search_closure(half), (d, mode)
 
 
 class TestA4:

@@ -6,10 +6,9 @@ import pytest
 from diskdiagram.errors import EqualLevels, NotDeltaGraph, OutsideDisk
 from diskdiagram.fixtures import build
 from diskdiagram.realization import (
+    SAMPLES_PER_BOUNDARY_EDGE,
     SNAP,
     HeightAssignment,
-    _cell_segments,
-    _seg_point_dist,
     assign_coords,
     assign_heights,
     extend_to_faces,
@@ -18,7 +17,6 @@ from diskdiagram.realization import (
     realize,
     sign_census,
 )
-from diskdiagram.svg import render_svg
 
 
 def heights_for(verdicts, name, mode="default", seed=None):
@@ -178,14 +176,6 @@ class TestEvaluation:
         with pytest.raises(OutsideDisk):
             realized["G1"].evaluate((1.5, 0.0))
 
-    def test_clip_projects_to_rim(self, realized):
-        f = realized["G1"]
-        far = np.array([[2.0, 0.0]])
-        rim = np.array([[1.0, 0.0]])
-        assert f.evaluate_many(far, clip=True)[0] == pytest.approx(
-            f.evaluate_many(rim)[0], abs=1e-12
-        )
-
     def test_values_stay_in_height_range(self, realized):
         rng = np.random.default_rng(42)
         pts = rng.uniform(-1, 1, size=(400, 2))
@@ -327,91 +317,97 @@ class TestLevelSet:
                 assert math.dist(a, b) > 0
 
 
-def fresh_grid(f, resolution):
-    """The contour grid evaluated directly, bypassing the memo."""
-    xs = np.linspace(-1.02, 1.02, resolution + 1)
-    gx, gy = np.meshgrid(xs, xs)
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    return xs, f.evaluate_many(grid, clip=True).reshape(gx.shape)
+def corpus_slice(corpus):
+    """Every 20th corpus shape, both of its order modes."""
+    chosen = [inst for k in range(0, len(corpus), 20) for inst in corpus[k:k + 2]]
+    assert {mode for _, mode, _ in chosen} == {"minimal", "saturated"}
+    return chosen
 
 
-def reference_stitch(segments):
-    """Segment stitching that recomputes every endpoint key it compares."""
-
-    def key(p):
-        return (round(p[0], 7), round(p[1], 7))
-
-    polylines = []
-    used = [False] * len(segments)
-    by_end = {}
-    for i, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(i)
-        by_end.setdefault(key(b), []).append(i)
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
-        for head, append in ((chain[-1], True), (chain[0], False)):
-            cur = head
-            while True:
-                cands = [i for i in by_end.get(key(cur), []) if not used[i]]
-                if not cands:
-                    break
-                i = cands[0]
-                used[i] = True
-                pa, pb = segments[i]
-                nxt = pb if key(pa) == key(cur) else pa
-                if append:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-                cur = nxt
-        polylines.append(chain)
-    polylines.sort(key=lambda ch: (round(ch[0][0], 7), round(ch[0][1], 7)))
-    return polylines
+def gap_levels(f):
+    """Levels at 0.37 and 0.5 of every gap between distinct heights."""
+    values = sorted(set(f.heights.value.values()))
+    return [a + s * (b - a) for a, b in zip(values, values[1:]) for s in (0.37, 0.5)]
 
 
-def reference_level_set(f, c, xs, grid):
-    """Marching squares over every cell of a fresh grid (see fresh_grid)."""
-    resolution = len(xs) - 1
-    polylines = []
-    coords = f.embedding.coords
-    exact = []
-    for t in f.decomposition.trees:
-        if abs(f.heights.level(t) - c) <= SNAP:
-            segs = [
-                (tuple(coords[e.a]), tuple(coords[e.b])) for e in sorted(t.edges)
-            ]
-            exact.extend((np.array(a), np.array(b)) for a, b in segs)
-            polylines.extend(reference_stitch(segs))
-    vals = grid - c
-    segments = []
-    for i in range(resolution):
-        for j in range(resolution):
-            segs = _cell_segments(
-                xs[j], xs[j + 1], xs[i], xs[i + 1],
-                vals[i, j], vals[i, j + 1], vals[i + 1, j + 1], vals[i + 1, j],
+class TestLevelSetTopology:
+    """Between heights, {f = c} is a set of arcs from rim to rim.
+
+    The witness has no interior extrema, so each level curve at a level
+    no vertex has runs from one rim crossing to another: there are half
+    as many curves as boundary edges whose ends lie on opposite sides of
+    c, and every curve ends within a rim-sample chord of the circle.
+    With no tree at such a level, the curves come sorted by first point.
+    """
+
+    def check(self, f, label):
+        gamma = f.gamma.vertices
+        n = len(gamma)
+        h = f.heights.value
+        rim = math.cos(math.pi / (SAMPLES_PER_BOUNDARY_EDGE * n))
+        for c in gap_levels(f):
+            changes = sum(
+                (h[gamma[i]] > c) != (h[gamma[(i + 1) % n]] > c) for i in range(n)
             )
-            for a, b in segs:
-                ra, rb = math.hypot(*a), math.hypot(*b)
-                if ra > 1 and rb > 1:
+            polylines = level_set(f, c)
+            assert len(polylines) == changes // 2, (label, c)
+            firsts = [line[0] for line in polylines]
+            assert firsts == sorted(firsts), (label, c)
+            for line in polylines:
+                for end in (line[0], line[-1]):
+                    assert math.hypot(*end) >= rim, (label, c, end)
+
+    def test_fixtures(self, realized):
+        for name, f in realized.items():
+            self.check(f, name)
+
+    def test_corpus_slice_both_order_modes(self, corpus):
+        for spec, mode, g in corpus_slice(corpus):
+            self.check(realize(g), (spec, mode))
+
+
+def reference_segments(f, c):
+    """{f = c} cut triangle by triangle in plain Python, as endpoint pairs.
+
+    The same rules as `level_set`: a vertex at exactly c counts as
+    below, a crossed edge (i, j), i < j, is interpolated from i (or taken
+    exactly at an end whose value is c), zero-length segments and
+    segments along a tree edge are dropped, and the trees at level c are
+    added edge by edge.
+    """
+    coords = f.embedding.coords
+    tree_edges = set()
+    out = set()
+    for t in f.decomposition.trees:
+        for e in t.edges:
+            ends = frozenset({tuple(coords[e.a].tolist()), tuple(coords[e.b].tolist())})
+            tree_edges.add(ends)
+            if abs(f.heights.level(t) - c) <= SNAP:
+                out.add(ends)
+    for fm in f.face_maps:
+        p = fm.points.tolist()
+        v = fm.values.tolist()
+        for tri in fm.triangles.tolist():
+            above = [v[i] > c for i in tri]
+            if all(above) or not any(above):
+                continue
+            cut = []
+            for i, j in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+                if (v[i] > c) == (v[j] > c):
                     continue
-                if ra > 1:
-                    a = (a[0] / ra, a[1] / ra)
-                if rb > 1:
-                    b = (b[0] / rb, b[1] / rb)
-                if math.hypot(a[0] - b[0], a[1] - b[1]) <= 1e-12:
-                    continue
-                if exact:
-                    mid = np.array([(a[0] + b[0]) / 2, (a[1] + b[1]) / 2])
-                    cell = 2.04 / resolution * 1.5
-                    if any(_seg_point_dist(mid, sa, sb) <= cell for sa, sb in exact):
-                        continue
-                segments.append((a, b))
-    polylines.extend(reference_stitch(segments))
-    return polylines
+                i, j = min(i, j), max(i, j)
+                if v[i] == c:
+                    cut.append(tuple(p[i]))
+                elif v[j] == c:
+                    cut.append(tuple(p[j]))
+                else:
+                    s = (c - v[i]) / (v[j] - v[i])
+                    (xi, yi), (xj, yj) = p[i], p[j]
+                    cut.append((xi + s * (xj - xi), yi + s * (yj - yi)))
+            a, b = cut
+            if a != b and frozenset({a, b}) not in tree_edges:
+                out.add(frozenset({a, b}))
+    return out
 
 
 def oracle_levels(f):
@@ -421,55 +417,32 @@ def oracle_levels(f):
     return values + mids + [values[-1] + 1.0]
 
 
-def as_tuples(polylines):
-    return [[tuple(float(x) for x in p) for p in line] for line in polylines]
+class TestLevelSetSegments:
+    """level_set is the per-triangle cut, and every point is on the level."""
 
+    def witnesses(self, realized, corpus):
+        yield from realized.items()
+        for k, (spec, mode, g) in enumerate(corpus_slice(corpus)):
+            if k % 3 == 0:
+                yield (spec, mode), realize(g)
 
-class TestLevelSetOracle:
-    """level_set equals the full-grid march, float for float."""
-
-    def check(self, f, label):
-        for resolution in (32, 48, 64):
-            xs, grid = fresh_grid(f, resolution)
+    def test_matches_per_triangle_reference(self, realized, corpus):
+        for label, f in self.witnesses(realized, corpus):
             for c in oracle_levels(f):
-                want = as_tuples(reference_level_set(f, c, xs, grid))
-                got = as_tuples(level_set(f, c, resolution=resolution))
-                assert got == want, (label, resolution, c)
+                got = {
+                    frozenset({tuple(a), tuple(b)})
+                    for line in level_set(f, c)
+                    for a, b in zip(line, line[1:])
+                }
+                assert got == reference_segments(f, c), (label, c)
 
-    def test_fixtures(self, realized):
-        for name, f in realized.items():
-            self.check(f, name)
-
-    def test_corpus_slice_both_order_modes(self, corpus):
-        chosen = [inst for k in range(0, len(corpus), 70) for inst in corpus[k:k + 2]]
-        assert {mode for _, mode, _ in chosen} == {"minimal", "saturated"}
-        for spec, mode, g in chosen:
-            self.check(realize(g), (spec, mode))
-
-
-class TestGridMemo:
-    def test_grid_evaluated_once_per_resolution(self, graphs, monkeypatch):
-        f = realize(graphs["G3"])
-        evaluate_many = f.evaluate_many
-        sizes = []
-
-        def counting(pts, clip=False):
-            sizes.append(len(pts))
-            return evaluate_many(pts, clip=clip)
-
-        monkeypatch.setattr(f, "evaluate_many", counting)
-        first = render_svg(f)
-        for resolution in (32, 48, 32):
-            level_set(f, 0.5, resolution=resolution)
-        second = render_svg(f)
-        assert first == second
-        assert sizes == [65 ** 2, 33 ** 2, 49 ** 2]
-        monkeypatch.undo()
-        for resolution in (32, 48, 64):
-            xs, vals = f.grid_values(resolution)
-            fresh_xs, fresh = fresh_grid(f, resolution)
-            assert np.array_equal(xs, fresh_xs)
-            assert np.array_equal(vals, fresh)
+    def test_points_lie_on_the_level(self, realized, corpus):
+        for label, f in self.witnesses(realized, corpus):
+            for c in oracle_levels(f):
+                pts = [p for line in level_set(f, c) for p in line]
+                if pts:
+                    err = np.abs(f.evaluate_many(np.array(pts)) - c).max()
+                    assert err <= 1e-9, (label, c, err)
 
 
 class TestSignCensus:
