@@ -104,7 +104,7 @@ def cmd_realize(args):
         f = realize(g, mode=mode, budget=_budget())
     except NotDeltaGraph as exc:
         return _refuse("not realizable", exc)
-    text = render_svg(f, levels=args.levels, resolution=args.resolution)
+    text = render_svg(f, levels=args.levels)
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
@@ -153,12 +153,6 @@ def make_parser():
     r.add_argument("file")
     r.add_argument("--out", required=True, help="output SVG path")
     r.add_argument("--levels", type=int, default=5, help="level curves to draw")
-    r.add_argument(
-        "--resolution",
-        type=int,
-        default=64,
-        help="no effect: level curves are drawn exactly (kept for old command lines)",
-    )
     r.add_argument(
         "--strict-order",
         action="store_true",

@@ -220,7 +220,7 @@ def _component(incident, start):
     return frozenset(seen)
 
 
-def enumerate_simple_cycles(vertices, edges, max_len=None, budget=DEFAULT_BUDGET):
+def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
     """All simple cycles of a multigraph, one per rotation/reflection class.
 
     Works on raw vertex and edge collections so acyclic inputs (which
@@ -235,12 +235,11 @@ def enumerate_simple_cycles(vertices, edges, max_len=None, budget=DEFAULT_BUDGET
     by_ends = {}
     for e in edges:
         by_ends.setdefault((e.a, e.b), []).append(e)
-    if max_len is None or max_len >= 2:
-        for (a, b), group in sorted(by_ends.items()):
-            group.sort()
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    cycles.append(Cycle((a, b), (group[i], group[j])))
+    for (a, b), group in sorted(by_ends.items()):
+        group.sort()
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                cycles.append(Cycle((a, b), (group[i], group[j])))
     steps = 0
 
     def dfs(start, v, path_v, path_e, used_e, on_path):
@@ -260,8 +259,6 @@ def enumerate_simple_cycles(vertices, edges, max_len=None, budget=DEFAULT_BUDGET
                 continue
             if w in on_path:
                 continue
-            if max_len is not None and len(path_v) + 1 > max_len:
-                continue
             path_v.append(w)
             path_e.append(e)
             used_e.add(e)
@@ -272,18 +269,17 @@ def enumerate_simple_cycles(vertices, edges, max_len=None, budget=DEFAULT_BUDGET
             used_e.discard(e)
             on_path.discard(w)
 
-    if max_len is None or max_len >= 3:
-        for s in verts:
-            dfs(s, s, [s], [], set(), {s})
+    for s in verts:
+        dfs(s, s, [s], [], set(), {s})
     # the search already yields one representative per rotation/reflection
     # class: paths start at the smallest cycle vertex, direction fixed by
     # the second-vs-last comparison, and 2-cycles are emitted sorted
     return cycles
 
 
-def simple_cycles(g, max_len=None, budget=DEFAULT_BUDGET):
+def simple_cycles(g, budget=DEFAULT_BUDGET):
     """All simple cycles of ``g`` up to rotation and reflection."""
-    return enumerate_simple_cycles(g.vertices, g.edges, max_len, budget)
+    return enumerate_simple_cycles(g.vertices, g.edges, budget)
 
 
 @dataclass(frozen=True)

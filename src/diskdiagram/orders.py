@@ -19,19 +19,15 @@ def transitive_closure(pairs):
     Each element's reach set is built once, after the sets of all its
     successors, as the union of its successors and their reach sets; a
     successor already reached is skipped, since its set is then already
-    included.  A cyclic input has no topological order and is closed by
-    a search from every element instead, which relates each element on
-    a cycle to itself.
+    included.  Raises OrderCycle when the pairs contain a cycle (see
+    `_topological_order`).
     """
     succ = {}
     for a, b in pairs:
         succ.setdefault(a, set()).add(b)
-    order = _topological_order(succ)
-    if order is None:
-        return _closure_by_search(succ)
     reach = {}
     closed = set()
-    for v in reversed(order):
+    for v in reversed(_topological_order(succ)):
         r = set()
         for s in succ.get(v, ()):
             if s not in r:
@@ -43,7 +39,18 @@ def transitive_closure(pairs):
 
 
 def _topological_order(succ):
-    """Elements in an order where every pair points forward, or None."""
+    """Elements in an order where every pair points forward (Kahn's pass).
+
+    When the pass leaves elements over, the pairs contain a cycle, and
+    OrderCycle names one found among the leftover elements alone.  The
+    leftover set is the same whatever order the pass takes, and each
+    leftover element keeps a leftover predecessor (its remaining
+    in-degree counts them).  So the walk backwards from the smallest
+    leftover element, always to its smallest leftover predecessor, must
+    repeat an element; the loop it closes is the witness, listed
+    upwards (each element below the next, the last below the first)
+    from its smallest element.  It depends only on the set of pairs.
+    """
     indeg = {}
     for a, bs in succ.items():
         indeg.setdefault(a, 0)
@@ -58,23 +65,21 @@ def _topological_order(succ):
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
-    return order if len(order) == len(indeg) else None
-
-
-def _closure_by_search(succ):
-    """Closure by a search from every element; also handles cycles."""
-    closed = set()
-    for start in succ:
-        seen = set()
-        stack = list(succ[start])
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(succ.get(x, ()))
-        closed.update((start, x) for x in seen)
-    return closed
+    if len(order) == len(indeg):
+        return order
+    left = [v for v, d in indeg.items() if d]
+    pred = {}
+    for a in left:
+        for b in succ.get(a, ()):
+            pred.setdefault(b, []).append(a)
+    walk = [min(left)]
+    at = {walk[0]: 0}
+    while (u := min(pred[walk[-1]])) not in at:
+        at[u] = len(walk)
+        walk.append(u)
+    cycle = walk[at[u] :][::-1]
+    k = cycle.index(min(cycle))
+    raise OrderCycle(cycle[k:] + cycle[:k])
 
 
 @dataclass(frozen=True)
@@ -88,19 +93,18 @@ class StrictPartialOrder:
     def from_pairs(cls, carrier, pairs):
         """Build the order generated by ``pairs``.
 
-        Raises OrderCycle if the closure would relate some element to
-        itself, and NotInCarrier for pairs mentioning unknown elements.
+        Raises NotInCarrier for pairs mentioning unknown elements, and
+        OrderCycle if the pairs contain a cycle.  Otherwise the closure
+        is built along a topological order, so it relates no element to
+        itself and no two elements both ways: it is a strict partial
+        order with no further check.
         """
         carrier = frozenset(carrier)
         for a, b in pairs:
             for x in (a, b):
                 if x not in carrier:
                     raise NotInCarrier(x)
-        closed = transitive_closure(pairs)
-        for a, b in closed:
-            if a == b or (b, a) in closed:
-                raise OrderCycle(_cycle_witness(pairs, a))
-        return cls(carrier, frozenset(closed))
+        return cls(carrier, frozenset(transitive_closure(pairs)))
 
     def lt(self, a, b):
         return (a, b) in self.pairs
@@ -119,28 +123,6 @@ class StrictPartialOrder:
     def extends(self, other):
         """True when this order contains every pair of ``other``."""
         return other.pairs <= self.pairs
-
-
-def _cycle_witness(pairs, start):
-    """Recover one directed cycle through ``start`` from generating pairs."""
-    succ = {}
-    for a, b in pairs:
-        succ.setdefault(a, []).append(b)
-    path, seen = [start], {start}
-    node = start
-    while True:
-        nxt = None
-        for cand in succ.get(node, ()):
-            if cand == start:
-                return tuple(path)
-            if cand not in seen:
-                nxt = cand
-                break
-        if nxt is None:
-            return tuple(path)
-        path.append(nxt)
-        seen.add(nxt)
-        node = nxt
 
 
 @dataclass(frozen=True)

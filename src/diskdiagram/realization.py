@@ -16,6 +16,7 @@ segment, with no sampling grid.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -125,15 +126,7 @@ def assign_heights(g, dec, mode="default", seed=None):
         for j in sorted(succ[i]):
             indeg[j] -= 1
             if indeg[j] == 0:
-                entry = (rep[j], j)
-                lo, hi = 0, len(available)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if available[mid] < entry:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                available.insert(lo, entry)
+                bisect.insort(available, (rep[j], j))
     if len(ordered) != len(blocks):
         raise InvariantViolation("level-block order contains a cycle")
     height_of_block = {i: float(step) for step, i in enumerate(ordered)}
@@ -205,20 +198,23 @@ def _cross2(u, v):
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _segments_cross(p1, p2, p3, p4, eps=1e-12):
-    """Closed-segment intersection test for segments with no shared ends."""
+def _segments_cross(p1, p2, p3, p4):
+    """True when each segment's ends lie strictly on both sides of the other.
+
+    This is only the strict sign test.  `_coords_valid` calls it on tree
+    segments with no shared end, and its vertex-on-segment scan already
+    makes the same `_seg_point_dist` call for each end against the other
+    segment and rejects at SNAP >= 1e-12.  So the four end-to-segment
+    checks of a closed-segment test at 1e-12 never change its verdict.
+    """
+    eps = 1e-12
     d1 = _cross2(p4 - p3, p1 - p3)
     d2 = _cross2(p4 - p3, p2 - p3)
     d3 = _cross2(p2 - p1, p3 - p1)
     d4 = _cross2(p2 - p1, p4 - p1)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
+    return ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
         (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    for p, a, b in ((p1, p3, p4), (p2, p3, p4), (p3, p1, p2), (p4, p1, p2)):
-        if _seg_point_dist(p, a, b) <= eps:
-            return True
-    return False
+    )
 
 
 def _tree_segments(dec, coords):
@@ -543,7 +539,6 @@ class DiskFunction:
             [heights.value[v] for v in self.gamma.vertices]
         )
         names = sorted(embedding.coords)
-        self._vertex_names = names
         self._vertex_xy = np.array([embedding.coords[v] for v in names])
         self._vertex_vals = np.array([heights.value[v] for v in names])
         segs = _tree_segments(dec, embedding.coords)
@@ -703,8 +698,6 @@ class DiskFunction:
 
     def evaluate(self, p):
         p = np.asarray(p, dtype=float)
-        if float(np.hypot(*p)) > 1 + SNAP:
-            raise OutsideDisk((float(p[0]), float(p[1])))
         return float(self.evaluate_many(p.reshape(1, 2))[0])
 
     # -- structure reports --------------------------------------------------
@@ -812,7 +805,7 @@ def _crossings(f, c, lo, hi):
     return pts.tolist(), keys
 
 
-def level_set(f, c, resolution=64):
+def level_set(f, c):
     """Polylines of the level {f = c}, exactly.
 
     The witness is linear on each triangle of its face maps, so {f = c}
@@ -821,8 +814,7 @@ def level_set(f, c, resolution=64):
     emits nothing).  Segments are joined by the keys of their ends (see
     `_crossings`); zero-length segments and segments along a tree edge
     are dropped, since every tree at level `c` is added from its drawn
-    edges.  `resolution` is accepted for compatibility and has no
-    effect.
+    edges.
 
     Face-local keys are enough away from graph vertices: a point that is
     not a graph vertex is a rim sample, on the boundary of one face

@@ -31,12 +31,8 @@ def _color(t):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_svg(f, levels=5, resolution=64, size=600.0):
-    """Render boundary circle, trees, vertices, and level polylines.
-
-    The level curves are exact (see `level_set`); `resolution` is
-    accepted for compatibility and has no effect.
-    """
+def render_svg(f, levels=5, size=600.0):
+    """Render boundary circle, trees, vertices, and exact level polylines."""
     coords = f.embedding.coords
     heights = f.heights
     values = sorted(set(heights.value.values()))
@@ -61,7 +57,7 @@ def render_svg(f, levels=5, resolution=64, size=600.0):
     ]
     for c in level_values:
         color = _color((c - lo) / span)
-        for chain in level_set(f, c, resolution=resolution):
+        for chain in level_set(f, c):
             pts = " ".join(
                 f"{_fmt(px)},{_fmt(py)}"
                 for px, py in (_to_svg(p, size) for p in chain)

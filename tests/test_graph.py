@@ -150,11 +150,6 @@ class TestSimpleCycles:
         es = make_edges([("a", "b"), ("b", "c")])
         assert enumerate_simple_cycles({"a", "b", "c"}, es) == []
 
-    def test_max_len_filter(self):
-        g = build("G1")
-        short = simple_cycles(g, max_len=3)
-        assert sorted(len(c) for c in short) == [3, 3]
-
     def test_budget_exceeded(self):
         g = build("G3")
         with pytest.raises(BudgetExceeded):

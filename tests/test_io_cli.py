@@ -3,6 +3,7 @@ import os
 import string
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,26 @@ class TestCliCheck:
         assert main(["check", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_cycle_named_under_every_hash_seed(self, tmp_path):
+        p = tmp_path / "cyclic.json"
+        p.write_text(
+            doc(
+                ["a", "b", "x"],
+                [["a", "b"], ["b", "x"], ["x", "a"]],
+                [["a", "x"], ["a", "b"], ["b", "a"]],
+            )
+        )
+        runs = set()
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-m", "diskdiagram.cli", "check", str(p)],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            runs.add((proc.returncode, proc.stderr))
+        message = b"error: order relation contains a cycle through ['a', 'b']\n"
+        assert runs == {(2, message)}
+
 
 class TestCliRealize:
     def test_writes_svg(self, files, tmp_path, capsys):
@@ -315,3 +336,18 @@ class TestBudgetEnv:
     def test_generous_budget_ok(self, files, capsys, monkeypatch):
         monkeypatch.setenv("DELTA_BUDGET", "100000")
         assert main(["check", files["G1"]]) == 0
+
+
+def readme_block(heading, lang):
+    """The first ``lang`` code block under README's ``## heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    def test_library_example_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "graph.json").write_text(readme_block("Input format", "json"))
+        exec(readme_block("Library", "python"), {})
+        assert (tmp_path / "w.svg").read_text().startswith("<?xml")

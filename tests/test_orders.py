@@ -14,7 +14,6 @@ from diskdiagram.orders import (
     A4Result,
     CyclicOrder,
     StrictPartialOrder,
-    _cycle_witness,
     check_A4,
     transitive_closure,
 )
@@ -110,22 +109,36 @@ class TestClosure:
             pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) // 2 + 1), True)
             assert transitive_closure(pairs) == search_closure(pairs)
 
-    def test_random_cyclic_inputs_same_witness(self):
-        rng = random.Random(6)
+    def test_random_cyclic_inputs_name_a_real_cycle(self):
+        rng, shuffler = random.Random(6), random.Random(60)
         cyclic = 0
         for _ in range(300):
             n = rng.randrange(2, 15)
             pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) + 1), False)
             closed = search_closure(pairs)
-            assert transitive_closure(pairs) == closed
-            start = next((a for a, b in closed if a == b or (b, a) in closed), None)
-            if start is None:
+            if not any((b, a) in closed for a, b in closed):
+                assert transitive_closure(pairs) == closed
                 continue
             cyclic += 1
             with pytest.raises(OrderCycle) as info:
                 order_of(pairs)
-            assert info.value.witness == _cycle_witness(pairs, start)
+            witness = info.value.witness
+            assert len(set(witness)) == len(witness) >= 2
+            for a, b in zip(witness, witness[1:] + witness[:1]):
+                assert (a, b) in pairs
+            shuffled = list(pairs)
+            shuffler.shuffle(shuffled)
+            with pytest.raises(OrderCycle) as again:
+                transitive_closure(shuffled)
+            assert again.value.witness == witness
         assert cyclic > 100
+
+    def test_cycle_named_beside_a_branch(self):
+        pairs = [("a", "x"), ("a", "b"), ("b", "a")]
+        for ordered in (pairs, pairs[::-1]):
+            with pytest.raises(OrderCycle) as info:
+                order_of(ordered)
+            assert info.value.witness == ("a", "b")
 
     def test_ladder_orders(self, ladder):
         rng = random.Random(7)

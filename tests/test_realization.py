@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from diskdiagram.errors import EqualLevels, NotDeltaGraph, OutsideDisk
+from diskdiagram import realization
+from diskdiagram.errors import (
+    DegenerateDrawing,
+    EqualLevels,
+    NotDeltaGraph,
+    OutsideDisk,
+)
 from diskdiagram.fixtures import build
+from diskdiagram.planarity import build_embedding
 from diskdiagram.realization import (
     SAMPLES_PER_BOUNDARY_EDGE,
     SNAP,
     HeightAssignment,
+    _coords_valid,
+    _seg_point_dist,
     assign_coords,
     assign_heights,
     extend_to_faces,
@@ -144,6 +153,70 @@ class TestCoords:
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert math.dist(pts[i], pts[j]) > 1e-9
+
+
+def drawing_valid(f, **moved):
+    """`_coords_valid` on f's drawing with some vertices moved."""
+    coords = {v: p.copy() for v, p in f.embedding.coords.items()}
+    coords.update({v: np.array(p, dtype=float) for v, p in moved.items()})
+    return _coords_valid(f.decomposition, coords)
+
+
+class TestDrawingCheck:
+    def test_realized_fixtures_valid(self, realized):
+        for name, f in realized.items():
+            assert drawing_valid(f), name
+
+    def test_vertex_near_foreign_segment(self, realized):
+        # hybrid: interior vertex u of one tree, chord a2-b2 of the other
+        f = realized["hybrid"]
+        c = f.embedding.coords
+        a, b = c["a2"], c["b2"]
+        mid = (a + b) / 2
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / math.dist(a, b)
+        if normal @ (c["u"] - mid) < 0:
+            normal = -normal
+        assert drawing_valid(f, u=mid + 1e-3 * normal)
+        for dist in (1e-10, 1e-13):
+            p = mid + dist * normal
+            assert _seg_point_dist(p, a, b) <= SNAP
+            assert not drawing_valid(f, u=p), dist
+
+    def test_crossing_edges(self, realized):
+        # G4's two chords a1-b1 and a2-b2 cross once b1 and b2 trade places
+        c = realized["G4"].embedding.coords
+        assert not drawing_valid(realized["G4"], b1=c["b2"], b2=c["b1"])
+
+    def test_collinear_edges_at_shared_vertex(self, realized):
+        f = realized["even_attach"]
+        c = f.embedding.coords
+        assert not drawing_valid(f, b=c["c"] + 0.5 * (c["a"] - c["c"]))
+
+    def test_coincident_vertices(self, realized):
+        f = realized["hybrid"]
+        assert not drawing_valid(f, m1=f.embedding.coords["M1"])
+
+    def test_interior_vertex_on_rim(self, realized):
+        f = realized["hybrid"]
+        c = f.embedding.coords
+        gap = (c["d1"] + c["m1"]) / np.hypot(*(c["d1"] + c["m1"]))
+        assert drawing_valid(f, u=0.99 * gap)
+        assert not drawing_valid(f, u=gap)
+
+    def test_assign_coords_retries_once_then_raises(self, verdicts, monkeypatch):
+        tried = []
+
+        def reject(dec, coords):
+            tried.append(coords)
+            return False
+
+        monkeypatch.setattr(realization, "_coords_valid", reject)
+        with pytest.raises(DegenerateDrawing):
+            assign_coords(build_embedding(verdicts["G3"].decomposition))
+        assert len(tried) == 2
+        assert any(
+            not np.array_equal(tried[0][v], tried[1][v]) for v in tried[0]
+        )
 
 
 class TestEvaluation:
@@ -299,19 +372,19 @@ class TestLevelSet:
             lo = min(f.heights.value.values())
             hi = max(f.heights.value.values())
             c = lo + (hi - lo) * 0.37
-            polylines = level_set(f, c, resolution=48)
+            polylines = level_set(f, c)
             assert polylines, name
             for line in polylines:
                 for p in line:
                     assert math.hypot(*p) <= 1.0 + 1e-9, name
 
     def test_out_of_range_level_empty(self, realized):
-        assert level_set(realized["G1"], 99.0, resolution=32) == []
+        assert level_set(realized["G1"], 99.0) == []
 
     def test_polylines_are_chains(self, realized):
         f = realized["G1"]
         c = 0.5
-        for line in level_set(f, c, resolution=48):
+        for line in level_set(f, c):
             assert len(line) >= 2
             for a, b in zip(line, line[1:]):
                 assert math.dist(a, b) > 0
