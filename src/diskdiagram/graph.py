@@ -241,19 +241,29 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
             for j in range(i + 1, len(group)):
                 cycles.append(Cycle((a, b), (group[i], group[j])))
     steps = 0
-
-    def dfs(start, v, path_v, path_e, used_e, on_path):
-        nonlocal steps
-        for e in incident[v]:
+    # depth-first search with an explicit stack, one iterator over the
+    # incident edges per path vertex, so path length is not bounded by
+    # the interpreter's recursion limit
+    for s in verts:
+        path_v, path_e, used_e, on_path = [s], [], set(), {s}
+        stack = [iter(incident[s])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path_e:
+                    used_e.discard(path_e.pop())
+                    on_path.discard(path_v.pop())
+                continue
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(budget, "cycle enumeration")
             if e in used_e:
                 continue
-            w = e.other(v)
-            if w < start:
+            w = e.other(path_v[-1])
+            if w < s:
                 continue
-            if w == start:
+            if w == s:
                 if len(path_v) >= 3 and path_v[1] < path_v[-1]:
                     cycles.append(Cycle(tuple(path_v), tuple(path_e) + (e,)))
                 continue
@@ -263,14 +273,7 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
             path_e.append(e)
             used_e.add(e)
             on_path.add(w)
-            dfs(start, w, path_v, path_e, used_e, on_path)
-            path_v.pop()
-            path_e.pop()
-            used_e.discard(e)
-            on_path.discard(w)
-
-    for s in verts:
-        dfs(s, s, [s], [], set(), {s})
+            stack.append(iter(incident[w]))
     # the search already yields one representative per rotation/reflection
     # class: paths start at the smallest cycle vertex, direction fixed by
     # the second-vs-last comparison, and 2-cycles are emitted sorted

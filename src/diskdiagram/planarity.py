@@ -283,54 +283,33 @@ def _subtree_vertices(tree, root, first_edge):
     return out
 
 
-def _sorted_tree_edges_at(tree, v, lin, cut):
+def _sorted_tree_edges(tree, v, lin, cut):
     """Incident tree edges ordered by where their far attachments start.
 
     `lin` maps each attachment to its index along the boundary circle in
-    travel direction; `cut` rebases the circle at the given vertex.  The
-    attachments reachable through each edge must form one contiguous
-    stretch (a consequence of disk-planarity), and edges are returned
-    with those stretches in circle order.
+    travel direction; `cut` rebases the circle there (``lin[v]`` at an
+    attachment, 0 at an interior vertex).  The attachments reachable
+    through each edge must form one circular stretch (a consequence of
+    disk-planarity), and edges are returned by the rebased start of
+    their stretch.  No stretch is the whole circle: the stretches of the
+    edges at `v` partition its tree's attachments, every tree leaf is an
+    attachment, and `v` has degree at least two.
     """
     k = len(lin)
     keyed = []
     for e in sorted(tree.incident(v)):
         reach = _subtree_vertices(tree, v, e)
-        block = sorted((lin[x] - cut) % k for x in reach if x in lin)
-        if not block:
-            raise InvariantViolation(
-                f"tree {tree.index}: no attachment beyond edge {e} at {v}"
-            )
-        if block != list(range(block[0], block[0] + len(block))):
-            raise InvariantViolation(
-                f"tree {tree.index}: attachments beyond {e} at {v} are "
-                f"not consecutive on the boundary"
-            )
-        keyed.append((block[0], e))
-    keyed.sort(key=lambda pair: pair[0])
-    return tuple(e for _, e in keyed)
-
-
-def _sorted_interior_edges(tree, v, lin):
-    """Rotation at an interior tree vertex: blocks in circular order."""
-    k = len(lin)
-    keyed = []
-    for e in sorted(tree.incident(v)):
-        reach = _subtree_vertices(tree, v, e)
-        block = {lin[x] for x in reach if x in lin}
+        block = {(lin[x] - cut) % k for x in reach if x in lin}
         if not block:
             raise InvariantViolation(
                 f"tree {tree.index}: no attachment beyond edge {e} at {v}"
             )
         starts = [s for s in block if (s - 1) % k not in block]
         if len(starts) != 1:
-            if len(block) == k:
-                starts = [min(block)]
-            else:
-                raise InvariantViolation(
-                    f"tree {tree.index}: attachments beyond {e} at {v} are "
-                    f"not consecutive on the boundary"
-                )
+            raise InvariantViolation(
+                f"tree {tree.index}: attachments beyond {e} at {v} are "
+                f"not consecutive on the boundary"
+            )
         keyed.append((starts[0], e))
     keyed.sort(key=lambda pair: pair[0])
     return tuple(e for _, e in keyed)
@@ -392,12 +371,12 @@ def build_embedding(dec):
             rotation[v] = (e_next, e_prev)
         else:
             lin = attach_lin[t.index]
-            tree_edges = _sorted_tree_edges_at(t, v, lin, lin[v])
+            tree_edges = _sorted_tree_edges(t, v, lin, lin[v])
             rotation[v] = (e_next, *tree_edges, e_prev)
     for t in dec.trees:
         lin = attach_lin[t.index]
         for v in sorted(t.vertices - t.attach):
-            rotation[v] = _sorted_interior_edges(t, v, lin)
+            rotation[v] = _sorted_tree_edges(t, v, lin, 0)
     walks, dart_face = trace_faces(rotation, g.edges)
     n_faces = len(walks)
     if len(g.vertices) - len(g.edges) + n_faces != 2:

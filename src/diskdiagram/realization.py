@@ -293,10 +293,7 @@ def assign_coords(emb):
 @dataclass(frozen=True)
 class FaceMap:
     face_index: int
-    kind: str  # "one_arc" | "two_arc"
-    levels: tuple  # one_arc: (c, c_tree); two_arc: (c_bottom, c_top)
     tree_sides: tuple  # ((tree_index, own_level, other_level), ...)
-    extremum_vertex: str | None
     points: np.ndarray  # (N, 2) polygon, counterclockwise
     values: np.ndarray  # (N,)
     triangles: np.ndarray  # (M, 3) indices into points
@@ -437,24 +434,14 @@ def _build_one_arc(face, emb, heights, gamma_pos, n, dec):
             f"one-arc face needs exactly one interior degree-2 vertex on a "
             f"two-edge arc, found {len(extrema)} on {len(arc)} edges",
         )
-    y_vertex = extrema[0]
-    c = heights.value[y_vertex]
+    c = heights.value[extrema[0]]
     c_i = _path_level(path, heights, face.index)
     if c == c_i:
         raise InvariantViolation(f"face {face.index}: extremum level equals tree level")
     tree = dec.tree_of(path[0][0])
     pts, vals = _face_polygon(((arc, path, c_i),), emb, heights, gamma_pos, n)
     tris = _ear_clip(pts, vals)
-    return FaceMap(
-        face.index,
-        "one_arc",
-        (c, c_i),
-        ((tree.index, c_i, c),),
-        y_vertex,
-        pts,
-        vals,
-        tris,
-    )
+    return FaceMap(face.index, ((tree.index, c_i, c),), pts, vals, tris)
 
 
 def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
@@ -486,16 +473,7 @@ def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
         ((arc_a, path_p, c_top), (arc_b, path_q, c_bottom)), emb, heights, gamma_pos, n
     )
     tris = _ear_clip(pts, vals)
-    return FaceMap(
-        face.index,
-        "two_arc",
-        (c_bottom, c_top),
-        tuple(sides),
-        None,
-        pts,
-        vals,
-        tris,
-    )
+    return FaceMap(face.index, tuple(sides), pts, vals, tris)
 
 
 def extend_to_faces(emb, heights):
@@ -529,7 +507,6 @@ class DiskFunction:
         self.embedding = embedding
         self.heights = heights
         self.face_maps = face_maps
-        self.map_by_face = {fm.face_index: fm for fm in face_maps}
         dec = embedding.decomposition
         self.decomposition = dec
         self.gamma = dec.gamma
@@ -541,30 +518,30 @@ class DiskFunction:
         names = sorted(embedding.coords)
         self._vertex_xy = np.array([embedding.coords[v] for v in names])
         self._vertex_vals = np.array([heights.value[v] for v in names])
-        segs = _tree_segments(dec, embedding.coords)
-        self._seg_a = np.array([a for _, a, _ in segs]).reshape(-1, 2)
-        self._seg_b = np.array([b for _, _, b in segs]).reshape(-1, 2)
-        self._seg_val = np.array([heights.value[e.a] for e, _, _ in segs])
         self._stack_triangles()
 
     def _stack_triangles(self):
-        """Every face map's triangles in one array, for `level_set`.
+        """Every face map's triangles in one array, the model evaluated.
 
         ``_tri_points``/``_tri_values`` hold the polygon points of all
         face maps in turn and ``_triangles`` indexes them (face-global
-        point ids).  ``_point_keys`` keys a point at a graph vertex by
-        the vertex name, which is the same in every face and in the
+        point ids); ``_face_rows`` maps a face index to its slice of
+        ``_triangles``.  ``_point_keys`` keys a point at a graph vertex
+        by the vertex name, which is the same in every face and in the
         exact tree segments, and any other point by its id.
         """
         by_xy = {tuple(p): v for v, p in self.embedding.coords.items()}
         pts, vals, tris, keys = [], [], [], []
-        offset = 0
+        self._face_rows = {}
+        offset = row = 0
         for fm in self.face_maps:
             pts.append(fm.points)
             vals.append(fm.values)
             tris.append(fm.triangles + offset)
             keys += [by_xy.get(tuple(p), offset + k) for k, p in enumerate(fm.points)]
             offset += len(fm.points)
+            self._face_rows[fm.face_index] = slice(row, row + len(fm.triangles))
+            row += len(fm.triangles)
         self._tri_points = np.concatenate(pts).reshape(-1, 2)
         self._tri_values = np.concatenate(vals)
         self._triangles = np.concatenate(tris).reshape(-1, 3)
@@ -588,49 +565,16 @@ class DiskFunction:
         h1 = self._gamma_heights[(i + 1) % self._n]
         return (1 - t) * h0 + t * h1
 
-    def _snap_values(self, pts):
-        """Vertex and tree-edge snapping; NaN where no snap applies."""
-        out = np.full(len(pts), np.nan)
-        d = np.linalg.norm(pts[:, None, :] - self._vertex_xy[None, :, :], axis=2)
-        j = np.argmin(d, axis=1)
-        hit = d[np.arange(len(pts)), j] <= SNAP
-        out[hit] = self._vertex_vals[j[hit]]
-        if len(self._seg_a):
-            ab = self._seg_b - self._seg_a
-            L2 = np.maximum((ab * ab).sum(axis=1), 1e-300)
-            ap = pts[:, None, :] - self._seg_a[None, :, :]
-            t = np.clip((ap * ab[None, :, :]).sum(axis=2) / L2[None, :], 0.0, 1.0)
-            q = self._seg_a[None, :, :] + t[:, :, None] * ab[None, :, :]
-            dist = np.linalg.norm(pts[:, None, :] - q, axis=2)
-            k = np.argmin(dist, axis=1)
-            near = dist[np.arange(len(pts)), k] <= SNAP
-            fill = np.isnan(out) & near
-            out[fill] = self._seg_val[k[fill]]
-        return out
+    def _in_triangles(self, pts, rows, eps=1e-9):
+        """Linear interpolation on the triangles ``_triangles[rows]``.
 
-    @staticmethod
-    def _points_in_polygon(pts, poly):
-        x = pts[:, 0][:, None]
-        y = pts[:, 1][:, None]
-        x1 = poly[:, 0][None, :]
-        y1 = poly[:, 1][None, :]
-        x2 = np.roll(poly[:, 0], -1)[None, :]
-        y2 = np.roll(poly[:, 1], -1)[None, :]
-        cond = ((y1 <= y) & (y2 > y)) | ((y2 <= y) & (y1 > y))
-        denom = np.where(np.abs(y2 - y1) < 1e-300, 1.0, y2 - y1)
-        t = (y - y1) / denom
-        xs = x1 + t * (x2 - x1)
-        crossings = (cond & (xs > x)).sum(axis=1)
-        return crossings % 2 == 1
-
-    def evaluate_in_face(self, face_index, pts, eps=1e-9):
-        """Values of points known to lie in the closure of one face."""
-        fm = self.map_by_face[face_index]
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        A point takes its value from the first of these triangles that
+        holds it, with barycentric weights within `eps` of [0, 1]; it is
+        NaN where none does.
+        """
         out = np.full(len(pts), np.nan)
-        p = fm.points
-        v = fm.values
-        for i0, i1, i2 in fm.triangles:
+        p, v = self._tri_points, self._tri_values
+        for i0, i1, i2 in self._triangles[rows]:
             rem = np.isnan(out)
             if not rem.any():
                 break
@@ -646,58 +590,51 @@ class DiskFunction:
             tmp = out[rem]
             tmp[ok] = vals[ok]
             out[rem] = tmp
-        missing = np.isnan(out)
-        if missing.any():
-            out[missing] = self._nearest_edge_values(pts[missing], [fm])
         return out
 
-    def _nearest_edge_values(self, pts, face_maps):
-        out = np.empty(len(pts))
-        for i, q in enumerate(pts):
-            best = (math.inf, 0.0)
-            for fm in face_maps:
-                poly = fm.points
-                vals = fm.values
-                nxt = np.roll(np.arange(len(poly)), -1)
-                for j in range(len(poly)):
-                    a, b = poly[j], poly[nxt[j]]
-                    d = b - a
-                    L2 = float(d @ d)
-                    t = 0.0 if L2 == 0 else min(1.0, max(0.0, float((q - a) @ d) / L2))
-                    proj = a + t * d
-                    dist = float(np.hypot(*(q - proj)))
-                    if dist < best[0]:
-                        val = (1 - t) * vals[j] + t * vals[nxt[j]]
-                        best = (dist, val)
-            out[i] = best[1]
-        return out
+    def evaluate_in_face(self, face_index, pts, eps=1e-9):
+        """Values of points on one face's triangles; NaN outside the face.
+
+        The triangles cover the face's polygon, whose rim arcs are
+        sampled chords, so a point between a chord and the circle is NaN
+        here too.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._in_triangles(pts, self._face_rows[face_index], eps)
 
     def evaluate_many(self, pts):
-        """Vectorized evaluation of points in the closed disk."""
+        """Vectorized evaluation of points in the closed disk.
+
+        Exact at graph vertices and linear on every triangle.  The faces
+        share their tree paths exactly and cover the inscribed polygon,
+        so the only points no triangle holds lie between a rim chord and
+        the circle; they take the rim value at their angle.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
         if (r > 1 + SNAP).any():
             bad = pts[r > 1 + SNAP][0]
             raise OutsideDisk((float(bad[0]), float(bad[1])))
-        out = self._snap_values(pts)
-        rim = np.isnan(out) & (np.abs(r - 1.0) <= SNAP)
-        if rim.any():
-            out[rim] = self._rim_values(pts[rim])
-        for fm in self.face_maps:
-            rem = np.isnan(out)
-            if not rem.any():
-                break
-            inside = self._points_in_polygon(pts[rem], fm.points)
-            if inside.any():
-                sel = np.where(rem)[0][inside]
-                out[sel] = self.evaluate_in_face(fm.face_index, pts[sel])
-        missing = np.isnan(out)
-        if missing.any():
-            out[missing] = self._nearest_edge_values(pts[missing], self.face_maps)
+        out = np.full(len(pts), np.nan)
+        d = np.linalg.norm(pts[:, None, :] - self._vertex_xy[None, :, :], axis=2)
+        j = np.argmin(d, axis=1)
+        at_vertex = d[np.arange(len(pts)), j] <= SNAP
+        out[at_vertex] = self._vertex_vals[j[at_vertex]]
+        rest = ~at_vertex
+        out[rest] = self._in_triangles(pts[rest], slice(None))
+        left = np.isnan(out)
+        if left.any():
+            out[left] = self._rim_values(pts[left])
         return out
 
     def evaluate(self, p):
+        """The value at one point ``(x, y)``; see `evaluate_many`."""
         p = np.asarray(p, dtype=float)
+        if p.shape != (2,):
+            raise ValueError(
+                f"evaluate takes one point (x, y), got shape {p.shape}; "
+                "use evaluate_many for several points"
+            )
         return float(self.evaluate_many(p.reshape(1, 2))[0])
 
     # -- structure reports --------------------------------------------------

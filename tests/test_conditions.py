@@ -118,6 +118,22 @@ class TestA1:
             several += len(want) >= 2
         assert several > 1000
 
+    def test_cycle_longer_than_recursion_limit(self):
+        # a 1 200-vertex ring whose names zigzag around it (position 2i is
+        # v{i}, position 2i+1 is v{1199-i}), ordered as a chain along the
+        # ring: the one qualifying cycle is longer than Python's default
+        # recursion limit, and the search stays well within its budget
+        n = 1200
+        ring = [None] * n
+        for i in range(n // 2):
+            ring[2 * i] = f"v{i:04d}"
+            ring[2 * i + 1] = f"v{n - 1 - i:04d}"
+        edges = [(ring[k], ring[(k + 1) % n]) for k in range(n)]
+        order = [(ring[k], ring[k + 1]) for k in range(n - 1)]
+        v = is_delta_graph(build_graph(ring, edges, order))
+        assert v.reports[0].passed
+        assert v.failed_condition() == "A3"
+
     def test_cyclic_complement_reported_as_a2(self):
         names = [f"v{i}" for i in range(1, 7)]
         ring = [(names[i], names[(i + 1) % 6]) for i in range(6)]

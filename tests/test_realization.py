@@ -192,6 +192,18 @@ class TestDrawingCheck:
         c = f.embedding.coords
         assert not drawing_valid(f, b=c["c"] + 0.5 * (c["a"] - c["c"]))
 
+    def test_collinear_short_edges_at_shared_vertex(self, realized):
+        # c-a and c-b leave c almost in one direction, |cross| = 5e-13, yet
+        # a lies 2.5e-9 > SNAP from c-b: only the collinear test rejects it
+        f = realized["even_attach"]
+        o = f.embedding.coords["c"]
+        d = -o / np.hypot(*o)
+        n = np.array([-d[1], d[0]])
+        a = o + 1e-4 * d
+        b = o + 2e-4 * d + 5e-9 * n
+        assert _seg_point_dist(a, o, b) > SNAP
+        assert not drawing_valid(f, a=a, b=b)
+
     def test_coincident_vertices(self, realized):
         f = realized["hybrid"]
         assert not drawing_valid(f, m1=f.embedding.coords["M1"])
@@ -248,6 +260,10 @@ class TestEvaluation:
     def test_outside_disk_raises(self, realized):
         with pytest.raises(OutsideDisk):
             realized["G1"].evaluate((1.5, 0.0))
+
+    def test_evaluate_takes_one_point(self, realized):
+        with pytest.raises(ValueError, match="evaluate_many"):
+            realized["G1"].evaluate([(0.1, 0.2), (0.0, 0.5)])
 
     def test_values_stay_in_height_range(self, realized):
         rng = np.random.default_rng(42)
