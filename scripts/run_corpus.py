@@ -7,7 +7,7 @@ boundary arcs, face counts satisfy the Euler relation, boundary extrema
 alternate with even count at exactly the even-degree boundary vertices,
 the corner-sign census passes, and the order induced by the heights
 extends the input order.  Without --limit the size-ladder shapes
-d = 1..3 (up to 191 vertices) follow the corpus specs.  With --strict
+d = 1..4 (up to 569 vertices) follow the corpus specs.  With --strict
 the strict height mode runs as well and the equality-vs-congruence
 tallies are reported.
 """
@@ -67,7 +67,7 @@ def main(argv=None):
     if args.limit is not None:
         specs = specs[: args.limit]
     else:
-        specs += [ladder_spec(d) for d in (1, 2, 3)]
+        specs += [ladder_spec(d) for d in (1, 2, 3, 4)]
     t0 = time.perf_counter()
     bad = 0
     total = 0

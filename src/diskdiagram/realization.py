@@ -184,77 +184,108 @@ def _solve_tree_positions(tree, fixed):
 
 
 def _seg_point_dist(p, a, b):
+    """Distance from points ``p`` to segments ``a``-``b`` of positive length.
+
+    The last axis holds (x, y); the others broadcast, so one call gives
+    every point against every segment of a block.
+    """
     d = b - a
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ d) / L2
-    t = min(1.0, max(0.0, t))
-    q = a + t * d
-    return float(np.hypot(*(p - q)))
+    pa = p - a
+    t = (pa[..., 0] * d[..., 0] + pa[..., 1] * d[..., 1]) / (
+        d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    )
+    t = np.clip(t, 0.0, 1.0)[..., None]
+    off = p - (a + t * d)
+    return np.hypot(off[..., 0], off[..., 1])
 
 
 def _cross2(u, v):
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _segments_cross(p1, p2, p3, p4):
-    """True when each segment's ends lie strictly on both sides of the other.
-
-    This is only the strict sign test.  `_coords_valid` calls it on tree
-    segments with no shared end, and its vertex-on-segment scan already
-    makes the same `_seg_point_dist` call for each end against the other
-    segment and rejects at SNAP >= 1e-12.  So the four end-to-segment
-    checks of a closed-segment test at 1e-12 never change its verdict.
-    """
-    eps = 1e-12
-    d1 = _cross2(p4 - p3, p1 - p3)
-    d2 = _cross2(p4 - p3, p2 - p3)
-    d3 = _cross2(p2 - p1, p3 - p1)
-    d4 = _cross2(p2 - p1, p4 - p1)
-    return ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    )
+def _cross_rows(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _tree_segments(dec, coords):
-    segs = []
-    for t in dec.trees:
-        for e in sorted(t.edges):
-            segs.append((e, coords[e.a], coords[e.b]))
-    return segs
+def _straddle(u, v):
+    """Where one side value exceeds 1e-12 and the other is below -1e-12."""
+    return (np.minimum(u, v) < -1e-12) & (np.maximum(u, v) > 1e-12)
+
+
+_CHUNK = 128  # rows per broadcast block in `_coords_valid`
 
 
 def _coords_valid(dec, coords):
+    """True when the drawing has no degeneracy; four predicates reject it.
+
+    - two vertices at distance ``<= SNAP``;
+    - an interior tree vertex at radius ``>= 1 - 1e-7``;
+    - a vertex within ``SNAP`` of a tree segment it does not end;
+    - two tree segments that share an end and leave it in one direction
+      (``|cross| <= 1e-12`` and a positive dot product), or two that
+      share none and cross strictly (each one's ends lie on both sides
+      of the other, with sign margin ``1e-12``).
+
+    The sign test is run on every segment pair: at a shared end one of
+    its cross products is exactly 0, since both segments hold the same
+    coordinates there, so it never fires.  Segment lengths are positive
+    once the first predicate passes.  Pairs are broadcast in blocks of
+    `_CHUNK` rows, so no temporary holds more than ``_CHUNK * max(V, S)``
+    entries for V vertices and S segments.
+    """
     names = sorted(coords)
-    pts = [coords[v] for v in names]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if float(np.hypot(*(pts[i] - pts[j]))) <= SNAP:
-                return False
-    for t in dec.trees:
-        for v in t.vertices - t.attach:
-            if float(np.hypot(*coords[v])) >= 1.0 - 1e-7:
-                return False
-    segs = _tree_segments(dec, coords)
-    for i in range(len(segs)):
-        e1, a1, b1 = segs[i]
-        for v in names:
-            if v in (e1.a, e1.b):
-                continue
-            if _seg_point_dist(coords[v], a1, b1) <= SNAP:
-                return False
-        for j in range(i + 1, len(segs)):
-            e2, a2, b2 = segs[j]
-            shared = {e1.a, e1.b} & {e2.a, e2.b}
-            if shared:
-                v = shared.pop()
-                u1 = coords[e1.other(v)] - coords[v]
-                u2 = coords[e2.other(v)] - coords[v]
-                if abs(_cross2(u1, u2)) <= 1e-12 and float(u1 @ u2) > 0:
-                    return False
-            elif _segments_cross(a1, b1, a2, b2):
-                return False
+    pos = {v: i for i, v in enumerate(names)}
+    p = np.array([coords[v] for v in names])
+    x, y = p[:, 0], p[:, 1]
+    n = len(names)
+    for lo in range(0, n, _CHUNK):
+        i = slice(lo, lo + _CHUNK)
+        dist = np.hypot(x[i, None] - x[lo:], y[i, None] - y[lo:])
+        if np.triu(dist <= SNAP, 1).any():
+            return False
+    inner = [pos[v] for t in dec.trees for v in t.vertices - t.attach]
+    if (np.hypot(x[inner], y[inner]) >= 1.0 - 1e-7).any():
+        return False
+    ends = np.array(
+        [(pos[e.a], pos[e.b]) for t in dec.trees for e in t.edges], dtype=int
+    ).reshape(-1, 2)
+    ia, ib = ends[:, 0], ends[:, 1]
+    s = len(ends)
+    for lo in range(0, s, _CHUNK):
+        rows = np.arange(lo, min(lo + _CHUNK, s))
+        near = _seg_point_dist(p, p[ia[rows], None], p[ib[rows], None]) <= SNAP
+        near[rows - lo, ia[rows]] = False
+        near[rows - lo, ib[rows]] = False
+        if near.any():
+            return False
+    others = {}
+    for a, b in ends.tolist():
+        others.setdefault(a, []).append(b)
+        others.setdefault(b, []).append(a)
+    corners = [
+        (v, o1, o2)
+        for v, nbrs in others.items()
+        for k, o1 in enumerate(nbrs)
+        for o2 in nbrs[k + 1 :]
+    ]
+    if corners:
+        v, o1, o2 = np.array(corners).T
+        u1, u2 = p[o1] - p[v], p[o2] - p[v]
+        dot = (u1 * u2).sum(axis=1)
+        if ((np.abs(_cross_rows(u1, u2)) <= 1e-12) & (dot > 0)).any():
+            return False
+    ax, ay, bx, by = x[ia], y[ia], x[ib], y[ib]
+    dx, dy = bx - ax, by - ay
+    for lo in range(0, s, _CHUNK):
+        i = slice(lo, lo + _CHUNK)
+        j = slice(lo, None)
+        # sides of segment i's ends against segment j, and of j's against i
+        d1 = dx[j] * (ay[i, None] - ay[j]) - dy[j] * (ax[i, None] - ax[j])
+        d2 = dx[j] * (by[i, None] - ay[j]) - dy[j] * (bx[i, None] - ax[j])
+        d3 = dx[i, None] * (ay[j] - ay[i, None]) - dy[i, None] * (ax[j] - ax[i, None])
+        d4 = dx[i, None] * (by[j] - ay[i, None]) - dy[i, None] * (bx[j] - ax[i, None])
+        if (_straddle(d1, d2) & _straddle(d3, d4)).any():
+            return False
     return True
 
 
@@ -302,14 +333,32 @@ class FaceMap:
 def _ear_clip(pts, vals):
     """Triangulate a simple counterclockwise polygon.
 
-    Among the available ears, one spanning two distinct values is
-    preferred, which keeps constant-value triangles rare; zero-area
-    triangles are dropped.
+    The ear clipped is the first convex, unblocked position in polygon
+    order whose three values are not all equal, else the first convex,
+    unblocked one.  A vertex is convex when its cross product exceeds
+    1e-14, so only the last triangle can lack area; it is then dropped.
+    Clipping a vertex changes only its two neighbours' triples, so each
+    convexity flag is computed once and then only for those two.
+
+    An ear is blocked by a vertex in its closed triangle (margin 1e-12),
+    and only reflex vertices (cross <= 1e-14, collinear path points
+    included) are tested; this is the rule of Meisters ("Polygons have
+    ears", 1975).  Let the convex ear a-b-c hold other vertices, and let
+    j be one of them farthest from the line ac.  The sides ab and bc are
+    polygon edges, which no other edge crosses, so every edge at j leaves
+    the triangle through ac or stays in it: both of j's neighbours lie no
+    farther from ac than j does.  No edge meets the part of the triangle
+    beyond j's distance from ac, and the polygon's interior fills it near
+    b, so the interior angle at j is at least pi and j is reflex.  In
+    floating point this leaves one case out: a convex vertex within 1e-12
+    outside the diagonal ac blocked the ear before and is not tested
+    now.  The triangles are identical on the fixtures, the corpus and
+    the size ladder up to d = 4, so the case does not occur there.
     """
-    xs = [float(p[0]) for p in pts]
-    ys = [float(p[1]) for p in pts]
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     vs = [float(v) for v in vals]
-    idx = list(range(len(pts)))
+    n = len(pts)
+    idx = list(range(n))
     tris = []
 
     def cross(i0, i1, i2):
@@ -330,21 +379,20 @@ def _ear_clip(pts, vals):
         )
         return s1 >= -eps and s2 >= -eps and s3 >= -eps
 
-    def emit(i0, i1, i2):
-        if abs(cross(i0, i1, i2)) > 1e-14:
-            tris.append((i0, i1, i2))
-
+    convex = [cross(k - 1, k, (k + 1) % n) > 1e-14 for k in range(n)]
+    reflex = {k for k in range(n) if not convex[k]}
     while len(idx) > 3:
         m = len(idx)
         chosen = None
         fallback = None
         for k in range(m):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
-            if cross(i0, i1, i2) <= 1e-14:
+            i1 = idx[k]
+            if not convex[i1]:
                 continue
+            i0, i2 = idx[k - 1], idx[(k + 1) % m]
             blocked = False
-            for j in idx:
-                if j not in (i0, i1, i2) and in_tri(j, i0, i1, i2):
+            for j in reflex:
+                if j != i0 and j != i2 and in_tri(j, i0, i1, i2):
                     blocked = True
                     break
             if blocked:
@@ -359,9 +407,18 @@ def _ear_clip(pts, vals):
         if chosen is None:
             raise DegenerateDrawing("cannot triangulate a face polygon")
         k = chosen
-        emit(idx[k - 1], idx[k], idx[(k + 1) % len(idx)])
+        tris.append((idx[k - 1], idx[k], idx[(k + 1) % m]))
         del idx[k]
-    emit(*idx)
+        m -= 1
+        for at in (k - 1, k % m):
+            i = idx[at]
+            convex[i] = cross(idx[at - 1], i, idx[(at + 1) % m]) > 1e-14
+            if convex[i]:
+                reflex.discard(i)
+            else:
+                reflex.add(i)
+    if abs(cross(*idx)) > 1e-14:
+        tris.append(tuple(idx))
     if not tris:
         raise DegenerateDrawing("face polygon has no area")
     return np.array(tris, dtype=int)
@@ -555,7 +612,9 @@ class DiskFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _rim_values(self, pts):
+    def _rim_edges(self, pts):
+        """Per point: the boundary edge at its angle, the fraction of that
+        edge swept up to the angle, and the edge's two end heights."""
         th = np.arctan2(pts[:, 1], pts[:, 0])
         pos = (th - math.pi / 2) / (2 * math.pi / self._n)
         pos = np.mod(pos, self._n)
@@ -563,7 +622,40 @@ class DiskFunction:
         t = pos - np.floor(pos)
         h0 = self._gamma_heights[i]
         h1 = self._gamma_heights[(i + 1) % self._n]
+        return i, t, h0, h1
+
+    def _rim_values(self, pts):
+        _, t, h0, h1 = self._rim_edges(pts)
         return (1 - t) * h0 + t * h1
+
+    def _sliver_values(self, pts):
+        """Values between a rim chord and the circle.
+
+        The chord is the polygon edge between the two rim samples
+        around the point's angle (see `_arc_points`).  The point takes
+        the chord's linear value at its radial projection ``q`` onto the
+        chord, blended linearly in radius from ``|q|`` to 1 towards
+        `_rim_values`, so the witness is continuous across the chord
+        and equals the rim interpolation on the circle.
+        """
+        i, t, h0, h1 = self._rim_edges(pts)
+        k = SAMPLES_PER_BOUNDARY_EDGE
+        ta = np.minimum(np.floor(t * k), k - 1) / k
+        th = math.pi / 2 + 2 * math.pi * (i + ta) / self._n
+        th_b = th + 2 * math.pi / (k * self._n)
+        a = np.stack([np.cos(th), np.sin(th)], axis=1)
+        e = np.stack([np.cos(th_b), np.sin(th_b)], axis=1) - a
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        u = pts / r[:, None]
+        # |q|, where the ray through the point meets the chord a + s e
+        radius = _cross_rows(a, e) / _cross_rows(u, e)
+        qa = radius[:, None] * u - a
+        s = (qa * e).sum(axis=1) / (e * e).sum(axis=1)
+        tq = ta + s / k
+        chord = (1 - tq) * h0 + tq * h1
+        w = np.divide(r - radius, 1 - radius, out=np.ones_like(r), where=radius < 1)
+        rim = (1 - t) * h0 + t * h1
+        return chord + np.clip(w, 0.0, 1.0) * (rim - chord)
 
     def _in_triangles(self, pts, rows, eps=1e-9):
         """Linear interpolation on the triangles ``_triangles[rows]``.
@@ -608,7 +700,8 @@ class DiskFunction:
         Exact at graph vertices and linear on every triangle.  The faces
         share their tree paths exactly and cover the inscribed polygon,
         so the only points no triangle holds lie between a rim chord and
-        the circle; they take the rim value at their angle.
+        the circle; `_sliver_values` carries the chord's values out to the
+        rim interpolation on the circle.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
@@ -624,7 +717,7 @@ class DiskFunction:
         out[rest] = self._in_triangles(pts[rest], slice(None))
         left = np.isnan(out)
         if left.any():
-            out[left] = self._rim_values(pts[left])
+            out[left] = self._sliver_values(pts[left])
         return out
 
     def evaluate(self, p):

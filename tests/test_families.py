@@ -11,7 +11,7 @@ from diskdiagram.families import (
 )
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.orders import check_A4
-from diskdiagram.realization import realize
+from diskdiagram.realization import extend_to_faces, place, realize
 
 MODES = ("minimal", "saturated")
 
@@ -95,8 +95,15 @@ class TestLadder:
                 assert is_delta_graph(g).delta, (d, mode)
                 assert check_instance(g, realize(g)) == [], (d, mode)
 
-    def test_deepest_rung_decides(self):
+    def test_deepest_rung_decides(self, check_instance):
         for mode in MODES:
             g = build_instance(ladder_spec(4), mode)
             assert len(g.vertices) == 569
-            assert is_delta_graph(g).delta, mode
+            verdict = is_delta_graph(g)
+            assert verdict.delta, mode
+            assert check_instance(g, extend_to_faces(*place(verdict))) == [], mode
+        g = build_instance(ladder_spec(5), "minimal")
+        assert len(g.vertices) == 1703
+        verdict = is_delta_graph(g)
+        assert verdict.delta
+        assert extend_to_faces(*place(verdict)).face_maps

@@ -17,6 +17,7 @@ from diskdiagram.realization import (
     SNAP,
     HeightAssignment,
     _coords_valid,
+    _ear_clip,
     _seg_point_dist,
     assign_coords,
     assign_heights,
@@ -182,6 +183,22 @@ class TestDrawingCheck:
             assert _seg_point_dist(p, a, b) <= SNAP
             assert not drawing_valid(f, u=p), dist
 
+    def test_vertex_near_own_segment(self, realized):
+        # even_attach: the path tree a-c-b; a moves beside c-b, which it
+        # does not end.  Its own edge a-c then leaves c along c-b, but
+        # |cross| stays above 1e-12, so only the distance test rejects it.
+        f = realized["even_attach"]
+        c = f.embedding.coords
+        o, b = c["c"], c["b"]
+        mid = (o + b) / 2
+        normal = np.array([o[1] - b[1], b[0] - o[0]]) / math.dist(o, b)
+        assert drawing_valid(f, a=mid + 1e-3 * normal)
+        p = mid + 1e-10 * normal
+        assert _seg_point_dist(p, o, b) <= SNAP
+        u1, u2 = p - o, b - o
+        assert abs(u1[0] * u2[1] - u1[1] * u2[0]) > 1e-12
+        assert not drawing_valid(f, a=p)
+
     def test_crossing_edges(self, realized):
         # G4's two chords a1-b1 and a2-b2 cross once b1 and b2 trade places
         c = realized["G4"].embedding.coords
@@ -300,6 +317,27 @@ class TestEvaluation:
         many = f.evaluate_many(np.array(pts))
         for p, want in zip(pts, many):
             assert f.evaluate(p) == pytest.approx(want, abs=1e-12)
+
+    def test_continuous_across_rim_chords(self, realized):
+        # Each rim chord is a polygon edge.  A point 1e-12 inside it is on
+        # its triangle; one 1e-8 outside is past every triangle's margin
+        # and takes the sliver value, which must continue the chord's.
+        k = SAMPLES_PER_BOUNDARY_EDGE
+        for name in ("bare2", "G1"):
+            f = realized[name]
+            n = len(f.gamma.vertices)
+            for s in range(n * k):
+                th = [math.pi / 2 + 2 * math.pi * (s + t) / (n * k) for t in (0, 1)]
+                a, b = (np.array([math.cos(x), math.sin(x)]) for x in th)
+                for t in (0.1, 0.5, 0.9):
+                    q = a + t * (b - a)
+                    u = q / np.hypot(*q)
+                    inside, outside = q - 1e-12 * u, q + 1e-8 * u
+                    assert np.isnan(f._in_triangles(outside[None], slice(None)))[0]
+                    vals = f.evaluate_many(np.array([inside, outside]))
+                    assert abs(vals[0] - vals[1]) <= 1e-9, (name, s, t)
+                rim = np.array([[math.cos(x), math.sin(x)] for x in np.linspace(*th, 5)])
+                assert f.evaluate_many(rim) == pytest.approx(f._rim_values(rim), abs=1e-12)
 
 
 class TestBoundaryExtrema:
@@ -532,6 +570,35 @@ class TestLevelSetSegments:
                 if pts:
                     err = np.abs(f.evaluate_many(np.array(pts)) - c).max()
                     assert err <= 1e-9, (label, c, err)
+
+
+def shoelace(p):
+    x, y = p[..., 0], p[..., 1]
+    return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
+
+
+class TestEarClip:
+    def test_face_triangles_tile_their_polygons(self, realized, realized_corpus):
+        witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
+        for f in witnesses:
+            for fm in f.face_maps:
+                areas = shoelace(fm.points[fm.triangles])
+                assert areas.min() > 1e-14, fm.face_index
+                assert abs(areas.sum() - shoelace(fm.points)) <= 1e-12
+
+    def test_reflex_vertex_blocks_first_candidate(self):
+        pts = np.array([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], dtype=float)
+        # the ears at 0 and at 1 both hold the reflex vertex 3
+        tris = _ear_clip(pts, np.arange(5.0))
+        assert tuple(tris[0]) == (1, 2, 3)
+        assert abs(shoelace(pts[tris]).sum() - shoelace(pts)) <= 1e-12
+
+    def test_collinear_path_point_blocks_and_stays(self):
+        # a straight tree path 1-2-3 at level 0 under an apex 0 at level 1:
+        # the diagonal 3-1 of the first candidate ear runs through 2
+        pts = np.array([(0, 1), (-1, 0), (0, 0), (1, 0)], dtype=float)
+        tris = _ear_clip(pts, np.array([1.0, 0.0, 0.0, 0.0]))
+        assert [tuple(t) for t in tris] == [(0, 1, 2), (0, 2, 3)]
 
 
 class TestSignCensus:
