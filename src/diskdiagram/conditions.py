@@ -41,9 +41,11 @@ def find_cr_cycles(g, budget=DEFAULT_BUDGET):
     simple cycles of that subgraph are the qualifying cycles of ``g``;
     the subgraph keeps the sorted vertex list and each vertex's sorted
     incident edges, so they come out in the order a search of all of
-    ``g`` would list them.  Every search step over the subgraph matches a
-    step over ``g`` and each node visits a subset of its edges, so the
-    search never takes more of ``budget`` than the full one would.  On a
+    ``g`` would list them.  At each start vertex the search walks only
+    the 2-core of the vertices not yet searched, and the 2-core of a
+    subgraph lies inside that of ``g``; so it walks a subset of the paths
+    the search of ``g`` walks, at each path vertex a subset of its edges,
+    and never takes more of ``budget`` than the full one would.  On a
     Δ-graph the subgraph is the boundary cycle alone (A2 makes tree
     vertices pairwise incomparable).
     """
@@ -73,7 +75,7 @@ def check_A2(dec, order=None):
             if not rest:
                 continue
             below = {w for w in rest if order.lt(w, v)}
-            above = {w for w in rest if order.lt(v, w)}
+            above = rest & order.above[v]
             if below and below != rest:
                 wits.append(
                     f"tree {t.index} compares unevenly with {v}: "

@@ -109,32 +109,6 @@ class Cycle:
         n = len(self.vertices)
         return self.vertices[(i - 1) % n], self.vertices[(i + 1) % n]
 
-    def arcs_without(self, removed):
-        """Maximal runs of consecutive vertices avoiding ``removed``.
-
-        Returns a list of vertex lists, each in cycle direction.  Empty runs
-        between two consecutive removed vertices are dropped.
-        """
-        n = len(self.vertices)
-        removed = set(removed)
-        keep = [v for v in self.vertices if v not in removed]
-        if len(keep) == len(self.vertices):
-            return [list(self.vertices)]
-        # rotate so position 0 is removed, then split linearly
-        start = next(i for i, v in enumerate(self.vertices) if v in removed)
-        rotated = [self.vertices[(start + i) % n] for i in range(n)]
-        arcs, cur = [], []
-        for v in rotated:
-            if v in removed:
-                if cur:
-                    arcs.append(cur)
-                cur = []
-            else:
-                cur.append(v)
-        if cur:
-            arcs.append(cur)
-        return arcs
-
     def canonical(self):
         """Representative tuple invariant under rotation and reflection."""
         n = len(self.vertices)
@@ -227,6 +201,12 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
     PoGraph validation would refuse) can still be queried.  A pair of
     parallel edges counts as one cycle of length two.  Raises
     BudgetExceeded after ``budget`` search steps.
+
+    The search runs from each start vertex in name order over the 2-core
+    of the vertices not yet searched: a vertex with fewer than two edges
+    into that set lies on no cycle there, so it is dropped, and the drop
+    cascades.  Each search thus finds exactly the cycles whose smallest
+    vertex is its start, and never walks a path that cannot close.
     """
     verts = sorted(set(vertices))
     incident = adjacency(edges, verts)
@@ -240,11 +220,33 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 cycles.append(Cycle((a, b), (group[i], group[j])))
+    live = {v: len(es) for v, es in incident.items()}
+    alive = set(verts)
+
+    def drop(v):
+        # remove v, then every vertex left with fewer than two live edges
+        alive.discard(v)
+        todo = [v]
+        while todo:
+            u = todo.pop()
+            for e in incident[u]:
+                w = e.other(u)
+                if w in alive:
+                    live[w] -= 1
+                    if live[w] < 2:
+                        alive.discard(w)
+                        todo.append(w)
+
+    for v in verts:
+        if v in alive and live[v] < 2:
+            drop(v)
     steps = 0
     # depth-first search with an explicit stack, one iterator over the
     # incident edges per path vertex, so path length is not bounded by
     # the interpreter's recursion limit
     for s in verts:
+        if s not in alive:
+            continue
         path_v, path_e, used_e, on_path = [s], [], set(), {s}
         stack = [iter(incident[s])]
         while stack:
@@ -261,7 +263,7 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
             if e in used_e:
                 continue
             w = e.other(path_v[-1])
-            if w < s:
+            if w not in alive:
                 continue
             if w == s:
                 if len(path_v) >= 3 and path_v[1] < path_v[-1]:
@@ -274,6 +276,7 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
             used_e.add(e)
             on_path.add(w)
             stack.append(iter(incident[w]))
+        drop(s)
     # the search already yields one representative per rotation/reflection
     # class: paths start at the smallest cycle vertex, direction fixed by
     # the second-vs-last comparison, and 2-cycles are emitted sorted

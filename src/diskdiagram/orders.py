@@ -1,10 +1,11 @@
 """Strict partial orders and cyclic orders.
 
 Vertices are identified by strings throughout.  A strict partial order is
-stored transitively closed, so membership tests are single lookups.  Cyclic
-orders are stored as a canonical circular sequence; with two or fewer
-elements the arrangement carries no information and only the carrier is
-kept.
+stored as its reach sets: for every element, the frozenset of the elements
+strictly above it.  The sets are closed under transitivity, so a
+comparison is one lookup in one set.  Cyclic orders are stored as a
+canonical circular sequence; with two or fewer elements the arrangement
+carries no information and only the carrier is kept.
 """
 from __future__ import annotations
 
@@ -14,28 +15,26 @@ from .errors import NotASubset, NotInCarrier, OrderCycle, TooSmallCarrier
 
 
 def transitive_closure(pairs):
-    """Closure of a set of (a, b) pairs under transitivity.
+    """Reach map of a set of (a, b) pairs: element -> frozenset above it.
 
-    Each element's reach set is built once, after the sets of all its
-    successors, as the union of its successors and their reach sets; a
-    successor already reached is skipped, since its set is then already
-    included.  Raises OrderCycle when the pairs contain a cycle (see
-    `_topological_order`).
+    Every element named in ``pairs`` gets an entry.  Each reach set is
+    built once, after the sets of all its successors, as the union of its
+    successors and their reach sets; a successor already reached is
+    skipped, since its set is then already included.  Raises OrderCycle
+    when the pairs contain a cycle (see `_topological_order`).
     """
     succ = {}
     for a, b in pairs:
         succ.setdefault(a, set()).add(b)
     reach = {}
-    closed = set()
     for v in reversed(_topological_order(succ)):
         r = set()
         for s in succ.get(v, ()):
             if s not in r:
                 r.add(s)
                 r |= reach[s]
-        reach[v] = r
-        closed.update((v, x) for x in r)
-    return closed
+        reach[v] = frozenset(r)
+    return reach
 
 
 def _topological_order(succ):
@@ -82,12 +81,22 @@ def _topological_order(succ):
     raise OrderCycle(cycle[k:] + cycle[:k])
 
 
+_NONE = frozenset()
+
+
 @dataclass(frozen=True)
 class StrictPartialOrder:
-    """A transitively closed, irreflexive, antisymmetric relation."""
+    """A transitively closed, irreflexive, antisymmetric relation.
 
-    carrier: frozenset
-    pairs: frozenset  # (a, b) means a < b
+    ``above[v]`` is the frozenset of the elements strictly above ``v``;
+    every carrier element has an entry, so the carrier is the key set.
+    Two orders are equal when they relate the same elements the same way.
+    """
+
+    above: dict  # v -> frozenset of every w with v < w
+
+    def __hash__(self):
+        return hash(frozenset(self.above.items()))
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
@@ -104,25 +113,33 @@ class StrictPartialOrder:
             for x in (a, b):
                 if x not in carrier:
                     raise NotInCarrier(x)
-        return cls(carrier, frozenset(transitive_closure(pairs)))
+        reach = transitive_closure(pairs)
+        return cls({v: reach.get(v, _NONE) for v in carrier})
+
+    @property
+    def carrier(self):
+        return frozenset(self.above)
+
+    @property
+    def pairs(self):
+        """Every (a, b) with a < b, built afresh on each read."""
+        return frozenset((a, b) for a, ws in self.above.items() for b in ws)
 
     def lt(self, a, b):
-        return (a, b) in self.pairs
+        return b in self.above.get(a, _NONE)
 
     def comparable(self, a, b):
-        return (a, b) in self.pairs or (b, a) in self.pairs
+        return b in self.above.get(a, _NONE) or a in self.above.get(b, _NONE)
 
     def minimal_elements(self):
-        tops = {b for _, b in self.pairs}
-        return frozenset(self.carrier - tops)
+        return frozenset(self.above).difference(*self.above.values())
 
     def maximal_elements(self):
-        bottoms = {a for a, _ in self.pairs}
-        return frozenset(self.carrier - bottoms)
+        return frozenset(v for v, ws in self.above.items() if not ws)
 
     def extends(self, other):
         """True when this order contains every pair of ``other``."""
-        return other.pairs <= self.pairs
+        return all(ws <= self.above.get(v, _NONE) for v, ws in other.above.items())
 
 
 @dataclass(frozen=True)
@@ -136,12 +153,26 @@ def check_A4(order):
 
     For every incomparable pair (a, b) and every third element v the
     relations v < a and v < b must agree, and likewise v > a and v > b.
+    Neither of a, b lies above or below the other, so that holds exactly
+    when the two have the same sets above and below them; ``kind``
+    numbers the distinct (above, below) set pairs.  Only an incomparable
+    pair of different kinds is scanned for its first separating v.
     Returns the first violation as (v, a, b).
     """
-    items = sorted(order.carrier)
+    above = order.above
+    below = {v: set() for v in above}
+    for v, ws in above.items():
+        for w in ws:
+            below[w].add(v)
+    kinds = {}
+    kind = {
+        v: kinds.setdefault((ws, frozenset(below[v])), len(kinds))
+        for v, ws in above.items()
+    }
+    items = sorted(above)
     for i, a in enumerate(items):
         for b in items[i + 1 :]:
-            if order.comparable(a, b):
+            if kind[a] == kind[b] or order.comparable(a, b):
                 continue
             for v in items:
                 if v == a or v == b:

@@ -104,15 +104,17 @@ def assign_heights(g, dec, mode="default", seed=None):
         raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
     succ = {i: set() for i in range(len(blocks))}
     indeg = {i: 0 for i in range(len(blocks))}
-    for u, v in g.order.pairs:
-        bu, bv = block_of[u], block_of[v]
-        if bu == bv:
-            raise InvariantViolation(
-                f"comparable vertices {u} < {v} fell into one level block"
-            )
-        if bv not in succ[bu]:
-            succ[bu].add(bv)
-            indeg[bv] += 1
+    for u, ws in g.order.above.items():
+        bu = block_of[u]
+        for v in ws:
+            bv = block_of[v]
+            if bu == bv:
+                raise InvariantViolation(
+                    f"comparable vertices {u} < {v} fell into one level block"
+                )
+            if bv not in succ[bu]:
+                succ[bu].add(bv)
+                indeg[bv] += 1
     rep = {i: min(blocks[i]) for i in range(len(blocks))}
     available = sorted((rep[i], i) for i in indeg if indeg[i] == 0)
     rng = random.Random(seed) if mode == "random" else None
@@ -131,21 +133,32 @@ def assign_heights(g, dec, mode="default", seed=None):
         raise InvariantViolation("level-block order contains a cycle")
     height_of_block = {i: float(step) for step, i in enumerate(ordered)}
     value = {v: height_of_block[block_of[v]] for v in g.vertices}
-    for u, v in g.order.pairs:
-        if not value[u] < value[v]:
-            raise InvariantViolation(f"heights are not monotone on {u} < {v}")
+    for u, ws in g.order.above.items():
+        for v in ws:
+            if not value[u] < value[v]:
+                raise InvariantViolation(f"heights are not monotone on {u} < {v}")
     blocks_ordered = tuple(blocks[i] for i in ordered)
     block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
     return HeightAssignment(value, blocks_ordered, block_pos, mode)
 
 
 def induced_order(heights):
-    """The strict partial order obtained by comparing assigned values."""
-    vs = sorted(heights.value)
-    pairs = {
-        (u, v) for u in vs for v in vs if heights.value[u] < heights.value[v]
-    }
-    return StrictPartialOrder.from_pairs(frozenset(vs), frozenset(pairs))
+    """The strict partial order obtained by comparing assigned values.
+
+    Comparing values is already transitive, so no closure is needed: the
+    distinct values are walked from the top down, and every vertex at one
+    value shares the one set of vertices at higher values.
+    """
+    at = {}
+    for v, x in heights.value.items():
+        at.setdefault(x, []).append(v)
+    above = {}
+    higher = frozenset()
+    for x in sorted(at, reverse=True):
+        for v in at[x]:
+            above[v] = higher
+        higher = higher.union(at[x])
+    return StrictPartialOrder(above)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,19 @@ class TestA1:
         assert v.reports[0].passed
         assert v.failed_condition() == "A3"
 
+    def test_ring_named_in_ring_order_decides(self):
+        # a 1 200-vertex ring named v0000…v1199 in ring order, ordered as a
+        # chain along it: from every start the ring runs on through larger
+        # names only, so the search stays within the default budget only
+        # because it drops each searched start and what it strands
+        n = 1200
+        ring = [f"v{k:04d}" for k in range(n)]
+        edges = [(ring[k], ring[(k + 1) % n]) for k in range(n)]
+        order = [(ring[k], ring[k + 1]) for k in range(n - 1)]
+        v = is_delta_graph(build_graph(ring, edges, order))
+        assert v.reports[0].passed
+        assert v.failed_condition() == "A3"
+
     def test_cyclic_complement_reported_as_a2(self):
         names = [f"v{i}" for i in range(1, 7)]
         ring = [(names[i], names[(i + 1) % 6]) for i in range(6)]

@@ -106,4 +106,4 @@ class TestLadder:
         assert len(g.vertices) == 1703
         verdict = is_delta_graph(g)
         assert verdict.delta
-        assert extend_to_faces(*place(verdict)).face_maps
+        assert check_instance(g, extend_to_faces(*place(verdict))) == []

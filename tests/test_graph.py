@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,14 +109,6 @@ class TestCycleType:
         assert c.neighbors_of("a") == ("m", "M")
         assert c.neighbors_of("m") == ("b", "a")
 
-    def test_arcs_without(self):
-        g = build("G3")
-        ring = ["w1", "M1", "w2", "m1", "w3", "M2", "w4", "m2"]
-        c = ring_cycle(g, ring)
-        arcs = c.arcs_without({"w1", "w2", "w3", "w4"})
-        assert sorted(map(tuple, arcs)) == [("M1",), ("M2",), ("m1",), ("m2",)]
-        assert c.arcs_without(set()) == [ring]
-
     @given(st.integers(3, 8), st.integers(0, 7), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_canonical_invariant(self, n, shift, flip):
@@ -125,6 +119,34 @@ class TestCycleType:
         if flip:
             rotated = list(reversed(rotated))
         assert ring_cycle(g, rotated) == base
+
+
+def unpruned_cycles(vertices, edges):
+    """Reference search: from each start, every simple path over larger names."""
+    verts = sorted(set(vertices))
+    incident = adjacency(edges, verts)
+    out = []
+    groups = {}
+    for e in edges:
+        groups.setdefault((e.a, e.b), []).append(e)
+    for ends, group in sorted(groups.items()):
+        group.sort()
+        out += [Cycle(ends, (x, y)) for i, x in enumerate(group) for y in group[i + 1 :]]
+
+    def walk(s, path_v, path_e):
+        for e in incident[path_v[-1]]:
+            if e in path_e:
+                continue
+            w = e.other(path_v[-1])
+            if w == s:
+                if len(path_v) >= 3 and path_v[1] < path_v[-1]:
+                    out.append(Cycle(tuple(path_v), tuple(path_e) + (e,)))
+            elif w > s and w not in path_v:
+                walk(s, path_v + [w], path_e + [e])
+
+    for s in verts:
+        walk(s, [s], [])
+    return out
 
 
 class TestSimpleCycles:
@@ -159,6 +181,31 @@ class TestSimpleCycles:
         for g in graphs.values():
             found = simple_cycles(g)
             assert len(set(found)) == len(found)
+
+    def test_same_cycles_as_unpruned_search(self):
+        def exact(cycles):
+            return [(c.vertices, c.edges) for c in cycles]
+
+        rng = random.Random(3)
+        for _ in range(400):
+            n = rng.randrange(2, 10)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randrange(1, 2 * n))]
+            es = make_edges(pairs)
+            assert exact(enumerate_simple_cycles(names, es)) == exact(
+                unpruned_cycles(names, es)
+            )
+
+    def test_long_ring_searched_once(self):
+        # each start searches only the 2-core of the vertices not yet
+        # searched; after the first start of a ring nothing is left, so the
+        # steps grow linearly, not quadratically, with the ring's length
+        n = 1200
+        names = [f"v{k:04d}" for k in range(n)]
+        es = make_edges((names[k], names[(k + 1) % n]) for k in range(n))
+        found = enumerate_simple_cycles(names, es, budget=5 * n)
+        assert [c.vertices for c in found] == [tuple(names)]
 
 
 class TestDecompose:

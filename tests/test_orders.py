@@ -19,6 +19,11 @@ from diskdiagram.orders import (
 )
 
 
+def flat(reach):
+    """The (a, b) pairs of a reach map, for comparison with pair sets."""
+    return {(a, b) for a, bs in reach.items() for b in bs}
+
+
 def order_of(pairs, carrier=None):
     if carrier is None:
         carrier = {x for p in pairs for x in p}
@@ -43,6 +48,27 @@ class TestStrictPartialOrder:
         assert o.minimal_elements() == frozenset({"m"})
         assert o.maximal_elements() == frozenset({"M"})
 
+    def test_equality_and_hash_by_relation(self):
+        chain = order_of([("m", "a"), ("a", "M")])
+        same = order_of([("a", "M"), ("m", "M"), ("m", "a")])
+        vee = order_of([("m", "a"), ("m", "M")])
+        assert chain == same
+        assert hash(chain) == hash(same)
+        assert chain != vee
+        assert chain != order_of([("m", "a"), ("a", "M")], carrier={"m", "a", "M", "x"})
+        assert len({chain, same, vee}) == 2
+
+    def test_reach_sets_and_pairs(self):
+        o = order_of([("m", "a"), ("a", "M")], carrier={"m", "a", "M", "x"})
+        assert o.above == {
+            "m": frozenset({"a", "M"}),
+            "a": frozenset({"M"}),
+            "M": frozenset(),
+            "x": frozenset(),
+        }
+        assert o.carrier == frozenset({"m", "a", "M", "x"})
+        assert o.pairs == frozenset({("m", "a"), ("m", "M"), ("a", "M")})
+
     def test_extends(self):
         small = order_of([("m", "a")], carrier={"m", "a", "M"})
         big = order_of([("m", "a"), ("a", "M")])
@@ -59,8 +85,8 @@ class TestStrictPartialOrder:
     )
     @settings(max_examples=60, deadline=None)
     def test_closure_idempotent_and_transitive(self, pairs):
-        closed = transitive_closure(pairs)
-        assert transitive_closure(closed) == closed
+        closed = flat(transitive_closure(pairs))
+        assert flat(transitive_closure(closed)) == closed
         for a, b in closed:
             for c, d in closed:
                 if b == c:
@@ -107,7 +133,7 @@ class TestClosure:
         for _ in range(300):
             n = rng.randrange(2, 30)
             pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) // 2 + 1), True)
-            assert transitive_closure(pairs) == search_closure(pairs)
+            assert flat(transitive_closure(pairs)) == search_closure(pairs)
 
     def test_random_cyclic_inputs_name_a_real_cycle(self):
         rng, shuffler = random.Random(6), random.Random(60)
@@ -117,7 +143,7 @@ class TestClosure:
             pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) + 1), False)
             closed = search_closure(pairs)
             if not any((b, a) in closed for a, b in closed):
-                assert transitive_closure(pairs) == closed
+                assert flat(transitive_closure(pairs)) == closed
                 continue
             cyclic += 1
             with pytest.raises(OrderCycle) as info:
@@ -145,11 +171,40 @@ class TestClosure:
         for (d, mode), g in ladder.items():
             pairs = set(g.order.pairs)
             half = {p for p in sorted(pairs) if rng.random() < 0.5}
-            assert transitive_closure(pairs) == pairs, (d, mode)
-            assert transitive_closure(half) == search_closure(half), (d, mode)
+            assert flat(transitive_closure(pairs)) == pairs, (d, mode)
+            assert flat(transitive_closure(half)) == search_closure(half), (d, mode)
+
+
+def scanned_A4(order):
+    """Reference: scan every third element for every incomparable pair."""
+    items = sorted(order.carrier)
+    for i, a in enumerate(items):
+        for b in items[i + 1 :]:
+            if order.comparable(a, b):
+                continue
+            for v in items:
+                if v in (a, b):
+                    continue
+                if order.lt(a, v) != order.lt(b, v) or order.lt(v, a) != order.lt(v, b):
+                    return A4Result(False, (v, a, b))
+    return A4Result(True, None)
 
 
 class TestA4:
+    def test_matches_scan(self, corpus, ladder):
+        rng = random.Random(8)
+        orders = [g.order for _, _, g in corpus] + [g.order for g in ladder.values()]
+        for _ in range(300):
+            n = rng.randrange(2, 12)
+            pairs = random_pairs(rng, n, rng.randrange(0, n * (n - 1) // 2 + 1), True)
+            orders.append(order_of(pairs, carrier={f"v{i}" for i in range(n)}))
+        passed = 0
+        for o in orders:
+            result = check_A4(o)
+            assert result == scanned_A4(o)
+            passed += result.passed
+        assert 100 < passed < len(orders) - 100
+
     def test_fixture_true(self):
         o = order_of([("m", "a"), ("m", "b"), ("a", "M"), ("b", "M")])
         assert check_A4(o).passed

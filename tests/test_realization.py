@@ -11,6 +11,7 @@ from diskdiagram.errors import (
     OutsideDisk,
 )
 from diskdiagram.fixtures import build
+from diskdiagram.orders import StrictPartialOrder
 from diskdiagram.planarity import build_embedding
 from diskdiagram.realization import (
     SAMPLES_PER_BOUNDARY_EDGE,
@@ -112,7 +113,28 @@ class TestHeights:
         assert len(strict.blocks) == 3
 
 
+def pair_induced_order(heights):
+    """Reference: every pair of vertices with increasing values, closed again."""
+    vs = sorted(heights.value)
+    pairs = {
+        (u, v) for u in vs for v in vs if heights.value[u] < heights.value[v]
+    }
+    return StrictPartialOrder.from_pairs(frozenset(vs), frozenset(pairs))
+
+
 class TestInducedOrder:
+    def test_matches_pair_reference(self, verdicts, delta_names, realized_corpus):
+        decs = [verdicts[name].decomposition for name in delta_names]
+        decs += [f.decomposition for _, _, _, f in realized_corpus]
+        for dec in decs:
+            for mode in ("default", "strict"):
+                h = assign_heights(dec.graph, dec, mode=mode)
+                ind, ref = induced_order(h), pair_induced_order(h)
+                assert ind == ref, (sorted(dec.graph.vertices)[:3], mode)
+                assert hash(ind) == hash(ref)
+                assert ind.pairs == ref.pairs
+
+
     def test_extends_input(self, verdicts, delta_names):
         for name in delta_names:
             g = verdicts[name].decomposition.graph
