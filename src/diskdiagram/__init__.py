@@ -21,7 +21,6 @@ from .errors import (
     InvariantViolation,
     MalformedFile,
     NotAForest,
-    NotASubset,
     NotDeltaGraph,
     NotInCarrier,
     NotInTree,
@@ -30,7 +29,6 @@ from .errors import (
     OutsideDisk,
     SelfLoop,
     TerminalNotInVstar,
-    TooSmallCarrier,
     UnknownId,
 )
 from .graph import (
@@ -49,7 +47,6 @@ from .graph import (
 )
 from .orders import (
     A4Result,
-    CyclicOrder,
     StrictPartialOrder,
     check_A4,
     transitive_closure,

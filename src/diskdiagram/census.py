@@ -2,9 +2,10 @@
 
 Trees mode compares the path-count embedding criterion against the
 brute-force rotation-system oracle over every tree up to a size bound,
-every admissible boundary subset, and every cyclic order.  Graphs mode
-enumerates small partially ordered multigraphs and tabulates how many
-fall at each condition of the acceptance pipeline.
+every admissible boundary subset, and every ring (circular order) of
+that subset.  Graphs mode enumerates small partially ordered multigraphs
+and tabulates how many fall at each condition of the acceptance
+pipeline.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import networkx as nx
 from .conditions import is_delta_graph
 from .errors import DiskDiagramError
 from .graph import DEFAULT_BUDGET, build_graph, make_edges
-from .orders import CyclicOrder
 from .planarity import brute_force_tree_embedding, tree_is_disk_planar
 
 
@@ -26,7 +26,7 @@ class TreesCensusRow:
     trees: int
     instances: int
     agreements: int
-    disagreements: tuple  # mismatching (edges, boundary, co) triples
+    disagreements: tuple  # mismatching (edges, ring) pairs, at most _COLLECT_LIMIT
 
 
 def _all_trees(size):
@@ -40,15 +40,17 @@ def _all_trees(size):
     return list(nx.nonisomorphic_trees(size))
 
 
+_COLLECT_LIMIT = 5
+_MAX_MULTIPLICITY = 2  # parallel copies per vertex pair in graphs mode
+
+
 def _cyclic_orders(items):
-    items = sorted(items)
-    if len(items) <= 2:
-        return [CyclicOrder(items)]
-    first, rest = items[0], tuple(items[1:])
-    return [CyclicOrder((first,) + p) for p in permutations(rest)]
+    """Every ring of ``items`` up to rotation, smallest item first."""
+    first, *rest = sorted(items)
+    return [(first,) + p for p in permutations(rest)]
 
 
-def trees_census(max_vertices, budget=DEFAULT_BUDGET, collect_limit=5):
+def trees_census(max_vertices, budget=DEFAULT_BUDGET):
     """Criterion-vs-oracle agreement for all trees up to `max_vertices`."""
     if not 2 <= max_vertices <= 8:
         raise DiskDiagramError(
@@ -67,16 +69,14 @@ def trees_census(max_vertices, budget=DEFAULT_BUDGET, collect_limit=5):
             for extra in range(len(internal) + 1):
                 for add in combinations(internal, extra):
                     boundary = sorted(set(leaves) | set(add))
-                    for co in _cyclic_orders(boundary):
-                        verdict, _ = tree_is_disk_planar(edges, boundary, co)
-                        truth = brute_force_tree_embedding(
-                            edges, boundary, co, budget=budget
-                        )
+                    for ring in _cyclic_orders(boundary):
+                        verdict, _ = tree_is_disk_planar(edges, ring)
+                        truth = brute_force_tree_embedding(edges, ring, budget=budget)
                         instances += 1
                         if verdict == truth:
                             agreements += 1
-                        elif len(bad) < collect_limit:
-                            bad.append((tuple(edges), tuple(boundary), co))
+                        elif len(bad) < _COLLECT_LIMIT:
+                            bad.append((tuple(edges), ring))
         rows.append(
             TreesCensusRow(size, len(trees), instances, agreements, tuple(bad))
         )
@@ -123,11 +123,11 @@ def _posets(names):
     return out
 
 
-def _multigraphs(names, max_multiplicity=2):
+def _multigraphs(names):
     """Connected min-degree-2 multigraphs as edge-pair tuples."""
     slots = list(combinations(names, 2))
     out = []
-    for mults in product(range(max_multiplicity + 1), repeat=len(slots)):
+    for mults in product(range(_MAX_MULTIPLICITY + 1), repeat=len(slots)):
         edges = []
         for (a, b), m in zip(slots, mults):
             edges.extend([(a, b)] * m)

@@ -63,11 +63,10 @@ def check_A1(g, budget=DEFAULT_BUDGET):
     return ConditionReport("A1", False, (f"{len(crs)} qualifying cycles",) + wits), None
 
 
-def check_A2(dec, order=None):
+def check_A2(dec):
     """Forest shape, uniform comparison, and interior degree parity."""
-    if order is None:
-        order = dec.graph.order
     g = dec.graph
+    order = g.order
     wits = []
     for t in dec.trees:
         for v in sorted(g.vertices):
@@ -98,11 +97,10 @@ def check_A2(dec, order=None):
     return ConditionReport("A2", not wits, tuple(wits))
 
 
-def check_A3(dec, order=None):
+def check_A3(dec):
     """Per-vertex passage rules along the boundary cycle."""
-    if order is None:
-        order = dec.graph.order
     g = dec.graph
+    order = g.order
     gamma = dec.gamma
     wits = []
     for v in gamma.vertices:
@@ -146,45 +144,28 @@ class BoundaryPair:
 def boundary_pairs(dec, tree_index):
     """Attachment pairs of one tree that face foreign attachments.
 
-    A pair (v1, v2) of the tree's attachments qualifies when some open arc
-    of the boundary cycle between them contains no attachment of the same
-    tree but at least one attachment of another tree.  The qualifying arc
-    and the neighbors of v1, v2 inside it are returned with the pair; in
-    the degenerate situation where both arcs qualify, one entry per arc is
-    produced.
+    A pair (v1, v2) of the tree's attachments, v1 < v2, qualifies when
+    some open arc of the boundary cycle between them contains no
+    attachment of the same tree but at least one attachment of another
+    tree.  Such an arc is a gap between two attachments consecutive in the
+    tree's ring, so the gaps are walked once each.  The arc (from v1 to
+    v2) and the neighbors of v1, v2 inside it are returned with the pair;
+    a tree with two attachments has two gaps, and when both qualify the
+    pair appears once per arc.
     """
-    tree = dec.trees[tree_index]
-    vstar = tree.attach
-    all_attach = dec.attach_all()
-    gamma = dec.gamma
-    n = len(gamma.vertices)
+    ring = dec.ring(dec.trees[tree_index])
+    vs = dec.gamma.vertices
+    n = len(vs)
     out = []
-    order_on_gamma = {v: i for i, v in enumerate(gamma.vertices)}
-    pairs_done = set()
-    vs = sorted(vstar)
-    for i, v1 in enumerate(vs):
-        for v2 in vs[i + 1 :]:
-            i1, i2 = order_on_gamma[v1], order_on_gamma[v2]
-            for a, b in ((i1, i2), (i2, i1)):
-                arc = [gamma.vertices[(a + k) % n] for k in range(1, (b - a) % n)]
-                if any(x in vstar for x in arc):
-                    continue
-                if not any(x in all_attach for x in arc):
-                    continue
-                va, vb = gamma.vertices[a], gamma.vertices[b]
-                tilde = {va: arc[0], vb: arc[-1]}
-                key = (min(va, vb), max(va, vb), tuple(arc) if va < vb else tuple(reversed(arc)))
-                if key in pairs_done:
-                    continue
-                pairs_done.add(key)
-                out.append(
-                    BoundaryPair(
-                        tree_index,
-                        (v1, v2),
-                        tuple(arc) if va == v1 else tuple(reversed(arc)),
-                        (tilde[v1], tilde[v2]),
-                    )
-                )
+    for va, vb in zip(ring, ring[1:] + ring[:1]):
+        a, b = dec.position[va], dec.position[vb]
+        arc = tuple(vs[(a + k) % n] for k in range(1, (b - a) % n))
+        if not any(dec.tree_of(x) is not None for x in arc):
+            continue
+        if va < vb:
+            out.append(BoundaryPair(tree_index, (va, vb), arc, (arc[0], arc[-1])))
+        else:
+            out.append(BoundaryPair(tree_index, (vb, va), arc[::-1], (arc[-1], arc[0])))
     out.sort(key=lambda bp: (bp.pair, bp.alpha))
     return out
 

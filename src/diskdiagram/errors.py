@@ -31,23 +31,9 @@ class OrderCycle(DiskDiagramError):
 
 
 class NotInCarrier(DiskDiagramError):
-    def __init__(self, item, where=None):
+    def __init__(self, item):
         self.item = item
-        self.where = where
-        suffix = f" of the {where}" if where else ""
-        super().__init__(f"{item!r} is not in the carrier set{suffix}")
-
-
-class TooSmallCarrier(DiskDiagramError):
-    def __init__(self, size):
-        self.size = size
-        super().__init__(f"cyclic order on {size} element(s) has no adjacency structure")
-
-
-class NotASubset(DiskDiagramError):
-    def __init__(self, extra):
-        self.extra = frozenset(extra)
-        super().__init__(f"items {sorted(extra)} are outside the carrier")
+        super().__init__(f"{item!r} is not in the carrier set")
 
 
 class BudgetExceeded(DiskDiagramError):

@@ -7,6 +7,7 @@ edges counts as a simple cycle of length two.  Self-loops are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -312,18 +313,31 @@ class Decomposition:
         """Vertices of the graph not on the boundary cycle."""
         return frozenset(self.graph.vertices) - frozenset(self.gamma.vertices)
 
+    @cached_property
+    def position(self):
+        """Boundary vertex -> its index along ``gamma.vertices``."""
+        return {v: i for i, v in enumerate(self.gamma.vertices)}
+
+    @cached_property
+    def _tree_at(self):
+        return {v: t for t in self.trees for v in t.vertices}
+
+    @cached_property
+    def _rings(self):
+        rings = {t.index: [] for t in self.trees}
+        for v in self.gamma.vertices:
+            t = self.tree_of(v)
+            if t is not None:
+                rings[t.index].append(v)
+        return {i: tuple(ring) for i, ring in rings.items()}
+
     def tree_of(self, v):
         """The unique tree containing v, or None."""
-        for t in self.trees:
-            if v in t.vertices:
-                return t
-        return None
+        return self._tree_at.get(v)
 
-    def attach_all(self):
-        out = set()
-        for t in self.trees:
-            out |= t.attach
-        return frozenset(out)
+    def ring(self, tree):
+        """The tree's attachments in boundary order, from ``gamma``'s start."""
+        return self._rings[tree.index]
 
 
 def decompose(g, gamma):

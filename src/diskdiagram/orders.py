@@ -1,17 +1,15 @@
-"""Strict partial orders and cyclic orders.
+"""Strict partial orders.
 
 Vertices are identified by strings throughout.  A strict partial order is
 stored as its reach sets: for every element, the frozenset of the elements
 strictly above it.  The sets are closed under transitivity, so a
-comparison is one lookup in one set.  Cyclic orders are stored as a
-canonical circular sequence; with two or fewer elements the arrangement
-carries no information and only the carrier is kept.
+comparison is one lookup in one set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubset, NotInCarrier, OrderCycle, TooSmallCarrier
+from .errors import NotInCarrier, OrderCycle
 
 
 def transitive_closure(pairs):
@@ -183,83 +181,3 @@ def check_A4(order):
                     return A4Result(False, (v, a, b))
     return A4Result(True, None)
 
-
-class CyclicOrder:
-    """A circular arrangement of distinct items.
-
-    The arrangement is canonicalised by rotating the minimum item to the
-    front, so equal cyclic orders compare equal as objects.  Orientation is
-    kept; use ``same_up_to_reflection`` for the unoriented comparison.
-    Arrangements of one or two items are stored sorted: there is only one
-    circular arrangement of them.
-    """
-
-    __slots__ = ("items", "_pos")
-
-    def __init__(self, seq):
-        seq = tuple(seq)
-        if len(set(seq)) != len(seq):
-            raise ValueError(f"repeated items in cyclic order: {seq}")
-        if len(seq) <= 2:
-            items = tuple(sorted(seq))
-        else:
-            k = seq.index(min(seq))
-            items = seq[k:] + seq[:k]
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(items)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicOrder is immutable")
-
-    def __len__(self):
-        return len(self.items)
-
-    def __contains__(self, item):
-        return item in self._pos
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicOrder) and self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
-
-    def __repr__(self):
-        return f"CyclicOrder({list(self.items)})"
-
-    def index(self, item):
-        if item not in self._pos:
-            raise NotInCarrier(item)
-        return self._pos[item]
-
-    def adjacent(self, item):
-        """(predecessor, successor) of ``item`` along the arrangement."""
-        if len(self.items) <= 2:
-            raise TooSmallCarrier(len(self.items))
-        i = self.index(item)
-        n = len(self.items)
-        return self.items[(i - 1) % n], self.items[(i + 1) % n]
-
-    def adjacent_pairs(self):
-        """All consecutive pairs, one per circular gap."""
-        n = len(self.items)
-        if n < 2:
-            return ()
-        if n == 2:
-            return ((self.items[0], self.items[1]),)
-        return tuple(
-            (self.items[i], self.items[(i + 1) % n]) for i in range(n)
-        )
-
-    def restrict(self, subset):
-        """The arrangement induced on a subset, in the same orientation."""
-        subset = frozenset(subset)
-        extra = subset - set(self.items)
-        if extra:
-            raise NotASubset(extra)
-        return CyclicOrder(v for v in self.items if v in subset)
-
-    def reversed(self):
-        return CyclicOrder(tuple(reversed(self.items)))
-
-    def same_up_to_reflection(self, other):
-        return self == other or self == other.reversed()

@@ -1,12 +1,12 @@
 """Disk embeddings: trees against a marked circle, then whole graphs.
 
-A tree is *disk-planar* for a marked vertex subset (containing all its
-leaves) and a cyclic order on that subset when it embeds in the closed
-disk with exactly the marked vertices on the boundary circle, appearing
-in the prescribed circular sequence.  The whole graph embeds when every
-complement tree is disk-planar for the boundary-induced order on its
-attachments and distinct trees occupy nested, non-interleaving portions
-of the boundary.
+A tree is *disk-planar* for a ring, a sequence of distinct vertices
+read in circular order that contains all its leaves, when it embeds in
+the closed disk with exactly the ring's vertices on the boundary circle,
+in the ring's circular sequence.  The whole graph embeds when every
+complement tree is disk-planar for its attachments in boundary order
+and distinct trees occupy nested, non-interleaving portions of the
+boundary.
 
 `build_embedding` produces a rotation system realizing such an embedding
 and certifies itself by tracing faces: the Euler relation must hold and
@@ -22,56 +22,43 @@ from math import factorial
 from .errors import (
     BudgetExceeded,
     InvariantViolation,
-    NotInCarrier,
     NotInTree,
     NotPlanar,
     TerminalNotInVstar,
 )
 from .graph import DEFAULT_BUDGET, adjacency, tree_path
-from .orders import CyclicOrder
 
 
-def _validate_tree_input(edges, boundary):
+def _validate_tree_input(edges, ring):
+    marked = set(ring)
+    if len(marked) != len(ring):
+        raise ValueError(f"repeated vertex in ring {list(ring)}")
     adj = adjacency(edges)
-    vertices = set(adj)
-    for v in boundary:
-        if v not in vertices:
+    for v in ring:
+        if v not in adj:
             raise NotInTree(v)
     for v, es in adj.items():
-        if len(es) == 1 and v not in boundary:
+        if len(es) == 1 and v not in marked:
             raise TerminalNotInVstar(v)
     return adj
 
 
-def tree_is_disk_planar(edges, boundary, co=None):
+def tree_is_disk_planar(edges, ring):
     """Path-count criterion with per-edge diagnostics.
 
-    Each pair of circularly adjacent boundary vertices contributes its
-    unique tree path; the tree embeds iff every edge lies on exactly two
-    such paths.  Two boundary vertices embed unconditionally.
+    ``ring`` lists the boundary vertices in circular order.  Each pair of
+    circularly adjacent ring vertices contributes its unique tree path;
+    the tree embeds iff every edge lies on exactly two such paths.  A
+    ring of two vertices, whose tree is the path between them, passes
+    each edge twice and so always embeds.
     """
     edges = list(edges)
-    boundary = set(boundary)
-    adj = _validate_tree_input(edges, boundary)
+    ring = tuple(ring)
+    adj = _validate_tree_input(edges, ring)
     counts = {e: 0 for e in edges}
-    if len(boundary) >= 3:
-        if co is None:
-            raise InvariantViolation(
-                "a cyclic order is required for three or more boundary vertices"
-            )
-        if set(co.items) != boundary:
-            raise NotInCarrier(sorted(set(co.items) ^ boundary)[0], "cyclic order")
-        pairs = co.adjacent_pairs()
-    elif len(boundary) == 2:
-        b = sorted(boundary)
-        pairs = ((b[0], b[1]),)
-    else:
-        pairs = ()
-    for u, w in pairs:
+    for u, w in zip(ring, ring[1:] + ring[:1]):
         for e in tree_path(adj, u, w):
             counts[e] += 1
-    if len(boundary) <= 2:
-        return True, counts
     return all(c == 2 for c in counts.values()), counts
 
 
@@ -113,28 +100,21 @@ def _contour_sequence(adj, rotation, start_dart):
             return seq
 
 
-def brute_force_tree_embedding(edges, boundary, co=None, budget=DEFAULT_BUDGET):
+def brute_force_tree_embedding(edges, ring, budget=DEFAULT_BUDGET):
     """Ground-truth check by exhaustive rotation-system search.
 
     Enumerates every cyclic edge order at every vertex, walks the single
     contour of the tree drawing, and accepts when the contour passes the
-    boundary vertices in the requested circular sequence (one visit per
+    ring's vertices in the ring's circular sequence (one visit per
     vertex).  Mirror drawings arise as reversed rotation systems, so the
     requested sequence alone covers both orientations.
     """
     edges = list(edges)
-    boundary = set(boundary)
-    adj = _validate_tree_input(edges, boundary)
-    if len(boundary) >= 3:
-        if co is None:
-            raise InvariantViolation(
-                "a cyclic order is required for three or more boundary vertices"
-            )
-        if set(co.items) != boundary:
-            raise NotInCarrier(sorted(set(co.items) ^ boundary)[0], "cyclic order")
-        target = co.items
-    else:
+    ring = tuple(ring)
+    adj = _validate_tree_input(edges, ring)
+    if len(ring) < 3:
         return True
+    marked = set(ring)
     total = 1
     for es in adj.values():
         total *= factorial(len(es) - 1)
@@ -152,24 +132,26 @@ def brute_force_tree_embedding(edges, boundary, co=None, budget=DEFAULT_BUDGET):
     start = (min(e0.a, e0.b), e0)
     for combo in itertools.product(*choices):
         rotation = dict(zip(order, combo))
-        walk = [v for v in _contour_sequence(adj, rotation, start) if v in boundary]
-        if _contains_cyclic_subsequence(walk, list(target)):
+        walk = [v for v in _contour_sequence(adj, rotation, start) if v in marked]
+        if _contains_cyclic_subsequence(walk, list(ring)):
             return True
     return False
 
 
-def separation_ok(gamma, attach_sets):
-    """Every attach family must sit inside one gap of every other family."""
-    pos = {v: i for i, v in enumerate(gamma.vertices)}
-    for m, a_set in enumerate(attach_sets):
-        pa = sorted(pos[v] for v in a_set)
-        if len(pa) <= 1:
-            continue
-        for n_, b_set in enumerate(attach_sets):
+def separation_ok(dec):
+    """Every tree's attachments must sit inside one gap of every other tree's.
+
+    Returns ``(True, None)``, or ``(False, (m, n, b1, b2))`` when tree
+    ``n`` has attachments ``b1`` and ``b2`` in two gaps of tree ``m``.
+    """
+    pos = dec.position
+    for m, t in enumerate(dec.trees):
+        pa = [pos[v] for v in dec.ring(t)]
+        for n_, other in enumerate(dec.trees):
             if n_ == m:
                 continue
             gaps = {}
-            for b in sorted(b_set):
+            for b in sorted(other.attach):
                 gap = bisect_left(pa, pos[b]) % len(pa)
                 gaps.setdefault(gap, b)
             if len(gaps) > 1:
@@ -181,17 +163,15 @@ def separation_ok(gamma, attach_sets):
 def check_S2(dec):
     """Combined embedding test for a decomposed graph (condition S2)."""
     witnesses = []
-    full = CyclicOrder(dec.gamma.vertices)
     for t in dec.trees:
-        co = full.restrict(t.attach) if len(t.attach) >= 3 else None
-        ok, counts = tree_is_disk_planar(t.edges, t.attach, co)
+        ok, counts = tree_is_disk_planar(t.edges, dec.ring(t))
         if not ok:
             bad = sorted((e for e, c in counts.items() if c != 2), key=repr)
             witnesses.append(
                 f"tree {t.index} cannot embed with attachments in boundary order: "
                 f"edge {bad[0]} lies on {counts[bad[0]]} adjacent-pair paths (need 2)"
             )
-    sep, wit = separation_ok(dec.gamma, [t.attach for t in dec.trees])
+    sep, wit = separation_ok(dec)
     if not sep:
         m, n_, b1, b2 = wit
         witnesses.append(
@@ -286,12 +266,12 @@ def _subtree_vertices(tree, root, first_edge):
 def _sorted_tree_edges(tree, v, lin, cut):
     """Incident tree edges ordered by where their far attachments start.
 
-    `lin` maps each attachment to its index along the boundary circle in
-    travel direction; `cut` rebases the circle there (``lin[v]`` at an
-    attachment, 0 at an interior vertex).  The attachments reachable
-    through each edge must form one circular stretch (a consequence of
-    disk-planarity), and edges are returned by the rebased start of
-    their stretch.  No stretch is the whole circle: the stretches of the
+    `lin` maps each attachment to its index in its tree's ring; `cut`
+    rebases the ring there (``lin[v]`` at an attachment, the index of the
+    smallest attachment name at an interior vertex).  The attachments
+    reachable through each edge must form one circular stretch (a
+    consequence of disk-planarity), and edges are returned by the
+    rebased start of their stretch.  No stretch is the whole circle: the stretches of the
     edges at `v` partition its tree's attachments, every tree leaf is an
     attachment, and `v` has degree at least two.
     """
@@ -354,15 +334,7 @@ def build_embedding(dec):
     """
     g, gamma = dec.graph, dec.gamma
     n = len(gamma.vertices)
-    full = CyclicOrder(gamma.vertices)
-    gamma_pos = {v: i for i, v in enumerate(gamma.vertices)}
-    attach_lin = {}
-    for t in dec.trees:
-        if len(t.attach) >= 3:
-            items = full.restrict(t.attach).items
-        else:
-            items = tuple(sorted(t.attach, key=lambda v: gamma_pos[v]))
-        attach_lin[t.index] = {x: i for i, x in enumerate(items)}
+    attach_lin = {t.index: {x: i for i, x in enumerate(dec.ring(t))} for t in dec.trees}
     rotation = {}
     for i, v in enumerate(gamma.vertices):
         e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]
@@ -375,8 +347,9 @@ def build_embedding(dec):
             rotation[v] = (e_next, *tree_edges, e_prev)
     for t in dec.trees:
         lin = attach_lin[t.index]
+        cut = lin[min(t.attach)]
         for v in sorted(t.vertices - t.attach):
-            rotation[v] = _sorted_tree_edges(t, v, lin, 0)
+            rotation[v] = _sorted_tree_edges(t, v, lin, cut)
     walks, dart_face = trace_faces(rotation, g.edges)
     n_faces = len(walks)
     if len(g.vertices) - len(g.edges) + n_faces != 2:

@@ -165,11 +165,12 @@ def induced_order(heights):
 # coordinates
 
 
-def _gamma_positions(gamma):
+def _gamma_positions(gamma, jitter=0.0):
+    """Boundary vertices on the unit circle; the i-th turns by ``jitter * (i + 1)``."""
     n = len(gamma.vertices)
     out = {}
     for i, v in enumerate(gamma.vertices):
-        th = math.pi / 2 + 2 * math.pi * i / n
+        th = math.pi / 2 + 2 * math.pi * i / n + jitter * (i + 1)
         out[v] = np.array([math.cos(th), math.sin(th)])
     return out
 
@@ -306,27 +307,20 @@ def assign_coords(emb):
     """Unit-circle boundary placement plus interior averaging per tree.
 
     If the averaged drawing degenerates (coincident points, crossings,
-    or an edge passing through a foreign vertex), the solve is retried
-    with slightly perturbed anchor angles; a second failure raises
+    or an edge passing through a foreign vertex), the trees are solved
+    again against slightly perturbed anchor angles, while the boundary
+    vertices keep their places; a second failure raises
     DegenerateDrawing.
     """
     dec = emb.decomposition
     base = _gamma_positions(dec.gamma)
-    coords = {v: p.copy() for v, p in base.items()}
-    for t in dec.trees:
-        coords.update(_solve_tree_positions(t, base))
-    if _coords_valid(dec, coords):
-        return emb.with_coords(coords)
-    n = len(dec.gamma.vertices)
-    jittered = {}
-    for i, v in enumerate(dec.gamma.vertices):
-        th = math.pi / 2 + 2 * math.pi * i / n + 1e-3 * (i + 1)
-        jittered[v] = np.array([math.cos(th), math.sin(th)])
-    coords = {v: p.copy() for v, p in base.items()}
-    for t in dec.trees:
-        coords.update(_solve_tree_positions(t, jittered))
-    if _coords_valid(dec, coords):
-        return emb.with_coords(coords)
+    for jitter in (0.0, 1e-3):
+        anchors = _gamma_positions(dec.gamma, jitter)
+        coords = {v: p.copy() for v, p in base.items()}
+        for t in dec.trees:
+            coords.update(_solve_tree_positions(t, anchors))
+        if _coords_valid(dec, coords):
+            return emb.with_coords(coords)
     raise DegenerateDrawing("tree placement produced a degenerate drawing")
 
 
@@ -455,13 +449,14 @@ def _path_level(darts, heights, face_index):
     return levels.pop()
 
 
-def _arc_points(dart, emb, heights, gamma_pos, n):
+def _arc_points(dart, heights, position):
     """Sample positions/values along one boundary edge, endpoint excluded."""
     u, e = dart
     w = e.other(u)
-    if (gamma_pos[w] - gamma_pos[u]) % n != 1:
+    n = len(position)
+    if (position[w] - position[u]) % n != 1:
         raise InvariantViolation("inner face traverses the boundary backwards")
-    th0 = math.pi / 2 + 2 * math.pi * gamma_pos[u] / n
+    th0 = math.pi / 2 + 2 * math.pi * position[u] / n
     step = 2 * math.pi / n
     hu, hw = heights.value[u], heights.value[w]
     pts, vals = [], []
@@ -473,7 +468,7 @@ def _arc_points(dart, emb, heights, gamma_pos, n):
     return pts, vals
 
 
-def _face_polygon(runs, emb, heights, gamma_pos, n):
+def _face_polygon(runs, emb, heights):
     """Polygon points and values: each boundary arc, then its tree path.
 
     ``runs`` holds (arc darts, path darts, path level) triples in walk
@@ -482,7 +477,7 @@ def _face_polygon(runs, emb, heights, gamma_pos, n):
     pts, vals = [], []
     for arc, path, level in runs:
         for dart in arc:
-            ps, vs = _arc_points(dart, emb, heights, gamma_pos, n)
+            ps, vs = _arc_points(dart, heights, emb.decomposition.position)
             pts += ps
             vals += vs
         pts += [tuple(emb.coords[u]) for u, _ in path]
@@ -490,7 +485,8 @@ def _face_polygon(runs, emb, heights, gamma_pos, n):
     return np.array(pts), np.array(vals)
 
 
-def _build_one_arc(face, emb, heights, gamma_pos, n, dec):
+def _build_one_arc(face, emb, heights):
+    dec = emb.decomposition
     runs = _rotated_runs(face)
     if len(runs) != 2 or runs[0][0] != "arc" or runs[1][0] != "path":
         raise ArcStructureViolation(face.index, "expected one arc and one path")
@@ -509,12 +505,13 @@ def _build_one_arc(face, emb, heights, gamma_pos, n, dec):
     if c == c_i:
         raise InvariantViolation(f"face {face.index}: extremum level equals tree level")
     tree = dec.tree_of(path[0][0])
-    pts, vals = _face_polygon(((arc, path, c_i),), emb, heights, gamma_pos, n)
+    pts, vals = _face_polygon(((arc, path, c_i),), emb, heights)
     tris = _ear_clip(pts, vals)
     return FaceMap(face.index, ((tree.index, c_i, c),), pts, vals, tris)
 
 
-def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
+def _build_two_arc(face, emb, heights):
+    dec = emb.decomposition
     runs = _rotated_runs(face)
     kinds = [k for k, _ in runs]
     if kinds == ["arc", "arc"]:
@@ -540,7 +537,7 @@ def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
     if path_p:
         sides.append((dec.tree_of(path_p[0][0]).index, c_top, c_bottom))
     pts, vals = _face_polygon(
-        ((arc_a, path_p, c_top), (arc_b, path_q, c_bottom)), emb, heights, gamma_pos, n
+        ((arc_a, path_p, c_top), (arc_b, path_q, c_bottom)), emb, heights
     )
     tris = _ear_clip(pts, vals)
     return FaceMap(face.index, tuple(sides), pts, vals, tris)
@@ -548,19 +545,15 @@ def _build_two_arc(face, emb, heights, gamma_pos, n, dec):
 
 def extend_to_faces(emb, heights):
     """Build the face maps of a placed embedding into a DiskFunction."""
-    dec = emb.decomposition
-    gamma = dec.gamma
-    n = len(gamma.vertices)
-    gamma_pos = {v: i for i, v in enumerate(gamma.vertices)}
     maps = []
     for face in emb.faces:
         if face.is_outer:
             continue
         arcs = face.arc_count()
         if arcs == 1:
-            maps.append(_build_one_arc(face, emb, heights, gamma_pos, n, dec))
+            maps.append(_build_one_arc(face, emb, heights))
         elif arcs == 2:
-            maps.append(_build_two_arc(face, emb, heights, gamma_pos, n, dec))
+            maps.append(_build_two_arc(face, emb, heights))
         else:
             raise ArcStructureViolation(face.index, f"face has {arcs} boundary arcs")
     return DiskFunction(emb, heights, tuple(maps))
@@ -670,13 +663,14 @@ class DiskFunction:
         rim = (1 - t) * h0 + t * h1
         return chord + np.clip(w, 0.0, 1.0) * (rim - chord)
 
-    def _in_triangles(self, pts, rows, eps=1e-9):
+    def _in_triangles(self, pts, rows):
         """Linear interpolation on the triangles ``_triangles[rows]``.
 
         A point takes its value from the first of these triangles that
-        holds it, with barycentric weights within `eps` of [0, 1]; it is
+        holds it, with barycentric weights within 1e-9 of [0, 1]; it is
         NaN where none does.
         """
+        eps = 1e-9
         out = np.full(len(pts), np.nan)
         p, v = self._tri_points, self._tri_values
         for i0, i1, i2 in self._triangles[rows]:
@@ -697,7 +691,7 @@ class DiskFunction:
             out[rem] = tmp
         return out
 
-    def evaluate_in_face(self, face_index, pts, eps=1e-9):
+    def evaluate_in_face(self, face_index, pts):
         """Values of points on one face's triangles; NaN outside the face.
 
         The triangles cover the face's polygon, whose rim arcs are
@@ -705,7 +699,7 @@ class DiskFunction:
         here too.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._in_triangles(pts, self._face_rows[face_index], eps)
+        return self._in_triangles(pts, self._face_rows[face_index])
 
     def evaluate_many(self, pts):
         """Vectorized evaluation of points in the closed disk.
@@ -920,7 +914,7 @@ def _face_tree_signs(face_maps):
     return signs
 
 
-def sign_census(f, dec=None):
+def sign_census(f):
     """Alternation of face signs around every tree vertex.
 
     Every face touching a tree is above or below its level; around an
@@ -931,8 +925,7 @@ def sign_census(f, dec=None):
     even degree.
     """
     emb = f.embedding
-    if dec is None:
-        dec = emb.decomposition
+    dec = emb.decomposition
     g = dec.graph
     heights = f.heights
     face_sign = _face_tree_signs(f.face_maps)
@@ -982,7 +975,7 @@ def sign_census(f, dec=None):
                     witnesses.append(
                         f"even-degree vertex {v}: chain ends carry opposite signs"
                     )
-                i_gamma = dec.gamma.vertices.index(v)
+                i_gamma = dec.position[v]
                 nxt = dec.gamma.vertices[(i_gamma + 1) % len(dec.gamma.vertices)]
                 prv = dec.gamma.vertices[i_gamma - 1]
                 want_first = 1 if heights.value[nxt] > c_k else -1

@@ -58,11 +58,21 @@ def ladder():
     }
 
 
+def _load_script(name):
+    """The module of scripts/<name>.py, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def load_script():
+    return _load_script
+
+
 @pytest.fixture(scope="session")
 def check_instance():
     """The invariant audit of scripts/run_corpus.py."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
-    spec = importlib.util.spec_from_file_location("run_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.check_instance
+    return _load_script("run_corpus").check_instance

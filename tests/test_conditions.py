@@ -5,6 +5,7 @@ import pytest
 
 from diskdiagram.census import census_inputs, graphs_census
 from diskdiagram.conditions import (
+    BoundaryPair,
     boundary_pairs,
     check_A1,
     check_A2,
@@ -13,7 +14,8 @@ from diskdiagram.conditions import (
     find_cr_cycles,
     is_delta_graph,
 )
-from diskdiagram.fixtures import EXPECTED, build
+from diskdiagram.families import build_instance, corpus_specs, ladder_spec
+from diskdiagram.fixtures import EXPECTED, build, raw
 from diskdiagram.graph import Cycle, build_graph, decompose, simple_cycles
 
 CONDITION_SEQUENCE = ("A1", "A2", "S2", "S3", "A3")
@@ -243,18 +245,54 @@ class TestA3:
         assert report.passed
 
     def test_split_tree_neighbors_rejected(self):
-        g = build("G4")
-        _, gamma = check_A1(g)
-        dec = decompose(g, gamma)
+        vertices, edges, _ = raw("G4")
         bad_order = [
             ("m", "a1"), ("m", "b1"), ("a1", "a2"), ("a1", "b2"),
             ("b1", "a2"), ("b1", "b2"), ("M", "a2"), ("M", "b2"),
         ]
-        from diskdiagram.orders import StrictPartialOrder
+        v = is_delta_graph(build_graph(vertices, edges, bad_order))
+        assert v.failed_condition() == "A3"
+        witnesses = v.reports[-1].witnesses
+        assert any("a2" in w for w in witnesses)
+        assert any("b2" in w for w in witnesses)
 
-        order = StrictPartialOrder.from_pairs(g.vertices, bad_order)
-        report = check_A3(dec, order=order)
-        assert not report.passed
+
+def all_pairs_boundary_pairs(dec, tree_index):
+    """Reference: every attachment pair of the tree, both arcs each."""
+    tree = dec.trees[tree_index]
+    vstar = tree.attach
+    all_attach = frozenset().union(*(t.attach for t in dec.trees))
+    gamma = dec.gamma
+    n = len(gamma.vertices)
+    out = []
+    order_on_gamma = {v: i for i, v in enumerate(gamma.vertices)}
+    pairs_done = set()
+    vs = sorted(vstar)
+    for i, v1 in enumerate(vs):
+        for v2 in vs[i + 1 :]:
+            i1, i2 = order_on_gamma[v1], order_on_gamma[v2]
+            for a, b in ((i1, i2), (i2, i1)):
+                arc = [gamma.vertices[(a + k) % n] for k in range(1, (b - a) % n)]
+                if any(x in vstar for x in arc):
+                    continue
+                if not any(x in all_attach for x in arc):
+                    continue
+                va, vb = gamma.vertices[a], gamma.vertices[b]
+                tilde = {va: arc[0], vb: arc[-1]}
+                key = (min(va, vb), max(va, vb), tuple(arc) if va < vb else tuple(reversed(arc)))
+                if key in pairs_done:
+                    continue
+                pairs_done.add(key)
+                out.append(
+                    BoundaryPair(
+                        tree_index,
+                        (v1, v2),
+                        tuple(arc) if va == v1 else tuple(reversed(arc)),
+                        (tilde[v1], tilde[v2]),
+                    )
+                )
+    out.sort(key=lambda bp: (bp.pair, bp.alpha))
+    return out
 
 
 class TestBoundaryPairs:
@@ -288,6 +326,34 @@ class TestBoundaryPairs:
         _, gamma = check_A1(g)
         dec = decompose(g, gamma)
         assert boundary_pairs(dec, 0) == []
+
+    def test_two_attachment_root_faces_both_arcs(self):
+        spec = next(s for s in corpus_specs() if s.name == "chord2[c2(e),c2(e)]")
+        dec = is_delta_graph(build_instance(spec, "minimal")).decomposition
+        root = dec.tree_of("t0a0")
+        assert root.attach == {"t0a0", "t0a1"}
+        bps = boundary_pairs(dec, root.index)
+        assert [(bp.pair, bp.alpha) for bp in bps] == [
+            (("t0a0", "t0a1"), ("t1a0", "x0", "t1a1")),
+            (("t0a0", "t0a1"), ("t2a1", "x1", "t2a0")),
+        ]
+        assert bps == all_pairs_boundary_pairs(dec, root.index)
+
+    def test_equals_all_pairs_reference(self, graphs, corpus, ladder, census_slice):
+        cases = list(graphs.values()) + [g for _, _, g in corpus]
+        cases += list(ladder.values())
+        cases += [build_instance(ladder_spec(4), m) for m in ("minimal", "saturated")]
+        cases += census_slice
+        trees = 0
+        for g in cases:
+            dec = is_delta_graph(g).decomposition
+            if dec is None:
+                continue
+            for t in dec.trees:
+                want = all_pairs_boundary_pairs(dec, t.index)
+                assert boundary_pairs(dec, t.index) == want
+                trees += 1
+        assert trees > 0
 
     def test_alpha_avoids_own_attachments(self, verdicts):
         for name in ("G4", "hybrid"):

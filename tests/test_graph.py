@@ -232,6 +232,8 @@ class TestDecompose:
         assert dec.interior_vertices() == frozenset({"c"})
         assert dec.tree_of("c") is t
         assert dec.tree_of("m1") is None
+        assert dec.ring(t) == ("w1", "w2", "w3", "w4")
+        assert [dec.position[v] for v in ring] == list(range(8))
 
     def test_g1_alternate_cycle_puts_peak_inside(self):
         g = build("G1")

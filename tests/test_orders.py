@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskdiagram.errors import (
-    NotASubset,
-    NotInCarrier,
-    OrderCycle,
-    TooSmallCarrier,
-)
+from diskdiagram.errors import OrderCycle
 from diskdiagram.orders import (
     A4Result,
-    CyclicOrder,
     StrictPartialOrder,
     check_A4,
     transitive_closure,
@@ -222,57 +216,3 @@ class TestA4:
         o = order_of([], carrier={"a", "b", "c"})
         assert check_A4(o).passed
 
-
-class TestCyclicOrder:
-    def test_canonical_rotation(self):
-        assert CyclicOrder("cab").items == ("a", "b", "c")
-        assert CyclicOrder("bca") == CyclicOrder("cab")
-
-    def test_orientation_kept(self):
-        assert CyclicOrder("acb") != CyclicOrder("abc")
-        assert CyclicOrder("acb").same_up_to_reflection(CyclicOrder("abc"))
-
-    def test_adjacent(self):
-        co = CyclicOrder(["w1", "w2", "w3", "w4"])
-        assert co.adjacent("w2") == ("w1", "w3")
-        assert co.adjacent("w4") == ("w3", "w1")
-        assert CyclicOrder("xyz").adjacent("x") == ("z", "y")
-
-    def test_adjacent_too_small(self):
-        with pytest.raises(TooSmallCarrier):
-            CyclicOrder("ab").adjacent("a")
-
-    def test_adjacent_not_in_carrier(self):
-        with pytest.raises(NotInCarrier):
-            CyclicOrder("abc").adjacent("q")
-
-    def test_restrict(self):
-        co = CyclicOrder(["w1", "M1", "w2", "m1", "w3", "M2", "w4", "m2"])
-        assert co.restrict({"w1", "w2", "w3", "w4"}) == CyclicOrder(
-            ["w1", "w2", "w3", "w4"]
-        )
-
-    def test_restrict_two_elements_degenerate(self):
-        co = CyclicOrder("abcd")
-        assert co.restrict({"c", "a"}).items == ("a", "c")
-
-    def test_restrict_identity_and_not_subset(self):
-        co = CyclicOrder("abcd")
-        assert co.restrict(set("abcd")) == co
-        with pytest.raises(NotASubset):
-            co.restrict({"a", "q"})
-
-    def test_restrict_functorial(self):
-        co = CyclicOrder("abcdef")
-        assert co.restrict(set("abcde")).restrict(set("ace")) == co.restrict(
-            set("ace")
-        )
-
-    @given(st.permutations(list(range(5))))
-    @settings(max_examples=40, deadline=None)
-    def test_neighbor_inverse_property(self, perm):
-        co = CyclicOrder(perm)
-        for a in perm:
-            prev_a, next_a = co.adjacent(a)
-            assert co.adjacent(next_a)[0] == a
-            assert co.adjacent(prev_a)[1] == a

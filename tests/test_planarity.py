@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from diskdiagram.errors import (
     BudgetExceeded,
     InvariantViolation,
-    NotInCarrier,
     NotInTree,
     NotPlanar,
     TerminalNotInVstar,
 )
 from diskdiagram.graph import make_edges
-from diskdiagram.orders import CyclicOrder
 from diskdiagram.planarity import (
     brute_force_tree_embedding,
     build_embedding,
@@ -33,51 +31,47 @@ def edges(pairs):
 class TestTreeCriterion:
     def test_star_embeds_any_order(self):
         for perm in (("w1", "w2", "w3", "w4"), ("w1", "w3", "w2", "w4")):
-            ok, counts = tree_is_disk_planar(
-                edges(STAR), {"w1", "w2", "w3", "w4"}, CyclicOrder(perm)
-            )
+            ok, counts = tree_is_disk_planar(edges(STAR), perm)
             assert ok
             assert set(counts.values()) == {2}
 
     def test_double_y_separating_order(self):
-        ok, counts = tree_is_disk_planar(
-            edges(DOUBLE_Y), {"a", "b", "c", "d"}, CyclicOrder(("a", "b", "c", "d"))
-        )
+        ok, counts = tree_is_disk_planar(edges(DOUBLE_Y), ("a", "b", "c", "d"))
         assert ok
 
     def test_double_y_interleaving_order(self):
-        ok, counts = tree_is_disk_planar(
-            edges(DOUBLE_Y), {"a", "b", "c", "d"}, CyclicOrder(("a", "c", "b", "d"))
-        )
+        ok, counts = tree_is_disk_planar(edges(DOUBLE_Y), ("a", "c", "b", "d"))
         assert not ok
         bridge = next(e for e in counts if e.touches("c1") and e.touches("c2"))
         assert counts[bridge] == 4
 
     def test_two_boundary_vertices_always_embed(self):
-        ok, counts = tree_is_disk_planar(edges([("a", "b")]), {"a", "b"})
+        ok, counts = tree_is_disk_planar(edges([("a", "b")]), ("a", "b"))
         assert ok
+        assert brute_force_tree_embedding(edges([("a", "b")]), ("b", "a"))
 
     def test_leaf_outside_boundary_rejected(self):
         with pytest.raises(TerminalNotInVstar):
-            tree_is_disk_planar(edges(STAR), {"w1", "w2", "w3"}, CyclicOrder("w1 w2 w3".split()))
+            tree_is_disk_planar(edges(STAR), ("w1", "w2", "w3"))
 
     def test_boundary_vertex_outside_tree_rejected(self):
         with pytest.raises(NotInTree):
-            tree_is_disk_planar(
-                edges(STAR),
-                {"w1", "w2", "w3", "w4", "zz"},
-                CyclicOrder("w1 w2 w3 w4 zz".split()),
-            )
+            tree_is_disk_planar(edges(STAR), ("w1", "w2", "w3", "w4", "zz"))
 
-    def test_missing_cyclic_order_rejected(self):
-        with pytest.raises(InvariantViolation):
-            tree_is_disk_planar(edges(STAR), {"w1", "w2", "w3", "w4"})
+    def test_repeated_ring_vertex_rejected(self):
+        for check in (tree_is_disk_planar, brute_force_tree_embedding):
+            with pytest.raises(ValueError):
+                check(edges(STAR), ("w1", "w2", "w3", "w4", "w1"))
 
-    def test_mismatched_cyclic_order_rejected(self):
-        with pytest.raises(NotInCarrier):
-            tree_is_disk_planar(
-                edges(STAR), {"w1", "w2", "w3", "w4"}, CyclicOrder("w1 w2 w3".split())
-            )
+    def test_same_answer_for_every_rotation(self):
+        for ring in (("a", "b", "c", "d"), ("a", "c", "b", "d")):
+            verdicts = set()
+            for k in range(len(ring)):
+                rotated = ring[k:] + ring[:k]
+                ok, counts = tree_is_disk_planar(edges(DOUBLE_Y), rotated)
+                brute = brute_force_tree_embedding(edges(DOUBLE_Y), rotated)
+                verdicts.add((ok, brute, tuple(sorted(counts.items()))))
+            assert len(verdicts) == 1, ring
 
 
 class TestOracle:
@@ -87,18 +81,15 @@ class TestOracle:
             (("a", "c", "b", "d"), False),
             (("a", "b", "d", "c"), True),
         ):
-            co = CyclicOrder(perm)
-            ok, _ = tree_is_disk_planar(edges(DOUBLE_Y), set("abcd"), co)
-            brute = brute_force_tree_embedding(edges(DOUBLE_Y), set("abcd"), co)
+            ok, _ = tree_is_disk_planar(edges(DOUBLE_Y), perm)
+            brute = brute_force_tree_embedding(edges(DOUBLE_Y), perm)
             assert ok == brute == want, perm
 
     def test_budget_guard(self):
         star9 = [("c", f"w{i}") for i in range(8)]
         names = [f"w{i}" for i in range(8)]
         with pytest.raises(BudgetExceeded):
-            brute_force_tree_embedding(
-                edges(star9), set(names), CyclicOrder(names), budget=10
-            )
+            brute_force_tree_embedding(edges(star9), tuple(names), budget=10)
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
@@ -125,22 +116,17 @@ class TestOracle:
             else st.just(set()),
             label="extra",
         )
-        boundary = leaves | extra
-        if len(boundary) < 3:
-            co = None
-        else:
-            co = CyclicOrder(data.draw(st.permutations(sorted(boundary)), label="co"))
-        ok, _ = tree_is_disk_planar(es, boundary, co)
-        if co is None:
+        ring = tuple(data.draw(st.permutations(sorted(leaves | extra)), label="ring"))
+        ok, _ = tree_is_disk_planar(es, ring)
+        assert ok == brute_force_tree_embedding(es, ring)
+        if len(ring) < 3:
             assert ok
-        else:
-            assert ok == brute_force_tree_embedding(es, boundary, co)
 
 
 class TestSeparation:
     def test_nested_families_ok(self, verdicts):
         dec = verdicts["G4"].decomposition
-        ok, wit = separation_ok(dec.gamma, [t.attach for t in dec.trees])
+        ok, wit = separation_ok(dec)
         assert ok and wit is None
 
     def test_interleaved_families_rejected(self, graphs):
@@ -150,7 +136,7 @@ class TestSeparation:
         g = graphs["interleaved"]
         _, gamma = check_A1(g)
         dec = decompose(g, gamma)
-        ok, wit = separation_ok(dec.gamma, [t.attach for t in dec.trees])
+        ok, wit = separation_ok(dec)
         assert not ok
         m, n_, b1, b2 = wit
         assert m != n_
