@@ -6,6 +6,7 @@ Exit codes: 0 = accepted / success, 1 = input graph rejected,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,7 +134,13 @@ def cmd_enumerate(args):
     return 0
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process.
+
+    `parse_args` does not modify the parser, so every `main` call can
+    share it; building it costs more than deciding a small graph.
+    """
     p = argparse.ArgumentParser(
         prog="diskdiagram",
         description=(

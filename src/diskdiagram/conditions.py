@@ -68,8 +68,9 @@ def check_A2(dec):
     g = dec.graph
     order = g.order
     wits = []
+    vertices = sorted(g.vertices)
     for t in dec.trees:
-        for v in sorted(g.vertices):
+        for v in vertices:
             rest = t.vertices - {v}
             if not rest:
                 continue

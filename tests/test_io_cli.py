@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import string
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskdiagram import cli
 from diskdiagram.cli import main
 from diskdiagram.errors import MalformedFile, UnknownId
 from diskdiagram.fixtures import build
@@ -336,6 +338,91 @@ class TestBudgetEnv:
     def test_generous_budget_ok(self, files, capsys, monkeypatch):
         monkeypatch.setenv("DELTA_BUDGET", "100000")
         assert main(["check", files["G1"]]) == 0
+
+    def test_read_on_every_call(self, files, capsys, monkeypatch):
+        assert main(["check", files["G1"]]) == 0
+        monkeypatch.setenv("DELTA_BUDGET", "2")
+        assert main(["check", files["G1"]]) == 2
+        assert "step budget" in capsys.readouterr().err
+        monkeypatch.delenv("DELTA_BUDGET")
+        assert main(["check", files["G1"]]) == 0
+
+
+def _subparsers(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestParserReuse:
+    def calls(self, files, tmp_path):
+        svg = str(tmp_path / "w.svg")
+        return [
+            ["check", files["G1"]],
+            ["nonsense", files["G1"]],
+            ["check", files["G3"], "--json"],
+            ["realize", files["G1"], "--out", svg],
+            ["check", str(tmp_path / "absent.json")],
+            ["realize", files["G3"], "--out", svg, "--levels", "9", "--strict-order"],
+            ["realize", files["G1"]],
+            ["embed", files["G3"], "--format", "json"],
+            ["check", files["interleaved"]],
+            ["embed", files["G1"], "--format", "dot"],
+            ["enumerate", "--max", "3", "--mode", "graphs"],
+            ["realize", files["G1"], "--out", svg],
+            ["check", files["G1"]],
+            ["realize", "--help"],
+            ["--help"],
+        ]
+
+    def outcomes(self, calls, tmp_path, capsys):
+        svg = tmp_path / "w.svg"
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            drawn = svg.read_bytes() if svg.exists() else None
+            svg.unlink(missing_ok=True)
+            seen.append((argv, code, out, err, drawn))
+        return seen
+
+    def test_cached_parser_matches_fresh(self, files, tmp_path, capsys, monkeypatch):
+        assert cli.make_parser() is cli.make_parser()
+        calls = self.calls(files, tmp_path)
+        cached = self.outcomes(calls, tmp_path, capsys)
+        monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+        fresh = self.outcomes(calls, tmp_path, capsys)
+        assert cached == fresh
+        codes = [code for _, code, *_ in cached]
+        assert codes == [0, 2, 0, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0]
+        assert cached[3][4].startswith(b"<?xml")
+        assert cached[5][4] != cached[3][4]
+
+    def test_help_text_matches_fresh(self):
+        cached = cli.make_parser()
+        fresh = cli.make_parser.__wrapped__()
+        assert cached.format_help() == fresh.format_help()
+        subs, fresh_subs = _subparsers(cached), _subparsers(fresh)
+        assert list(subs) == ["check", "realize", "embed", "enumerate"]
+        assert list(subs) == list(fresh_subs)
+        for name, sub in subs.items():
+            assert sub.format_help() == fresh_subs[name].format_help(), name
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_main(self, files, capsys):
+        expected = main(["check", files["interleaved"]])
+        proc = subprocess.run(
+            [sys.executable, "-m", "diskdiagram", "check", files["interleaved"]],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (expected, capsys.readouterr().out)
+        assert expected == 1
 
 
 def readme_block(heading, lang):
