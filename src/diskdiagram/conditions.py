@@ -74,7 +74,7 @@ def check_A2(dec):
             rest = t.vertices - {v}
             if not rest:
                 continue
-            below = {w for w in rest if order.lt(w, v)}
+            below = rest & order.below[v]
             above = rest & order.above[v]
             if below and below != rest:
                 wits.append(

@@ -299,8 +299,12 @@ class TreeComponent:
     attach: frozenset  # vertices shared with the boundary cycle
     terminal: frozenset  # leaves within the component
 
+    @cached_property
+    def _adjacency(self):
+        return adjacency(self.edges)
+
     def incident(self, v):
-        return tuple(e for e in self.edges if e.touches(v))
+        return self._adjacency.get(v, ())
 
 
 @dataclass(frozen=True)

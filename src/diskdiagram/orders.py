@@ -8,6 +8,7 @@ comparison is one lookup in one set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotInCarrier, OrderCycle
 
@@ -88,6 +89,7 @@ class StrictPartialOrder:
 
     ``above[v]`` is the frozenset of the elements strictly above ``v``;
     every carrier element has an entry, so the carrier is the key set.
+    ``below`` is the mirror map, built from ``above`` on first read.
     Two orders are equal when they relate the same elements the same way.
     """
 
@@ -113,6 +115,15 @@ class StrictPartialOrder:
                     raise NotInCarrier(x)
         reach = transitive_closure(pairs)
         return cls({v: reach.get(v, _NONE) for v in carrier})
+
+    @cached_property
+    def below(self):
+        """v -> frozenset of every u with u < v."""
+        below = {v: [] for v in self.above}
+        for u, ws in self.above.items():
+            for w in ws:
+                below[w].append(u)
+        return {v: frozenset(us) for v, us in below.items()}
 
     @property
     def carrier(self):
@@ -157,16 +168,9 @@ def check_A4(order):
     pair of different kinds is scanned for its first separating v.
     Returns the first violation as (v, a, b).
     """
-    above = order.above
-    below = {v: set() for v in above}
-    for v, ws in above.items():
-        for w in ws:
-            below[w].add(v)
+    above, below = order.above, order.below
     kinds = {}
-    kind = {
-        v: kinds.setdefault((ws, frozenset(below[v])), len(kinds))
-        for v, ws in above.items()
-    }
+    kind = {v: kinds.setdefault((ws, below[v]), len(kinds)) for v, ws in above.items()}
     items = sorted(above)
     for i, a in enumerate(items):
         for b in items[i + 1 :]:

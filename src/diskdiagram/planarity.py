@@ -296,7 +296,11 @@ def _sorted_tree_edges(tree, v, lin, cut):
 
 
 def _face_runs(darts, gamma_edge_set, two_vertex_gamma):
-    """Split a face walk into maximal boundary arcs and tree-path runs."""
+    """Split a face walk into maximal boundary arcs and tree-path runs.
+
+    The first run is always a boundary arc; when the walk has a tree
+    path, arcs and paths alternate from there.
+    """
     kinds = ["arc" if e in gamma_edge_set else "path" for _, e in darts]
     m = len(darts)
     if all(k == "arc" for k in kinds):
@@ -307,8 +311,8 @@ def _face_runs(darts, gamma_edge_set, two_vertex_gamma):
         return (("arc", tuple(darts)),)
     if all(k == "path" for k in kinds):
         raise InvariantViolation("face without any boundary edge")
-    # rotate so the walk starts at a run boundary
-    start = next(i for i in range(m) if kinds[i] != kinds[i - 1])
+    # rotate so the walk starts where a boundary arc begins
+    start = next(i for i in range(m) if (kinds[i - 1], kinds[i]) == ("path", "arc"))
     darts = darts[start:] + darts[:start]
     kinds = kinds[start:] + kinds[:start]
     runs = []

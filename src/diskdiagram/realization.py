@@ -5,14 +5,18 @@ monotone integer height per block; place the boundary cycle on the unit
 circle and solve for interior tree positions; then extend the heights
 continuously over every face.  An inner face is either a one-arc face
 (one boundary extremum between two visits of a single tree) or a
-two-arc face (a band between two levels).  Its boundary is sampled into
-a polygon — circle arcs with heights interpolated between their end
-vertices, tree paths at their tree's level — and ear-clipped into
-triangles; the function is linear on each triangle, so it agrees with
-the vertex heights, is constant on every tree, and stays between the
-face's two defining levels.  The same triangles give every level set
-exactly: `level_set` cuts each triangle the level crosses along one
-segment, with no sampling grid.
+two-arc face (a band between two levels); one builder checks both
+shapes.  Its boundary is sampled into a polygon — circle arcs with
+heights interpolated between their end vertices, tree paths at their
+tree's level — and ear-clipped into triangles; the function is linear
+on each triangle, so it agrees with the vertex heights, is constant on
+every tree, and stays between the face's two defining levels.  A face
+map holds only what is drawn: the polygon, its values, its triangles
+and the vertex drawn at each point.  The same triangles give every
+level set exactly: `level_set` cuts each triangle the level crosses
+along one segment, with no sampling grid.  `sign_census` audits the
+drawn values: around every tree vertex, the faces' values off the
+tree's level must lie on alternating sides of it.
 """
 from __future__ import annotations
 
@@ -55,27 +59,6 @@ class HeightAssignment:
         return self.value[min(tree.vertices)]
 
 
-def _incomparability_classes(order):
-    """Connected components of the incomparability graph."""
-    vs = sorted(order.carrier)
-    seen = set()
-    classes = []
-    for v in vs:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in vs:
-                if w not in comp and w != u and not order.comparable(u, w):
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        classes.append(frozenset(comp))
-    return classes
-
-
 def assign_heights(g, dec, mode="default", seed=None):
     """Monotone distinct heights for the level blocks of the graph.
 
@@ -88,8 +71,16 @@ def assign_heights(g, dec, mode="default", seed=None):
     """
     if mode not in ("default", "strict", "random"):
         raise ValueError(f"unknown height mode {mode!r}")
-    if mode == "strict" and check_A4(g.order).passed:
-        blocks = _incomparability_classes(g.order)
+    order = g.order
+    if mode == "strict" and check_A4(order).passed:
+        # Under congruence two elements are incomparable exactly when they
+        # have the same sets above and below them (equal sets rule out
+        # v < w, which would put w above itself), so the incomparability
+        # classes are the groups of equal (above, below) pairs.
+        classes = {}
+        for v in sorted(order.carrier):
+            classes.setdefault((order.above[v], order.below[v]), set()).add(v)
+        blocks = [frozenset(c) for c in classes.values()]
     else:
         blocks = [frozenset(t.vertices) for t in dec.trees]
         blocks += [frozenset({v}) for v in dec.gamma.vertices if dec.tree_of(v) is None]
@@ -104,7 +95,7 @@ def assign_heights(g, dec, mode="default", seed=None):
         raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
     succ = {i: set() for i in range(len(blocks))}
     indeg = {i: 0 for i in range(len(blocks))}
-    for u, ws in g.order.above.items():
+    for u, ws in order.above.items():
         bu = block_of[u]
         for v in ws:
             bv = block_of[v]
@@ -133,7 +124,7 @@ def assign_heights(g, dec, mode="default", seed=None):
         raise InvariantViolation("level-block order contains a cycle")
     height_of_block = {i: float(step) for step, i in enumerate(ordered)}
     value = {v: height_of_block[block_of[v]] for v in g.vertices}
-    for u, ws in g.order.above.items():
+    for u, ws in order.above.items():
         for v in ws:
             if not value[u] < value[v]:
                 raise InvariantViolation(f"heights are not monotone on {u} < {v}")
@@ -165,12 +156,21 @@ def induced_order(heights):
 # coordinates
 
 
+def _rim_angle(pos, n):
+    """The angle of position ``pos`` on a rim of ``n`` boundary vertices.
+
+    The i-th boundary vertex sits at position i; positions run
+    counterclockwise from the top of the circle.  ``pos`` may be an array.
+    """
+    return math.pi / 2 + 2 * math.pi * pos / n
+
+
 def _gamma_positions(gamma, jitter=0.0):
     """Boundary vertices on the unit circle; the i-th turns by ``jitter * (i + 1)``."""
     n = len(gamma.vertices)
     out = {}
     for i, v in enumerate(gamma.vertices):
-        th = math.pi / 2 + 2 * math.pi * i / n + jitter * (i + 1)
+        th = _rim_angle(i, n) + jitter * (i + 1)
         out[v] = np.array([math.cos(th), math.sin(th)])
     return out
 
@@ -331,10 +331,10 @@ def assign_coords(emb):
 @dataclass(frozen=True)
 class FaceMap:
     face_index: int
-    tree_sides: tuple  # ((tree_index, own_level, other_level), ...)
     points: np.ndarray  # (N, 2) polygon, counterclockwise
     values: np.ndarray  # (N,)
     triangles: np.ndarray  # (M, 3) indices into points
+    keys: tuple  # per point: the graph vertex drawn there, else None
 
 
 def _ear_clip(pts, vals):
@@ -431,14 +431,6 @@ def _ear_clip(pts, vals):
     return np.array(tris, dtype=int)
 
 
-def _rotated_runs(face):
-    runs = list(face.runs)
-    for s in range(len(runs)):
-        if runs[s][0] == "arc":
-            return runs[s:] + runs[:s]
-    raise ArcStructureViolation(face.index, "face has no boundary arc")
-
-
 def _path_level(darts, heights, face_index):
     vs = [u for u, _ in darts] + [darts[-1][1].other(darts[-1][0])]
     levels = {heights.value[v] for v in vs}
@@ -446,7 +438,6 @@ def _path_level(darts, heights, face_index):
         raise InvariantViolation(
             f"face {face_index}: tree path visits several levels {sorted(levels)}"
         )
-    return levels.pop()
 
 
 def _arc_points(dart, heights, position):
@@ -456,7 +447,7 @@ def _arc_points(dart, heights, position):
     n = len(position)
     if (position[w] - position[u]) % n != 1:
         raise InvariantViolation("inner face traverses the boundary backwards")
-    th0 = math.pi / 2 + 2 * math.pi * position[u] / n
+    th0 = _rim_angle(position[u], n)
     step = 2 * math.pi / n
     hu, hw = heights.value[u], heights.value[w]
     pts, vals = [], []
@@ -469,94 +460,71 @@ def _arc_points(dart, heights, position):
 
 
 def _face_polygon(runs, emb, heights):
-    """Polygon points and values: each boundary arc, then its tree path.
+    """Polygon points, values and keys of a face, run after run.
 
-    ``runs`` holds (arc darts, path darts, path level) triples in walk
-    order; each run contributes its points up to its final endpoint.
+    Each boundary edge contributes its rim samples and each tree path
+    its vertices, up to the final endpoint.  A point's key is the graph
+    vertex drawn there (a path vertex, or the first sample of a boundary
+    edge), else None.
     """
-    pts, vals = [], []
-    for arc, path, level in runs:
-        for dart in arc:
-            ps, vs = _arc_points(dart, heights, emb.decomposition.position)
+    position = emb.decomposition.position
+    pts, vals, keys = [], [], []
+    for kind, darts in runs:
+        for u, e in darts:
+            if kind == "arc":
+                ps, vs = _arc_points((u, e), heights, position)
+                keys += [u] + [None] * (len(ps) - 1)
+            else:
+                ps, vs = [tuple(emb.coords[u])], [heights.value[u]]
+                keys.append(u)
             pts += ps
             vals += vs
-        pts += [tuple(emb.coords[u]) for u, _ in path]
-        vals += [level] * len(path)
-    return np.array(pts), np.array(vals)
+    return np.array(pts), np.array(vals), tuple(keys)
 
 
-def _build_one_arc(face, emb, heights):
-    dec = emb.decomposition
-    runs = _rotated_runs(face)
-    if len(runs) != 2 or runs[0][0] != "arc" or runs[1][0] != "path":
-        raise ArcStructureViolation(face.index, "expected one arc and one path")
-    arc, path = runs[0][1], runs[1][1]
-    inner = [d[1].other(d[0]) for d in arc[:-1]]
-    g = dec.graph
-    extrema = [v for v in inner if g.degree(v) == 2]
-    if len(arc) != 2 or len(extrema) != 1:
-        raise ArcStructureViolation(
-            face.index,
-            f"one-arc face needs exactly one interior degree-2 vertex on a "
-            f"two-edge arc, found {len(extrema)} on {len(arc)} edges",
-        )
-    c = heights.value[extrema[0]]
-    c_i = _path_level(path, heights, face.index)
-    if c == c_i:
+def _face_map(face, emb, heights):
+    """Check one inner face's level structure, then triangulate it.
+
+    ``face.runs`` start with a boundary arc.  A one-arc face is a
+    two-edge arc around one degree-2 extremum, closed by one tree path
+    at a different level.  A two-arc face is a band between two levels:
+    each arc starts at one of them, at the end of a tree path or, where
+    the face has none, of the other arc.  Every tree path must lie at
+    one level.
+    """
+    g = emb.decomposition.graph
+    runs = face.runs
+    arcs = [darts for kind, darts in runs if kind == "arc"]
+    if len(arcs) == 1:
+        if len(runs) != 2:
+            raise ArcStructureViolation(face.index, "expected one arc and one path")
+        arc = arcs[0]
+        inner = [e.other(u) for u, e in arc[:-1]]
+        extrema = [v for v in inner if g.degree(v) == 2]
+        if len(arc) != 2 or len(extrema) != 1:
+            raise ArcStructureViolation(
+                face.index,
+                f"one-arc face needs exactly one interior degree-2 vertex on a "
+                f"two-edge arc, found {len(extrema)} on {len(arc)} edges",
+            )
+    elif len(arcs) != 2:
+        raise ArcStructureViolation(face.index, f"face has {len(arcs)} boundary arcs")
+    for kind, darts in runs:
+        if kind == "path":
+            _path_level(darts, heights, face.index)
+    levels = [heights.value[arc[0][0]] for arc in arcs]
+    if len(arcs) == 1 and heights.value[extrema[0]] == levels[0]:
         raise InvariantViolation(f"face {face.index}: extremum level equals tree level")
-    tree = dec.tree_of(path[0][0])
-    pts, vals = _face_polygon(((arc, path, c_i),), emb, heights)
-    tris = _ear_clip(pts, vals)
-    return FaceMap(face.index, ((tree.index, c_i, c),), pts, vals, tris)
-
-
-def _build_two_arc(face, emb, heights):
-    dec = emb.decomposition
-    runs = _rotated_runs(face)
-    kinds = [k for k, _ in runs]
-    if kinds == ["arc", "arc"]:
-        arc_a, arc_b = runs[0][1], runs[1][1]
-        path_p = path_q = ()
-    elif kinds == ["arc", "path", "arc", "path"]:
-        arc_a, path_p, arc_b, path_q = (r[1] for r in runs)
-    else:
-        raise ArcStructureViolation(face.index, f"unexpected run pattern {kinds}")
-    if path_q:
-        c_bottom = _path_level(path_q, heights, face.index)
-    else:
-        c_bottom = heights.value[arc_a[0][0]]
-    if path_p:
-        c_top = _path_level(path_p, heights, face.index)
-    else:
-        c_top = heights.value[arc_b[0][0]]
-    if c_bottom == c_top:
-        raise EqualLevels(face.index, c_bottom)
-    sides = []
-    if path_q:
-        sides.append((dec.tree_of(path_q[0][0]).index, c_bottom, c_top))
-    if path_p:
-        sides.append((dec.tree_of(path_p[0][0]).index, c_top, c_bottom))
-    pts, vals = _face_polygon(
-        ((arc_a, path_p, c_top), (arc_b, path_q, c_bottom)), emb, heights
-    )
-    tris = _ear_clip(pts, vals)
-    return FaceMap(face.index, tuple(sides), pts, vals, tris)
+    if len(arcs) == 2 and levels[0] == levels[1]:
+        raise EqualLevels(face.index, levels[0])
+    pts, vals, keys = _face_polygon(runs, emb, heights)
+    return FaceMap(face.index, pts, vals, _ear_clip(pts, vals), keys)
 
 
 def extend_to_faces(emb, heights):
     """Build the face maps of a placed embedding into a DiskFunction."""
-    maps = []
-    for face in emb.faces:
-        if face.is_outer:
-            continue
-        arcs = face.arc_count()
-        if arcs == 1:
-            maps.append(_build_one_arc(face, emb, heights))
-        elif arcs == 2:
-            maps.append(_build_two_arc(face, emb, heights))
-        else:
-            raise ArcStructureViolation(face.index, f"face has {arcs} boundary arcs")
-    return DiskFunction(emb, heights, tuple(maps))
+    maps = tuple(_face_map(f, emb, heights) for f in emb.faces if not f.is_outer)
+    return DiskFunction(emb, heights, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +558,9 @@ class DiskFunction:
         face maps in turn and ``_triangles`` indexes them (face-global
         point ids); ``_face_rows`` maps a face index to its slice of
         ``_triangles``.  ``_point_keys`` keys a point at a graph vertex
-        by the vertex name, which is the same in every face and in the
-        exact tree segments, and any other point by its id.
+        by the vertex name (`FaceMap.keys`), which is the same in every
+        face and in the exact tree segments, and any other point by its id.
         """
-        by_xy = {tuple(p): v for v, p in self.embedding.coords.items()}
         pts, vals, tris, keys = [], [], [], []
         self._face_rows = {}
         offset = row = 0
@@ -601,7 +568,7 @@ class DiskFunction:
             pts.append(fm.points)
             vals.append(fm.values)
             tris.append(fm.triangles + offset)
-            keys += [by_xy.get(tuple(p), offset + k) for k, p in enumerate(fm.points)]
+            keys += [offset + k if v is None else v for k, v in enumerate(fm.keys)]
             offset += len(fm.points)
             self._face_rows[fm.face_index] = slice(row, row + len(fm.triangles))
             row += len(fm.triangles)
@@ -622,7 +589,8 @@ class DiskFunction:
         """Per point: the boundary edge at its angle, the fraction of that
         edge swept up to the angle, and the edge's two end heights."""
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        pos = (th - math.pi / 2) / (2 * math.pi / self._n)
+        # the rim position at each angle, inverting `_rim_angle`
+        pos = (th - _rim_angle(0, self._n)) / (2 * math.pi / self._n)
         pos = np.mod(pos, self._n)
         i = np.floor(pos).astype(int) % self._n
         t = pos - np.floor(pos)
@@ -647,7 +615,7 @@ class DiskFunction:
         i, t, h0, h1 = self._rim_edges(pts)
         k = SAMPLES_PER_BOUNDARY_EDGE
         ta = np.minimum(np.floor(t * k), k - 1) / k
-        th = math.pi / 2 + 2 * math.pi * (i + ta) / self._n
+        th = _rim_angle(i + ta, self._n)
         th_b = th + 2 * math.pi / (k * self._n)
         a = np.stack([np.cos(th), np.sin(th)], axis=1)
         e = np.stack([np.cos(th_b), np.sin(th_b)], axis=1) - a
@@ -906,18 +874,19 @@ class CensusResult:
         return self.passed
 
 
-def _face_tree_signs(face_maps):
-    signs = {}
-    for fm in face_maps:
-        for tree_index, own, other in fm.tree_sides:
-            signs[(fm.face_index, tree_index)] = 1 if other > own else -1
-    return signs
+def _face_sign(values, level):
+    """+1 when every value off ``level`` lies above it, -1 when every one
+    lies below it, and None when they lie on both sides or there are none."""
+    sides = np.unique(np.sign(values[values != level] - level))
+    return int(sides[0]) if len(sides) == 1 else None
 
 
 def sign_census(f):
-    """Alternation of face signs around every tree vertex.
+    """Alternation of face signs around every tree vertex, read from the drawing.
 
-    Every face touching a tree is above or below its level; around an
+    A face's sign at a tree is read from the face map's drawn values:
+    +1 when every value off the tree's level lies above it, -1 when every
+    one lies below, and no sign otherwise, which is a witness.  Around an
     interior tree vertex the incident faces must alternate in rotation
     order (an even cycle), and at a boundary attachment the chain of
     inner corners must alternate with end signs dictated by the two
@@ -928,11 +897,12 @@ def sign_census(f):
     dec = emb.decomposition
     g = dec.graph
     heights = f.heights
-    face_sign = _face_tree_signs(f.face_maps)
+    values = {fm.face_index: fm.values for fm in f.face_maps}
     witnesses = []
     corner_signs = {}
     for t in dec.trees:
         c_k = heights.level(t)
+        face_sign = {}  # face index -> its sign at this tree, read once
         for v in sorted(t.vertices):
             rot = emb.rotation[v]
             if v in t.attach:
@@ -943,7 +913,9 @@ def sign_census(f):
             signs = []
             missing = False
             for fi in faces:
-                s = face_sign.get((fi, t.index))
+                if fi not in face_sign:
+                    face_sign[fi] = _face_sign(values[fi], c_k) if fi in values else None
+                s = face_sign[fi]
                 if s is None:
                     witnesses.append(
                         f"face {fi} at vertex {v} carries no sign for tree {t.index}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -645,3 +646,110 @@ class TestSignCensus:
         signs = sign_census(realized["G3"]).corner_signs["w1"]
         assert len(signs) == 2
         assert signs[0] != signs[1]
+
+    def test_values_pushed_across_a_level_fail(self, realized, realized_corpus):
+        """Mirror one off-level value of a face across a tree's level.
+
+        The face then holds drawn values on both sides of that level, so
+        it carries no sign there and the census must fail.  Every (face,
+        tree) side of the fixtures is mutated, and one per corpus witness.
+        """
+        mutants = 0
+        cases = [(f, True) for f in realized.values()]
+        cases += [(f, False) for *_, f in realized_corpus]
+        for f, every_side in cases:
+            sides = touched_sides(f)
+            for face_index, tree in sides if every_side else sides[:1]:
+                level = f.heights.level(tree)
+                maps = []
+                for fm in f.face_maps:
+                    if fm.face_index == face_index:
+                        values = fm.values.copy()
+                        k = np.flatnonzero(values != level)[0]
+                        values[k] = 2 * level - values[k]
+                        fm = replace(fm, values=values)
+                    maps.append(fm)
+                mutant = realization.DiskFunction(f.embedding, f.heights, tuple(maps))
+                result = sign_census(mutant)
+                assert not result.passed, (face_index, tree.index)
+                assert any(
+                    w.startswith(f"face {face_index} at vertex")
+                    and w.endswith(f"no sign for tree {tree.index}")
+                    for w in result.witnesses
+                ), result.witnesses
+                mutants += 1
+        assert mutants > len(cases)
+
+    def test_signs_equal_former_level_rule(self, realized, realized_corpus):
+        witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
+        for f in witnesses:
+            emb = f.embedding
+            expected = former_face_signs(f)
+            values = {fm.face_index: fm.values for fm in f.face_maps}
+            for (face_index, tree_index), sign in expected.items():
+                level = f.heights.level(f.decomposition.trees[tree_index])
+                assert realization._face_sign(values[face_index], level) == sign
+            corner_signs = sign_census(f).corner_signs
+            for t in f.decomposition.trees:
+                for v in t.vertices:
+                    rot = emb.rotation[v]
+                    corners = rot[:-1] if v in t.attach else rot
+                    assert corner_signs[v] == tuple(
+                        expected[(emb.dart_face[(v, e)], t.index)] for e in corners
+                    ), v
+
+
+def touched_sides(f):
+    """(face index, tree) for every tree vertex drawn on a face's polygon."""
+    dec = f.decomposition
+    sides = {}
+    for fm in f.face_maps:
+        for key in fm.keys:
+            tree = None if key is None else dec.tree_of(key)
+            if tree is not None:
+                sides[(fm.face_index, tree.index)] = tree
+    return [(face_index, tree) for (face_index, _), tree in sides.items()]
+
+
+def former_face_signs(f):
+    """(face index, tree index) -> sign, by the rule the census used to read.
+
+    A face has two defining levels: a one-arc face its tree path's level
+    and its extremum's, a two-arc face the levels where its two arcs
+    start.  Its sign at a tree on its boundary is +1 when the other
+    defining level lies above the tree's, else -1.
+    """
+    value = f.heights.value
+    signs = {}
+    for face in f.embedding.inner_faces():
+        arcs = [darts for kind, darts in face.runs if kind == "arc"]
+        (u, e), *_ = arcs[0]
+        if len(arcs) == 1:
+            levels = (value[u], value[e.other(u)])
+        else:
+            levels = (value[u], value[arcs[1][0][0]])
+        for kind, path in face.runs:
+            if kind == "path":
+                own = value[path[0][0]]
+                other = levels[1] if own == levels[0] else levels[0]
+                tree = f.decomposition.tree_of(path[0][0])
+                signs[(face.index, tree.index)] = 1 if other > own else -1
+    return signs
+
+
+class TestPointKeys:
+    def test_vertex_keys_sit_at_their_vertices(self, realized, realized_corpus):
+        """A point keyed by a vertex name lies exactly at that vertex, and
+        every point drawn exactly at a vertex carries its name."""
+        witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
+        for f in witnesses:
+            at = {tuple(p): v for v, p in f.embedding.coords.items()}
+            named = 0
+            for i, key in enumerate(f._point_keys):
+                point = tuple(f._tri_points[i])
+                if isinstance(key, str):
+                    assert point == tuple(f.embedding.coords[key]), key
+                    named += 1
+                else:
+                    assert key == i and point not in at, (i, point)
+            assert named >= len(f.embedding.coords)
