@@ -49,7 +49,6 @@ from .orders import (
     A4Result,
     StrictPartialOrder,
     check_A4,
-    transitive_closure,
 )
 from .conditions import (
     BoundaryPair,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotAForest
 from .graph import DEFAULT_BUDGET, decompose, enumerate_simple_cycles
+from .orders import bits, lowest
 
 
 @dataclass(frozen=True)
@@ -64,33 +65,49 @@ def check_A1(g, budget=DEFAULT_BUDGET):
 
 
 def check_A2(dec):
-    """Forest shape, uniform comparison, and interior degree parity."""
+    """Forest shape, uniform comparison, and interior degree parity.
+
+    A vertex v outside a tree T lies below some but not all of T exactly
+    when its bit is in the OR but not in the AND of the members' masks
+    above them, and likewise with the masks below.  So only those
+    vertices and T's own are scanned, in sorted order; the rest compare
+    with all of T or with none of it.
+    """
     g = dec.graph
     order = g.order
+    elements, above, below = order.elements, order.above, order.below
     wits = []
-    vertices = sorted(g.vertices)
     for t in dec.trees:
-        for v in vertices:
-            rest = t.vertices - {v}
+        tmask = order.mask(t.vertices)
+        up_any = down_any = 0
+        up_all = down_all = -1
+        for u in t.vertices:
+            up, down = above[u], below[u]
+            up_any |= up
+            up_all &= up
+            down_any |= down
+            down_all &= down
+        scan = (up_any & ~up_all) | (down_any & ~down_all) | tmask
+        for i in bits(scan):
+            v = elements[i]
+            rest = tmask & ~(1 << i)
             if not rest:
                 continue
-            below = rest & order.below[v]
-            above = rest & order.above[v]
-            if below and below != rest:
+            lo = rest & below[v]
+            hi = rest & above[v]
+            if lo and lo != rest:
                 wits.append(
                     f"tree {t.index} compares unevenly with {v}: "
-                    f"{sorted(below)[0]} < {v} but {sorted(rest - below)[0]} is not"
+                    f"{elements[lowest(lo)]} < {v} but {elements[lowest(rest & ~lo)]} is not"
                 )
-            if above and above != rest:
+            if hi and hi != rest:
                 wits.append(
                     f"tree {t.index} compares unevenly with {v}: "
-                    f"{v} < {sorted(above)[0]} but not {v} < {sorted(rest - above)[0]}"
+                    f"{v} < {elements[lowest(hi)]} but not {v} < {elements[lowest(rest & ~hi)]}"
                 )
-        tv = sorted(t.vertices)
-        for i, a in enumerate(tv):
-            for b in tv[i + 1 :]:
-                if order.comparable(a, b):
-                    wits.append(f"tree {t.index} vertices {a}, {b} are comparable")
+        for i in bits(tmask):
+            for j in bits((above[elements[i]] | below[elements[i]]) & tmask & (-2 << i)):
+                wits.append(f"tree {t.index} vertices {elements[i]}, {elements[j]} are comparable")
     for v in sorted(dec.interior_vertices()):
         d = g.degree(v)
         if d < 4 or d % 2:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import MalformedFile, UnknownId
 from .graph import PoGraph, build_graph
@@ -24,6 +25,9 @@ class GraphFile:
 
 
 def _string_list(obj, field):
+    # one pass in C for the common valid list; the loop names the fault
+    if isinstance(obj, list) and set(map(type, obj)) <= {str} and all(obj):
+        return tuple(obj)
     if not isinstance(obj, list):
         raise MalformedFile(f"field '{field}' must be an array")
     for i, x in enumerate(obj):
@@ -33,6 +37,14 @@ def _string_list(obj, field):
 
 
 def _pair_list(obj, field, known):
+    # passes in C for the common valid list; the loop names the fault
+    if (
+        isinstance(obj, list)
+        and set(map(type, obj)) <= {list}
+        and set(map(len, obj)) <= {2}
+        and _all_known(known, obj)
+    ):
+        return tuple(map(tuple, obj))
     if not isinstance(obj, list):
         raise MalformedFile(f"field '{field}' must be an array")
     out = []
@@ -48,6 +60,14 @@ def _pair_list(obj, field, known):
                 raise UnknownId(x, f"{field}[{i}]")
         out.append((item[0], item[1]))
     return tuple(out)
+
+
+def _all_known(known, pairs):
+    """Whether every id in ``pairs`` is a string of ``known``."""
+    try:
+        return known.issuperset(chain.from_iterable(pairs))
+    except TypeError:  # an unhashable id, such as a list or an object
+        return False
 
 
 def load_graph_file(text):
@@ -82,7 +102,7 @@ def load_graph_file(text):
 
 
 def graph_from_file(gf):
-    return build_graph(list(gf.vertices), list(gf.edges), list(gf.order))
+    return build_graph(gf.vertices, gf.edges, gf.order)
 
 
 def parse(text):

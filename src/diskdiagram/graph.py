@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     BudgetExceeded,
@@ -24,30 +25,38 @@ from .orders import StrictPartialOrder
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """An undirected edge; endpoints are stored sorted."""
+class Edge(tuple):
+    """An undirected edge; endpoints are stored sorted.
 
-    a: str
-    b: str
-    key: int = 0
+    The tuple ``(a, b, key)``, so hashing, equality and ordering run on
+    the tuple; an Edge equals the plain tuple with the same fields.
+    """
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise SelfLoop(self.a)
-        if self.a > self.b:
-            object.__setattr__(self, "a", self.b)
-            object.__setattr__(self, "b", self.a)
+    __slots__ = ()
+
+    def __new__(cls, a, b, key=0):
+        if a == b:
+            raise SelfLoop(a)
+        if a > b:
+            a, b = b, a
+        return tuple.__new__(cls, (a, b, key))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    a = property(itemgetter(0), doc="the smaller endpoint")
+    b = property(itemgetter(1), doc="the larger endpoint")
+    key = property(itemgetter(2), doc="the number of this copy among parallel edges")
 
     def other(self, v):
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
+        if v == self[0]:
+            return self[1]
+        if v == self[1]:
+            return self[0]
         raise ValueError(f"{v!r} is not an endpoint of {self}")
 
     def touches(self, v):
-        return v == self.a or v == self.b
+        return v == self[0] or v == self[1]
 
     def __repr__(self):
         tag = f"#{self.key}" if self.key else ""
@@ -127,7 +136,7 @@ class Cycle:
                     continue
                 vs = tuple(seq_v[(r + i) % n] for i in range(n))
                 es = tuple(seq_e[(r + i) % n] for i in range(n))
-                cand = (vs, tuple((e.a, e.b, e.key) for e in es))
+                cand = (vs, es)
                 if best is None or cand < best:
                     best = cand
         return best

@@ -1,154 +1,208 @@
 """Strict partial orders.
 
 Vertices are identified by strings throughout.  A strict partial order is
-stored as its reach sets: for every element, the frozenset of the elements
-strictly above it.  The sets are closed under transitivity, so a
-comparison is one lookup in one set.
+stored as integer bitsets over its carrier in sorted order: bit i of a
+mask stands for the i-th smallest element.  For every element the order
+keeps the mask of the elements strictly above it, closed under
+transitivity, so a comparison is one shift and one mask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotInCarrier, OrderCycle
 
 
-def transitive_closure(pairs):
-    """Reach map of a set of (a, b) pairs: element -> frozenset above it.
+def bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Every element named in ``pairs`` gets an entry.  Each reach set is
-    built once, after the sets of all its successors, as the union of its
-    successors and their reach sets; a successor already reached is
-    skipped, since its set is then already included.  Raises OrderCycle
-    when the pairs contain a cycle (see `_topological_order`).
+
+def lowest(mask):
+    """Index of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _closure(succ, elements):
+    """Reach masks of the index graph ``succ``: i -> mask above i.
+
+    One depth-first walk: when an element is finished, its reach mask
+    (its successors and their reach) is ORed into the element it was
+    entered from.  An element entered again while still open closes a
+    cycle; OrderCycle then names one (see `_cycle_witness`).
     """
-    succ = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    reach = {}
-    for v in reversed(_topological_order(succ)):
-        r = set()
-        for s in succ.get(v, ()):
-            if s not in r:
-                r.add(s)
-                r |= reach[s]
-        reach[v] = frozenset(r)
+    n = len(succ)
+    reach = [0] * n
+    done = bytearray(n)  # 0 new, 1 open, 2 finished
+    for root in range(n):
+        if done[root] or not succ[root]:
+            continue
+        done[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                state = done[w]
+                if state == 2 or not succ[w]:
+                    reach[v] |= reach[w] | (1 << w)
+                elif state == 1:
+                    raise OrderCycle([elements[i] for i in _cycle_witness(succ)])
+                else:
+                    done[w] = 1
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                done[v] = 2
+                stack.pop()
+                if stack:
+                    reach[stack[-1][0]] |= reach[v] | (1 << v)
     return reach
 
 
-def _topological_order(succ):
-    """Elements in an order where every pair points forward (Kahn's pass).
+def _cycle_witness(succ):
+    """The indices of one cycle of the index graph ``succ``.
 
-    When the pass leaves elements over, the pairs contain a cycle, and
-    OrderCycle names one found among the leftover elements alone.  The
-    leftover set is the same whatever order the pass takes, and each
-    leftover element keeps a leftover predecessor (its remaining
-    in-degree counts them).  So the walk backwards from the smallest
-    leftover element, always to its smallest leftover predecessor, must
-    repeat an element; the loop it closes is the witness, listed
-    upwards (each element below the next, the last below the first)
-    from its smallest element.  It depends only on the set of pairs.
+    A pass of Kahn's algorithm leaves over the elements that lie on a
+    cycle or above one.  That set is the same whatever order the pass
+    takes, and each leftover element keeps a leftover predecessor (its
+    remaining in-degree counts them).  So the walk backwards from the
+    smallest leftover element, always to its smallest leftover
+    predecessor, must repeat an element; the loop it closes is the
+    witness, listed upwards (each element below the next, the last below
+    the first) from its smallest element.  It depends only on the set of
+    pairs.  Indices follow the sorted carrier, so the smallest index is
+    the smallest element.
     """
-    indeg = {}
-    for a, bs in succ.items():
-        indeg.setdefault(a, 0)
-        for b in bs:
-            indeg[b] = indeg.get(b, 0) + 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    order = []
+    indeg = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    ready = [v for v, d in enumerate(indeg) if d == 0]
     while ready:
         v = ready.pop()
-        order.append(v)
-        for w in succ.get(v, ()):
+        for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
-    if len(order) == len(indeg):
-        return order
-    left = [v for v, d in indeg.items() if d]
+    left = [v for v, d in enumerate(indeg) if d]
     pred = {}
     for a in left:
-        for b in succ.get(a, ()):
+        for b in succ[a]:
             pred.setdefault(b, []).append(a)
-    walk = [min(left)]
+    walk = [left[0]]
     at = {walk[0]: 0}
     while (u := min(pred[walk[-1]])) not in at:
         at[u] = len(walk)
         walk.append(u)
     cycle = walk[at[u] :][::-1]
     k = cycle.index(min(cycle))
-    raise OrderCycle(cycle[k:] + cycle[:k])
-
-
-_NONE = frozenset()
+    return cycle[k:] + cycle[:k]
 
 
 @dataclass(frozen=True)
 class StrictPartialOrder:
     """A transitively closed, irreflexive, antisymmetric relation.
 
-    ``above[v]`` is the frozenset of the elements strictly above ``v``;
-    every carrier element has an entry, so the carrier is the key set.
-    ``below`` is the mirror map, built from ``above`` on first read.
-    Two orders are equal when they relate the same elements the same way.
+    ``elements`` is the carrier, sorted; bit i of a mask stands for
+    ``elements[i]`` and ``index`` maps each element to its bit.
+    ``above[v]`` is the mask of the elements strictly above ``v`` and
+    ``below[v]`` the mask of those strictly below it; every carrier
+    element has an entry in both.  ``above_names(v)`` gives the names.
+    Two orders are equal when they have the same carrier and relate the
+    same elements the same way.
     """
 
-    above: dict  # v -> frozenset of every w with v < w
+    elements: tuple
+    above: dict  # v -> mask of every w with v < w, keyed in carrier order
+    index: dict = field(compare=False, repr=False)  # v -> its bit
 
     def __hash__(self):
-        return hash(frozenset(self.above.items()))
+        return hash((self.elements, tuple(self.above.values())))
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
-        """Build the order generated by ``pairs``.
+        """Build the order generated by ``pairs``, read once.
 
-        Raises NotInCarrier for pairs mentioning unknown elements, and
-        OrderCycle if the pairs contain a cycle.  Otherwise the closure
-        is built along a topological order, so it relates no element to
-        itself and no two elements both ways: it is a strict partial
-        order with no further check.
+        Raises NotInCarrier for the first element of a pair outside the
+        carrier, and OrderCycle if the pairs contain a cycle.  Otherwise
+        the closure is built along a depth-first walk, which relates no
+        element to itself and no two elements both ways: it is a strict
+        partial order with no further check.
         """
-        carrier = frozenset(carrier)
+        elements = tuple(sorted(set(carrier)))
+        index = {v: i for i, v in enumerate(elements)}
+        succ = [[] for _ in elements]
         for a, b in pairs:
-            for x in (a, b):
-                if x not in carrier:
-                    raise NotInCarrier(x)
-        reach = transitive_closure(pairs)
-        return cls({v: reach.get(v, _NONE) for v in carrier})
+            try:
+                succ[index[a]].append(index[b])
+            except KeyError:
+                raise NotInCarrier(a if a not in index else b) from None
+        reach = _closure(succ, elements)
+        return cls(elements, dict(zip(elements, reach)), index)
 
     @cached_property
     def below(self):
-        """v -> frozenset of every u with u < v."""
-        below = {v: [] for v in self.above}
-        for u, ws in self.above.items():
-            for w in ws:
-                below[w].append(u)
-        return {v: frozenset(us) for v, us in below.items()}
+        """v -> mask of every u with u < v."""
+        below = [0] * len(self.elements)
+        for i, m in enumerate(self.above.values()):
+            bit = 1 << i
+            for j in bits(m):
+                below[j] |= bit
+        return dict(zip(self.elements, below))
 
     @property
     def carrier(self):
-        return frozenset(self.above)
+        return frozenset(self.elements)
+
+    def above_names(self, v):
+        """The frozenset of the elements strictly above ``v``."""
+        elements = self.elements
+        return frozenset(elements[i] for i in bits(self.above[v]))
+
+    def mask(self, vs):
+        """The mask of the elements ``vs``."""
+        index = self.index
+        m = 0
+        for v in vs:
+            m |= 1 << index[v]
+        return m
 
     @property
     def pairs(self):
         """Every (a, b) with a < b, built afresh on each read."""
-        return frozenset((a, b) for a, ws in self.above.items() for b in ws)
+        elements = self.elements
+        return frozenset(
+            (a, elements[j]) for a, m in self.above.items() for j in bits(m)
+        )
 
     def lt(self, a, b):
-        return b in self.above.get(a, _NONE)
+        return self.above[a] >> self.index[b] & 1 == 1
 
     def comparable(self, a, b):
-        return b in self.above.get(a, _NONE) or a in self.above.get(b, _NONE)
+        above, index = self.above, self.index
+        return (above[a] >> index[b] | above[b] >> index[a]) & 1 == 1
 
     def minimal_elements(self):
-        return frozenset(self.above).difference(*self.above.values())
+        up = 0
+        for m in self.above.values():
+            up |= m
+        return frozenset(v for i, v in enumerate(self.elements) if not up >> i & 1)
 
     def maximal_elements(self):
-        return frozenset(v for v, ws in self.above.items() if not ws)
+        return frozenset(v for v, m in self.above.items() if not m)
 
     def extends(self, other):
         """True when this order contains every pair of ``other``."""
-        return all(ws <= self.above.get(v, _NONE) for v, ws in other.above.items())
+        if self.elements != other.elements:
+            return other.pairs <= self.pairs
+        above = self.above
+        return not any(m & ~above[v] for v, m in other.above.items())
 
 
 @dataclass(frozen=True)
@@ -163,25 +217,24 @@ def check_A4(order):
     For every incomparable pair (a, b) and every third element v the
     relations v < a and v < b must agree, and likewise v > a and v > b.
     Neither of a, b lies above or below the other, so that holds exactly
-    when the two have the same sets above and below them; ``kind``
-    numbers the distinct (above, below) set pairs.  Only an incomparable
-    pair of different kinds is scanned for its first separating v.
-    Returns the first violation as (v, a, b).
+    when the two have the same masks above and below them; the bits
+    where those masks differ are the separating elements.  For each a in
+    sorted order, the candidates b are the later elements neither
+    comparable to a nor of a's (above, below) kind; the first violation,
+    as (v, a, b), takes the smallest such b and its smallest separating v.
     """
-    above, below = order.above, order.below
+    elements, above, below = order.elements, order.above, order.below
     kinds = {}
-    kind = {v: kinds.setdefault((ws, below[v]), len(kinds)) for v, ws in above.items()}
-    items = sorted(above)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if kind[a] == kind[b] or order.comparable(a, b):
-                continue
-            for v in items:
-                if v == a or v == b:
-                    continue
-                if order.lt(a, v) != order.lt(b, v):
-                    return A4Result(False, (v, a, b))
-                if order.lt(v, a) != order.lt(v, b):
-                    return A4Result(False, (v, a, b))
+    for i, v in enumerate(elements):
+        key = (above[v], below[v])
+        kinds[key] = kinds.get(key, 0) | 1 << i
+    full = (1 << len(elements)) - 1
+    for i, a in enumerate(elements):
+        up, down = above[a], below[a]
+        later = full ^ ((2 << i) - 1)
+        cand = later & ~(up | down | kinds[up, down])
+        if cand:
+            b = elements[lowest(cand)]
+            v = lowest((up ^ above[b]) | (down ^ below[b]))
+            return A4Result(False, (elements[v], a, b))
     return A4Result(True, None)
-

@@ -37,7 +37,7 @@ from .errors import (
     OutsideDisk,
 )
 from .graph import DEFAULT_BUDGET
-from .orders import StrictPartialOrder, check_A4
+from .orders import StrictPartialOrder, check_A4, lowest
 from .planarity import build_embedding
 
 SNAP = 1e-9
@@ -72,14 +72,16 @@ def assign_heights(g, dec, mode="default", seed=None):
     if mode not in ("default", "strict", "random"):
         raise ValueError(f"unknown height mode {mode!r}")
     order = g.order
+    above, elements = order.above, order.elements
     if mode == "strict" and check_A4(order).passed:
         # Under congruence two elements are incomparable exactly when they
-        # have the same sets above and below them (equal sets rule out
+        # have the same masks above and below them (equal masks rule out
         # v < w, which would put w above itself), so the incomparability
         # classes are the groups of equal (above, below) pairs.
+        below = order.below
         classes = {}
-        for v in sorted(order.carrier):
-            classes.setdefault((order.above[v], order.below[v]), set()).add(v)
+        for v in elements:
+            classes.setdefault((above[v], below[v]), set()).add(v)
         blocks = [frozenset(c) for c in classes.values()]
     else:
         blocks = [frozenset(t.vertices) for t in dec.trees]
@@ -93,21 +95,27 @@ def assign_heights(g, dec, mode="default", seed=None):
     if set(block_of) != set(g.vertices):
         missing = sorted(set(g.vertices) - set(block_of))
         raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
-    succ = {i: set() for i in range(len(blocks))}
-    indeg = {i: 0 for i in range(len(blocks))}
-    for u, ws in order.above.items():
-        bu = block_of[u]
-        for v in ws:
-            bv = block_of[v]
-            if bu == bv:
-                raise InvariantViolation(
-                    f"comparable vertices {u} < {v} fell into one level block"
-                )
-            if bv not in succ[bu]:
-                succ[bu].add(bv)
-                indeg[bv] += 1
+    masks = [order.mask(b) for b in blocks]
+    # the blocks directly above block i: walk the mask above its members,
+    # dropping each block met as a whole
+    succ = {}
+    indeg = [0] * len(blocks)
+    for i, b in enumerate(blocks):
+        up = 0
+        for v in b:
+            up |= above[v]
+        if up & masks[i]:
+            u = min(v for v in b if above[v] & masks[i])
+            w = elements[lowest(above[u] & masks[i])]
+            raise InvariantViolation(f"comparable vertices {u} < {w} fell into one level block")
+        succ[i] = set()
+        while up:
+            j = block_of[elements[lowest(up)]]
+            up &= ~masks[j]
+            succ[i].add(j)
+            indeg[j] += 1
     rep = {i: min(blocks[i]) for i in range(len(blocks))}
-    available = sorted((rep[i], i) for i in indeg if indeg[i] == 0)
+    available = sorted((rep[i], i) for i, d in enumerate(indeg) if d == 0)
     rng = random.Random(seed) if mode == "random" else None
     ordered = []
     while available:
@@ -124,10 +132,15 @@ def assign_heights(g, dec, mode="default", seed=None):
         raise InvariantViolation("level-block order contains a cycle")
     height_of_block = {i: float(step) for step, i in enumerate(ordered)}
     value = {v: height_of_block[block_of[v]] for v in g.vertices}
-    for u, ws in order.above.items():
-        for v in ws:
-            if not value[u] < value[v]:
-                raise InvariantViolation(f"heights are not monotone on {u} < {v}")
+    # monotone when everything above a vertex lies in a block assigned
+    # later: walk the blocks from the top, collecting the later ones
+    later = 0
+    for i in reversed(ordered):
+        for u in sorted(blocks[i]):
+            if above[u] & ~later:
+                w = elements[lowest(above[u] & ~later)]
+                raise InvariantViolation(f"heights are not monotone on {u} < {w}")
+        later |= masks[i]
     blocks_ordered = tuple(blocks[i] for i in ordered)
     block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
     return HeightAssignment(value, blocks_ordered, block_pos, mode)
@@ -138,18 +151,22 @@ def induced_order(heights):
 
     Comparing values is already transitive, so no closure is needed: the
     distinct values are walked from the top down, and every vertex at one
-    value shares the one set of vertices at higher values.
+    value shares the one mask of the vertices at higher values.
     """
+    elements = tuple(sorted(heights.value))
+    index = {v: i for i, v in enumerate(elements)}
     at = {}
-    for v, x in heights.value.items():
-        at.setdefault(x, []).append(v)
+    for v in elements:
+        at.setdefault(heights.value[v], []).append(v)
     above = {}
-    higher = frozenset()
+    higher = 0
     for x in sorted(at, reverse=True):
+        level = 0
         for v in at[x]:
             above[v] = higher
-        higher = higher.union(at[x])
-    return StrictPartialOrder(above)
+            level |= 1 << index[v]
+        higher |= level
+    return StrictPartialOrder(elements, {v: above[v] for v in elements}, index)
 
 
 # ---------------------------------------------------------------------------

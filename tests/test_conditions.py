@@ -15,8 +15,11 @@ from diskdiagram.conditions import (
     is_delta_graph,
 )
 from diskdiagram.families import build_instance, corpus_specs, ladder_spec
-from diskdiagram.fixtures import EXPECTED, build, raw
+from diskdiagram.fixtures import EXPECTED, FIXTURES, build, raw
 from diskdiagram.graph import Cycle, build_graph, decompose, simple_cycles
+from diskdiagram.orders import StrictPartialOrder
+from references import check_A2 as reference_A2
+from references import reach_sets, transitive_closure
 
 CONDITION_SEQUENCE = ("A1", "A2", "S2", "S3", "A3")
 # every 13th census instance: A1, A2, S2 and A3 rejections, ~7 200 graphs
@@ -431,6 +434,52 @@ class TestMetamorphic:
 
     def test_census_slice(self, census_slice):
         self._assert_invariant(enumerate(census_slice))
+
+
+class TestAgainstReferences:
+    """The bitset closure and A2 equal the frozenset versions they replaced
+    on the fixtures, the corpus, ladder d <= 4 and the census slice."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, corpus, ladder):
+        """(label, vertices, order pairs, graph) for every compared input."""
+        rng = random.Random(13)
+        out = []
+        for name in sorted(FIXTURES):
+            vs, es, order = raw(name)
+            out.append((name, vs, order, build_graph(vs, es, order)))
+        graphs = [(f"{s.name} [{m}]", g) for s, m, g in corpus]
+        graphs += [(f"ladder {key}", g) for key, g in sorted(ladder.items())]
+        graphs += [
+            (f"ladder (4, {m!r})", build_instance(ladder_spec(4), m))
+            for m in ("minimal", "saturated")
+        ]
+        for label, g in graphs:
+            pairs = sorted(g.order.pairs)
+            half = [p for p in pairs if rng.random() < 0.5]
+            out.append((label, g.vertices, pairs, g))
+            out.append((f"{label} half", g.vertices, half, None))
+        for i, (vs, es, order) in enumerate(islice(census_inputs(4), 0, None, CENSUS_STEP)):
+            out.append((f"census {i * CENSUS_STEP}", vs, order, build_graph(vs, es, order)))
+        return out
+
+    def test_reach_sets(self, cases):
+        for label, vs, pairs, _ in cases:
+            want = {v: frozenset() for v in vs}
+            want.update(transitive_closure(pairs))
+            assert reach_sets(StrictPartialOrder.from_pairs(vs, pairs)) == want, label
+
+    def test_A2_reports(self, cases):
+        decided = rejected = 0
+        for label, _, _, g in cases:
+            dec = None if g is None else is_delta_graph(g).decomposition
+            if dec is None:
+                continue
+            report = check_A2(dec)
+            assert report == reference_A2(dec), label
+            decided += 1
+            rejected += not report.passed
+        assert decided > 500 and rejected > 100
 
 
 class TestGraphsCensus:

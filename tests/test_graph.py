@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from diskdiagram.errors import (
 from diskdiagram.fixtures import build
 from diskdiagram.graph import (
     Cycle,
+    Edge,
     adjacency,
     build_graph,
     decompose,
@@ -74,6 +77,18 @@ class TestBuildGraph:
         g = build("bare2")
         assert sorted(e.key for e in g.edges) == [0, 1]
         assert all((e.a, e.b) == ("x", "y") for e in g.edges)
+
+    def test_edge_is_its_sorted_tuple(self):
+        e = Edge("b", "a", 1)
+        assert (e.a, e.b, e.key) == ("a", "b", 1)
+        assert e == ("a", "b", 1) and hash(e) == hash(("a", "b", 1))
+        assert repr(e) == "a-b#1" and repr(Edge("x", "y")) == "x-y"
+        assert sorted([Edge("a", "c"), e, Edge("a", "b")]) == [("a", "b", 0), e, ("a", "c", 0)]
+        assert e.other("a") == "b" and e.touches("b") and not e.touches("c")
+        for again in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert again == e and type(again) is Edge
+        with pytest.raises(SelfLoop):
+            Edge("a", "a")
 
     def test_degree_sum_counts_edge_ends(self, graphs):
         for g in graphs.values():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import string
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskdiagram import cli
+import references
+from diskdiagram import cli, formats
 from diskdiagram.cli import main
 from diskdiagram.errors import MalformedFile, UnknownId
 from diskdiagram.fixtures import build
@@ -77,6 +79,76 @@ class TestLoadGraphFile:
         with pytest.raises(UnknownId) as info:
             load_graph_file(doc(["a", "b"], [], [["zz", "b"]]))
         assert info.value.where == "order[0]"
+
+
+def _mutations(doc, rng):
+    """(label, document) pairs, each with one fault put into ``doc``."""
+
+    def replaced(label, field, k, item):
+        bad = dict(doc)
+        if k is None:
+            bad[field] = item
+        else:
+            bad[field] = list(doc[field])
+            bad[field][k] = item
+        return label, bad
+
+    def with_id(pair, side, x):
+        return [x, pair[1]] if side == 0 else [pair[0], x]
+
+    out = [
+        replaced(f"{field} not a list", field, None, x)
+        for field, x in (("vertices", {}), ("edges", "ab"), ("order", 3))
+    ]
+    for field in ("edges", "order"):
+        if not doc[field]:
+            continue
+        k, side = rng.randrange(len(doc[field])), rng.randrange(2)
+        pair = doc[field][k]
+        out += [
+            replaced(f"{field} pair of 3", field, k, pair + pair[:1]),
+            replaced(f"{field} id not a string", field, k, with_id(pair, side, 7)),
+            replaced(f"{field} id a list", field, k, with_id(pair, side, ["a"])),
+            replaced(f"{field} id empty", field, k, with_id(pair, side, "")),
+            replaced(f"{field} id unknown", field, k, with_id(pair, side, "zz")),
+            replaced(f"{field} dict for a pair", field, k, {"a": 1}),
+        ]
+    k = rng.randrange(len(doc["vertices"]))
+    out += [
+        replaced("vertex not a string", "vertices", k, None),
+        replaced("vertex empty", "vertices", k, ""),
+    ]
+    return out
+
+
+def _outcome(text):
+    try:
+        return load_graph_file(text)
+    except (MalformedFile, UnknownId) as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkValidation:
+    """The bulk id checks reject what the per-item loop rejects, with the
+    same exception and message, on faults put into real files."""
+
+    def test_mutated_files_fail_like_the_loop(self, graphs, corpus, monkeypatch):
+        rng = random.Random(13)
+        docs = [json.loads(serialize(g)) for g in graphs.values()]
+        docs += [json.loads(serialize(g)) for _, _, g in corpus]
+        cases = []
+        for d in docs:
+            cases.append(("as written", d))
+            cases += _mutations(d, rng)
+        texts = [(label, json.dumps(d)) for label, d in cases]
+        got = [_outcome(text) for _, text in texts]
+        monkeypatch.setattr(formats, "_string_list", references.string_list)
+        monkeypatch.setattr(formats, "_pair_list", references.pair_list)
+        want = [_outcome(text) for _, text in texts]
+        for (label, _), g, w in zip(texts, got, want):
+            assert g == w, label
+        kinds = {w[0] for w in want if isinstance(w, tuple)}
+        assert kinds == {MalformedFile, UnknownId}
 
 
 class TestRoundTrip:

@@ -4,24 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskdiagram.errors import OrderCycle
+from diskdiagram.errors import NotInCarrier, OrderCycle
+from diskdiagram.graph import build_graph
 from diskdiagram.orders import (
     A4Result,
     StrictPartialOrder,
     check_A4,
-    transitive_closure,
 )
-
-
-def flat(reach):
-    """The (a, b) pairs of a reach map, for comparison with pair sets."""
-    return {(a, b) for a, bs in reach.items() for b in bs}
+from references import flat, reach_sets, transitive_closure
 
 
 def order_of(pairs, carrier=None):
     if carrier is None:
         carrier = {x for p in pairs for x in p}
     return StrictPartialOrder.from_pairs(frozenset(carrier), pairs)
+
+
+def closure(pairs):
+    """The package's reach map of ``pairs``, on the elements they name."""
+    return reach_sets(order_of(pairs))
 
 
 class TestStrictPartialOrder:
@@ -54,7 +55,10 @@ class TestStrictPartialOrder:
 
     def test_reach_sets_and_pairs(self):
         o = order_of([("m", "a"), ("a", "M")], carrier={"m", "a", "M", "x"})
-        assert o.above == {
+        assert o.elements == ("M", "a", "m", "x")
+        assert o.above == {"M": 0, "a": 0b0001, "m": 0b0011, "x": 0}
+        assert o.below == {"M": 0b0110, "a": 0b0100, "m": 0, "x": 0}
+        assert reach_sets(o) == {
             "m": frozenset({"a", "M"}),
             "a": frozenset({"M"}),
             "M": frozenset(),
@@ -79,8 +83,8 @@ class TestStrictPartialOrder:
     )
     @settings(max_examples=60, deadline=None)
     def test_closure_idempotent_and_transitive(self, pairs):
-        closed = flat(transitive_closure(pairs))
-        assert flat(transitive_closure(closed)) == closed
+        closed = flat(closure(pairs))
+        assert flat(closure(closed)) == closed
         for a, b in closed:
             for c, d in closed:
                 if b == c:
@@ -120,14 +124,16 @@ def random_pairs(rng, n, m, acyclic):
 
 
 class TestClosure:
-    """transitive_closure equals the per-element search it replaced."""
+    """The order's closure equals a per-element search and the frozenset
+    closure it replaced."""
 
     def test_random_dags(self):
         rng = random.Random(5)
         for _ in range(300):
             n = rng.randrange(2, 30)
             pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) // 2 + 1), True)
-            assert flat(transitive_closure(pairs)) == search_closure(pairs)
+            assert flat(closure(pairs)) == search_closure(pairs)
+            assert closure(pairs) == transitive_closure(pairs)
 
     def test_random_cyclic_inputs_name_a_real_cycle(self):
         rng, shuffler = random.Random(6), random.Random(60)
@@ -137,7 +143,7 @@ class TestClosure:
             pairs = random_pairs(rng, n, rng.randrange(1, n * (n - 1) + 1), False)
             closed = search_closure(pairs)
             if not any((b, a) in closed for a, b in closed):
-                assert flat(transitive_closure(pairs)) == closed
+                assert flat(closure(pairs)) == closed
                 continue
             cyclic += 1
             with pytest.raises(OrderCycle) as info:
@@ -149,8 +155,11 @@ class TestClosure:
             shuffled = list(pairs)
             shuffler.shuffle(shuffled)
             with pytest.raises(OrderCycle) as again:
-                transitive_closure(shuffled)
+                order_of(shuffled)
             assert again.value.witness == witness
+            with pytest.raises(OrderCycle) as reference:
+                transitive_closure(shuffled)
+            assert reference.value.witness == witness
         assert cyclic > 100
 
     def test_cycle_named_beside_a_branch(self):
@@ -165,8 +174,29 @@ class TestClosure:
         for (d, mode), g in ladder.items():
             pairs = set(g.order.pairs)
             half = {p for p in sorted(pairs) if rng.random() < 0.5}
-            assert flat(transitive_closure(pairs)) == pairs, (d, mode)
-            assert flat(transitive_closure(half)) == search_closure(half), (d, mode)
+            assert flat(closure(pairs)) == pairs, (d, mode)
+            assert flat(closure(half)) == search_closure(half), (d, mode)
+
+    def test_pairs_read_once(self):
+        chain = [("a", "b"), ("b", "c")]
+        assert order_of(iter(chain), carrier="abc") == order_of(chain, carrier="abc")
+        g = build_graph(
+            ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], (p for p in chain)
+        )
+        assert g.order.pairs == {("a", "b"), ("b", "c"), ("a", "c")}
+        with pytest.raises(OrderCycle) as info:
+            order_of(iter([("a", "b"), ("b", "a")]), carrier="ab")
+        assert info.value.witness == ("a", "b")
+
+    def test_first_unknown_element_named(self):
+        for pairs, unknown in (
+            ([("a", "b"), ("x", "y")], "x"),
+            ([("a", "b"), ("b", "y"), ("x", "a")], "y"),
+            ([("b", "a"), ("a", "b"), ("a", "z")], "z"),
+        ):
+            with pytest.raises(NotInCarrier) as info:
+                order_of(iter(pairs), carrier="ab")
+            assert info.value.item == unknown
 
 
 def scanned_A4(order):
