@@ -8,7 +8,7 @@ transitivity, so a comparison is one shift and one mask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotInCarrier, OrderCycle
@@ -119,11 +119,11 @@ class StrictPartialOrder:
     """
 
     elements: tuple
-    above: dict  # v -> mask of every w with v < w, keyed in carrier order
-    index: dict = field(compare=False, repr=False)  # v -> its bit
+    above: dict  # v -> mask of every w with v < w
 
     def __hash__(self):
-        return hash((self.elements, tuple(self.above.values())))
+        above = self.above
+        return hash((self.elements, tuple(above[v] for v in self.elements)))
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
@@ -144,14 +144,20 @@ class StrictPartialOrder:
             except KeyError:
                 raise NotInCarrier(a if a not in index else b) from None
         reach = _closure(succ, elements)
-        return cls(elements, dict(zip(elements, reach)), index)
+        return cls(elements, dict(zip(elements, reach)))
+
+    @cached_property
+    def index(self):
+        """v -> its bit."""
+        return {v: i for i, v in enumerate(self.elements)}
 
     @cached_property
     def below(self):
         """v -> mask of every u with u < v."""
+        index = self.index
         below = [0] * len(self.elements)
-        for i, m in enumerate(self.above.values()):
-            bit = 1 << i
+        for v, m in self.above.items():
+            bit = 1 << index[v]
             for j in bits(m):
                 below[j] |= bit
         return dict(zip(self.elements, below))
@@ -182,11 +188,19 @@ class StrictPartialOrder:
         )
 
     def lt(self, a, b):
-        return self.above[a] >> self.index[b] & 1 == 1
+        """True when a < b; False when either lies outside the carrier."""
+        try:
+            return self.above[a] >> self.index[b] & 1 == 1
+        except KeyError:
+            return False
 
     def comparable(self, a, b):
+        """True when a < b or b < a; False when either lies outside the carrier."""
         above, index = self.above, self.index
-        return (above[a] >> index[b] | above[b] >> index[a]) & 1 == 1
+        try:
+            return (above[a] >> index[b] | above[b] >> index[a]) & 1 == 1
+        except KeyError:
+            return False
 
     def minimal_elements(self):
         up = 0
@@ -199,10 +213,7 @@ class StrictPartialOrder:
 
     def extends(self, other):
         """True when this order contains every pair of ``other``."""
-        if self.elements != other.elements:
-            return other.pairs <= self.pairs
-        above = self.above
-        return not any(m & ~above[v] for v, m in other.above.items())
+        return other.pairs <= self.pairs
 
 
 @dataclass(frozen=True)

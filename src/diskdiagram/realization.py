@@ -166,7 +166,7 @@ def induced_order(heights):
             above[v] = higher
             level |= 1 << index[v]
         higher |= level
-    return StrictPartialOrder(elements, {v: above[v] for v in elements}, index)
+    return StrictPartialOrder(elements, above)
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,28 @@ class TestStrictPartialOrder:
         assert o.carrier == frozenset({"m", "a", "M", "x"})
         assert o.pairs == frozenset({("m", "a"), ("m", "M"), ("a", "M")})
 
+    def test_constructed_with_above_in_any_key_order(self):
+        o = order_of([("m", "a"), ("a", "M")], carrier={"m", "a", "M", "x"})
+        shuffled = StrictPartialOrder(o.elements, dict(reversed(o.above.items())))
+        assert shuffled.index == {"M": 0, "a": 1, "m": 2, "x": 3}
+        assert shuffled.below == o.below
+        assert shuffled == o
+        assert hash(shuffled) == hash(o)
+
+    def test_outside_the_carrier_is_unrelated(self):
+        o = order_of([("m", "a")])
+        assert not o.lt("m", "z")
+        assert not o.lt("z", "a")
+        assert not o.comparable("z", "m")
+        assert not o.comparable("m", "z")
+
     def test_extends(self):
         small = order_of([("m", "a")], carrier={"m", "a", "M"})
         big = order_of([("m", "a"), ("a", "M")])
         assert big.extends(small)
         assert not small.extends(big)
+        assert big.extends(order_of([("m", "a")]))
+        assert not order_of([("m", "a")]).extends(big)
 
     @given(
         st.sets(
