@@ -1,9 +1,10 @@
-"""Exhaustive cross-check of the fast path-counting planarity criterion.
+"""Exhaustive cross-check of the fast run-counting planarity criterion.
 
 Enumerates every tree up to --trees vertices, one per isomorphism class
 (networkx.nonisomorphic_trees), every admissible boundary-vertex set,
-and every cyclic order of that set, then compares the path-counting
-criterion against a brute force search over all rotation systems.  A
+and every cyclic order of that set, then compares the criterion, read
+from the runs of ring vertices beyond each tree edge, against a brute
+force search over all rotation systems.  A
 second sweep feeds every small connected multigraph up to --graphs
 vertices through the full decision pipeline and prints the verdict
 tallies.

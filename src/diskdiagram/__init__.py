@@ -43,7 +43,6 @@ from .graph import (
     decompose,
     make_edges,
     simple_cycles,
-    tree_path,
 )
 from .orders import (
     A4Result,

@@ -1,9 +1,9 @@
 """Exhaustive small-instance sweeps cross-checking the decision code.
 
-Trees mode compares the path-count embedding criterion against the
-brute-force rotation-system oracle over every tree up to a size bound,
-every admissible boundary subset, and every ring (circular order) of
-that subset.  Graphs mode enumerates small partially ordered multigraphs
+Trees mode compares the embedding criterion, read from the runs of ring
+vertices beyond each tree edge, against the brute-force rotation-system
+oracle over every tree up to a size bound, every admissible boundary
+subset, and every ring (circular order) of that subset.  Graphs mode enumerates small partially ordered multigraphs
 and tabulates how many fall at each condition of the acceptance
 pipeline.
 """

@@ -23,7 +23,7 @@ from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
 from .graph import DEFAULT_BUDGET
 from .planarity import face_arcs
-from .realization import extend_to_faces, place, realize
+from .realization import boundary_extrema, place, realize
 from .svg import render_svg
 
 
@@ -69,14 +69,13 @@ def _verdict_doc(verdict):
     }
     if verdict.delta:
         emb, heights = place(verdict)
-        f = extend_to_faces(emb, heights)
         doc["embedding"] = {
             "faces": len(emb.faces),
             "inner_face_arcs": face_arcs(emb),
         }
         doc["realization"] = {
             "heights": {v: heights.value[v] for v in sorted(heights.value)},
-            "boundary_extrema": len(f.boundary_extrema()),
+            "boundary_extrema": len(boundary_extrema(verdict.gamma, heights)),
         }
     return doc
 

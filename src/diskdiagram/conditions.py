@@ -189,7 +189,12 @@ def boundary_pairs(dec, tree_index):
 
 
 def check_S3(dec):
-    """Both inner neighbors of every boundary pair attach one common other tree."""
+    """Both inner neighbors of every boundary pair attach one common other tree.
+
+    The common tree is never the pair's own: the arc between two
+    attachments consecutive in the tree's ring holds none of the tree's
+    vertices, since the tree meets the boundary only at its attachments.
+    """
     wits = []
     for t in dec.trees:
         for bp in boundary_pairs(dec, t.index):
@@ -203,10 +208,6 @@ def check_S3(dec):
                 wits.append(
                     f"pair {bp.pair} of tree {t.index}: neighbors {bp.tilde} attach "
                     f"different trees {t1.index} and {t2.index}"
-                )
-            elif t1.index == t.index:
-                wits.append(
-                    f"pair {bp.pair} of tree {t.index}: neighbors {bp.tilde} attach the same tree"
                 )
     return ConditionReport("S3", not wits, tuple(wits))
 

@@ -101,13 +101,10 @@ def load_graph_file(text):
     return GraphFile(vertices, edges, order)
 
 
-def graph_from_file(gf):
-    return build_graph(gf.vertices, gf.edges, gf.order)
-
-
 def parse(text):
     """File text straight to a validated PoGraph."""
-    return graph_from_file(load_graph_file(text))
+    gf = load_graph_file(text)
+    return build_graph(gf.vertices, gf.edges, gf.order)
 
 
 def file_of_graph(g):

@@ -16,7 +16,6 @@ from .errors import (
     DisconnectedGraph,
     InvariantViolation,
     NotAForest,
-    NotInTree,
     SelfLoop,
     UnknownId,
 )
@@ -422,42 +421,3 @@ def _validate_decomposition(dec):
                     f"trees {t.index} and {s.index} share vertices {sorted(t.vertices & s.vertices)}"
                 )
 
-
-def tree_path(adj, u, v):
-    """The unique edge sequence joining u and v in a tree.
-
-    ``adj`` is the tree's `adjacency`; build it once per tree and reuse
-    it across calls.
-    """
-    for x in (u, v):
-        if x not in adj:
-            raise NotInTree(x)
-    prev = {u: None}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for e in adj[x]:
-            w = e.other(x)
-            if w not in prev:
-                prev[w] = (x, e)
-                stack.append(w)
-    if v not in prev:
-        raise NotInTree(v)
-    path = []
-    node = v
-    while prev[node] is not None:
-        x, e = prev[node]
-        path.append(e)
-        node = x
-    return tuple(reversed(path))
-
-
-def path_vertices(adj, u, v):
-    """Vertex sequence of the unique tree path from u to v, inclusive."""
-    edges = tree_path(adj, u, v)
-    seq = [u]
-    for e in edges:
-        seq.append(e.other(seq[-1]))
-    return tuple(seq)

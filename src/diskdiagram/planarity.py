@@ -8,9 +8,16 @@ complement tree is disk-planar for its attachments in boundary order
 and distinct trees occupy nested, non-interleaving portions of the
 boundary.
 
-`build_embedding` produces a rotation system realizing such an embedding
-and certifies itself by tracing faces: the Euler relation must hold and
-the boundary cycle must bound a face.
+Both tests read one walk per tree, `_beyond`, which gives every dart
+the ring vertices lying past it as a bitmask.  A tree edge lies on the
+path between two circularly adjacent ring vertices exactly when it
+separates them, so the number of such paths through it is twice the
+number of circular runs that the ring vertices beyond it form; the tree
+is disk-planar when every edge cuts off a single run.
+`build_embedding` orders the edges at each tree vertex by where the run
+beyond each edge starts, and certifies the rotation system by tracing
+faces: the Euler relation must hold and the boundary cycle must bound a
+face.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from .errors import (
     NotPlanar,
     TerminalNotInVstar,
 )
-from .graph import DEFAULT_BUDGET, adjacency, tree_path
+from .graph import DEFAULT_BUDGET, adjacency
 
 
 def _validate_tree_input(edges, ring):
@@ -43,22 +50,60 @@ def _validate_tree_input(edges, ring):
     return adj
 
 
-def tree_is_disk_planar(edges, ring):
-    """Path-count criterion with per-edge diagnostics.
+def _beyond(adj, ring):
+    """Ring vertices past every dart of a tree, as bitmasks.
 
-    ``ring`` lists the boundary vertices in circular order.  Each pair of
-    circularly adjacent ring vertices contributes its unique tree path;
-    the tree embeds iff every edge lies on exactly two such paths.  A
-    ring of two vertices, whose tree is the path between them, passes
-    each edge twice and so always embeds.
+    Bit i stands for ``ring[i]``.  One walk from ``ring[0]`` sums each
+    vertex's subtree into a mask; the dart ``(v, e)`` from a vertex to
+    its child gets the child's mask, and the dart back gets the rest of
+    the ring.  Raises NotInTree for a vertex of ``adj`` the walk does
+    not reach, the first such ring vertex if there is one.
+    """
+    full = (1 << len(ring)) - 1
+    mask = {v: 1 << i for i, v in enumerate(ring)}
+    parent = dict.fromkeys(ring[:1])
+    order = list(ring[:1])
+    for v in order:
+        for e in adj[v]:
+            w = e.other(v)
+            if w not in parent:
+                parent[w] = e
+                order.append(w)
+    if len(order) < len(adj):
+        raise NotInTree(next(v for v in (*ring, *adj) if v not in parent))
+    out = {}
+    for w in reversed(order[1:]):
+        e = parent[w]
+        v = e.other(w)
+        m = mask.get(w, 0)
+        mask[v] = mask.get(v, 0) | m
+        out[v, e] = m
+        out[w, e] = full ^ m
+    return out
+
+
+def _run_starts(m, k):
+    """Bits of ``m`` that start a circular run of set bits in a k-bit ring."""
+    return m & ~((m << 1 | m >> (k - 1)) & ((1 << k) - 1))
+
+
+def tree_is_disk_planar(edges, ring):
+    """Run-count criterion with per-edge diagnostics.
+
+    ``ring`` lists the boundary vertices in circular order.  An edge
+    lies on the tree path of a circularly adjacent ring pair exactly
+    when it separates the pair, so its count of such paths is twice the
+    number of circular runs of ring vertices beyond it; the tree embeds
+    iff every count is 2.  A ring of two vertices, whose tree is the
+    path between them, has one ring vertex beyond each side of every
+    edge and so always embeds.  An edge the walk never crosses, which
+    only an input with a cycle has, counts 0.
     """
     edges = list(edges)
     ring = tuple(ring)
-    adj = _validate_tree_input(edges, ring)
-    counts = {e: 0 for e in edges}
-    for u, w in zip(ring, ring[1:] + ring[:1]):
-        for e in tree_path(adj, u, w):
-            counts[e] += 1
+    beyond = _beyond(_validate_tree_input(edges, ring), ring)
+    k = len(ring)
+    counts = {e: 2 * _run_starts(beyond.get((e.a, e), 0), k).bit_count() for e in edges}
     return all(c == 2 for c in counts.values()), counts
 
 
@@ -246,51 +291,29 @@ def trace_faces(rotation, edges):
     return walks, dart_face
 
 
-def _subtree_vertices(tree, root, first_edge):
-    """Vertices reachable from `root` through `first_edge`, not via root."""
-    out = set()
-    stack = [first_edge.other(root)]
-    blocked = {root}
-    while stack:
-        u = stack.pop()
-        if u in out:
-            continue
-        out.add(u)
-        for e in tree.incident(u):
-            w = e.other(u)
-            if w not in out and w not in blocked:
-                stack.append(w)
-    return out
-
-
-def _sorted_tree_edges(tree, v, lin, cut):
+def _sorted_tree_edges(tree, v, beyond, ring, first):
     """Incident tree edges ordered by where their far attachments start.
 
-    `lin` maps each attachment to its index in its tree's ring; `cut`
-    rebases the ring there (``lin[v]`` at an attachment, the index of the
-    smallest attachment name at an interior vertex).  The attachments
-    reachable through each edge must form one circular stretch (a
+    ``beyond`` holds the `_beyond` masks of the tree's ``ring``, which
+    is read from its attachment `first` on (``v`` itself at an
+    attachment, the smallest attachment name at an interior vertex).
+    The attachments beyond each edge must form one circular run (a
     consequence of disk-planarity), and edges are returned by the
-    rebased start of their stretch.  No stretch is the whole circle: the stretches of the
-    edges at `v` partition its tree's attachments, every tree leaf is an
-    attachment, and `v` has degree at least two.
+    rebased start of their run.  No run is the whole circle: the runs of
+    the edges at `v` partition its tree's attachments, every tree leaf
+    is an attachment, and `v` has degree at least two.
     """
-    k = len(lin)
+    k = len(ring)
+    cut = ring.index(first)
     keyed = []
-    for e in sorted(tree.incident(v)):
-        reach = _subtree_vertices(tree, v, e)
-        block = {(lin[x] - cut) % k for x in reach if x in lin}
-        if not block:
-            raise InvariantViolation(
-                f"tree {tree.index}: no attachment beyond edge {e} at {v}"
-            )
-        starts = [s for s in block if (s - 1) % k not in block]
-        if len(starts) != 1:
+    for e in tree.incident(v):
+        start = _run_starts(beyond[v, e], k)
+        if start & (start - 1) or not start:
             raise InvariantViolation(
                 f"tree {tree.index}: attachments beyond {e} at {v} are "
-                f"not consecutive on the boundary"
+                f"not one run of the boundary"
             )
-        keyed.append((starts[0], e))
+        keyed.append(((start.bit_length() - 1 - cut) % k, e))
     keyed.sort(key=lambda pair: pair[0])
     return tuple(e for _, e in keyed)
 
@@ -338,7 +361,7 @@ def build_embedding(dec):
     """
     g, gamma = dec.graph, dec.gamma
     n = len(gamma.vertices)
-    attach_lin = {t.index: {x: i for i, x in enumerate(dec.ring(t))} for t in dec.trees}
+    beyond = {t.index: _beyond(adjacency(t.edges), dec.ring(t)) for t in dec.trees}
     rotation = {}
     for i, v in enumerate(gamma.vertices):
         e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]
@@ -346,14 +369,11 @@ def build_embedding(dec):
         if t is None:
             rotation[v] = (e_next, e_prev)
         else:
-            lin = attach_lin[t.index]
-            tree_edges = _sorted_tree_edges(t, v, lin, lin[v])
+            tree_edges = _sorted_tree_edges(t, v, beyond[t.index], dec.ring(t), v)
             rotation[v] = (e_next, *tree_edges, e_prev)
     for t in dec.trees:
-        lin = attach_lin[t.index]
-        cut = lin[min(t.attach)]
         for v in sorted(t.vertices - t.attach):
-            rotation[v] = _sorted_tree_edges(t, v, lin, cut)
+            rotation[v] = _sorted_tree_edges(t, v, beyond[t.index], dec.ring(t), min(t.attach))
     walks, dart_face = trace_faces(rotation, g.edges)
     n_faces = len(walks)
     if len(g.vertices) - len(g.edges) + n_faces != 2:

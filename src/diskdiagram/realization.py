@@ -726,23 +726,31 @@ class DiskFunction:
 
     def boundary_extrema(self):
         """Boundary vertices that are local extrema along the circle."""
-        vs = self.gamma.vertices
-        n = len(vs)
-        h = self._gamma_heights
-        out = []
-        for i, v in enumerate(vs):
-            prev_h = h[(i - 1) % n]
-            next_h = h[(i + 1) % n]
-            if h[i] > prev_h and h[i] > next_h:
-                out.append((v, "max"))
-            elif h[i] < prev_h and h[i] < next_h:
-                out.append((v, "min"))
-        return out
+        return boundary_extrema(self.gamma, self.heights)
 
     def tree_levels(self):
         return {
             t.index: self.heights.level(t) for t in self.decomposition.trees
         }
+
+
+def boundary_extrema(gamma, heights):
+    """Vertices of ``gamma`` that are local extrema of ``heights`` along it.
+
+    Returns ``[(vertex, "min"|"max"), ...]`` in cycle order.
+    """
+    vs = gamma.vertices
+    n = len(vs)
+    h = [heights.value[v] for v in vs]
+    out = []
+    for i, v in enumerate(vs):
+        prev_h = h[(i - 1) % n]
+        next_h = h[(i + 1) % n]
+        if h[i] > prev_h and h[i] > next_h:
+            out.append((v, "max"))
+        elif h[i] < prev_h and h[i] < next_h:
+            out.append((v, "min"))
+    return out
 
 
 def place(verdict, mode="default", seed=None):

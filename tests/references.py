@@ -3,10 +3,13 @@
 Each is the simple version that an optimized path in the package
 replaced, kept here so tests can require equal results on the same
 inputs: the order closure on frozensets, the A2 scan over every vertex
-of every tree, and the per-item validation of a file's id lists.
+of every tree, the per-item validation of a file's id lists, the tree
+criterion that walks the path of every adjacent ring pair, and the
+rotation system that walks the subtree behind every tree edge.
 """
 from diskdiagram.conditions import ConditionReport
-from diskdiagram.errors import MalformedFile, OrderCycle, UnknownId
+from diskdiagram.errors import InvariantViolation, MalformedFile, OrderCycle, UnknownId
+from diskdiagram.graph import adjacency
 
 
 def transitive_closure(pairs):
@@ -147,3 +150,88 @@ def pair_list(obj, field, known):
                 raise UnknownId(x, f"{field}[{i}]")
         out.append((item[0], item[1]))
     return tuple(out)
+
+
+def tree_path(adj, u, v):
+    """The edges of the unique path joining u and v in a tree."""
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for e in adj[x]:
+            w = e.other(x)
+            if w not in prev:
+                prev[w] = (x, e)
+                stack.append(w)
+    path = []
+    while prev[v] is not None:
+        v, e = prev[v]
+        path.append(e)
+    return path
+
+
+def tree_is_disk_planar(edges, ring):
+    """Path-count criterion: every edge lies on exactly two of the paths
+    joining circularly adjacent ring vertices."""
+    edges = list(edges)
+    ring = tuple(ring)
+    adj = adjacency(edges)
+    counts = {e: 0 for e in edges}
+    for u, w in zip(ring, ring[1:] + ring[:1]):
+        for e in tree_path(adj, u, w):
+            counts[e] += 1
+    return all(c == 2 for c in counts.values()), counts
+
+
+def subtree_vertices(tree, root, first_edge):
+    """Vertices reachable from `root` through `first_edge`, not via root."""
+    out = set()
+    stack = [first_edge.other(root)]
+    while stack:
+        u = stack.pop()
+        if u in out:
+            continue
+        out.add(u)
+        for e in tree.incident(u):
+            w = e.other(u)
+            if w not in out and w != root:
+                stack.append(w)
+    return out
+
+
+def sorted_tree_edges(tree, v, lin, cut):
+    """Edges at `v` by the rebased start of the attachments behind each.
+
+    `lin` maps each attachment to its ring index and `cut` is the ring
+    index the order starts from.
+    """
+    k = len(lin)
+    keyed = []
+    for e in tree.incident(v):
+        block = {(lin[x] - cut) % k for x in subtree_vertices(tree, v, e) if x in lin}
+        starts = [s for s in block if (s - 1) % k not in block]
+        if len(starts) != 1:
+            raise InvariantViolation(f"tree {tree.index}: no single stretch beyond {e}")
+        keyed.append((starts[0], e))
+    keyed.sort(key=lambda pair: pair[0])
+    return tuple(e for _, e in keyed)
+
+
+def rotation(dec):
+    """The rotation system of `build_embedding`, in its vertex order."""
+    gamma = dec.gamma
+    lins = {t.index: {x: i for i, x in enumerate(dec.ring(t))} for t in dec.trees}
+    out = {}
+    for i, v in enumerate(gamma.vertices):
+        e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]
+        t = dec.tree_of(v)
+        if t is None:
+            out[v] = (e_next, e_prev)
+        else:
+            lin = lins[t.index]
+            out[v] = (e_next, *sorted_tree_edges(t, v, lin, lin[v]), e_prev)
+    for t in dec.trees:
+        lin = lins[t.index]
+        for v in sorted(t.vertices - t.attach):
+            out[v] = sorted_tree_edges(t, v, lin, lin[min(t.attach)])
+    return out

@@ -11,7 +11,6 @@ from diskdiagram.errors import (
     DegreeBelowTwo,
     DisconnectedGraph,
     NotAForest,
-    NotInTree,
     OrderCycle,
     SelfLoop,
     UnknownId,
@@ -25,9 +24,7 @@ from diskdiagram.graph import (
     decompose,
     enumerate_simple_cycles,
     make_edges,
-    path_vertices,
     simple_cycles,
-    tree_path,
 )
 
 
@@ -284,37 +281,3 @@ class TestDecompose:
         with pytest.raises(NotAForest):
             decompose(g, ring_cycle(g, names))
 
-
-class TestTreePath:
-    def _star(self):
-        """Adjacency of the star tree of G3."""
-        g = build("G3")
-        ring = ["w1", "M1", "w2", "m1", "w3", "M2", "w4", "m2"]
-        return adjacency(decompose(g, ring_cycle(g, ring)).trees[0].edges)
-
-    def test_leaf_to_leaf(self):
-        t = self._star()
-        path = tree_path(t, "w1", "w3")
-        assert len(path) == 2
-        assert path[0].touches("w1") and path[0].touches("c")
-        assert path[1].touches("c") and path[1].touches("w3")
-
-    def test_trivial_path(self):
-        t = self._star()
-        assert tree_path(t, "w1", "w1") == ()
-
-    def test_not_in_tree(self):
-        t = self._star()
-        with pytest.raises(NotInTree):
-            tree_path(t, "w1", "m1")
-
-    def test_reversal(self):
-        t = self._star()
-        for u in ("w1", "w2", "c"):
-            for v in ("w3", "w4", "c"):
-                assert tree_path(t, u, v) == tuple(reversed(tree_path(t, v, u)))
-
-    def test_path_vertices(self):
-        t = self._star()
-        assert path_vertices(t, "w1", "w3") == ("w1", "c", "w3")
-        assert path_vertices(t, "c", "c") == ("c",)

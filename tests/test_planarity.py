@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -18,6 +19,8 @@ from diskdiagram.planarity import (
     trace_faces,
     tree_is_disk_planar,
 )
+
+import references
 
 STAR = [("c", "w1"), ("c", "w2"), ("c", "w3"), ("c", "w4")]
 # two cherries joined through the middle edge c1--c2
@@ -57,6 +60,13 @@ class TestTreeCriterion:
     def test_boundary_vertex_outside_tree_rejected(self):
         with pytest.raises(NotInTree):
             tree_is_disk_planar(edges(STAR), ("w1", "w2", "w3", "w4", "zz"))
+
+    def test_forest_rejected(self):
+        """Ring vertices in two components: the first one the walk from
+        the ring's start cannot reach is named."""
+        with pytest.raises(NotInTree) as exc:
+            tree_is_disk_planar(edges([("a", "b"), ("c", "d")]), ("a", "b", "c", "d"))
+        assert exc.value.vertex == "c"
 
     def test_repeated_ring_vertex_rejected(self):
         for check in (tree_is_disk_planar, brute_force_tree_embedding):
@@ -117,7 +127,8 @@ class TestOracle:
             label="extra",
         )
         ring = tuple(data.draw(st.permutations(sorted(leaves | extra)), label="ring"))
-        ok, _ = tree_is_disk_planar(es, ring)
+        ok, counts = tree_is_disk_planar(es, ring)
+        assert (ok, counts) == references.tree_is_disk_planar(es, ring)
         assert ok == brute_force_tree_embedding(es, ring)
         if len(ring) < 3:
             assert ok
@@ -222,3 +233,44 @@ class TestEmbedding:
         walks, dart_face = trace_faces(rotation, es)
         assert sum(len(w) for w in walks) == 6
         assert len(dart_face) == 6
+
+
+def transposed(ring):
+    """The ring with each pair of neighbours swapped in turn."""
+    return [ring[:i] + (ring[i + 1], ring[i]) + ring[i + 2 :] for i in range(len(ring) - 1)]
+
+
+class TestAgainstReferences:
+    """The ring-mask criterion and rotations equal the path-count criterion
+    and the subtree-walk rotations they replaced."""
+
+    @pytest.fixture(scope="class")
+    def decompositions(self, verdicts, realized_corpus, ladder):
+        """(label, decomposition, accepted) for fixtures, corpus, ladder d <= 3."""
+        out = [(name, v.decomposition, v.delta) for name, v in sorted(verdicts.items())]
+        out += [(f"{s.name} [{m}]", f.decomposition, True) for s, m, _, f in realized_corpus]
+        for key, g in sorted(ladder.items()):
+            v = is_delta_graph(g)
+            out.append((f"ladder {key}", v.decomposition, v.delta))
+        return [case for case in out if case[1] is not None]
+
+    def test_tree_criterion(self, decompositions):
+        checked = rejected = 0
+        for label, dec, _ in decompositions:
+            for t in dec.trees:
+                ring = dec.ring(t)
+                for r in [ring, *transposed(ring)]:
+                    got = tree_is_disk_planar(t.edges, r)
+                    assert got == references.tree_is_disk_planar(t.edges, r), (label, r)
+                    checked += 1
+                    rejected += not got[0]
+        assert checked > 5000 and rejected > 100
+
+    def test_rotations(self, decompositions):
+        accepted = 0
+        for label, dec, delta in decompositions:
+            if delta:
+                got = build_embedding(dec).rotation
+                assert list(got.items()) == list(references.rotation(dec).items()), label
+                accepted += 1
+        assert accepted > 420
