@@ -5,8 +5,9 @@ saturated), run through the full decision + realization pipeline, and
 checked against the structural invariants: inner faces carry one or two
 boundary arcs, face counts satisfy the Euler relation, boundary extrema
 alternate with even count at exactly the even-degree boundary vertices,
-the corner-sign census passes, and the order induced by the heights
-extends the input order.  Without --limit the size-ladder shapes
+the corner-sign census passes, the order induced by the heights
+extends the input order, and every face's triangles have positive area
+and tile its polygon.  Without --limit the size-ladder shapes
 d = 1..5 (up to 1 703 vertices) follow the corpus specs.  With --strict
 the strict height mode runs as well and the equality-vs-congruence
 tallies are reported.
@@ -15,6 +16,8 @@ import argparse
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -28,6 +31,12 @@ from diskdiagram.realization import (
     place,
     sign_census,
 )
+
+
+def signed_area(p):
+    """Shoelace area of the polygon (or stack of polygons) on the last axes."""
+    x, y = p[..., 0], p[..., 1]
+    return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
 
 
 def check_instance(g, f):
@@ -50,6 +59,12 @@ def check_instance(g, f):
         problems.append(f"sign census failed: {census.witnesses[:2]}")
     if not induced_order(f.heights).extends(g.order):
         problems.append("induced order does not extend the input order")
+    for fm in f.face_maps:
+        areas = signed_area(fm.points[fm.triangles])
+        if areas.min() <= 0:
+            problems.append(f"face {fm.face_index} has a triangle without positive area")
+        elif abs(areas.sum() - signed_area(fm.points)) > 1e-12:
+            problems.append(f"face {fm.face_index}: triangle areas do not sum to its polygon's")
     return problems
 
 

@@ -5,18 +5,20 @@ monotone integer height per block; place the boundary cycle on the unit
 circle and solve for interior tree positions; then extend the heights
 continuously over every face.  An inner face is either a one-arc face
 (one boundary extremum between two visits of a single tree) or a
-two-arc face (a band between two levels); one builder checks both
-shapes.  Its boundary is sampled into a polygon — circle arcs with
-heights interpolated between their end vertices, tree paths at their
-tree's level — and ear-clipped into triangles; the function is linear
-on each triangle, so it agrees with the vertex heights, is constant on
-every tree, and stays between the face's two defining levels.  A face
-map holds only what is drawn: the polygon, its values, its triangles
-and the vertex drawn at each point.  The same triangles give every
-level set exactly: `level_set` cuts each triangle the level crosses
-along one segment, with no sampling grid.  `sign_census` audits the
-drawn values: around every tree vertex, the faces' values off the
-tree's level must lie on alternating sides of it.
+two-arc face (a band between two levels); one function checks both
+shapes.  `extend_to_faces` builds every face's polygon in one pass —
+circle arcs sampled with heights interpolated between their end
+vertices, tree paths at their tree's level — and, since the placement
+makes every face strictly convex (checked, not assumed), cuts each
+polygon into the fan of triangles from its last point; the function is
+linear on each triangle, so it agrees with the vertex heights, is
+constant on every tree, and stays between the face's two defining
+levels.  A face map holds only what is drawn: the polygon, its values,
+its triangles and the vertex drawn at each point.  The same triangles
+give every level set exactly: `level_set` cuts each triangle the level
+crosses along one segment, with no sampling grid.  `sign_census`
+audits the drawn values: around every tree vertex, the faces' values
+off the tree's level must lie on alternating sides of it.
 """
 from __future__ import annotations
 
@@ -354,100 +356,6 @@ class FaceMap:
     keys: tuple  # per point: the graph vertex drawn there, else None
 
 
-def _ear_clip(pts, vals):
-    """Triangulate a simple counterclockwise polygon.
-
-    The ear clipped is the first convex, unblocked position in polygon
-    order whose three values are not all equal, else the first convex,
-    unblocked one.  A vertex is convex when its cross product exceeds
-    1e-14, so only the last triangle can lack area; it is then dropped.
-    Clipping a vertex changes only its two neighbours' triples, so each
-    convexity flag is computed once and then only for those two.
-
-    An ear is blocked by a vertex in its closed triangle (margin 1e-12),
-    and only reflex vertices (cross <= 1e-14, collinear path points
-    included) are tested; this is the rule of Meisters ("Polygons have
-    ears", 1975).  Let the convex ear a-b-c hold other vertices, and let
-    j be one of them farthest from the line ac.  The sides ab and bc are
-    polygon edges, which no other edge crosses, so every edge at j leaves
-    the triangle through ac or stays in it: both of j's neighbours lie no
-    farther from ac than j does.  No edge meets the part of the triangle
-    beyond j's distance from ac, and the polygon's interior fills it near
-    b, so the interior angle at j is at least pi and j is reflex.  In
-    floating point this leaves one case out: a convex vertex within 1e-12
-    outside the diagonal ac blocked the ear before and is not tested
-    now.  The triangles are identical on the fixtures, the corpus and
-    the size ladder up to d = 4, so the case does not occur there.
-    """
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    vs = [float(v) for v in vals]
-    n = len(pts)
-    idx = list(range(n))
-    tris = []
-
-    def cross(i0, i1, i2):
-        return (xs[i1] - xs[i0]) * (ys[i2] - ys[i0]) - (ys[i1] - ys[i0]) * (
-            xs[i2] - xs[i0]
-        )
-
-    def in_tri(j, i0, i1, i2):
-        eps = 1e-12
-        s1 = (xs[i1] - xs[i0]) * (ys[j] - ys[i0]) - (ys[i1] - ys[i0]) * (
-            xs[j] - xs[i0]
-        )
-        s2 = (xs[i2] - xs[i1]) * (ys[j] - ys[i1]) - (ys[i2] - ys[i1]) * (
-            xs[j] - xs[i1]
-        )
-        s3 = (xs[i0] - xs[i2]) * (ys[j] - ys[i2]) - (ys[i0] - ys[i2]) * (
-            xs[j] - xs[i2]
-        )
-        return s1 >= -eps and s2 >= -eps and s3 >= -eps
-
-    convex = [cross(k - 1, k, (k + 1) % n) > 1e-14 for k in range(n)]
-    reflex = {k for k in range(n) if not convex[k]}
-    while len(idx) > 3:
-        m = len(idx)
-        chosen = None
-        fallback = None
-        for k in range(m):
-            i1 = idx[k]
-            if not convex[i1]:
-                continue
-            i0, i2 = idx[k - 1], idx[(k + 1) % m]
-            blocked = False
-            for j in reflex:
-                if j != i0 and j != i2 and in_tri(j, i0, i1, i2):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            if not (vs[i0] == vs[i1] == vs[i2]):
-                chosen = k
-                break
-            if fallback is None:
-                fallback = k
-        if chosen is None:
-            chosen = fallback
-        if chosen is None:
-            raise DegenerateDrawing("cannot triangulate a face polygon")
-        k = chosen
-        tris.append((idx[k - 1], idx[k], idx[(k + 1) % m]))
-        del idx[k]
-        m -= 1
-        for at in (k - 1, k % m):
-            i = idx[at]
-            convex[i] = cross(idx[at - 1], i, idx[(at + 1) % m]) > 1e-14
-            if convex[i]:
-                reflex.discard(i)
-            else:
-                reflex.add(i)
-    if abs(cross(*idx)) > 1e-14:
-        tris.append(tuple(idx))
-    if not tris:
-        raise DegenerateDrawing("face polygon has no area")
-    return np.array(tris, dtype=int)
-
-
 def _path_level(darts, heights, face_index):
     vs = [u for u, _ in darts] + [darts[-1][1].other(darts[-1][0])]
     levels = {heights.value[v] for v in vs}
@@ -457,50 +365,8 @@ def _path_level(darts, heights, face_index):
         )
 
 
-def _arc_points(dart, heights, position):
-    """Sample positions/values along one boundary edge, endpoint excluded."""
-    u, e = dart
-    w = e.other(u)
-    n = len(position)
-    if (position[w] - position[u]) % n != 1:
-        raise InvariantViolation("inner face traverses the boundary backwards")
-    th0 = _rim_angle(position[u], n)
-    step = 2 * math.pi / n
-    hu, hw = heights.value[u], heights.value[w]
-    pts, vals = [], []
-    for s in range(SAMPLES_PER_BOUNDARY_EDGE):
-        t = s / SAMPLES_PER_BOUNDARY_EDGE
-        th = th0 + t * step
-        pts.append((math.cos(th), math.sin(th)))
-        vals.append((1 - t) * hu + t * hw)
-    return pts, vals
-
-
-def _face_polygon(runs, emb, heights):
-    """Polygon points, values and keys of a face, run after run.
-
-    Each boundary edge contributes its rim samples and each tree path
-    its vertices, up to the final endpoint.  A point's key is the graph
-    vertex drawn there (a path vertex, or the first sample of a boundary
-    edge), else None.
-    """
-    position = emb.decomposition.position
-    pts, vals, keys = [], [], []
-    for kind, darts in runs:
-        for u, e in darts:
-            if kind == "arc":
-                ps, vs = _arc_points((u, e), heights, position)
-                keys += [u] + [None] * (len(ps) - 1)
-            else:
-                ps, vs = [tuple(emb.coords[u])], [heights.value[u]]
-                keys.append(u)
-            pts += ps
-            vals += vs
-    return np.array(pts), np.array(vals), tuple(keys)
-
-
-def _face_map(face, emb, heights):
-    """Check one inner face's level structure, then triangulate it.
+def _check_face(face, g, heights):
+    """Check one inner face's level structure.
 
     ``face.runs`` start with a boundary arc.  A one-arc face is a
     two-edge arc around one degree-2 extremum, closed by one tree path
@@ -509,7 +375,6 @@ def _face_map(face, emb, heights):
     the face has none, of the other arc.  Every tree path must lie at
     one level.
     """
-    g = emb.decomposition.graph
     runs = face.runs
     arcs = [darts for kind, darts in runs if kind == "arc"]
     if len(arcs) == 1:
@@ -534,14 +399,142 @@ def _face_map(face, emb, heights):
         raise InvariantViolation(f"face {face.index}: extremum level equals tree level")
     if len(arcs) == 2 and levels[0] == levels[1]:
         raise EqualLevels(face.index, levels[0])
-    pts, vals, keys = _face_polygon(runs, emb, heights)
-    return FaceMap(face.index, pts, vals, _ear_clip(pts, vals), keys)
+
+
+def _rim_points(n):
+    """The rim samples of a boundary of ``n`` vertices, edge by edge.
+
+    Row ``k * i + s`` (``k = SAMPLES_PER_BOUNDARY_EDGE``) is sample s of
+    the edge from the i-th boundary vertex to the next, at the fraction
+    ``s / k`` of the edge's arc: sample 0 is the vertex itself, and the
+    end vertex is sample 0 of the next edge.
+    """
+    k = SAMPLES_PER_BOUNDARY_EDGE
+    th = _rim_angle(np.arange(n), n)[:, None] + np.arange(k) / k * (2 * math.pi / n)
+    th = th.ravel().tolist()
+    # math's cos and sin, which the drawing has always used; numpy's
+    # vectorized ones may round differently
+    return np.array([[math.cos(a) for a in th], [math.sin(a) for a in th]]).T
+
+
+def _convex_fans(points, sizes, names):
+    """Fan triangles of polygons stacked in ``points``, each checked convex.
+
+    Polygon j holds the next ``sizes[j]`` points.  Each must be strictly
+    convex and counterclockwise: every turn ``cross(p[i-1], p[i], p[i+1])``
+    exceeds 1e-14, its edge directions cross the direction of +x once
+    (left turns alone allow a polygon that winds twice), and every fan
+    triangle's cross product exceeds 1e-14.  Otherwise DegenerateDrawing
+    names the first failing polygon by ``names[j]``.
+
+    Polygon j of m points gets the fan from its last point, in the rows
+    ``(m-1, k, k+1)`` for ``k = 0 .. m-4`` and then ``(m-3, m-2, m-1)``:
+    the triangles an ear clip that always clips position 0 gives, in its
+    order.  The rows are returned indexed within their polygon.
+    """
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    at = np.arange(ends[-1])
+    prv, nxt = at - 1, at + 1
+    prv[firsts] = ends - 1
+    nxt[ends - 1] = firsts
+    turn = _cross_rows(points - points[prv], points[nxt] - points[prv])
+    dy = points[nxt, 1] - points[:, 1]
+    upward = (dy < 0) & (dy[nxt] >= 0)
+    rows = sizes - 2
+    tri_owner = np.repeat(np.arange(len(sizes)), rows)
+    m = sizes[tri_owner]
+    k = np.arange(len(tri_owner)) - (np.cumsum(rows) - rows)[tri_owner]
+    local = np.stack([m - 1, k, k + 1], axis=1)
+    last = k == m - 3
+    local[last] = local[last][:, [1, 2, 0]]
+    base = firsts[tri_owner]
+    a, b, c = (points[local[:, i] + base] for i in range(3))
+    bad = np.bincount(owner[upward], minlength=len(sizes)) != 1
+    bad[owner[turn <= 1e-14]] = True
+    bad[tri_owner[_cross_rows(b - a, c - a) <= 1e-14]] = True
+    if bad.any():
+        raise DegenerateDrawing(f"face {names[int(np.argmax(bad))]} is not strictly convex")
+    return local
 
 
 def extend_to_faces(emb, heights):
-    """Build the face maps of a placed embedding into a DiskFunction."""
-    maps = tuple(_face_map(f, emb, heights) for f in emb.faces if not f.is_outer)
-    return DiskFunction(emb, heights, maps)
+    """Build every inner face's map in one pass into a DiskFunction.
+
+    Each face is first checked by `_check_face`.  Its polygon is its
+    boundary walk, run after run: each boundary edge gives its rim
+    samples (`_rim_points`, start included, end excluded) and each tree
+    path its vertices, up to the final endpoint; a point's key is the
+    graph vertex drawn there (a path vertex, or an edge's first sample),
+    else None.  All polygons are gathered from one table of rim samples
+    and vertex positions, and triangulated by `_convex_fans`.
+
+    Why every face is convex.  Rim samples lie on the unit circle,
+    counterclockwise, so the turn at a sample between two others is
+    left.  A2 gives every interior tree vertex an even degree of at
+    least 4, and `_solve_tree_positions` puts it at the mean of its
+    neighbours.  A face angle of pi or more there would put all its
+    neighbours in a closed half-plane through it; their mean can then
+    equal the vertex only if all of them lie on the line, and
+    `_coords_valid` rejects that drawing (two edges leaving in one
+    direction).  At an attachment between two tree edges, both
+    neighbours lie inside the disk, on one side of the tangent.  Where
+    an arc meets a path at an attachment, the tree neighbour lies in the
+    convex hull of its tree's attachments, so it lies strictly inside
+    the chord line through the attachment and the next (or previous)
+    rim sample: that line meets the circle only at those two points and
+    no attachment lies between them.  The jittered retry of
+    `assign_coords` moves the anchors of the tree solve, by up to 1e-3
+    rad, away from the drawn attachments, which breaks the last two
+    arguments; so `_convex_fans` checks convexity instead of assuming
+    it.
+    """
+    dec = emb.decomposition
+    g, gamma, position = dec.graph, dec.gamma, dec.position
+    n = len(gamma.vertices)
+    k = SAMPLES_PER_BOUNDARY_EDGE
+    names = list(emb.coords)
+    vertex_row = {v: k * n + i for i, v in enumerate(names)}
+    table_pts = np.concatenate([_rim_points(n), np.array([emb.coords[v] for v in names])])
+    # rim values, linear along each boundary edge, then the vertex heights
+    t = np.arange(k) / k
+    h = [heights.value[v] for v in gamma.vertices]
+    rim = (1 - t) * np.array(h)[:, None] + t * np.array(h[1:] + h[:1])[:, None]
+    table_vals = np.concatenate([rim.ravel(), [heights.value[v] for v in names]])
+    faces = [f for f in emb.faces if not f.is_outer]
+    starts, counts, drawn, sizes = [], [], [], []
+    for face in faces:
+        _check_face(face, g, heights)
+        sizes.append(0)
+        for kind, darts in face.runs:
+            for u, e in darts:
+                if kind == "path":
+                    starts.append(vertex_row[u])
+                elif (position[e.other(u)] - position[u]) % n != 1:
+                    raise InvariantViolation("inner face traverses the boundary backwards")
+                else:
+                    starts.append(k * position[u])
+                counts.append(1 if kind == "path" else k)
+                drawn.append(u)
+                sizes[-1] += counts[-1]
+    counts = np.array(counts)
+    firsts = np.cumsum(counts) - counts  # each dart's first point
+    take = np.repeat(np.array(starts) - firsts, counts) + np.arange(firsts[-1] + counts[-1])
+    points, values = table_pts[take], table_vals[take]
+    local = _convex_fans(points, sizes, [f.index for f in faces])
+    keys = [None] * len(take)
+    for i, u in zip(firsts.tolist(), drawn):
+        keys[i] = u
+    maps = []
+    lo = row = 0
+    for face, size in zip(faces, sizes):
+        hi = lo + size
+        tris = local[row : row + size - 2]
+        maps.append(FaceMap(face.index, points[lo:hi], values[lo:hi], tris, tuple(keys[lo:hi])))
+        lo, row = hi, row + size - 2
+    return DiskFunction(emb, heights, tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +616,7 @@ class DiskFunction:
         """Values between a rim chord and the circle.
 
         The chord is the polygon edge between the two rim samples
-        around the point's angle (see `_arc_points`).  The point takes
+        around the point's angle (see `_rim_points`).  The point takes
         the chord's linear value at its radial projection ``q`` onto the
         chord, blended linearly in radius from ``|q|`` to 1 towards
         `_rim_values`, so the witness is continuous across the chord
@@ -797,8 +790,10 @@ def _stitch(segments):
         forward, backward = [b], [a]
         for cur, tail in ((kb, forward), (ka, backward)):
             while True:
-                i = next((i for i in by_key[cur] if not used[i]), None)
-                if i is None:
+                for i in by_key[cur]:
+                    if not used[i]:
+                        break
+                else:
                     break
                 used[i] = True
                 qa, qb, pa, pb = segments[i]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from diskdiagram.census import census_inputs
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.families import (
     build_instance,
@@ -11,6 +12,7 @@ from diskdiagram.families import (
     ladder_spec,
 )
 from diskdiagram.fixtures import EXPECTED, FIXTURES, build
+from diskdiagram.graph import build_graph
 from diskdiagram.realization import realize
 
 
@@ -56,6 +58,23 @@ def ladder():
         for d in (1, 2, 3)
         for mode in ("minimal", "saturated")
     }
+
+
+# positions in `census_inputs(4)` of the 14 graphs the census accepts
+CENSUS_ACCEPTED = (1, 2, 3810, 3922, 21742, 21888, 29180, 29331, 31667, 31701,
+                   32522, 32569, 32951, 32973)
+
+
+@pytest.fixture(scope="session")
+def census_accepted():
+    """The census's accepted graphs as (label, graph), each checked accepted."""
+    out = []
+    for i, raw in enumerate(census_inputs(4)):
+        if i in CENSUS_ACCEPTED:
+            g = build_graph(*raw)
+            assert is_delta_graph(g).delta, i
+            out.append((f"census {i}", g))
+    return out
 
 
 def _load_script(name):

@@ -4,12 +4,25 @@ Each is the simple version that an optimized path in the package
 replaced, kept here so tests can require equal results on the same
 inputs: the order closure on frozensets, the A2 scan over every vertex
 of every tree, the per-item validation of a file's id lists, the tree
-criterion that walks the path of every adjacent ring pair, and the
-rotation system that walks the subtree behind every tree edge.
+criterion that walks the path of every adjacent ring pair, the
+rotation system that walks the subtree behind every tree edge, the
+face polygon built point by point and ear-clipped, and the polyline
+stitcher that scans for an unused segment with a generator.
 """
+import math
+
+import numpy as np
+
 from diskdiagram.conditions import ConditionReport
-from diskdiagram.errors import InvariantViolation, MalformedFile, OrderCycle, UnknownId
+from diskdiagram.errors import (
+    DegenerateDrawing,
+    InvariantViolation,
+    MalformedFile,
+    OrderCycle,
+    UnknownId,
+)
 from diskdiagram.graph import adjacency
+from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, _rim_angle
 
 
 def transitive_closure(pairs):
@@ -235,3 +248,174 @@ def rotation(dec):
         for v in sorted(t.vertices - t.attach):
             out[v] = sorted_tree_edges(t, v, lin, lin[min(t.attach)])
     return out
+
+
+def arc_points(dart, heights, position):
+    """Sample positions/values along one boundary edge, endpoint excluded."""
+    u, e = dart
+    w = e.other(u)
+    n = len(position)
+    if (position[w] - position[u]) % n != 1:
+        raise InvariantViolation("inner face traverses the boundary backwards")
+    th0 = _rim_angle(position[u], n)
+    step = 2 * math.pi / n
+    hu, hw = heights.value[u], heights.value[w]
+    pts, vals = [], []
+    for s in range(SAMPLES_PER_BOUNDARY_EDGE):
+        t = s / SAMPLES_PER_BOUNDARY_EDGE
+        th = th0 + t * step
+        pts.append((math.cos(th), math.sin(th)))
+        vals.append((1 - t) * hu + t * hw)
+    return pts, vals
+
+
+def face_polygon(runs, emb, heights):
+    """Polygon points, values and keys of a face, run after run.
+
+    Each boundary edge contributes its rim samples and each tree path
+    its vertices, up to the final endpoint.  A point's key is the graph
+    vertex drawn there (a path vertex, or the first sample of a boundary
+    edge), else None.
+    """
+    position = emb.decomposition.position
+    pts, vals, keys = [], [], []
+    for kind, darts in runs:
+        for u, e in darts:
+            if kind == "arc":
+                ps, vs = arc_points((u, e), heights, position)
+                keys += [u] + [None] * (len(ps) - 1)
+            else:
+                ps, vs = [tuple(emb.coords[u])], [heights.value[u]]
+                keys.append(u)
+            pts += ps
+            vals += vs
+    return np.array(pts), np.array(vals), tuple(keys)
+
+
+def ear_clip(pts, vals):
+    """Triangulate a simple counterclockwise polygon.
+
+    The ear clipped is the first convex, unblocked position in polygon
+    order whose three values are not all equal, else the first convex,
+    unblocked one.  A vertex is convex when its cross product exceeds
+    1e-14, so only the last triangle can lack area; it is then dropped.
+    Clipping a vertex changes only its two neighbours' triples, so each
+    convexity flag is computed once and then only for those two.
+
+    An ear is blocked by a vertex in its closed triangle (margin 1e-12),
+    and only reflex vertices (cross <= 1e-14, collinear path points
+    included) are tested; this is the rule of Meisters ("Polygons have
+    ears", 1975).  Let the convex ear a-b-c hold other vertices, and let
+    j be one of them farthest from the line ac.  The sides ab and bc are
+    polygon edges, which no other edge crosses, so every edge at j leaves
+    the triangle through ac or stays in it: both of j's neighbours lie no
+    farther from ac than j does.  No edge meets the part of the triangle
+    beyond j's distance from ac, and the polygon's interior fills it near
+    b, so the interior angle at j is at least pi and j is reflex.  In
+    floating point this leaves one case out: a convex vertex within 1e-12
+    outside the diagonal ac blocked the ear before and is not tested
+    now.  The triangles are identical on the fixtures, the corpus and
+    the size ladder up to d = 4, so the case does not occur there.
+    """
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    vs = [float(v) for v in vals]
+    n = len(pts)
+    idx = list(range(n))
+    tris = []
+
+    def cross(i0, i1, i2):
+        return (xs[i1] - xs[i0]) * (ys[i2] - ys[i0]) - (ys[i1] - ys[i0]) * (
+            xs[i2] - xs[i0]
+        )
+
+    def in_tri(j, i0, i1, i2):
+        eps = 1e-12
+        s1 = (xs[i1] - xs[i0]) * (ys[j] - ys[i0]) - (ys[i1] - ys[i0]) * (
+            xs[j] - xs[i0]
+        )
+        s2 = (xs[i2] - xs[i1]) * (ys[j] - ys[i1]) - (ys[i2] - ys[i1]) * (
+            xs[j] - xs[i1]
+        )
+        s3 = (xs[i0] - xs[i2]) * (ys[j] - ys[i2]) - (ys[i0] - ys[i2]) * (
+            xs[j] - xs[i2]
+        )
+        return s1 >= -eps and s2 >= -eps and s3 >= -eps
+
+    convex = [cross(k - 1, k, (k + 1) % n) > 1e-14 for k in range(n)]
+    reflex = {k for k in range(n) if not convex[k]}
+    while len(idx) > 3:
+        m = len(idx)
+        chosen = None
+        fallback = None
+        for k in range(m):
+            i1 = idx[k]
+            if not convex[i1]:
+                continue
+            i0, i2 = idx[k - 1], idx[(k + 1) % m]
+            blocked = False
+            for j in reflex:
+                if j != i0 and j != i2 and in_tri(j, i0, i1, i2):
+                    blocked = True
+                    break
+            if blocked:
+                continue
+            if not (vs[i0] == vs[i1] == vs[i2]):
+                chosen = k
+                break
+            if fallback is None:
+                fallback = k
+        if chosen is None:
+            chosen = fallback
+        if chosen is None:
+            raise DegenerateDrawing("cannot triangulate a face polygon")
+        k = chosen
+        tris.append((idx[k - 1], idx[k], idx[(k + 1) % m]))
+        del idx[k]
+        m -= 1
+        for at in (k - 1, k % m):
+            i = idx[at]
+            convex[i] = cross(idx[at - 1], i, idx[(at + 1) % m]) > 1e-14
+            if convex[i]:
+                reflex.discard(i)
+            else:
+                reflex.add(i)
+    if abs(cross(*idx)) > 1e-14:
+        tris.append(tuple(idx))
+    if not tris:
+        raise DegenerateDrawing("face polygon has no area")
+    return np.array(tris, dtype=int)
+
+
+def stitch(segments):
+    """Join segments into maximal polylines by their endpoint keys.
+
+    Each segment is ``(key_a, key_b, point_a, point_b)``; two segments
+    join where they share a key.  Polylines are sorted by first point.
+    """
+    by_key = {}
+    for i, (ka, kb, _, _) in enumerate(segments):
+        by_key.setdefault(ka, []).append(i)
+        by_key.setdefault(kb, []).append(i)
+    used = [False] * len(segments)
+    polylines = []
+    for start, (ka, kb, a, b) in enumerate(segments):
+        if used[start]:
+            continue
+        used[start] = True
+        forward, backward = [b], [a]
+        for cur, tail in ((kb, forward), (ka, backward)):
+            while True:
+                i = next((i for i in by_key[cur] if not used[i]), None)
+                if i is None:
+                    break
+                used[i] = True
+                qa, qb, pa, pb = segments[i]
+                if qa == cur:
+                    tail.append(pb)
+                    cur = qb
+                else:
+                    tail.append(pa)
+                    cur = qa
+        polylines.append(backward[::-1] + forward)
+    polylines.sort(key=lambda ch: ch[0])
+    return polylines

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import references
 from diskdiagram import realization
+from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
     DegenerateDrawing,
     EqualLevels,
@@ -18,14 +20,15 @@ from diskdiagram.realization import (
     SAMPLES_PER_BOUNDARY_EDGE,
     SNAP,
     HeightAssignment,
+    _convex_fans,
     _coords_valid,
-    _ear_clip,
     _seg_point_dist,
     assign_coords,
     assign_heights,
     extend_to_faces,
     induced_order,
     level_set,
+    place,
     realize,
     sign_census,
 )
@@ -600,7 +603,7 @@ def shoelace(p):
     return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
 
 
-class TestEarClip:
+class TestFaceFans:
     def test_face_triangles_tile_their_polygons(self, realized, realized_corpus):
         witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
         for f in witnesses:
@@ -609,19 +612,151 @@ class TestEarClip:
                 assert areas.min() > 1e-14, fm.face_index
                 assert abs(areas.sum() - shoelace(fm.points)) <= 1e-12
 
-    def test_reflex_vertex_blocks_first_candidate(self):
-        pts = np.array([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], dtype=float)
-        # the ears at 0 and at 1 both hold the reflex vertex 3
-        tris = _ear_clip(pts, np.arange(5.0))
-        assert tuple(tris[0]) == (1, 2, 3)
-        assert abs(shoelace(pts[tris]).sum() - shoelace(pts)) <= 1e-12
+    def test_audit_flags_a_wrong_triangulation(self, graphs, realized, check_instance):
+        g, f = graphs["G3"], realized["G3"]
+        assert check_instance(g, f) == []
+        fm, *rest = f.face_maps
+        for triangles, problem in (
+            (fm.triangles[:, ::-1], " has a triangle without positive area"),
+            (fm.triangles[1:], ": triangle areas do not sum to its polygon's"),
+        ):
+            maps = (replace(fm, triangles=triangles), *rest)
+            mutant = realization.DiskFunction(f.embedding, f.heights, maps)
+            assert check_instance(g, mutant) == [f"face {fm.face_index}{problem}"]
 
-    def test_collinear_path_point_blocks_and_stays(self):
-        # a straight tree path 1-2-3 at level 0 under an apex 0 at level 1:
-        # the diagonal 3-1 of the first candidate ear runs through 2
+    def test_fan_rows_from_the_last_point(self):
+        square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        hexagon = np.array([(math.cos(a), math.sin(a)) for a in np.arange(6) * math.pi / 3])
+        local = _convex_fans(np.concatenate([square, hexagon]), [4, 6], [0, 1])
+        assert local.tolist() == [[3, 0, 1], [1, 2, 3], [5, 0, 1], [5, 1, 2], [5, 2, 3], [3, 4, 5]]
+
+    def test_reflex_vertex_raises(self):
+        pts = np.array([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], dtype=float)
+        with pytest.raises(DegenerateDrawing, match="face 7 is not strictly convex"):
+            _convex_fans(pts, [5], [7])
+
+    def test_collinear_path_point_raises(self):
+        # a straight tree path 1-2-3 under an apex 0: no turn at 2
         pts = np.array([(0, 1), (-1, 0), (0, 0), (1, 0)], dtype=float)
-        tris = _ear_clip(pts, np.array([1.0, 0.0, 0.0, 0.0]))
-        assert [tuple(t) for t in tris] == [(0, 1, 2), (0, 2, 3)]
+        with pytest.raises(DegenerateDrawing, match="face 3 is not strictly convex"):
+            _convex_fans(pts, [4], [3])
+
+    def test_polygon_winding_twice_raises(self):
+        """Left turns and positive fan triangles, but two turns around.
+
+        The curve r = 1.5 + cos(t / 2), t in [0, 4 pi), seen from its
+        innermost point, which closes the polygon.
+        """
+        t = np.arange(40) * math.pi / 10
+        r = 1.5 + np.cos(t / 2)
+        pts = np.roll(np.stack([r * np.cos(t), r * np.sin(t)], axis=1), -21, axis=0)
+        turns = shoelace(np.stack([np.roll(pts, 1, axis=0), pts, np.roll(pts, -1, axis=0)], 1))
+        fans = shoelace(np.stack([pts[[-1] * 38], pts[:-2], pts[1:-1]], axis=1))
+        assert turns.min() > 1e-3 and fans.min() > 1e-3
+        with pytest.raises(DegenerateDrawing, match="face 0 is not strictly convex"):
+            _convex_fans(pts, [40], [0])
+
+    def test_first_bad_face_is_named(self):
+        square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        with pytest.raises(DegenerateDrawing, match="face 5 is not"):
+            _convex_fans(np.concatenate([square, square[::-1], square[::-1]]), [4, 4, 4], [4, 5, 6])
+
+    def test_flat_tree_corner_raises(self, realized):
+        """An interior tree vertex moved onto the segment between two
+        neighbours flattens the face corner between those edges."""
+        f = realized["G3"]
+        emb = f.embedding
+        e1, e2 = emb.rotation["c"][:2]
+        coords = dict(emb.coords)
+        coords["c"] = (coords[e1.other("c")] + coords[e2.other("c")]) / 2
+        with pytest.raises(DegenerateDrawing, match="not strictly convex"):
+            extend_to_faces(emb.with_coords(coords), f.heights)
+
+    def test_jittered_drawing_has_convex_faces(self, graphs, delta_names, corpus, monkeypatch):
+        """The retried drawing, with anchors off the drawn attachments,
+        still realizes with strictly convex faces."""
+        real = realization._coords_valid
+        first = []
+
+        def reject_first(dec, coords):
+            if not first:
+                first.append(coords)
+                return False
+            return real(dec, coords)
+
+        monkeypatch.setattr(realization, "_coords_valid", reject_first)
+        cases = [graphs[name] for name in delta_names]
+        cases += [g for _, _, g in corpus_slice(corpus)]
+        for g in cases:
+            first.clear()
+            f = realize(g)
+            assert first
+            for fm in f.face_maps:
+                p = fm.points
+                turns = shoelace(np.stack([np.roll(p, 1, axis=0), p, np.roll(p, -1, axis=0)], 1))
+                assert turns.min() > 1e-14, fm.face_index
+                assert shoelace(p[fm.triangles]).min() > 1e-14, fm.face_index
+
+
+def mode_witnesses(verdict):
+    """Witnesses of one accepted verdict in default, strict and random (seed 7) mode."""
+    for mode, seed in (("default", None), ("strict", None), ("random", 7)):
+        yield mode, extend_to_faces(*place(verdict, mode, seed))
+
+
+class TestFaceMapsMatchReference:
+    """One pass gives the polygons point by point and the ear clip's triangles."""
+
+    def check(self, f, label):
+        faces = f.embedding.inner_faces()
+        assert [fm.face_index for fm in f.face_maps] == [face.index for face in faces]
+        for fm, face in zip(f.face_maps, faces):
+            pts, vals, keys = references.face_polygon(face.runs, f.embedding, f.heights)
+            assert np.array_equal(fm.points, pts), (label, face.index)
+            assert np.array_equal(fm.values, vals), (label, face.index)
+            assert fm.keys == keys, (label, face.index)
+            tris = references.ear_clip(pts, vals)
+            assert fm.triangles.dtype == tris.dtype
+            assert fm.triangles.tolist() == tris.tolist(), (label, face.index)
+
+    def test_fixtures_every_mode(self, verdicts, delta_names):
+        for name in delta_names:
+            for mode, f in mode_witnesses(verdicts[name]):
+                self.check(f, (name, mode))
+
+    def test_corpus_every_mode(self, corpus):
+        for spec, order_mode, g in corpus:
+            for mode, f in mode_witnesses(is_delta_graph(g)):
+                self.check(f, (spec, order_mode, mode))
+
+    def test_ladder(self, ladder):
+        for label, g in ladder.items():
+            self.check(realize(g), label)
+
+    def test_census_accepted(self, census_accepted):
+        for label, g in census_accepted:
+            self.check(realize(g), label)
+
+
+class TestStitch:
+    def test_matches_reference(self, realized, corpus, monkeypatch):
+        """Every `_stitch` call on every oracle level gives the reference's
+        polylines, in order and direction."""
+        calls = []
+        stitch = realization._stitch
+
+        def both(segments):
+            out = stitch(segments)
+            assert out == references.stitch(segments)
+            calls.append(len(segments))
+            return out
+
+        monkeypatch.setattr(realization, "_stitch", both)
+        witnesses = list(realized.values()) + [realize(g) for _, _, g in corpus_slice(corpus)]
+        for f in witnesses:
+            for c in oracle_levels(f):
+                level_set(f, c)
+        assert sum(n > 1 for n in calls) > 100
 
 
 class TestSignCensus:
