@@ -22,8 +22,8 @@ from .conditions import is_delta_graph
 from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
 from .graph import DEFAULT_BUDGET
-from .planarity import face_arcs
-from .realization import boundary_extrema, place, realize
+from .planarity import build_embedding, face_arcs
+from .realization import assign_heights, boundary_extrema, place, realize
 from .svg import render_svg
 
 
@@ -68,7 +68,9 @@ def _verdict_doc(verdict):
         ],
     }
     if verdict.delta:
-        emb, heights = place(verdict)
+        # faces and heights only: the coordinates `place` adds are not printed
+        dec = verdict.decomposition
+        emb, heights = build_embedding(dec), assign_heights(dec.graph, dec)
         doc["embedding"] = {
             "faces": len(emb.faces),
             "inner_face_arcs": face_arcs(emb),

@@ -42,13 +42,15 @@ def find_cr_cycles(g, budget=DEFAULT_BUDGET):
     simple cycles of that subgraph are the qualifying cycles of ``g``;
     the subgraph keeps the sorted vertex list and each vertex's sorted
     incident edges, so they come out in the order a search of all of
-    ``g`` would list them.  At each start vertex the search walks only
-    the 2-core of the vertices not yet searched, and the 2-core of a
-    subgraph lies inside that of ``g``; so it walks a subset of the paths
-    the search of ``g`` walks, at each path vertex a subset of its edges,
-    and never takes more of ``budget`` than the full one would.  On a
-    Δ-graph the subgraph is the boundary cycle alone (A2 makes tree
-    vertices pairwise incomparable).
+    ``g`` would list them.  On a Δ-graph the subgraph is the boundary
+    cycle alone (A2 makes tree vertices pairwise incomparable), so its
+    2-core is one cycle of degree-2 vertices, which
+    `enumerate_simple_cycles` walks once, at one ``budget`` step per
+    edge, with no search.  Any other core is searched from each start
+    vertex over the 2-core of the vertices not yet searched, and the
+    2-core of a subgraph lies inside that of ``g``; so the search walks
+    a subset of the paths the search of ``g`` walks, at each path vertex
+    a subset of its edges.
     """
     comparable = [e for e in g.edges if g.order.comparable(e.a, e.b)]
     return enumerate_simple_cycles(g.vertices, comparable, budget=budget)
@@ -119,10 +121,10 @@ def check_A3(dec):
     """Per-vertex passage rules along the boundary cycle."""
     g = dec.graph
     order = g.order
-    gamma = dec.gamma
+    vs = dec.gamma.vertices
     wits = []
-    for v in gamma.vertices:
-        p, n = gamma.neighbors_of(v)
+    for i, v in enumerate(vs):
+        p, n = vs[i - 1], vs[(i + 1) % len(vs)]
         if p == n:
             # the two-vertex boundary cycle: no distinct neighbor pair to test
             continue
@@ -166,25 +168,57 @@ def boundary_pairs(dec, tree_index):
     some open arc of the boundary cycle between them contains no
     attachment of the same tree but at least one attachment of another
     tree.  Such an arc is a gap between two attachments consecutive in the
-    tree's ring, so the gaps are walked once each.  The arc (from v1 to
-    v2) and the neighbors of v1, v2 inside it are returned with the pair;
-    a tree with two attachments has two gaps, and when both qualify the
-    pair appears once per arc.
+    tree's ring (see `_gaps`).  The arc (from v1 to v2) and the neighbors
+    of v1, v2 inside it are returned with the pair; a tree with two
+    attachments has two gaps, and when both qualify the pair appears once
+    per arc.
     """
-    ring = dec.ring(dec.trees[tree_index])
     vs = dec.gamma.vertices
     n = len(vs)
     out = []
-    for va, vb in zip(ring, ring[1:] + ring[:1]):
-        a, b = dec.position[va], dec.position[vb]
+    for pair, tilde, a, b in _gaps(dec, dec.ring(dec.trees[tree_index]), _attached_before(dec)):
         arc = tuple(vs[(a + k) % n] for k in range(1, (b - a) % n))
-        if not any(dec.tree_of(x) is not None for x in arc):
+        out.append(BoundaryPair(tree_index, pair, arc if pair[0] == vs[a] else arc[::-1], tilde))
+    return out
+
+
+def _attached_before(dec):
+    """``before[i]``: how many of the first i boundary vertices attach a tree."""
+    before = [0]
+    for v in dec.gamma.vertices:
+        before.append(before[-1] + (dec.tree_of(v) is not None))
+    return before
+
+
+def _gaps(dec, ring, before):
+    """The qualifying gaps of a tree's ring, as ``(pair, tilde, a, b)``.
+
+    ``a`` and ``b`` are the boundary positions of two attachments
+    consecutive in the ring, ``pair`` the two names sorted and ``tilde``
+    the arc's end vertices next to ``pair[0]`` and ``pair[1]``.  The gap
+    is the open arc from ``a`` forward to ``b``; it qualifies when it
+    holds an attached vertex, which the prefix counts ``before`` (see
+    `_attached_before`) tell in O(1).  The gaps come sorted by ``(pair,
+    tilde)``, which is the order by ``(pair, arc from pair[0])``: a pair
+    appears twice only on a two-attachment ring, whose two gaps are
+    disjoint and not empty, so their arcs differ at their first vertex.
+    """
+    if len(ring) < 2:
+        return []
+    vs = dec.gamma.vertices
+    n = len(vs)
+    pos = dec.position
+    out = []
+    for va, vb in zip(ring, ring[1:] + ring[:1]):
+        a, b = pos[va], pos[vb]
+        inside = before[b] - before[a + 1] if a < b else before[n] - before[a + 1] + before[b]
+        if not inside:
             continue
         if va < vb:
-            out.append(BoundaryPair(tree_index, (va, vb), arc, (arc[0], arc[-1])))
+            out.append(((va, vb), (vs[(a + 1) % n], vs[b - 1]), a, b))
         else:
-            out.append(BoundaryPair(tree_index, (vb, va), arc[::-1], (arc[-1], arc[0])))
-    out.sort(key=lambda bp: (bp.pair, bp.alpha))
+            out.append(((vb, va), (vs[b - 1], vs[(a + 1) % n]), a, b))
+    out.sort()
     return out
 
 
@@ -194,19 +228,21 @@ def check_S3(dec):
     The common tree is never the pair's own: the arc between two
     attachments consecutive in the tree's ring holds none of the tree's
     vertices, since the tree meets the boundary only at its attachments.
+    Only each gap's two end vertices are read, never its whole arc.
     """
+    before = _attached_before(dec)
     wits = []
     for t in dec.trees:
-        for bp in boundary_pairs(dec, t.index):
-            t1, t2 = (dec.tree_of(x) for x in bp.tilde)
+        for pair, tilde, _, _ in _gaps(dec, dec.ring(t), before):
+            t1, t2 = (dec.tree_of(x) for x in tilde)
             if t1 is None or t2 is None:
-                missing = [x for x, tr in zip(bp.tilde, (t1, t2)) if tr is None]
+                missing = [x for x, tr in zip(tilde, (t1, t2)) if tr is None]
                 wits.append(
-                    f"pair {bp.pair} of tree {t.index}: neighbor {missing[0]} attaches no tree"
+                    f"pair {pair} of tree {t.index}: neighbor {missing[0]} attaches no tree"
                 )
             elif t1.index != t2.index:
                 wits.append(
-                    f"pair {bp.pair} of tree {t.index}: neighbors {bp.tilde} attach "
+                    f"pair {pair} of tree {t.index}: neighbors {tilde} attach "
                     f"different trees {t1.index} and {t2.index}"
                 )
     return ConditionReport("S3", not wits, tuple(wits))
@@ -263,14 +299,14 @@ def is_delta_graph(g, budget=DEFAULT_BUDGET):
     reports.append(a3)
     if not a3:
         return DeltaVerdict(False, tuple(reports), gamma, dec)
-    _check_extrema_on_boundary(g, gamma)
+    _check_extrema_on_boundary(g, dec)
     return DeltaVerdict(True, tuple(reports), gamma, dec)
 
 
-def _check_extrema_on_boundary(g, gamma):
+def _check_extrema_on_boundary(g, dec):
     """Consequence check: order extrema are degree-2 boundary vertices."""
     for v in g.order.minimal_elements() | g.order.maximal_elements():
-        if v not in gamma.vertices or g.degree(v) != 2:
+        if v not in dec.position or g.degree(v) != 2:
             raise InvariantViolation(
                 f"order extremum {v} should lie on the boundary cycle with degree 2"
             )

@@ -211,24 +211,20 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
     parallel edges counts as one cycle of length two.  Raises
     BudgetExceeded after ``budget`` search steps.
 
-    The search runs from each start vertex in name order over the 2-core
-    of the vertices not yet searched: a vertex with fewer than two edges
-    into that set lies on no cycle there, so it is dropped, and the drop
-    cascades.  Each search thus finds exactly the cycles whose smallest
-    vertex is its start, and never walks a path that cannot close.
+    First the 2-core is peeled: a vertex with fewer than two live edges
+    lies on no cycle, so it is dropped, and the drop cascades.  When
+    every vertex left has exactly two live edges, the core is a union
+    of disjoint cycles; if one walk from its smallest vertex covers it,
+    that walk is the only cycle, listed from its smallest vertex towards
+    the smaller of its two neighbours, at one budget step per edge.
+    Otherwise the search runs from each start vertex in name order over
+    the 2-core of the vertices not yet searched, dropping each start
+    after its search.  Each search thus finds exactly the cycles whose
+    smallest vertex is its start, and never walks a path that cannot
+    close.
     """
     verts = sorted(set(vertices))
     incident = adjacency(edges, verts)
-    cycles = []
-    # length-2 cycles: each unordered pair of parallel edges, keys ascending
-    by_ends = {}
-    for e in edges:
-        by_ends.setdefault((e.a, e.b), []).append(e)
-    for (a, b), group in sorted(by_ends.items()):
-        group.sort()
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                cycles.append(Cycle((a, b), (group[i], group[j])))
     live = {v: len(es) for v, es in incident.items()}
     alive = set(verts)
 
@@ -250,6 +246,36 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
         if v in alive and live[v] < 2:
             drop(v)
     steps = 0
+    if alive and all(live[v] == 2 for v in alive):
+        # every core vertex has two core edges, so the core is a union of
+        # disjoint cycles; walk the one through its smallest vertex,
+        # towards the smaller neighbour, as the search would list it
+        s = next(v for v in verts if v in alive)
+        path_v, path_e = [s], []
+        v, e = s, next(e for e in incident[s] if e.other(s) in alive)
+        while True:
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(budget, "cycle enumeration")
+            path_e.append(e)
+            v = e.other(v)
+            if v == s:
+                break
+            path_v.append(v)
+            e = next(f for f in incident[v] if f != e and f.other(v) in alive)
+        if len(path_v) == len(alive):
+            # the only cycle; a 2-cycle's edges come in key order
+            return [Cycle(tuple(path_v), tuple(path_e))]
+    cycles = []
+    # length-2 cycles: each unordered pair of parallel edges, keys ascending
+    by_ends = {}
+    for e in edges:
+        by_ends.setdefault((e.a, e.b), []).append(e)
+    for (a, b), group in sorted(by_ends.items()):
+        group.sort()
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                cycles.append(Cycle((a, b), (group[i], group[j])))
     # depth-first search with an explicit stack, one iterator over the
     # incident edges per path vertex, so path length is not bounded by
     # the interpreter's recursion limit
@@ -414,6 +440,9 @@ def _validate_decomposition(dec):
         seen_edges |= set(t.edges)
     if len(seen_edges) != len(dec.graph.edges):
         raise InvariantViolation("decomposition does not cover every edge")
+    if sum(len(t.vertices) for t in dec.trees) == len(dec._tree_at):
+        return
+    # some vertex lies in two trees: name the first such pair of trees
     for i, t in enumerate(dec.trees):
         for s in dec.trees[i + 1 :]:
             if t.vertices & s.vertices:

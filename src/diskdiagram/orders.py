@@ -153,13 +153,24 @@ class StrictPartialOrder:
 
     @cached_property
     def below(self):
-        """v -> mask of every u with u < v."""
+        """v -> mask of every u with u < v.
+
+        Built on first read from ``above``: the elements are grouped by
+        equal masks above them, and each group's mask is ORed into the
+        entry of every element of that common mask.  Elements of one
+        level of a diagram share their mask above, so this costs one OR
+        per (distinct mask, element above it) rather than one per
+        closure pair.
+        """
         index = self.index
-        below = [0] * len(self.elements)
+        groups = {}
         for v, m in self.above.items():
-            bit = 1 << index[v]
+            if m:
+                groups[m] = groups.get(m, 0) | 1 << index[v]
+        below = [0] * len(self.elements)
+        for m, group in groups.items():
             for j in bits(m):
-                below[j] |= bit
+                below[j] |= group
         return dict(zip(self.elements, below))
 
     @property

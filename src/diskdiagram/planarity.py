@@ -188,7 +188,36 @@ def separation_ok(dec):
 
     Returns ``(True, None)``, or ``(False, (m, n, b1, b2))`` when tree
     ``n`` has attachments ``b1`` and ``b2`` in two gaps of tree ``m``.
+
+    Tree ``n`` spans two gaps of tree ``m`` exactly when the two
+    interleave around the boundary: their attachments read m, n, m, n
+    in circular order.  Every rotation of that pattern is again such a
+    pattern, so reading the tree labels once around the boundary from
+    any start decides it, like brackets: a label is pushed where it is
+    first met, must be on top of the stack wherever it is met again,
+    and is popped at its last attachment.  A label met again below the
+    top lies under an open label u pushed after it, which gives the
+    pattern t, u, t, u; and in a pattern m, n, m, n the second m is met
+    while n is open above it.  On a reject the witness comes from the
+    scan of every pair of trees, in tree order.
     """
+    stack = []
+    for v in dec.gamma.vertices:
+        t = dec.tree_of(v)
+        if t is None:
+            continue
+        ring = dec.ring(t)
+        if v == ring[0]:
+            stack.append(t.index)
+        elif stack[-1] != t.index:
+            return False, _separation_witness(dec)
+        if v == ring[-1]:
+            stack.pop()
+    return True, None
+
+
+def _separation_witness(dec):
+    """``(m, n, b1, b2)`` for the first trees such that ``n`` spans two gaps of ``m``."""
     pos = dec.position
     for m, t in enumerate(dec.trees):
         pa = [pos[v] for v in dec.ring(t)]
@@ -201,8 +230,8 @@ def separation_ok(dec):
                 gaps.setdefault(gap, b)
             if len(gaps) > 1:
                 reps = sorted(gaps.values())[:2]
-                return False, (m, n_, reps[0], reps[1])
-    return True, None
+                return m, n_, reps[0], reps[1]
+    raise InvariantViolation("interleaved attachments but no tree spans two gaps")
 
 
 def check_S2(dec):

@@ -6,22 +6,28 @@ inputs: the order closure on frozensets, the A2 scan over every vertex
 of every tree, the per-item validation of a file's id lists, the tree
 criterion that walks the path of every adjacent ring pair, the
 rotation system that walks the subtree behind every tree edge, the
-face polygon built point by point and ear-clipped, and the polyline
-stitcher that scans for an unused segment with a generator.
+face polygon built point by point and ear-clipped, the polyline
+stitcher that scans for an unused segment with a generator, A1 by a
+full cycle search, S2's separation by a scan of every pair of trees,
+S3 by building every gap's arc, and the masks below each element by
+inverting the masks above bit by bit.
 """
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from diskdiagram.conditions import ConditionReport
+from diskdiagram.conditions import BoundaryPair, ConditionReport
 from diskdiagram.errors import (
+    BudgetExceeded,
     DegenerateDrawing,
     InvariantViolation,
     MalformedFile,
     OrderCycle,
     UnknownId,
 )
-from diskdiagram.graph import adjacency
+from diskdiagram.graph import DEFAULT_BUDGET, Cycle, adjacency
+from diskdiagram.orders import bits
 from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, _rim_angle
 
 
@@ -419,3 +425,159 @@ def stitch(segments):
         polylines.append(backward[::-1] + forward)
     polylines.sort(key=lambda ch: ch[0])
     return polylines
+
+
+def below(order):
+    """v -> mask of every u with u < v, one OR per closure pair."""
+    index = order.index
+    out = [0] * len(order.elements)
+    for v, m in order.above.items():
+        bit = 1 << index[v]
+        for j in bits(m):
+            out[j] |= bit
+    return dict(zip(order.elements, out))
+
+
+def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
+    """Every simple cycle by depth-first search from each start vertex.
+
+    The 2-cycles of parallel edges come first, keys ascending.  Then the
+    search runs from each start in name order over the 2-core of the
+    vertices not yet searched, keeping a path only when its second
+    vertex is smaller than its last, and drops the start afterwards.
+    """
+    verts = sorted(set(vertices))
+    incident = adjacency(edges, verts)
+    cycles = []
+    by_ends = {}
+    for e in edges:
+        by_ends.setdefault((e.a, e.b), []).append(e)
+    for (a, b), group in sorted(by_ends.items()):
+        group.sort()
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                cycles.append(Cycle((a, b), (group[i], group[j])))
+    live = {v: len(es) for v, es in incident.items()}
+    alive = set(verts)
+
+    def drop(v):
+        alive.discard(v)
+        todo = [v]
+        while todo:
+            u = todo.pop()
+            for e in incident[u]:
+                w = e.other(u)
+                if w in alive:
+                    live[w] -= 1
+                    if live[w] < 2:
+                        alive.discard(w)
+                        todo.append(w)
+
+    for v in verts:
+        if v in alive and live[v] < 2:
+            drop(v)
+    steps = 0
+    for s in verts:
+        if s not in alive:
+            continue
+        path_v, path_e, used_e, on_path = [s], [], set(), {s}
+        stack = [iter(incident[s])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if path_e:
+                    used_e.discard(path_e.pop())
+                    on_path.discard(path_v.pop())
+                continue
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(budget, "cycle enumeration")
+            if e in used_e:
+                continue
+            w = e.other(path_v[-1])
+            if w not in alive:
+                continue
+            if w == s:
+                if len(path_v) >= 3 and path_v[1] < path_v[-1]:
+                    cycles.append(Cycle(tuple(path_v), tuple(path_e) + (e,)))
+                continue
+            if w in on_path:
+                continue
+            path_v.append(w)
+            path_e.append(e)
+            used_e.add(e)
+            on_path.add(w)
+            stack.append(iter(incident[w]))
+        drop(s)
+    return cycles
+
+
+def check_A1(g, budget=DEFAULT_BUDGET):
+    """A1 from the full search of the comparable edges."""
+    comparable = [e for e in g.edges if g.order.comparable(e.a, e.b)]
+    crs = enumerate_simple_cycles(g.vertices, comparable, budget)
+    if len(crs) == 1:
+        return ConditionReport("A1", True), crs[0]
+    if not crs:
+        return ConditionReport("A1", False, ("no cycle with all adjacent pairs comparable",)), None
+    wits = tuple(f"cycle {'-'.join(c.vertices)}" for c in crs[:4])
+    return ConditionReport("A1", False, (f"{len(crs)} qualifying cycles",) + wits), None
+
+
+def separation_ok(dec):
+    """For every ordered pair of trees, the gaps of one that the other's
+    attachments fall in; the first pair with two gaps is the witness."""
+    pos = dec.position
+    for m, t in enumerate(dec.trees):
+        pa = [pos[v] for v in dec.ring(t)]
+        for n_, other in enumerate(dec.trees):
+            if n_ == m:
+                continue
+            gaps = {}
+            for b in sorted(other.attach):
+                gap = bisect_left(pa, pos[b]) % len(pa)
+                gaps.setdefault(gap, b)
+            if len(gaps) > 1:
+                reps = sorted(gaps.values())[:2]
+                return False, (m, n_, reps[0], reps[1])
+    return True, None
+
+
+def boundary_pairs(dec, tree_index):
+    """Every gap of the tree's ring with its whole arc, scanned for an
+    attachment of any tree."""
+    ring = dec.ring(dec.trees[tree_index])
+    vs = dec.gamma.vertices
+    n = len(vs)
+    out = []
+    for va, vb in zip(ring, ring[1:] + ring[:1]):
+        a, b = dec.position[va], dec.position[vb]
+        arc = tuple(vs[(a + k) % n] for k in range(1, (b - a) % n))
+        if not any(dec.tree_of(x) is not None for x in arc):
+            continue
+        if va < vb:
+            out.append(BoundaryPair(tree_index, (va, vb), arc, (arc[0], arc[-1])))
+        else:
+            out.append(BoundaryPair(tree_index, (vb, va), arc[::-1], (arc[-1], arc[0])))
+    out.sort(key=lambda bp: (bp.pair, bp.alpha))
+    return out
+
+
+def check_S3(dec):
+    """S3 from the arc-building `boundary_pairs`."""
+    wits = []
+    for t in dec.trees:
+        for bp in boundary_pairs(dec, t.index):
+            t1, t2 = (dec.tree_of(x) for x in bp.tilde)
+            if t1 is None or t2 is None:
+                missing = [x for x, tr in zip(bp.tilde, (t1, t2)) if tr is None]
+                wits.append(
+                    f"pair {bp.pair} of tree {t.index}: neighbor {missing[0]} attaches no tree"
+                )
+            elif t1.index != t2.index:
+                wits.append(
+                    f"pair {bp.pair} of tree {t.index}: neighbors {bp.tilde} attach "
+                    f"different trees {t1.index} and {t2.index}"
+                )
+    return ConditionReport("S3", not wits, tuple(wits))

@@ -18,6 +18,8 @@ from diskdiagram.families import build_instance, corpus_specs, ladder_spec
 from diskdiagram.fixtures import EXPECTED, FIXTURES, build, raw
 from diskdiagram.graph import Cycle, build_graph, decompose, simple_cycles
 from diskdiagram.orders import StrictPartialOrder
+from diskdiagram.planarity import separation_ok
+import references
 from references import check_A2 as reference_A2
 from references import reach_sets, transitive_closure
 
@@ -480,6 +482,128 @@ class TestAgainstReferences:
             decided += 1
             rejected += not report.passed
         assert decided > 500 and rejected > 100
+
+
+def ring_with_trees(ring, trees, start=0):
+    """A decomposition: ``ring`` as the boundary cycle read from
+    ``ring[start]``, and per tree its list of attachments, joined by one
+    chord when there are two of them and by a star around an interior
+    vertex otherwise."""
+    edges = [(ring[k], ring[(k + 1) % len(ring)]) for k in range(len(ring))]
+    centres = []
+    for i, attach in enumerate(trees):
+        if len(attach) == 2:
+            edges.append(tuple(attach))
+        else:
+            centres.append(f"c{i}")
+            edges += [(f"c{i}", v) for v in attach]
+    g = build_graph(list(ring) + centres, edges, [])
+    return decompose(g, ring_cycle(g, list(ring[start:]) + list(ring[:start])))
+
+
+class TestLinearScans:
+    """A1 from the 2-core, S2's bracket walk, S3's prefix counts and the
+    grouped `below` give what the scans they replaced give, on the
+    fixtures, the corpus, ladder d <= 5 in both order modes and a seeded
+    slice of 3 000 census instances."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, graphs, corpus, ladder):
+        out = [(name, g) for name, g in sorted(graphs.items())]
+        out += [(f"{s.name} [{m}]", g) for s, m, g in corpus]
+        out += [(f"ladder {key}", g) for key, g in sorted(ladder.items())]
+        out += [
+            (f"ladder ({d}, {m!r})", build_instance(ladder_spec(d), m))
+            for d in (4, 5)
+            for m in ("minimal", "saturated")
+        ]
+        picks = set(random.Random(16).sample(range(93944), 3000))
+        out += [
+            (f"census {i}", build_graph(*raw))
+            for i, raw in enumerate(census_inputs(4))
+            if i in picks
+        ]
+        return [(label, g, is_delta_graph(g).decomposition) for label, g in out]
+
+    def test_A1(self, cases):
+        def exact(c):
+            return None if c is None else (c.vertices, c.edges)
+
+        several = 0
+        for label, g, _ in cases:
+            report, gamma = check_A1(g)
+            want, want_gamma = references.check_A1(g)
+            assert (report, exact(gamma)) == (want, exact(want_gamma)), label
+            several += "qualifying cycles" in "".join(report.witnesses)
+        assert several > 500
+
+    def test_separation_and_S3(self, cases):
+        decided = 0
+        for label, _, dec in cases:
+            if dec is None:
+                continue
+            assert separation_ok(dec) == references.separation_ok(dec), label
+            assert check_S3(dec) == references.check_S3(dec), label
+            for t in dec.trees:
+                assert boundary_pairs(dec, t.index) == references.boundary_pairs(dec, t.index)
+            decided += 1
+        assert decided > 450
+
+    def test_below(self, cases):
+        for label, g, _ in cases:
+            assert g.order.below == references.below(g.order), label
+
+    def test_random_trees_on_a_ring(self):
+        # chords and stars with attachments in random places around a ring
+        # of shuffled names, read from a random start
+        rng = random.Random(7)
+        seen = {"S2": 0, "no tree": 0, "different": 0, "pass": 0}
+        for _ in range(800):
+            n = rng.randrange(4, 13)
+            ring = [f"p{i:02d}" for i in range(n)]
+            rng.shuffle(ring)
+            free = list(range(n))
+            rng.shuffle(free)
+            trees = []
+            while len(free) >= 2 and len(trees) < 4:
+                k = rng.randrange(2, min(4, len(free)) + 1)
+                trees.append([ring[i] for i in free[:k]])
+                free = free[k:]
+            dec = ring_with_trees(ring, trees, rng.randrange(n))
+            sep = separation_ok(dec)
+            assert sep == references.separation_ok(dec)
+            report = check_S3(dec)
+            assert report == references.check_S3(dec)
+            for t in dec.trees:
+                assert boundary_pairs(dec, t.index) == references.boundary_pairs(dec, t.index)
+            text = "".join(report.witnesses)
+            seen["S2"] += not sep[0]
+            seen["no tree"] += "attaches no tree" in text
+            seen["different"] += "different trees" in text
+            seen["pass"] += sep[0] and report.passed
+        assert min(seen.values()) > 50, seen
+
+    def test_S3_unattached_neighbour(self):
+        # the gap of chord p0-p4 holds p1, p2 (chord p2-p3) and p3, and
+        # the gap of p2-p3 runs from p4 round to p1: p1 ends both
+        dec = ring_with_trees([f"p{i}" for i in range(8)], [["p0", "p4"], ["p2", "p3"]])
+        report = check_S3(dec)
+        assert report == references.check_S3(dec)
+        assert report.witnesses == (
+            "pair ('p0', 'p4') of tree 0: neighbor p1 attaches no tree",
+            "pair ('p2', 'p3') of tree 1: neighbor p1 attaches no tree",
+        )
+
+    def test_S3_neighbours_on_different_trees(self):
+        # the gap of chord p0-p5 ends at p1 (chord p1-p2) and p4 (chord p3-p4)
+        dec = ring_with_trees(
+            [f"p{i}" for i in range(8)], [["p0", "p5"], ["p1", "p2"], ["p3", "p4"]], start=6
+        )
+        report = check_S3(dec)
+        assert report == references.check_S3(dec)
+        assert report.witnesses[0] == (
+            "pair ('p0', 'p5') of tree 0: neighbors ('p1', 'p4') attach different trees 1 and 2"
+        )
 
 
 class TestGraphsCensus:

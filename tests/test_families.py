@@ -107,3 +107,8 @@ class TestLadder:
         verdict = is_delta_graph(g)
         assert verdict.delta
         assert check_instance(g, extend_to_faces(*place(verdict))) == []
+
+    def test_six_deep_minimal_decides(self):
+        g = build_instance(ladder_spec(6), "minimal")
+        assert len(g.vertices) == 5105
+        assert is_delta_graph(g).delta

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 import pickle
 import random
 
@@ -10,6 +11,7 @@ from diskdiagram.errors import (
     BudgetExceeded,
     DegreeBelowTwo,
     DisconnectedGraph,
+    InvariantViolation,
     NotAForest,
     OrderCycle,
     SelfLoop,
@@ -18,7 +20,9 @@ from diskdiagram.errors import (
 from diskdiagram.fixtures import build
 from diskdiagram.graph import (
     Cycle,
+    Decomposition,
     Edge,
+    _validate_decomposition,
     adjacency,
     build_graph,
     decompose,
@@ -26,6 +30,8 @@ from diskdiagram.graph import (
     make_edges,
     simple_cycles,
 )
+
+import references
 
 
 def ring_cycle(g, names):
@@ -220,6 +226,79 @@ class TestSimpleCycles:
         assert [c.vertices for c in found] == [tuple(names)]
 
 
+class TestTwoCoreWalk:
+    """A core of degree-2 vertices is walked once; any other core is
+    searched.  Every case must list what the full search lists."""
+
+    @staticmethod
+    def exact(cycles):
+        return [(c.vertices, c.edges) for c in cycles]
+
+    def check(self, names, pairs):
+        es = make_edges(pairs)
+        found = enumerate_simple_cycles(names, es)
+        assert self.exact(found) == self.exact(references.enumerate_simple_cycles(names, es))
+        return found
+
+    def test_both_walk_directions(self):
+        # the ring a-b-c-d-e, listed forwards and backwards, with a
+        # pendant path hanging off c; the walk leaves a for b either way
+        for ring in ("abcde", "aedcb"):
+            pairs = [(ring[k], ring[(k + 1) % 5]) for k in range(5)]
+            pairs += [("c", "x"), ("x", "y")]
+            found = self.check(list(ring) + ["x", "y"], pairs)
+            assert [c.vertices for c in found] == [tuple("abcde")]
+
+    def test_walk_budget_is_one_step_per_edge(self):
+        names = [f"v{k}" for k in range(6)]
+        es = make_edges((names[k], names[(k + 1) % 6]) for k in range(6))
+        assert len(enumerate_simple_cycles(names, es, budget=6)) == 1
+        with pytest.raises(BudgetExceeded):
+            enumerate_simple_cycles(names, es, budget=5)
+
+    def test_core_with_a_degree_three_vertex(self):
+        # the theta graph a=b: three paths a-x-b, a-y-b, a-z-b
+        pairs = [("a", w) for w in "xyz"] + [(w, "b") for w in "xyz"]
+        found = self.check(["a", "b", "x", "y", "z"], pairs)
+        assert len(found) == 3
+
+    def test_core_of_two_disjoint_cycles(self):
+        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d")]
+        found = self.check(list("abcdef"), pairs)
+        assert [c.vertices for c in found] == [tuple("abc"), tuple("def")]
+
+    def test_two_cycle_core(self):
+        # two parallel edges with a path hanging off them
+        found = self.check(["a", "b", "c", "d"], [("b", "a"), ("a", "b"), ("b", "c"), ("c", "d")])
+        assert self.exact(found) == [(("a", "b"), (Edge("a", "b", 0), Edge("a", "b", 1)))]
+
+    def test_two_cycle_core_beside_another_parallel_pair(self):
+        found = self.check(["a", "b", "c", "d"], [("a", "b"), ("a", "b"), ("c", "d"), ("d", "c")])
+        assert [c.vertices for c in found] == [("a", "b"), ("c", "d")]
+
+    def test_third_parallel_edge(self):
+        found = self.check(["a", "b"], [("a", "b")] * 3)
+        assert [tuple(e.key for e in c.edges) for c in found] == [(0, 1), (0, 2), (1, 2)]
+
+    def test_random_multigraphs(self):
+        rng = random.Random(16)
+        walked = 0
+        for _ in range(600):
+            n = rng.randrange(2, 9)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            if rng.random() < 0.5:
+                # a ring, with pendant edges and sometimes a second ring
+                k = rng.randrange(2, n + 1)
+                pairs = [(names[i], names[(i + 1) % k]) for i in range(k)]
+                pairs += [tuple(rng.sample(names, 2)) for _ in range(rng.randrange(0, 3))]
+            else:
+                pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randrange(1, 2 * n))]
+            found = self.check(names, pairs)
+            walked += len(found) == 1
+        assert walked > 100
+
+
 class TestDecompose:
     def test_g1_chord_tree(self):
         g = build("G1")
@@ -261,6 +340,14 @@ class TestDecompose:
         assert [t.index for t in dec.trees] == [0, 1]
         assert dec.trees[0].vertices == frozenset({"a1", "b1"})
         assert dec.trees[1].vertices == frozenset({"a2", "b2"})
+
+    def test_trees_sharing_a_vertex_named(self):
+        g = build("G4")
+        dec = decompose(g, ring_cycle(g, ["m", "a1", "a2", "M", "b2", "b1"]))
+        t0, t1 = dec.trees
+        bad = Decomposition(g, dec.gamma, (t0, replace(t1, vertices=t1.vertices | {"a1"})))
+        with pytest.raises(InvariantViolation, match=r"trees 0 and 1 share vertices \['a1'\]"):
+            _validate_decomposition(bad)
 
     def test_edge_partition(self, graphs):
         g = build("G3")

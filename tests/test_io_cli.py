@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import references
 from diskdiagram import cli, formats
 from diskdiagram.cli import main
+from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import MalformedFile, UnknownId
 from diskdiagram.fixtures import build
 from diskdiagram.formats import (
@@ -25,6 +26,8 @@ from diskdiagram.formats import (
     serialize,
     to_dot,
 )
+from diskdiagram.planarity import face_arcs
+from diskdiagram.realization import place
 
 
 def doc(vertices, edges, order):
@@ -249,6 +252,21 @@ class TestCliCheck:
         assert all(r["passed"] for r in docd["reports"])
         assert docd["embedding"]["inner_face_arcs"] == [1, 1, 1, 1]
         assert docd["realization"]["boundary_extrema"] % 2 == 0
+
+    def test_json_needs_no_placement(self, graphs, corpus):
+        # the faces and heights are those of the placed embedding
+        cases = list(graphs.values()) + [g for _, _, g in corpus[::7]]
+        placed = 0
+        for g in cases:
+            verdict = is_delta_graph(g)
+            docd = cli._verdict_doc(verdict)
+            if not verdict.delta:
+                continue
+            emb, heights = place(verdict)
+            assert docd["embedding"] == {"faces": len(emb.faces), "inner_face_arcs": face_arcs(emb)}
+            assert docd["realization"]["heights"] == heights.value
+            placed += 1
+        assert placed > 50
 
     def test_json_rejection_truncates_pipeline(self, files, capsys):
         assert main(["check", files["g1_missing"], "--json"]) == 1

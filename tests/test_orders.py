@@ -11,6 +11,7 @@ from diskdiagram.orders import (
     StrictPartialOrder,
     check_A4,
 )
+from references import below as below_reference
 from references import flat, reach_sets, transitive_closure
 
 
@@ -66,6 +67,28 @@ class TestStrictPartialOrder:
         }
         assert o.carrier == frozenset({"m", "a", "M", "x"})
         assert o.pairs == frozenset({("m", "a"), ("m", "M"), ("a", "M")})
+
+    def test_below_from_shared_masks(self):
+        # a and b share the mask above them, as do m1 and m2; x is alone
+        o = order_of(
+            [("m1", "a"), ("m1", "b"), ("m2", "a"), ("m2", "b"), ("a", "M"), ("b", "M"),
+             ("x", "M")]
+        )
+        assert o.below == below_reference(o)
+        assert o.below["M"] == o.mask({"a", "b", "m1", "m2", "x"})
+        assert o.below["a"] == o.below["b"] == o.mask({"m1", "m2"})
+
+    def test_below_on_random_orders(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randrange(1, 12)
+            names = [f"e{i}" for i in range(n)]
+            pairs = [
+                (names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.3
+            ]
+            o = order_of(pairs, carrier=names)
+            assert o.below == below_reference(o)
 
     def test_constructed_with_above_in_any_key_order(self):
         o = order_of([("m", "a"), ("a", "M")], carrier={"m", "a", "M", "x"})

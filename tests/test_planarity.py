@@ -153,6 +153,33 @@ class TestSeparation:
         assert m != n_
         assert b1 != b2
 
+    def test_interleaving_across_the_start_of_gamma(self):
+        # chords p0-p4 and p2-p6 interleave on the ring p0..p7, which gamma
+        # reads from p3, so each chord's ring wraps past gamma's start;
+        # chord p5-p7 interleaves p2-p6 too, and the pair first in tree
+        # order is named
+        from diskdiagram.graph import Cycle, build_graph, decompose
+
+        ring = [f"p{i}" for i in range(8)]
+        g = build_graph(
+            ring,
+            [(ring[k], ring[(k + 1) % 8]) for k in range(8)]
+            + [("p0", "p4"), ("p2", "p6"), ("p5", "p7")],
+            [],
+        )
+        names = ring[3:] + ring[:3]
+        gamma = Cycle(
+            tuple(names),
+            tuple(
+                next(e for e in g.edges if {e.a, e.b} == {u, names[(i + 1) % 8]})
+                for i, u in enumerate(names)
+            ),
+        )
+        dec = decompose(g, gamma)
+        assert [sorted(t.attach) for t in dec.trees] == [["p0", "p4"], ["p2", "p6"], ["p5", "p7"]]
+        assert separation_ok(dec) == (False, (0, 1, "p2", "p6"))
+        assert separation_ok(dec) == references.separation_ok(dec)
+
     def test_s2_report_carries_separation_witness(self, verdicts):
         report = verdicts["interleaved"].reports[-1]
         assert report.condition == "S2"
