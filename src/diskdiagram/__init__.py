@@ -82,6 +82,7 @@ from .realization import (
     extend_to_faces,
     induced_order,
     level_set,
+    level_sets,
     place,
     realize,
     sign_census,

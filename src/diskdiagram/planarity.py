@@ -390,7 +390,7 @@ def build_embedding(dec):
     """
     g, gamma = dec.graph, dec.gamma
     n = len(gamma.vertices)
-    beyond = {t.index: _beyond(adjacency(t.edges), dec.ring(t)) for t in dec.trees}
+    beyond = {t.index: _beyond(t._adjacency, dec.ring(t)) for t in dec.trees}
     rotation = {}
     for i, v in enumerate(gamma.vertices):
         e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]

@@ -15,7 +15,7 @@ linear on each triangle, so it agrees with the vertex heights, is
 constant on every tree, and stays between the face's two defining
 levels.  A face map holds only what is drawn: the polygon, its values,
 its triangles and the vertex drawn at each point.  The same triangles
-give every level set exactly: `level_set` cuts each triangle the level
+give every level set exactly: `level_sets` cuts each triangle a level
 crosses along one segment, with no sampling grid.  `sign_census`
 audits the drawn values: around every tree vertex, the faces' values
 off the tree's level must lie on alternating sides of it.
@@ -216,22 +216,6 @@ def _solve_tree_positions(tree, fixed):
     return {v: sol[idx[v]] for v in interior}
 
 
-def _seg_point_dist(p, a, b):
-    """Distance from points ``p`` to segments ``a``-``b`` of positive length.
-
-    The last axis holds (x, y); the others broadcast, so one call gives
-    every point against every segment of a block.
-    """
-    d = b - a
-    pa = p - a
-    t = (pa[..., 0] * d[..., 0] + pa[..., 1] * d[..., 1]) / (
-        d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-    )
-    t = np.clip(t, 0.0, 1.0)[..., None]
-    off = p - (a + t * d)
-    return np.hypot(off[..., 0], off[..., 1])
-
-
 def _cross2(u, v):
     return float(u[0] * v[1] - u[1] * v[0])
 
@@ -240,105 +224,76 @@ def _cross_rows(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _straddle(u, v):
-    """Where one side value exceeds 1e-12 and the other is below -1e-12."""
-    return (np.minimum(u, v) < -1e-12) & (np.maximum(u, v) > 1e-12)
+def _certify_drawing(emb, coords):
+    """True when the drawing is a crossing-free embedding with no degeneracy.
 
+    The checks read the vertex polygon of every inner face (its walk's
+    vertices in order, so boundary arcs count as their chords) in
+    O(sum of face sizes):
 
-_CHUNK = 128  # rows per broadcast block in `_coords_valid`
+    - every polygon is strictly convex and counterclockwise and winds
+      once (`_fan_faults`);
+    - at every corner the two face edges do not leave the vertex in one
+      direction (``|cross| <= 1e-12`` with a positive dot product);
+    - every point lies more than ``SNAP`` from the line through its two
+      neighbours;
+    - every interior tree vertex lies at radius below ``1 - 1e-7``.
 
-
-def _coords_valid(dec, coords):
-    """True when the drawing has no degeneracy; four predicates reject it.
-
-    - two vertices at distance ``<= SNAP``;
-    - an interior tree vertex at radius ``>= 1 - 1e-7``;
-    - a vertex within ``SNAP`` of a tree segment it does not end;
-    - two tree segments that share an end and leave it in one direction
-      (``|cross| <= 1e-12`` and a positive dot product), or two that
-      share none and cross strictly (each one's ends lie on both sides
-      of the other, with sign margin ``1e-12``).
-
-    The sign test is run on every segment pair: at a shared end one of
-    its cross products is exactly 0, since both segments hold the same
-    coordinates there, so it never fires.  Segment lengths are positive
-    once the first predicate passes.  Pairs are broadcast in blocks of
-    `_CHUNK` rows, so no temporary holds more than ``_CHUNK * max(V, S)``
-    entries for V vertices and S segments.
+    Why this certifies the whole drawing.  `build_embedding` has already
+    checked the Euler relation V - E + F = 2 with the boundary cycle
+    bounding the outer face, so the faces form a planar map of the disk.
+    A face of two darts is the region between a boundary arc and a
+    chord (or both arcs of a two-vertex boundary); it needs no check and
+    is left out, which puts its chord on the boundary of the rest.  The
+    boundary vertices lie on the circle in cycle order, so the chords
+    bound a convex polygon traversed once.  Cutting every convex face
+    into a fan gives a triangulated disk whose triangles are all
+    positively oriented and whose boundary goes once around a convex
+    polygon; such a piecewise linear map is one-to-one (Floater, "One-to-
+    one piecewise linear mappings over triangulations", Math. Comp. 72,
+    2003).  So no two edges cross, and no vertex lies on an edge it does
+    not end.  In a convex polygon every other point lies beyond the line
+    through a point's two neighbours, and in a crossing-free drawing the
+    nearest foreign edge of a vertex lies on a face at that vertex; so
+    the neighbour-line distance bounds the distance from every vertex to
+    every segment it does not end, and to every other vertex, from
+    below.  Two edges that leave a vertex in one direction make a zero
+    angle at a corner between them.
     """
-    names = sorted(coords)
-    pos = {v: i for i, v in enumerate(names)}
-    p = np.array([coords[v] for v in names])
-    x, y = p[:, 0], p[:, 1]
-    n = len(names)
-    for lo in range(0, n, _CHUNK):
-        i = slice(lo, lo + _CHUNK)
-        dist = np.hypot(x[i, None] - x[lo:], y[i, None] - y[lo:])
-        if np.triu(dist <= SNAP, 1).any():
-            return False
-    inner = [pos[v] for t in dec.trees for v in t.vertices - t.attach]
-    if (np.hypot(x[inner], y[inner]) >= 1.0 - 1e-7).any():
+    dec = emb.decomposition
+    inner = [coords[v] for t in dec.trees for v in t.vertices - t.attach]
+    if inner and (np.hypot(*np.array(inner).T) >= 1.0 - 1e-7).any():
         return False
-    ends = np.array(
-        [(pos[e.a], pos[e.b]) for t in dec.trees for e in t.edges], dtype=int
-    ).reshape(-1, 2)
-    ia, ib = ends[:, 0], ends[:, 1]
-    s = len(ends)
-    for lo in range(0, s, _CHUNK):
-        rows = np.arange(lo, min(lo + _CHUNK, s))
-        near = _seg_point_dist(p, p[ia[rows], None], p[ib[rows], None]) <= SNAP
-        near[rows - lo, ia[rows]] = False
-        near[rows - lo, ib[rows]] = False
-        if near.any():
-            return False
-    others = {}
-    for a, b in ends.tolist():
-        others.setdefault(a, []).append(b)
-        others.setdefault(b, []).append(a)
-    corners = [
-        (v, o1, o2)
-        for v, nbrs in others.items()
-        for k, o1 in enumerate(nbrs)
-        for o2 in nbrs[k + 1 :]
-    ]
-    if corners:
-        v, o1, o2 = np.array(corners).T
-        u1, u2 = p[o1] - p[v], p[o2] - p[v]
-        dot = (u1 * u2).sum(axis=1)
-        if ((np.abs(_cross_rows(u1, u2)) <= 1e-12) & (dot > 0)).any():
-            return False
-    ax, ay, bx, by = x[ia], y[ia], x[ib], y[ib]
-    dx, dy = bx - ax, by - ay
-    for lo in range(0, s, _CHUNK):
-        i = slice(lo, lo + _CHUNK)
-        j = slice(lo, None)
-        # sides of segment i's ends against segment j, and of j's against i
-        d1 = dx[j] * (ay[i, None] - ay[j]) - dy[j] * (ax[i, None] - ax[j])
-        d2 = dx[j] * (by[i, None] - ay[j]) - dy[j] * (bx[i, None] - ax[j])
-        d3 = dx[i, None] * (ay[j] - ay[i, None]) - dy[i, None] * (ax[j] - ax[i, None])
-        d4 = dx[i, None] * (by[j] - ay[i, None]) - dy[i, None] * (bx[j] - ax[i, None])
-        if (_straddle(d1, d2) & _straddle(d3, d4)).any():
-            return False
-    return True
+    walks = [f.darts for f in emb.faces if not f.is_outer and len(f.darts) > 2]
+    if not walks:
+        return True
+    sizes = [len(w) for w in walks]
+    p = np.array([coords[u] for w in walks for u, _ in w])
+    _, bad = _fan_faults(p, sizes)
+    _, prv, nxt = _rings(sizes)
+    u1, u2 = p[prv] - p, p[nxt] - p
+    cross = np.abs(_cross_rows(u1, u2))
+    spike = (cross <= 1e-12) & ((u1 * u2).sum(axis=1) > 0)
+    near = cross <= SNAP * np.hypot(*(u2 - u1).T)
+    return not (bad.any() or spike.any() or near.any())
 
 
 def assign_coords(emb):
     """Unit-circle boundary placement plus interior averaging per tree.
 
-    If the averaged drawing degenerates (coincident points, crossings,
-    or an edge passing through a foreign vertex), the trees are solved
-    again against slightly perturbed anchor angles, while the boundary
-    vertices keep their places; a second failure raises
+    If `_certify_drawing` rejects the averaged drawing, the trees are
+    solved again against slightly perturbed anchor angles, while the
+    boundary vertices keep their places; a second failure raises
     DegenerateDrawing.
     """
     dec = emb.decomposition
     base = _gamma_positions(dec.gamma)
     for jitter in (0.0, 1e-3):
-        anchors = _gamma_positions(dec.gamma, jitter)
-        coords = {v: p.copy() for v, p in base.items()}
+        anchors = _gamma_positions(dec.gamma, jitter) if jitter else base
+        coords = dict(base)
         for t in dec.trees:
             coords.update(_solve_tree_positions(t, anchors))
-        if _coords_valid(dec, coords):
+        if _certify_drawing(emb, coords):
             return emb.with_coords(coords)
     raise DegenerateDrawing("tree placement produced a degenerate drawing")
 
@@ -417,15 +372,27 @@ def _rim_points(n):
     return np.array([[math.cos(a) for a in th], [math.sin(a) for a in th]]).T
 
 
-def _convex_fans(points, sizes, names):
-    """Fan triangles of polygons stacked in ``points``, each checked convex.
+def _rings(sizes):
+    """Per point of polygons stacked by ``sizes``: its polygon, and the
+    rows of the previous and the next point around that polygon."""
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    at = np.arange(ends[-1])
+    prv, nxt = at - 1, at + 1
+    prv[firsts] = ends - 1
+    nxt[ends - 1] = firsts
+    return np.repeat(np.arange(len(sizes)), sizes), prv, nxt
 
-    Polygon j holds the next ``sizes[j]`` points.  Each must be strictly
-    convex and counterclockwise: every turn ``cross(p[i-1], p[i], p[i+1])``
+
+def _fan_faults(points, sizes):
+    """Fan triangles of polygons stacked in ``points``, and which are not convex.
+
+    Polygon j holds the next ``sizes[j]`` points.  It is strictly convex
+    and counterclockwise when every turn ``cross(p[i-1], p[i], p[i+1])``
     exceeds 1e-14, its edge directions cross the direction of +x once
     (left turns alone allow a polygon that winds twice), and every fan
-    triangle's cross product exceeds 1e-14.  Otherwise DegenerateDrawing
-    names the first failing polygon by ``names[j]``.
+    triangle's cross product exceeds 1e-14; ``bad[j]`` is True otherwise.
 
     Polygon j of m points gets the fan from its last point, in the rows
     ``(m-1, k, k+1)`` for ``k = 0 .. m-4`` and then ``(m-3, m-2, m-1)``:
@@ -433,13 +400,7 @@ def _convex_fans(points, sizes, names):
     order.  The rows are returned indexed within their polygon.
     """
     sizes = np.asarray(sizes)
-    ends = np.cumsum(sizes)
-    firsts = ends - sizes
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    at = np.arange(ends[-1])
-    prv, nxt = at - 1, at + 1
-    prv[firsts] = ends - 1
-    nxt[ends - 1] = firsts
+    owner, prv, nxt = _rings(sizes)
     turn = _cross_rows(points - points[prv], points[nxt] - points[prv])
     dy = points[nxt, 1] - points[:, 1]
     upward = (dy < 0) & (dy[nxt] >= 0)
@@ -450,11 +411,18 @@ def _convex_fans(points, sizes, names):
     local = np.stack([m - 1, k, k + 1], axis=1)
     last = k == m - 3
     local[last] = local[last][:, [1, 2, 0]]
-    base = firsts[tri_owner]
+    base = (np.cumsum(sizes) - sizes)[tri_owner]
     a, b, c = (points[local[:, i] + base] for i in range(3))
     bad = np.bincount(owner[upward], minlength=len(sizes)) != 1
     bad[owner[turn <= 1e-14]] = True
     bad[tri_owner[_cross_rows(b - a, c - a) <= 1e-14]] = True
+    return local, bad
+
+
+def _convex_fans(points, sizes, names):
+    """`_fan_faults`' fan rows; DegenerateDrawing names the first polygon
+    that is not strictly convex by ``names[j]``."""
+    local, bad = _fan_faults(points, sizes)
     if bad.any():
         raise DegenerateDrawing(f"face {names[int(np.argmax(bad))]} is not strictly convex")
     return local
@@ -471,32 +439,30 @@ def extend_to_faces(emb, heights):
     else None.  All polygons are gathered from one table of rim samples
     and vertex positions, and triangulated by `_convex_fans`.
 
-    Why every face is convex.  Rim samples lie on the unit circle,
-    counterclockwise, so the turn at a sample between two others is
-    left.  A2 gives every interior tree vertex an even degree of at
-    least 4, and `_solve_tree_positions` puts it at the mean of its
-    neighbours.  A face angle of pi or more there would put all its
-    neighbours in a closed half-plane through it; their mean can then
-    equal the vertex only if all of them lie on the line, and
-    `_coords_valid` rejects that drawing (two edges leaving in one
-    direction).  At an attachment between two tree edges, both
-    neighbours lie inside the disk, on one side of the tangent.  Where
-    an arc meets a path at an attachment, the tree neighbour lies in the
-    convex hull of its tree's attachments, so it lies strictly inside
-    the chord line through the attachment and the next (or previous)
-    rim sample: that line meets the circle only at those two points and
-    no attachment lies between them.  The jittered retry of
+    Why every face is convex.  `assign_coords` certified every face's
+    vertex polygon strictly convex (`_certify_drawing`), and the polygon
+    here differs from it only along boundary arcs, whose chords it
+    replaces by rim samples.  A rim sample between two others lies on
+    the unit circle with them, counterclockwise, so the turn there is
+    left, and a corner between two tree edges is the vertex polygon's.
+    Where an arc meets a path at an attachment, the tree neighbour lies
+    in the convex hull of its tree's attachments, so it lies strictly
+    inside the chord line through the attachment and the next (or
+    previous) rim sample: that line meets the circle only at those two
+    points and no attachment lies between them.  The jittered retry of
     `assign_coords` moves the anchors of the tree solve, by up to 1e-3
-    rad, away from the drawn attachments, which breaks the last two
-    arguments; so `_convex_fans` checks convexity instead of assuming
-    it.
+    rad, away from the drawn attachments, which breaks that last
+    argument; so `_convex_fans` checks convexity instead of assuming it.
+
+    The DiskFunction gets the stacked arrays as they are, with the point
+    ids that `level_sets` keys its crossings by.
     """
     dec = emb.decomposition
     g, gamma, position = dec.graph, dec.gamma, dec.position
     n = len(gamma.vertices)
     k = SAMPLES_PER_BOUNDARY_EDGE
-    names = list(emb.coords)
-    vertex_row = {v: k * n + i for i, v in enumerate(names)}
+    names = sorted(emb.coords)
+    index = {v: i for i, v in enumerate(names)}
     table_pts = np.concatenate([_rim_points(n), np.array([emb.coords[v] for v in names])])
     # rim values, linear along each boundary edge, then the vertex heights
     t = np.arange(k) / k
@@ -511,7 +477,7 @@ def extend_to_faces(emb, heights):
         for kind, darts in face.runs:
             for u, e in darts:
                 if kind == "path":
-                    starts.append(vertex_row[u])
+                    starts.append(k * n + index[u])
                 elif (position[e.other(u)] - position[u]) % n != 1:
                     raise InvariantViolation("inner face traverses the boundary backwards")
                 else:
@@ -524,6 +490,8 @@ def extend_to_faces(emb, heights):
     take = np.repeat(np.array(starts) - firsts, counts) + np.arange(firsts[-1] + counts[-1])
     points, values = table_pts[take], table_vals[take]
     local = _convex_fans(points, sizes, [f.index for f in faces])
+    ids = np.arange(len(names), len(names) + len(take))
+    ids[firsts] = [index[u] for u in drawn]
     keys = [None] * len(take)
     for i, u in zip(firsts.tolist(), drawn):
         keys[i] = u
@@ -534,7 +502,9 @@ def extend_to_faces(emb, heights):
         tris = local[row : row + size - 2]
         maps.append(FaceMap(face.index, points[lo:hi], values[lo:hi], tris, tuple(keys[lo:hi])))
         lo, row = hi, row + size - 2
-    return DiskFunction(emb, heights, tuple(maps))
+    sizes = np.array(sizes)
+    triangles = local + np.repeat(np.cumsum(sizes) - sizes, sizes - 2)[:, None]
+    return DiskFunction(emb, heights, tuple(maps), points, values, triangles, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +512,17 @@ def extend_to_faces(emb, heights):
 
 
 class DiskFunction:
-    """Immutable continuous extension of a height assignment to the disk."""
+    """Immutable continuous extension of a height assignment to the disk.
 
-    def __init__(self, embedding, heights, face_maps):
+    ``points``/``values`` hold the polygon points of all face maps in
+    turn and ``triangles`` indexes them (face-global rows), as
+    `extend_to_faces` stacks them.  ``point_ids`` numbers every point: a
+    point drawn at a graph vertex by the vertex's position in sorted
+    vertex order, which is the same in every face and in the tree
+    segments, and any other point by the vertex count plus its row.
+    """
+
+    def __init__(self, embedding, heights, face_maps, points, values, triangles, point_ids):
         self.embedding = embedding
         self.heights = heights
         self.face_maps = face_maps
@@ -557,41 +535,20 @@ class DiskFunction:
             [heights.value[v] for v in self.gamma.vertices]
         )
         names = sorted(embedding.coords)
+        index = {v: i for i, v in enumerate(names)}
         self._vertex_xy = np.array([embedding.coords[v] for v in names])
         self._vertex_vals = np.array([heights.value[v] for v in names])
-        self._stack_triangles()
-
-    def _stack_triangles(self):
-        """Every face map's triangles in one array, the model evaluated.
-
-        ``_tri_points``/``_tri_values`` hold the polygon points of all
-        face maps in turn and ``_triangles`` indexes them (face-global
-        point ids); ``_face_rows`` maps a face index to its slice of
-        ``_triangles``.  ``_point_keys`` keys a point at a graph vertex
-        by the vertex name (`FaceMap.keys`), which is the same in every
-        face and in the exact tree segments, and any other point by its id.
-        """
-        pts, vals, tris, keys = [], [], [], []
+        # the vertex ids of every tree edge, tree by tree, edges sorted
+        self._tree_ends = np.array(
+            [(index[e.a], index[e.b]) for t in dec.trees for e in sorted(t.edges)], dtype=int
+        ).reshape(-1, 2)
+        self._tri_points, self._tri_values = points, values
+        self._triangles, self._point_ids = triangles, point_ids
         self._face_rows = {}
-        offset = row = 0
-        for fm in self.face_maps:
-            pts.append(fm.points)
-            vals.append(fm.values)
-            tris.append(fm.triangles + offset)
-            keys += [offset + k if v is None else v for k, v in enumerate(fm.keys)]
-            offset += len(fm.points)
+        row = 0
+        for fm in face_maps:
             self._face_rows[fm.face_index] = slice(row, row + len(fm.triangles))
             row += len(fm.triangles)
-        self._tri_points = np.concatenate(pts).reshape(-1, 2)
-        self._tri_values = np.concatenate(vals)
-        self._triangles = np.concatenate(tris).reshape(-1, 3)
-        self._point_keys = keys
-        self._tree_edges = {
-            pair
-            for t in self.decomposition.trees
-            for e in t.edges
-            for pair in ((e.a, e.b), (e.b, e.a))
-        }
 
     # -- evaluation --------------------------------------------------------
 
@@ -808,38 +765,41 @@ def _stitch(segments):
     return polylines
 
 
-def _crossings(f, c, lo, hi):
-    """Points and keys where level `c` crosses the triangle edges (lo, hi).
+def _crossings(f, c, a, b):
+    """Points and keys where levels `c` cross the triangle edges (a, b).
 
-    ``lo``/``hi`` are point ids with ``lo < hi`` and values on opposite
-    sides of `c`.  The point is interpolated from the lower-id end, so
-    the two triangles sharing an edge get bit-identical points; an end
-    whose value equals `c` is taken exactly and keyed as that point, an
-    interior crossing is keyed by the edge.
+    Row i is level ``c[i]`` on the edge between point ids ``a[i]`` and
+    ``b[i]``, whose values lie on opposite sides of it.  The point is
+    interpolated from the lower-id end, so the two triangles sharing an
+    edge get bit-identical points; an end whose value equals the level
+    is taken exactly and keyed by its point id, and an interior crossing
+    is keyed by the edge, past every point id.
     """
-    p, v = f._tri_points, f._tri_values
+    p, v, ids = f._tri_points, f._tri_values, f._point_ids
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     t = (c - v[lo]) / (v[hi] - v[lo])
     pts = p[lo] + t[:, None] * (p[hi] - p[lo])
     at_lo = v[lo] == c
     at_hi = v[hi] == c
     pts[at_lo] = p[lo[at_lo]]
     pts[at_hi] = p[hi[at_hi]]
-    names = f._point_keys
-    rows = zip(lo.tolist(), hi.tolist(), at_lo.tolist(), at_hi.tolist())
-    keys = [names[i] if a else names[j] if b else (i, j) for i, j, a, b in rows]
-    return pts.tolist(), keys
+    n = len(v)
+    edge = len(f._vertex_xy) + n + lo * n + hi
+    return pts, np.where(at_lo, ids[lo], np.where(at_hi, ids[hi], edge))
 
 
-def level_set(f, c):
-    """Polylines of the level {f = c}, exactly.
+def level_sets(f, values):
+    """Polylines of every level {f = c} for c in `values`, exactly.
 
     The witness is linear on each triangle of its face maps, so {f = c}
     is one segment per triangle whose vertices lie on both sides of `c`
     (a vertex at exactly `c` counts as below, so a triangle flat at `c`
-    emits nothing).  Segments are joined by the keys of their ends (see
-    `_crossings`); zero-length segments and segments along a tree edge
+    emits nothing).  One broadcast over (level, triangle) finds every
+    crossed triangle and its two crossing points; segments are joined
+    level by level by the integer keys of their ends (see `_crossings`)
+    with `_stitch`.  Zero-length segments and segments along a tree edge
     are dropped, since every tree at level `c` is added from its drawn
-    edges.
+    edges, keyed by vertex ids.
 
     Face-local keys are enough away from graph vertices: a point that is
     not a graph vertex is a rim sample, on the boundary of one face
@@ -849,35 +809,47 @@ def level_set(f, c):
     such paths, so every level curve stays in its face and ends on the
     rim.
     """
-    coords = f.embedding.coords
-    polylines = []
-    for t in f.decomposition.trees:
-        if abs(f.heights.level(t) - c) <= SNAP:
-            edges = [
-                (e.a, e.b, tuple(coords[e.a].tolist()), tuple(coords[e.b].tolist()))
-                for e in sorted(t.edges)
-            ]
-            polylines.extend(_stitch(edges))
+    cs = np.asarray(values, dtype=float)
     tris = f._triangles
-    above = f._tri_values[tris] > c
-    n_above = above.sum(axis=1)
-    hit = np.nonzero((n_above == 1) | (n_above == 2))[0]
+    above = f._tri_values[tris] > cs[:, None, None]
+    n_above = above.sum(axis=2)
+    level, hit = np.nonzero((n_above == 1) | (n_above == 2))
     # the vertex alone on its side of c; the level crosses its two edges
-    side = above[hit]
-    k = np.where(n_above[hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
+    side = above[level, hit]
+    k = np.where(n_above[level, hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
     lone = tris[hit, k]
-    ends = []
-    for step in (1, 2):
-        other = tris[hit, (k + step) % 3]
-        ends.append(_crossings(f, c, np.minimum(lone, other), np.maximum(lone, other)))
-    (pts_a, keys_a), (pts_b, keys_b) = ends
-    segments = [
-        (ka, kb, tuple(a), tuple(b))
-        for a, b, ka, kb in zip(pts_a, pts_b, keys_a, keys_b)
-        if a != b and (ka, kb) not in f._tree_edges
-    ]
-    polylines.extend(_stitch(segments))
-    return polylines
+    c = cs[level]
+    pa, ka = _crossings(f, c, lone, tris[hit, (k + 1) % 3])
+    pb, kb = _crossings(f, c, lone, tris[hit, (k + 2) % 3])
+    # a segment along a tree edge joins two vertex ids that the edge joins;
+    # every other key is clamped to the vertex count, which no edge has
+    ends = f._tree_ends
+    nv = len(f._vertex_xy)
+    pair = np.minimum(ka, nv) * (nv + 1) + np.minimum(kb, nv)
+    along = np.isin(pair, np.concatenate([ends @ (nv + 1, 1), ends @ (1, nv + 1)]))
+    keep = (pa != pb).any(axis=1) & ~along
+    segments = list(zip(ka[keep].tolist(), kb[keep].tolist(),
+                        map(tuple, pa[keep].tolist()), map(tuple, pb[keep].tolist())))
+    cuts = np.searchsorted(level[keep], np.arange(len(cs) + 1)).tolist()
+    xy = f._vertex_xy.tolist()
+    trees = f.decomposition.trees
+    tree_rows = np.cumsum([0] + [len(t.edges) for t in trees]).tolist()
+    tree_levels = [f.heights.level(t) for t in trees]
+    out = []
+    for i, value in enumerate(cs.tolist()):
+        polylines = []
+        for h, lo, hi in zip(tree_levels, tree_rows, tree_rows[1:]):
+            if abs(h - value) <= SNAP:
+                edges = [(a, b, tuple(xy[a]), tuple(xy[b])) for a, b in ends[lo:hi].tolist()]
+                polylines.extend(_stitch(edges))
+        polylines.extend(_stitch(segments[cuts[i] : cuts[i + 1]]))
+        out.append(polylines)
+    return out
+
+
+def level_set(f, c):
+    """Polylines of the level {f = c}, exactly; see `level_sets`."""
+    return level_sets(f, (c,))[0]
 
 
 # ---------------------------------------------------------------------------

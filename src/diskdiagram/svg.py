@@ -5,21 +5,13 @@ no timestamps, colors computed from level values only.
 """
 from __future__ import annotations
 
-from .realization import level_set
+from html import escape
+
+import numpy as np
+
+from .realization import level_sets
 
 MARGIN = 1.1
-
-
-def _fmt(x):
-    if abs(x) < 5e-5:
-        x = 0.0
-    return f"{x:.4f}"
-
-
-def _to_svg(p, size):
-    x = (p[0] + MARGIN) / (2 * MARGIN) * size
-    y = (MARGIN - p[1]) / (2 * MARGIN) * size
-    return x, y
 
 
 def _color(t):
@@ -32,61 +24,65 @@ def _color(t):
 
 
 def render_svg(f, levels=5, size=600.0):
-    """Render boundary circle, trees, vertices, and exact level polylines."""
-    coords = f.embedding.coords
+    """Render boundary circle, trees, vertices, and exact level polylines.
+
+    Every level is cut at once (`level_sets`).  The drawing is one
+    template with a ``%.4f`` slot per number, filled by a single ``%``
+    operation: the level points, tree segment ends, vertex marks and
+    labels are mapped to the canvas in one numpy step, and any number
+    below 5e-5 in magnitude is written as 0.  Vertex names enter the
+    template literally, with ``&``, ``<`` and ``>`` escaped and ``%``
+    doubled; `html.escape` is used because `xml.sax.saxutils` would add
+    `urllib.request` to the CLI's start-up.
+    """
     heights = f.heights
     values = sorted(set(heights.value.values()))
     lo, hi = values[0], values[-1]
     span = hi - lo or 1.0
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(size)}" height="{_fmt(size)}" '
-        f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">'
-    )
-    out.append('<g fill="none" stroke-linejoin="round" stroke-linecap="round">')
-    cx, cy = _to_svg((0.0, 0.0), size)
-    radius = size / (2 * MARGIN)
-    out.append(
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-        f'stroke="#202020" stroke-width="2"/>'
-    )
     level_values = [
         lo + (k + 1) * span / (levels + 1) for k in range(max(0, levels))
     ]
-    for c in level_values:
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'width="%.4f" height="%.4f" viewBox="0 0 %.4f %.4f">',
+        '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
+        '<circle cx="%.4f" cy="%.4f" r="%.4f" stroke="#202020" stroke-width="2"/>',
+    ]
+    drawn = [(0.0, 0.0)]  # the circle's center, then every level point
+    for c, chains in zip(level_values, level_sets(f, level_values)):
         color = _color((c - lo) / span)
-        for chain in level_set(f, c):
-            pts = " ".join(
-                f"{_fmt(px)},{_fmt(py)}"
-                for px, py in (_to_svg(p, size) for p in chain)
-            )
+        for chain in chains:
             out.append(
-                f'<polyline class="level" points="{pts}" '
+                f'<polyline class="level" points="{" ".join(["%.4f,%.4f"] * len(chain))}" '
                 f'stroke="{color}" stroke-width="1"/>'
             )
-    for t in f.decomposition.trees:
-        for e in sorted(t.edges):
-            x1, y1 = _to_svg(coords[e.a], size)
-            x2, y2 = _to_svg(coords[e.b], size)
-            out.append(
-                f'<line class="tree" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="#101010" stroke-width="2.5"/>'
-            )
+            drawn += chain
+    ends = f._tree_ends
+    out += [
+        '<line class="tree" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+        'stroke="#101010" stroke-width="2.5"/>'
+    ] * len(ends)
     out.append("</g>")
     out.append('<g font-family="monospace" font-size="12" fill="#000000">')
-    for v in sorted(coords):
-        x, y = _to_svg(coords[v], size)
-        out.append(
-            f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
-            f'fill="#000000"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 5)}">'
-            f"{v}={_fmt(heights.value[v])}</text>"
-        )
+    for v in sorted(f.embedding.coords):
+        out.append('<circle class="vertex" cx="%.4f" cy="%.4f" r="3" fill="#000000"/>')
+        out.append(f'<text x="%.4f" y="%.4f">{escape(v, quote=False).replace("%", "%%")}=%.4f</text>')
     out.append("</g>")
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    xy = f._vertex_xy
+    p = np.concatenate([np.array(drawn), xy[ends.ravel()], xy])
+    x = (p[:, 0] + MARGIN) / (2 * MARGIN) * size
+    y = (MARGIN - p[:, 1]) / (2 * MARGIN) * size
+    lines = len(drawn) + 2 * len(ends)  # the center, level points and tree ends
+    canvas = np.stack([x[:lines], y[:lines]], axis=1).ravel()
+    vx, vy = x[lines:], y[lines:]
+    numbers = np.concatenate([
+        [size] * 4,
+        canvas[:2],
+        [size / (2 * MARGIN)],
+        canvas[2:],
+        np.stack([vx, vy, vx + 5, vy - 5, f._vertex_vals], axis=1).ravel(),
+    ])
+    numbers[np.abs(numbers) < 5e-5] = 0.0
+    return "\n".join(out) % tuple(numbers.tolist()) + "\n"

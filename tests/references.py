@@ -9,11 +9,14 @@ rotation system that walks the subtree behind every tree edge, the
 face polygon built point by point and ear-clipped, the polyline
 stitcher that scans for an unused segment with a generator, A1 by a
 full cycle search, S2's separation by a scan of every pair of trees,
-S3 by building every gap's arc, and the masks below each element by
-inverting the masks above bit by bit.
+S3 by building every gap's arc, the masks below each element by
+inverting the masks above bit by bit, the drawing check over every pair
+of tree segments, and the level cut and SVG renderer that took one
+level and one number at a time.
 """
 import math
 from bisect import bisect_left
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -28,7 +31,8 @@ from diskdiagram.errors import (
 )
 from diskdiagram.graph import DEFAULT_BUDGET, Cycle, adjacency
 from diskdiagram.orders import bits
-from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, _rim_angle
+from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, SNAP, _rim_angle
+from diskdiagram.svg import MARGIN, _color
 
 
 def transitive_closure(pairs):
@@ -581,3 +585,256 @@ def check_S3(dec):
                     f"different trees {t1.index} and {t2.index}"
                 )
     return ConditionReport("S3", not wits, tuple(wits))
+
+
+def seg_point_dist(p, a, b):
+    """Distance from points ``p`` to segments ``a``-``b`` of positive length.
+
+    The last axis holds (x, y); the others broadcast, so one call gives
+    every point against every segment of a block.
+    """
+    d = b - a
+    pa = p - a
+    t = (pa[..., 0] * d[..., 0] + pa[..., 1] * d[..., 1]) / (
+        d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    )
+    t = np.clip(t, 0.0, 1.0)[..., None]
+    off = p - (a + t * d)
+    return np.hypot(off[..., 0], off[..., 1])
+
+
+def _straddle(u, v):
+    """Where one side value exceeds 1e-12 and the other is below -1e-12."""
+    return (np.minimum(u, v) < -1e-12) & (np.maximum(u, v) > 1e-12)
+
+
+_CHUNK = 128  # rows per broadcast block in `coords_valid`
+
+
+def coords_valid(dec, coords):
+    """True when the drawing has no degeneracy; four predicates reject it.
+
+    The global pair check the package ran before it certified drawings
+    face by face:
+
+    - two vertices at distance ``<= SNAP``;
+    - an interior tree vertex at radius ``>= 1 - 1e-7``;
+    - a vertex within ``SNAP`` of a tree segment it does not end;
+    - two tree segments that share an end and leave it in one direction
+      (``|cross| <= 1e-12`` and a positive dot product), or two that
+      share none and cross strictly (each one's ends lie on both sides
+      of the other, with sign margin ``1e-12``).
+
+    The sign test is run on every segment pair: at a shared end one of
+    its cross products is exactly 0, since both segments hold the same
+    coordinates there, so it never fires.  Pairs are broadcast in blocks
+    of `_CHUNK` rows.
+    """
+    names = sorted(coords)
+    pos = {v: i for i, v in enumerate(names)}
+    p = np.array([coords[v] for v in names])
+    x, y = p[:, 0], p[:, 1]
+    n = len(names)
+    for lo in range(0, n, _CHUNK):
+        i = slice(lo, lo + _CHUNK)
+        dist = np.hypot(x[i, None] - x[lo:], y[i, None] - y[lo:])
+        if np.triu(dist <= SNAP, 1).any():
+            return False
+    inner = [pos[v] for t in dec.trees for v in t.vertices - t.attach]
+    if (np.hypot(x[inner], y[inner]) >= 1.0 - 1e-7).any():
+        return False
+    ends = np.array(
+        [(pos[e.a], pos[e.b]) for t in dec.trees for e in t.edges], dtype=int
+    ).reshape(-1, 2)
+    ia, ib = ends[:, 0], ends[:, 1]
+    s = len(ends)
+    for lo in range(0, s, _CHUNK):
+        rows = np.arange(lo, min(lo + _CHUNK, s))
+        near = seg_point_dist(p, p[ia[rows], None], p[ib[rows], None]) <= SNAP
+        near[rows - lo, ia[rows]] = False
+        near[rows - lo, ib[rows]] = False
+        if near.any():
+            return False
+    others = {}
+    for a, b in ends.tolist():
+        others.setdefault(a, []).append(b)
+        others.setdefault(b, []).append(a)
+    corners = [
+        (v, o1, o2)
+        for v, nbrs in others.items()
+        for k, o1 in enumerate(nbrs)
+        for o2 in nbrs[k + 1 :]
+    ]
+    if corners:
+        v, o1, o2 = np.array(corners).T
+        u1, u2 = p[o1] - p[v], p[o2] - p[v]
+        dot = (u1 * u2).sum(axis=1)
+        cross = u1[:, 0] * u2[:, 1] - u1[:, 1] * u2[:, 0]
+        if ((np.abs(cross) <= 1e-12) & (dot > 0)).any():
+            return False
+    ax, ay, bx, by = x[ia], y[ia], x[ib], y[ib]
+    dx, dy = bx - ax, by - ay
+    for lo in range(0, s, _CHUNK):
+        i = slice(lo, lo + _CHUNK)
+        j = slice(lo, None)
+        # sides of segment i's ends against segment j, and of j's against i
+        d1 = dx[j] * (ay[i, None] - ay[j]) - dy[j] * (ax[i, None] - ax[j])
+        d2 = dx[j] * (by[i, None] - ay[j]) - dy[j] * (bx[i, None] - ax[j])
+        d3 = dx[i, None] * (ay[j] - ay[i, None]) - dy[i, None] * (ax[j] - ax[i, None])
+        d4 = dx[i, None] * (by[j] - ay[i, None]) - dy[i, None] * (bx[j] - ax[i, None])
+        if (_straddle(d1, d2) & _straddle(d3, d4)).any():
+            return False
+    return True
+
+
+def _stacked(f):
+    """Every face map's points, values and triangles stacked, with point keys.
+
+    A point drawn at a graph vertex is keyed by the vertex name, any
+    other point by its row in the stack.
+    """
+    pts, vals, tris, keys = [], [], [], []
+    offset = 0
+    for fm in f.face_maps:
+        pts.append(fm.points)
+        vals.append(fm.values)
+        tris.append(fm.triangles + offset)
+        keys += [offset + k if v is None else v for k, v in enumerate(fm.keys)]
+        offset += len(fm.points)
+    return (
+        np.concatenate(pts).reshape(-1, 2),
+        np.concatenate(vals),
+        np.concatenate(tris).reshape(-1, 3),
+        keys,
+    )
+
+
+def level_set(f, c):
+    """Polylines of the level {f = c}, one level at a time with tuple keys.
+
+    Each crossed triangle gives one segment between its two crossed
+    edges.  A crossing at an edge end whose value is c is keyed as that
+    point, an interior crossing by the edge's two point rows; zero-length
+    segments and segments along a tree edge are dropped, and every tree
+    at level c is added from its drawn edges.
+    """
+    coords = f.embedding.coords
+    p, v, tris, names = _stacked(f)
+    tree_edges = {
+        pair
+        for t in f.decomposition.trees
+        for e in t.edges
+        for pair in ((e.a, e.b), (e.b, e.a))
+    }
+    polylines = []
+    for t in f.decomposition.trees:
+        if abs(f.heights.level(t) - c) <= SNAP:
+            edges = [
+                (e.a, e.b, tuple(coords[e.a].tolist()), tuple(coords[e.b].tolist()))
+                for e in sorted(t.edges)
+            ]
+            polylines.extend(stitch(edges))
+    above = v[tris] > c
+    n_above = above.sum(axis=1)
+    hit = np.nonzero((n_above == 1) | (n_above == 2))[0]
+    side = above[hit]
+    k = np.where(n_above[hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
+    lone = tris[hit, k]
+    ends = []
+    for step in (1, 2):
+        other = tris[hit, (k + step) % 3]
+        lo, hi = np.minimum(lone, other), np.maximum(lone, other)
+        t = (c - v[lo]) / (v[hi] - v[lo])
+        pts = p[lo] + t[:, None] * (p[hi] - p[lo])
+        at_lo = v[lo] == c
+        at_hi = v[hi] == c
+        pts[at_lo] = p[lo[at_lo]]
+        pts[at_hi] = p[hi[at_hi]]
+        rows = zip(lo.tolist(), hi.tolist(), at_lo.tolist(), at_hi.tolist())
+        keys = [names[i] if a else names[j] if b else (i, j) for i, j, a, b in rows]
+        ends.append((pts.tolist(), keys))
+    (pts_a, keys_a), (pts_b, keys_b) = ends
+    segments = [
+        (ka, kb, tuple(a), tuple(b))
+        for a, b, ka, kb in zip(pts_a, pts_b, keys_a, keys_b)
+        if a != b and (ka, kb) not in tree_edges
+    ]
+    polylines.extend(stitch(segments))
+    return polylines
+
+
+def _fmt(x):
+    if abs(x) < 5e-5:
+        x = 0.0
+    return f"{x:.4f}"
+
+
+def _to_svg(p, size):
+    x = (p[0] + MARGIN) / (2 * MARGIN) * size
+    y = (MARGIN - p[1]) / (2 * MARGIN) * size
+    return x, y
+
+
+def render_svg(f, levels=5, size=600.0):
+    """The SVG drawn line by line, every number formatted by itself.
+
+    Vertex names are XML-escaped; otherwise this is the renderer the
+    package used before it formatted all numbers in one step.
+    """
+    coords = f.embedding.coords
+    heights = f.heights
+    values = sorted(set(heights.value.values()))
+    lo, hi = values[0], values[-1]
+    span = hi - lo or 1.0
+    out = []
+    out.append('<?xml version="1.0" encoding="UTF-8"?>')
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{_fmt(size)}" height="{_fmt(size)}" '
+        f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">'
+    )
+    out.append('<g fill="none" stroke-linejoin="round" stroke-linecap="round">')
+    cx, cy = _to_svg((0.0, 0.0), size)
+    radius = size / (2 * MARGIN)
+    out.append(
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+        f'stroke="#202020" stroke-width="2"/>'
+    )
+    level_values = [
+        lo + (k + 1) * span / (levels + 1) for k in range(max(0, levels))
+    ]
+    for c in level_values:
+        color = _color((c - lo) / span)
+        for chain in level_set(f, c):
+            pts = " ".join(
+                f"{_fmt(px)},{_fmt(py)}"
+                for px, py in (_to_svg(p, size) for p in chain)
+            )
+            out.append(
+                f'<polyline class="level" points="{pts}" '
+                f'stroke="{color}" stroke-width="1"/>'
+            )
+    for t in f.decomposition.trees:
+        for e in sorted(t.edges):
+            x1, y1 = _to_svg(coords[e.a], size)
+            x2, y2 = _to_svg(coords[e.b], size)
+            out.append(
+                f'<line class="tree" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
+                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                f'stroke="#101010" stroke-width="2.5"/>'
+            )
+    out.append("</g>")
+    out.append('<g font-family="monospace" font-size="12" fill="#000000">')
+    for v in sorted(coords):
+        x, y = _to_svg(coords[v], size)
+        out.append(
+            f'<circle class="vertex" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
+            f'fill="#000000"/>'
+        )
+        out.append(
+            f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 5)}">'
+            f"{escape(v)}={_fmt(heights.value[v])}</text>"
+        )
+    out.append("</g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -5,6 +5,7 @@ import random
 import string
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from diskdiagram import cli, formats
 from diskdiagram.cli import main
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import MalformedFile, UnknownId
-from diskdiagram.fixtures import build
+from diskdiagram.families import build_instance, ladder_spec
+from diskdiagram.fixtures import FIXTURES, build
 from diskdiagram.formats import (
     GraphFile,
     embedding_json,
@@ -27,7 +29,8 @@ from diskdiagram.formats import (
     to_dot,
 )
 from diskdiagram.planarity import face_arcs
-from diskdiagram.realization import place
+from diskdiagram.realization import place, realize
+from diskdiagram.svg import render_svg
 
 
 def doc(vertices, edges, order):
@@ -345,6 +348,57 @@ class TestCliRealize:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "not realizable: fails S2" in err
+
+
+    def test_names_with_markup_characters(self, tmp_path, capsys):
+        """G1 with names holding `&`, `<`, `%` and `"`: the SVG parses and
+        every label reads back as name=height."""
+        rename = {"m": "a&b", "a": "x<y", "b": "100%", "M": 'q"r'}
+        vs, es, order = FIXTURES["G1"]()
+        path = tmp_path / "g1.json"
+        path.write_text(
+            doc(
+                [rename[v] for v in vs],
+                [[rename[a], rename[b]] for a, b in es],
+                [[rename[a], rename[b]] for a, b in order],
+            )
+        )
+        out = tmp_path / "g1.svg"
+        assert main(["realize", str(path), "--out", str(out)]) == 0
+        root = ET.parse(out).getroot()
+        labels = sorted(t.text for t in root.iter("{http://www.w3.org/2000/svg}text"))
+        f = realize(parse(path.read_text()))
+        assert labels == sorted(f"{v}={h:.4f}" for v, h in f.heights.value.items())
+        assert {label.rpartition("=")[0] for label in labels} == set(rename.values())
+
+
+class TestSvgMatchesReference:
+    """`render_svg` writes the bytes of the reference renderer, which
+    cuts one level and formats one number at a time."""
+
+    def check(self, f, label):
+        for levels in (5, 0, 9):
+            assert render_svg(f, levels) == references.render_svg(f, levels), (label, levels)
+
+    def test_fixtures(self, realized):
+        for name, f in realized.items():
+            self.check(f, name)
+
+    def test_corpus_default_and_strict(self, corpus):
+        for spec, order_mode, g in corpus:
+            for mode in ("default", "strict"):
+                f = realize(g, mode=mode)
+                assert render_svg(f) == references.render_svg(f), (spec, order_mode, mode)
+
+    def test_ladder(self):
+        for d in (1, 2, 3, 4):
+            for mode in ("minimal", "saturated"):
+                f = realize(build_instance(ladder_spec(d), mode))
+                assert render_svg(f) == references.render_svg(f), (d, mode)
+
+    def test_census_accepted(self, census_accepted):
+        for label, g in census_accepted:
+            self.check(realize(g), label)
 
 
 class TestCliEmbed:

@@ -13,6 +13,7 @@ from diskdiagram.errors import (
     NotDeltaGraph,
     OutsideDisk,
 )
+from diskdiagram.families import build_instance, ladder_spec
 from diskdiagram.fixtures import build
 from diskdiagram.orders import StrictPartialOrder
 from diskdiagram.planarity import build_embedding
@@ -20,14 +21,14 @@ from diskdiagram.realization import (
     SAMPLES_PER_BOUNDARY_EDGE,
     SNAP,
     HeightAssignment,
+    _certify_drawing,
     _convex_fans,
-    _coords_valid,
-    _seg_point_dist,
     assign_coords,
     assign_heights,
     extend_to_faces,
     induced_order,
     level_set,
+    level_sets,
     place,
     realize,
     sign_census,
@@ -182,17 +183,33 @@ class TestCoords:
                     assert math.dist(pts[i], pts[j]) > 1e-9
 
 
-def drawing_valid(f, **moved):
-    """`_coords_valid` on f's drawing with some vertices moved."""
+def moved_coords(f, moved):
     coords = {v: p.copy() for v, p in f.embedding.coords.items()}
     coords.update({v: np.array(p, dtype=float) for v, p in moved.items()})
-    return _coords_valid(f.decomposition, coords)
+    return coords
+
+
+def drawing_valid(f, **moved):
+    """The reference pair check on f's drawing with some vertices moved."""
+    return references.coords_valid(f.decomposition, moved_coords(f, moved))
+
+
+def certified(f, **moved):
+    """`_certify_drawing` on f's drawing with some vertices moved."""
+    return _certify_drawing(f.embedding, moved_coords(f, moved))
 
 
 class TestDrawingCheck:
+    """Every perturbation the reference pair check rejects, the face
+    certificate rejects too.  The drawings the reference accepts here
+    (a vertex 1e-3 from a chord, or at radius 0.99) are controls for the
+    reference's thresholds only: moving one vertex that far leaves a
+    reflex face corner, which the certificate rejects as well."""
+
     def test_realized_fixtures_valid(self, realized):
         for name, f in realized.items():
             assert drawing_valid(f), name
+            assert certified(f), name
 
     def test_vertex_near_foreign_segment(self, realized):
         # hybrid: interior vertex u of one tree, chord a2-b2 of the other
@@ -204,10 +221,12 @@ class TestDrawingCheck:
         if normal @ (c["u"] - mid) < 0:
             normal = -normal
         assert drawing_valid(f, u=mid + 1e-3 * normal)
+        assert not certified(f, u=mid + 1e-3 * normal)
         for dist in (1e-10, 1e-13):
             p = mid + dist * normal
-            assert _seg_point_dist(p, a, b) <= SNAP
+            assert references.seg_point_dist(p, a, b) <= SNAP
             assert not drawing_valid(f, u=p), dist
+            assert not certified(f, u=p), dist
 
     def test_vertex_near_own_segment(self, realized):
         # even_attach: the path tree a-c-b; a moves beside c-b, which it
@@ -219,21 +238,25 @@ class TestDrawingCheck:
         mid = (o + b) / 2
         normal = np.array([o[1] - b[1], b[0] - o[0]]) / math.dist(o, b)
         assert drawing_valid(f, a=mid + 1e-3 * normal)
+        assert not certified(f, a=mid + 1e-3 * normal)
         p = mid + 1e-10 * normal
-        assert _seg_point_dist(p, o, b) <= SNAP
+        assert references.seg_point_dist(p, o, b) <= SNAP
         u1, u2 = p - o, b - o
         assert abs(u1[0] * u2[1] - u1[1] * u2[0]) > 1e-12
         assert not drawing_valid(f, a=p)
+        assert not certified(f, a=p)
 
     def test_crossing_edges(self, realized):
         # G4's two chords a1-b1 and a2-b2 cross once b1 and b2 trade places
         c = realized["G4"].embedding.coords
         assert not drawing_valid(realized["G4"], b1=c["b2"], b2=c["b1"])
+        assert not certified(realized["G4"], b1=c["b2"], b2=c["b1"])
 
     def test_collinear_edges_at_shared_vertex(self, realized):
         f = realized["even_attach"]
         c = f.embedding.coords
         assert not drawing_valid(f, b=c["c"] + 0.5 * (c["a"] - c["c"]))
+        assert not certified(f, b=c["c"] + 0.5 * (c["a"] - c["c"]))
 
     def test_collinear_short_edges_at_shared_vertex(self, realized):
         # c-a and c-b leave c almost in one direction, |cross| = 5e-13, yet
@@ -244,34 +267,75 @@ class TestDrawingCheck:
         n = np.array([-d[1], d[0]])
         a = o + 1e-4 * d
         b = o + 2e-4 * d + 5e-9 * n
-        assert _seg_point_dist(a, o, b) > SNAP
+        assert references.seg_point_dist(a, o, b) > SNAP
         assert not drawing_valid(f, a=a, b=b)
+        assert not certified(f, a=a, b=b)
 
     def test_coincident_vertices(self, realized):
         f = realized["hybrid"]
         assert not drawing_valid(f, m1=f.embedding.coords["M1"])
+        assert not certified(f, m1=f.embedding.coords["M1"])
 
     def test_interior_vertex_on_rim(self, realized):
         f = realized["hybrid"]
         c = f.embedding.coords
         gap = (c["d1"] + c["m1"]) / np.hypot(*(c["d1"] + c["m1"]))
         assert drawing_valid(f, u=0.99 * gap)
+        assert not certified(f, u=0.99 * gap)
         assert not drawing_valid(f, u=gap)
+        assert not certified(f, u=gap)
 
     def test_assign_coords_retries_once_then_raises(self, verdicts, monkeypatch):
         tried = []
 
-        def reject(dec, coords):
+        def reject(emb, coords):
             tried.append(coords)
             return False
 
-        monkeypatch.setattr(realization, "_coords_valid", reject)
+        monkeypatch.setattr(realization, "_certify_drawing", reject)
         with pytest.raises(DegenerateDrawing):
             assign_coords(build_embedding(verdicts["G3"].decomposition))
         assert len(tried) == 2
         assert any(
             not np.array_equal(tried[0][v], tried[1][v]) for v in tried[0]
         )
+
+
+class TestCertificateMatchesPairCheck:
+    """The face certificate accepts exactly the drawings the reference pair
+    check accepts: the first drawing of every graph and, by rejecting the
+    first, the jittered retry too."""
+
+    def check(self, graphs, monkeypatch):
+        real = realization._certify_drawing
+        calls = []
+
+        def both(emb, coords):
+            ok = real(emb, coords)
+            assert ok == references.coords_valid(emb.decomposition, coords)
+            calls.append(ok)
+            return ok and len(calls) == 2
+
+        monkeypatch.setattr(realization, "_certify_drawing", both)
+        for g in graphs:
+            calls.clear()
+            try:
+                assign_coords(build_embedding(is_delta_graph(g).decomposition))
+            except DegenerateDrawing:
+                assert not calls[1]
+            assert len(calls) == 2 and calls[0]
+
+    def test_fixtures_and_corpus(self, graphs, delta_names, corpus, monkeypatch):
+        cases = [graphs[name] for name in delta_names] + [g for _, _, g in corpus]
+        self.check(cases, monkeypatch)
+
+    def test_ladder(self, monkeypatch):
+        cases = [
+            build_instance(ladder_spec(d), mode)
+            for d in (1, 2, 3, 4, 5)
+            for mode in ("minimal", "saturated")
+        ]
+        self.check(cases + [build_instance(ladder_spec(6), "minimal")], monkeypatch)
 
 
 class TestEvaluation:
@@ -598,6 +662,27 @@ class TestLevelSetSegments:
                     assert err <= 1e-9, (label, c, err)
 
 
+def with_face_maps(f, maps):
+    """f with its face maps replaced; the stacked triangles stay f's, since
+    the audits these mutants feed read only the face maps."""
+    return realization.DiskFunction(
+        f.embedding, f.heights, maps, f._tri_points, f._tri_values, f._triangles, f._point_ids
+    )
+
+
+class TestLevelSets:
+    def test_every_level_at_once_equals_one_at_a_time(self, realized, corpus):
+        witnesses = list(realized.values()) + [realize(g) for _, _, g in corpus_slice(corpus)]
+        for f in witnesses:
+            cs = oracle_levels(f)
+            for c, polylines in zip(cs, level_sets(f, cs)):
+                assert level_set(f, c) == polylines, c
+                assert polylines == references.level_set(f, c), c
+
+    def test_no_levels(self, realized):
+        assert level_sets(realized["G1"], []) == []
+
+
 def shoelace(p):
     x, y = p[..., 0], p[..., 1]
     return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
@@ -621,7 +706,7 @@ class TestFaceFans:
             (fm.triangles[1:], ": triangle areas do not sum to its polygon's"),
         ):
             maps = (replace(fm, triangles=triangles), *rest)
-            mutant = realization.DiskFunction(f.embedding, f.heights, maps)
+            mutant = with_face_maps(f, maps)
             assert check_instance(g, mutant) == [f"face {fm.face_index}{problem}"]
 
     def test_fan_rows_from_the_last_point(self):
@@ -675,16 +760,16 @@ class TestFaceFans:
     def test_jittered_drawing_has_convex_faces(self, graphs, delta_names, corpus, monkeypatch):
         """The retried drawing, with anchors off the drawn attachments,
         still realizes with strictly convex faces."""
-        real = realization._coords_valid
+        real = realization._certify_drawing
         first = []
 
-        def reject_first(dec, coords):
+        def reject_first(emb, coords):
             if not first:
                 first.append(coords)
                 return False
-            return real(dec, coords)
+            return real(emb, coords)
 
-        monkeypatch.setattr(realization, "_coords_valid", reject_first)
+        monkeypatch.setattr(realization, "_certify_drawing", reject_first)
         cases = [graphs[name] for name in delta_names]
         cases += [g for _, _, g in corpus_slice(corpus)]
         for g in cases:
@@ -747,6 +832,7 @@ class TestStitch:
 
         def both(segments):
             out = stitch(segments)
+            assert all(type(s[0]) is int and type(s[1]) is int for s in segments)
             assert out == references.stitch(segments)
             calls.append(len(segments))
             return out
@@ -804,7 +890,7 @@ class TestSignCensus:
                         values[k] = 2 * level - values[k]
                         fm = replace(fm, values=values)
                     maps.append(fm)
-                mutant = realization.DiskFunction(f.embedding, f.heights, tuple(maps))
+                mutant = with_face_maps(f, tuple(maps))
                 result = sign_census(mutant)
                 assert not result.passed, (face_index, tree.index)
                 assert any(
@@ -874,17 +960,19 @@ def former_face_signs(f):
 
 class TestPointKeys:
     def test_vertex_keys_sit_at_their_vertices(self, realized, realized_corpus):
-        """A point keyed by a vertex name lies exactly at that vertex, and
-        every point drawn exactly at a vertex carries its name."""
+        """A point whose id names a vertex lies exactly at that vertex, and
+        every point drawn exactly at a vertex carries its id."""
         witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
         for f in witnesses:
+            names = sorted(f.embedding.coords)
             at = {tuple(p): v for v, p in f.embedding.coords.items()}
+            ids = f._point_ids.tolist()
             named = 0
-            for i, key in enumerate(f._point_keys):
+            for i, key in enumerate(ids):
                 point = tuple(f._tri_points[i])
-                if isinstance(key, str):
-                    assert point == tuple(f.embedding.coords[key]), key
+                if key < len(names):
+                    assert point == tuple(f.embedding.coords[names[key]]), key
                     named += 1
                 else:
-                    assert key == i and point not in at, (i, point)
-            assert named >= len(f.embedding.coords)
+                    assert key == len(names) + i and point not in at, (i, point)
+            assert named >= len(names)
