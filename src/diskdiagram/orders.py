@@ -8,6 +8,7 @@ transitivity, so a comparison is one shift and one mask.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,12 +16,16 @@ from .errors import NotInCarrier, OrderCycle
 
 
 def bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of a nonnegative ``mask``, ascending.
+
+    A mask of one word is read lowest bit first; a wider one from its
+    binary digits, which costs O(words) in all rather than per set bit."""
+    if mask.bit_length() > 64:
+        return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
     return out
 
 
@@ -223,8 +228,11 @@ class StrictPartialOrder:
         return frozenset(v for v, m in self.above.items() if not m)
 
     def extends(self, other):
-        """True when this order contains every pair of ``other``."""
-        return other.pairs <= self.pairs
+        """True when this order contains every pair of ``other``; on one
+        carrier the masks above each element are compared, building no pair."""
+        if self.elements != other.elements:
+            return other.pairs <= self.pairs
+        return not any(m & ~self.above[v] for v, m in other.above.items())
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,12 @@ def tree_is_disk_planar(edges, ring):
     """
     edges = list(edges)
     ring = tuple(ring)
-    beyond = _beyond(_validate_tree_input(edges, ring), ring)
+    return _run_counts(_validate_tree_input(edges, ring), ring, edges)
+
+
+def _run_counts(adj, ring, edges):
+    """`tree_is_disk_planar` on a checked adjacency, such as a decomposed tree's."""
+    beyond = _beyond(adj, ring)
     k = len(ring)
     counts = {e: 2 * _run_starts(beyond.get((e.a, e), 0), k).bit_count() for e in edges}
     return all(c == 2 for c in counts.values()), counts
@@ -238,7 +243,7 @@ def check_S2(dec):
     """Combined embedding test for a decomposed graph (condition S2)."""
     witnesses = []
     for t in dec.trees:
-        ok, counts = tree_is_disk_planar(t.edges, dec.ring(t))
+        ok, counts = _run_counts(t._adjacency, dec.ring(t), t.edges)
         if not ok:
             bad = sorted((e for e, c in counts.items() if c != 2), key=repr)
             witnesses.append(

@@ -13,8 +13,8 @@ makes every face strictly convex (checked, not assumed), cuts each
 polygon into the fan of triangles from its last point; the function is
 linear on each triangle, so it agrees with the vertex heights, is
 constant on every tree, and stays between the face's two defining
-levels.  A face map holds only what is drawn: the polygon, its values,
-its triangles and the vertex drawn at each point.  The same triangles
+levels.  One stack holds every face's points, values and triangles, and
+an id per point names the vertex drawn there.  The same triangles
 give every level set exactly: `level_sets` cuts each triangle a level
 crosses along one segment, with no sampling grid.  `sign_census`
 audits the drawn values: around every tree vertex, the faces' values
@@ -216,10 +216,6 @@ def _solve_tree_positions(tree, fixed):
     return {v: sol[idx[v]] for v in interior}
 
 
-def _cross2(u, v):
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
 def _cross_rows(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
@@ -307,8 +303,7 @@ class FaceMap:
     face_index: int
     points: np.ndarray  # (N, 2) polygon, counterclockwise
     values: np.ndarray  # (N,)
-    triangles: np.ndarray  # (M, 3) indices into points
-    keys: tuple  # per point: the graph vertex drawn there, else None
+    triangles: np.ndarray  # (N - 2, 3) indices into points
 
 
 def _path_level(darts, heights, face_index):
@@ -434,9 +429,9 @@ def extend_to_faces(emb, heights):
     Each face is first checked by `_check_face`.  Its polygon is its
     boundary walk, run after run: each boundary edge gives its rim
     samples (`_rim_points`, start included, end excluded) and each tree
-    path its vertices, up to the final endpoint; a point's key is the
+    path its vertices, up to the final endpoint; a point's id names the
     graph vertex drawn there (a path vertex, or an edge's first sample),
-    else None.  All polygons are gathered from one table of rim samples
+    if any.  All polygons are gathered from one table of rim samples
     and vertex positions, and triangulated by `_convex_fans`.
 
     Why every face is convex.  `assign_coords` certified every face's
@@ -454,7 +449,7 @@ def extend_to_faces(emb, heights):
     rad, away from the drawn attachments, which breaks that last
     argument; so `_convex_fans` checks convexity instead of assuming it.
 
-    The DiskFunction gets the stacked arrays as they are, with the point
+    The DiskFunction is the stacked arrays as they are, with the point
     ids that `level_sets` keys its crossings by.
     """
     dec = emb.decomposition
@@ -492,82 +487,74 @@ def extend_to_faces(emb, heights):
     local = _convex_fans(points, sizes, [f.index for f in faces])
     ids = np.arange(len(names), len(names) + len(take))
     ids[firsts] = [index[u] for u in drawn]
-    keys = [None] * len(take)
-    for i, u in zip(firsts.tolist(), drawn):
-        keys[i] = u
-    maps = []
-    lo = row = 0
-    for face, size in zip(faces, sizes):
-        hi = lo + size
-        tris = local[row : row + size - 2]
-        maps.append(FaceMap(face.index, points[lo:hi], values[lo:hi], tris, tuple(keys[lo:hi])))
-        lo, row = hi, row + size - 2
-    sizes = np.array(sizes)
-    triangles = local + np.repeat(np.cumsum(sizes) - sizes, sizes - 2)[:, None]
-    return DiskFunction(emb, heights, tuple(maps), points, values, triangles, ids)
+    triangles = local + np.repeat(np.cumsum(sizes) - sizes, np.array(sizes) - 2)[:, None]
+    ends = [(index[e.a], index[e.b]) for t in dec.trees for e in sorted(t.edges)]
+    return DiskFunction(
+        emb, heights, points, values, triangles, ids, tuple(f.index for f in faces),
+        tuple(sizes), tuple(names), table_pts[k * n :], table_vals[k * n :],
+        np.array(ends, dtype=int).reshape(-1, 2),
+    )
 
 
 # ---------------------------------------------------------------------------
 # the assembled function
 
 
+@dataclass(frozen=True, eq=False)
 class DiskFunction:
-    """Immutable continuous extension of a height assignment to the disk.
+    """The witness, one record of what `extend_to_faces` draws.
 
-    ``points``/``values`` hold the polygon points of all face maps in
-    turn and ``triangles`` indexes them (face-global rows), as
-    `extend_to_faces` stacks them.  ``point_ids`` numbers every point: a
-    point drawn at a graph vertex by the vertex's position in sorted
-    vertex order, which is the same in every face and in the tree
-    segments, and any other point by the vertex count plus its row.
-    """
+    Face ``face_indices[j]`` holds the next ``face_sizes[j]`` rows of
+    ``points``/``values`` and m - 2 fan rows of ``triangles`` for its m
+    points; `face_maps` are views of those rows, so every audit, level
+    set and drawing reads one triangulation."""
 
-    def __init__(self, embedding, heights, face_maps, points, values, triangles, point_ids):
-        self.embedding = embedding
-        self.heights = heights
-        self.face_maps = face_maps
-        dec = embedding.decomposition
-        self.decomposition = dec
-        self.gamma = dec.gamma
-        n = len(self.gamma.vertices)
-        self._n = n
-        self._gamma_heights = np.array(
-            [heights.value[v] for v in self.gamma.vertices]
-        )
-        names = sorted(embedding.coords)
-        index = {v: i for i, v in enumerate(names)}
-        self._vertex_xy = np.array([embedding.coords[v] for v in names])
-        self._vertex_vals = np.array([heights.value[v] for v in names])
-        # the vertex ids of every tree edge, tree by tree, edges sorted
-        self._tree_ends = np.array(
-            [(index[e.a], index[e.b]) for t in dec.trees for e in sorted(t.edges)], dtype=int
-        ).reshape(-1, 2)
-        self._tri_points, self._tri_values = points, values
-        self._triangles, self._point_ids = triangles, point_ids
-        self._face_rows = {}
-        row = 0
-        for fm in face_maps:
-            self._face_rows[fm.face_index] = slice(row, row + len(fm.triangles))
-            row += len(fm.triangles)
+    embedding: object
+    heights: HeightAssignment
+    points: np.ndarray  # (P, 2) every inner face's polygon in turn
+    values: np.ndarray  # (P,) the witness at each point
+    triangles: np.ndarray  # (T, 3) rows of points, face after face
+    point_ids: np.ndarray  # (P,) the drawn vertex's row, else V + the point's row
+    face_indices: tuple
+    face_sizes: tuple
+    vertex_names: tuple  # the V vertices, sorted
+    vertex_xy: np.ndarray  # (V, 2) drawn positions
+    vertex_values: np.ndarray  # (V,) heights
+    tree_ends: np.ndarray  # (S, 2) vertex rows of every tree edge, tree by tree, sorted
+
+    @property
+    def decomposition(self):
+        return self.embedding.decomposition
+
+    @property
+    def gamma(self):
+        return self.embedding.decomposition.gamma
+
+    @property
+    def face_maps(self):
+        """Each inner face's rows of the arrays, its triangles renumbered within it."""
+        maps, lo = [], 0
+        for j, (index, size) in enumerate(zip(self.face_indices, self.face_sizes)):
+            rows = slice(lo, lo + size)
+            tris = self.triangles[lo - 2 * j : lo - 2 * j + size - 2] - lo
+            maps.append(FaceMap(index, self.points[rows], self.values[rows], tris))
+            lo += size
+        return tuple(maps)
 
     # -- evaluation --------------------------------------------------------
 
     def _rim_edges(self, pts):
         """Per point: the boundary edge at its angle, the fraction of that
         edge swept up to the angle, and the edge's two end heights."""
+        gamma = self.gamma.vertices
+        n = len(gamma)
         th = np.arctan2(pts[:, 1], pts[:, 0])
         # the rim position at each angle, inverting `_rim_angle`
-        pos = (th - _rim_angle(0, self._n)) / (2 * math.pi / self._n)
-        pos = np.mod(pos, self._n)
-        i = np.floor(pos).astype(int) % self._n
+        pos = np.mod((th - _rim_angle(0, n)) / (2 * math.pi / n), n)
+        i = np.floor(pos).astype(int) % n
         t = pos - np.floor(pos)
-        h0 = self._gamma_heights[i]
-        h1 = self._gamma_heights[(i + 1) % self._n]
-        return i, t, h0, h1
-
-    def _rim_values(self, pts):
-        _, t, h0, h1 = self._rim_edges(pts)
-        return (1 - t) * h0 + t * h1
+        h = np.array([self.heights.value[v] for v in gamma])
+        return i, t, h[i], h[(i + 1) % n]
 
     def _sliver_values(self, pts):
         """Values between a rim chord and the circle.
@@ -575,15 +562,16 @@ class DiskFunction:
         The chord is the polygon edge between the two rim samples
         around the point's angle (see `_rim_points`).  The point takes
         the chord's linear value at its radial projection ``q`` onto the
-        chord, blended linearly in radius from ``|q|`` to 1 towards
-        `_rim_values`, so the witness is continuous across the chord
-        and equals the rim interpolation on the circle.
+        chord, blended linearly in radius from ``|q|`` to 1 towards the
+        rim value at its angle, so the witness is continuous across the
+        chord and equals the rim interpolation on the circle.
         """
         i, t, h0, h1 = self._rim_edges(pts)
         k = SAMPLES_PER_BOUNDARY_EDGE
+        n = len(self.gamma.vertices)
         ta = np.minimum(np.floor(t * k), k - 1) / k
-        th = _rim_angle(i + ta, self._n)
-        th_b = th + 2 * math.pi / (k * self._n)
+        th = _rim_angle(i + ta, n)
+        th_b = th + 2 * math.pi / (k * n)
         a = np.stack([np.cos(th), np.sin(th)], axis=1)
         e = np.stack([np.cos(th_b), np.sin(th_b)], axis=1) - a
         r = np.hypot(pts[:, 0], pts[:, 1])
@@ -599,7 +587,7 @@ class DiskFunction:
         return chord + np.clip(w, 0.0, 1.0) * (rim - chord)
 
     def _in_triangles(self, pts, rows):
-        """Linear interpolation on the triangles ``_triangles[rows]``.
+        """Linear interpolation on the triangles ``triangles[rows]``.
 
         A point takes its value from the first of these triangles that
         holds it, with barycentric weights within 1e-9 of [0, 1]; it is
@@ -607,13 +595,13 @@ class DiskFunction:
         """
         eps = 1e-9
         out = np.full(len(pts), np.nan)
-        p, v = self._tri_points, self._tri_values
-        for i0, i1, i2 in self._triangles[rows]:
+        p, v = self.points, self.values
+        for i0, i1, i2 in self.triangles[rows]:
             rem = np.isnan(out)
             if not rem.any():
                 break
             a, b, c = p[i0], p[i1], p[i2]
-            det = _cross2(b - a, c - a)
+            det = (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]
             if abs(det) < 1e-300:
                 continue
             qa = pts[rem] - a
@@ -634,7 +622,9 @@ class DiskFunction:
         here too.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._in_triangles(pts, self._face_rows[face_index])
+        j = self.face_indices.index(face_index)
+        row = sum(self.face_sizes[:j]) - 2 * j  # m - 2 rows per face of m points
+        return self._in_triangles(pts, slice(row, row + self.face_sizes[j] - 2))
 
     def evaluate_many(self, pts):
         """Vectorized evaluation of points in the closed disk.
@@ -651,10 +641,10 @@ class DiskFunction:
             bad = pts[r > 1 + SNAP][0]
             raise OutsideDisk((float(bad[0]), float(bad[1])))
         out = np.full(len(pts), np.nan)
-        d = np.linalg.norm(pts[:, None, :] - self._vertex_xy[None, :, :], axis=2)
+        d = np.linalg.norm(pts[:, None, :] - self.vertex_xy[None, :, :], axis=2)
         j = np.argmin(d, axis=1)
         at_vertex = d[np.arange(len(pts)), j] <= SNAP
-        out[at_vertex] = self._vertex_vals[j[at_vertex]]
+        out[at_vertex] = self.vertex_values[j[at_vertex]]
         rest = ~at_vertex
         out[rest] = self._in_triangles(pts[rest], slice(None))
         left = np.isnan(out)
@@ -677,11 +667,6 @@ class DiskFunction:
     def boundary_extrema(self):
         """Boundary vertices that are local extrema along the circle."""
         return boundary_extrema(self.gamma, self.heights)
-
-    def tree_levels(self):
-        return {
-            t.index: self.heights.level(t) for t in self.decomposition.trees
-        }
 
 
 def boundary_extrema(gamma, heights):
@@ -775,7 +760,7 @@ def _crossings(f, c, a, b):
     is taken exactly and keyed by its point id, and an interior crossing
     is keyed by the edge, past every point id.
     """
-    p, v, ids = f._tri_points, f._tri_values, f._point_ids
+    p, v, ids = f.points, f.values, f.point_ids
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     t = (c - v[lo]) / (v[hi] - v[lo])
     pts = p[lo] + t[:, None] * (p[hi] - p[lo])
@@ -784,7 +769,7 @@ def _crossings(f, c, a, b):
     pts[at_lo] = p[lo[at_lo]]
     pts[at_hi] = p[hi[at_hi]]
     n = len(v)
-    edge = len(f._vertex_xy) + n + lo * n + hi
+    edge = len(f.vertex_names) + n + lo * n + hi
     return pts, np.where(at_lo, ids[lo], np.where(at_hi, ids[hi], edge))
 
 
@@ -810,8 +795,8 @@ def level_sets(f, values):
     rim.
     """
     cs = np.asarray(values, dtype=float)
-    tris = f._triangles
-    above = f._tri_values[tris] > cs[:, None, None]
+    tris = f.triangles
+    above = f.values[tris] > cs[:, None, None]
     n_above = above.sum(axis=2)
     level, hit = np.nonzero((n_above == 1) | (n_above == 2))
     # the vertex alone on its side of c; the level crosses its two edges
@@ -823,15 +808,15 @@ def level_sets(f, values):
     pb, kb = _crossings(f, c, lone, tris[hit, (k + 2) % 3])
     # a segment along a tree edge joins two vertex ids that the edge joins;
     # every other key is clamped to the vertex count, which no edge has
-    ends = f._tree_ends
-    nv = len(f._vertex_xy)
+    ends = f.tree_ends
+    nv = len(f.vertex_names)
     pair = np.minimum(ka, nv) * (nv + 1) + np.minimum(kb, nv)
     along = np.isin(pair, np.concatenate([ends @ (nv + 1, 1), ends @ (1, nv + 1)]))
     keep = (pa != pb).any(axis=1) & ~along
     segments = list(zip(ka[keep].tolist(), kb[keep].tolist(),
                         map(tuple, pa[keep].tolist()), map(tuple, pb[keep].tolist())))
     cuts = np.searchsorted(level[keep], np.arange(len(cs) + 1)).tolist()
-    xy = f._vertex_xy.tolist()
+    xy = f.vertex_xy.tolist()
     trees = f.decomposition.trees
     tree_rows = np.cumsum([0] + [len(t.edges) for t in trees]).tolist()
     tree_levels = [f.heights.level(t) for t in trees]

@@ -12,6 +12,7 @@ import numpy as np
 from .realization import level_sets
 
 MARGIN = 1.1
+SIZE = 600.0  # canvas width and height
 
 
 def _color(t):
@@ -23,7 +24,7 @@ def _color(t):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_svg(f, levels=5, size=600.0):
+def render_svg(f, levels=5):
     """Render boundary circle, trees, vertices, and exact level polylines.
 
     Every level is cut at once (`level_sets`).  The drawing is one
@@ -58,31 +59,31 @@ def render_svg(f, levels=5, size=600.0):
                 f'stroke="{color}" stroke-width="1"/>'
             )
             drawn += chain
-    ends = f._tree_ends
+    ends = f.tree_ends
     out += [
         '<line class="tree" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
         'stroke="#101010" stroke-width="2.5"/>'
     ] * len(ends)
     out.append("</g>")
     out.append('<g font-family="monospace" font-size="12" fill="#000000">')
-    for v in sorted(f.embedding.coords):
+    for v in f.vertex_names:
         out.append('<circle class="vertex" cx="%.4f" cy="%.4f" r="3" fill="#000000"/>')
         out.append(f'<text x="%.4f" y="%.4f">{escape(v, quote=False).replace("%", "%%")}=%.4f</text>')
     out.append("</g>")
     out.append("</svg>")
-    xy = f._vertex_xy
+    xy = f.vertex_xy
     p = np.concatenate([np.array(drawn), xy[ends.ravel()], xy])
-    x = (p[:, 0] + MARGIN) / (2 * MARGIN) * size
-    y = (MARGIN - p[:, 1]) / (2 * MARGIN) * size
+    x = (p[:, 0] + MARGIN) / (2 * MARGIN) * SIZE
+    y = (MARGIN - p[:, 1]) / (2 * MARGIN) * SIZE
     lines = len(drawn) + 2 * len(ends)  # the center, level points and tree ends
     canvas = np.stack([x[:lines], y[:lines]], axis=1).ravel()
     vx, vy = x[lines:], y[lines:]
     numbers = np.concatenate([
-        [size] * 4,
+        [SIZE] * 4,
         canvas[:2],
-        [size / (2 * MARGIN)],
+        [SIZE / (2 * MARGIN)],
         canvas[2:],
-        np.stack([vx, vy, vx + 5, vy - 5, f._vertex_vals], axis=1).ravel(),
+        np.stack([vx, vy, vx + 5, vy - 5, f.vertex_values], axis=1).ravel(),
     ])
     numbers[np.abs(numbers) < 5e-5] = 0.0
     return "\n".join(out) % tuple(numbers.tolist()) + "\n"

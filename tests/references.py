@@ -30,7 +30,6 @@ from diskdiagram.errors import (
     UnknownId,
 )
 from diskdiagram.graph import DEFAULT_BUDGET, Cycle, adjacency
-from diskdiagram.orders import bits
 from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, SNAP, _rim_angle
 from diskdiagram.svg import MARGIN, _color
 
@@ -431,6 +430,17 @@ def stitch(segments):
     return polylines
 
 
+def bits(mask):
+    """Indices of the set bits of ``mask``, ascending: the lowest set bit
+    is read and cleared until none is left."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def below(order):
     """v -> mask of every u with u < v, one OR per closure pair."""
     index = order.index
@@ -690,16 +700,17 @@ def coords_valid(dec, coords):
 def _stacked(f):
     """Every face map's points, values and triangles stacked, with point keys.
 
-    A point drawn at a graph vertex is keyed by the vertex name, any
-    other point by its row in the stack.
+    A point whose id (``point_ids``) names a graph vertex is keyed by
+    the vertex name, any other point by its row in the stack.
     """
-    pts, vals, tris, keys = [], [], [], []
+    names = sorted(f.embedding.coords)
+    keys = [names[i] if i < len(names) else row for row, i in enumerate(f.point_ids.tolist())]
+    pts, vals, tris = [], [], []
     offset = 0
     for fm in f.face_maps:
         pts.append(fm.points)
         vals.append(fm.values)
         tris.append(fm.triangles + offset)
-        keys += [offset + k if v is None else v for k, v in enumerate(fm.keys)]
         offset += len(fm.points)
     return (
         np.concatenate(pts).reshape(-1, 2),

@@ -9,9 +9,11 @@ from diskdiagram.graph import build_graph
 from diskdiagram.orders import (
     A4Result,
     StrictPartialOrder,
+    bits,
     check_A4,
 )
 from references import below as below_reference
+from references import bits as bits_reference
 from references import flat, reach_sets, transitive_closure
 
 
@@ -112,6 +114,26 @@ class TestStrictPartialOrder:
         assert not small.extends(big)
         assert big.extends(order_of([("m", "a")]))
         assert not order_of([("m", "a")]).extends(big)
+
+    def test_extends_equals_pair_inclusion(self):
+        """On random orders over random carriers, some shared and some not,
+        and on sub-orders of them."""
+        rng = random.Random(5)
+        names = [f"v{i}" for i in range(8)]
+
+        def random_order(pool, pairs):
+            carrier = rng.sample(pool, rng.randint(1, len(pool)))
+            kept = [(a, b) for a, b in pairs if a in carrier and b in carrier]
+            return order_of([p for p in kept if rng.random() < 0.5], carrier)
+
+        for _ in range(300):
+            ranked = rng.sample(names, len(names))
+            upward = [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1 :]]
+            big = random_order(names, upward)
+            small = random_order(sorted(big.carrier), sorted(big.pairs))
+            for a, b in ((big, small), (small, big), (big, random_order(names, upward))):
+                assert a.extends(b) == (b.pairs <= a.pairs)
+                assert a.extends(a)
 
     @given(
         st.sets(
@@ -286,3 +308,11 @@ class TestA4:
         o = order_of([], carrier={"a", "b", "c"})
         assert check_A4(o).passed
 
+
+def test_bits_match_the_lowest_bit_loop():
+    """Masks up to 15 311 bits (ladder d = 7), sparse to dense."""
+    rng = random.Random(11)
+    for width in (0, 1, 2, 63, 64, 65, 1000, 15311):
+        for density in (0.001, 0.5, 0.999):
+            mask = sum(1 << i for i in range(width) if rng.random() < density)
+            assert bits(mask) == bits_reference(mask), (width, density)

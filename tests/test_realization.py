@@ -426,8 +426,12 @@ class TestEvaluation:
                     assert np.isnan(f._in_triangles(outside[None], slice(None)))[0]
                     vals = f.evaluate_many(np.array([inside, outside]))
                     assert abs(vals[0] - vals[1]) <= 1e-9, (name, s, t)
+                # on the circle: linear along the boundary edge in angle
                 rim = np.array([[math.cos(x), math.sin(x)] for x in np.linspace(*th, 5)])
-                assert f.evaluate_many(rim) == pytest.approx(f._rim_values(rim), abs=1e-12)
+                i, j = divmod(s, k)
+                h0, h1 = (f.heights.value[f.gamma.vertices[m % n]] for m in (i, i + 1))
+                t = (j + np.linspace(0, 1, 5)) / k
+                assert f.evaluate_many(rim) == pytest.approx((1 - t) * h0 + t * h1, abs=1e-12)
 
 
 class TestBoundaryExtrema:
@@ -472,10 +476,6 @@ class TestRealizePipeline:
         with pytest.raises(NotDeltaGraph) as info:
             realize(graphs["g1_missing"])
         assert info.value.condition == "A1"
-
-    def test_tree_levels_report(self, realized):
-        f = realized["G3"]
-        assert f.tree_levels() == {0: f.heights.level(f.decomposition.trees[0])}
 
     def test_equal_levels_detected(self, verdicts):
         from diskdiagram.planarity import build_embedding
@@ -662,12 +662,30 @@ class TestLevelSetSegments:
                     assert err <= 1e-9, (label, c, err)
 
 
-def with_face_maps(f, maps):
-    """f with its face maps replaced; the stacked triangles stay f's, since
-    the audits these mutants feed read only the face maps."""
-    return realization.DiskFunction(
-        f.embedding, f.heights, maps, f._tri_points, f._tri_values, f._triangles, f._point_ids
-    )
+def drawn_differently(f, mutant):
+    """True when the mutant's values at the centroids of the triangles of f
+    it changes differ from f's by more than rounding, or its level sets at
+    f's oracle levels differ from f's."""
+    changed = (f.triangles != mutant.triangles).any(axis=1)
+    changed |= np.isin(f.triangles, np.flatnonzero(f.values != mutant.values)).any(axis=1)
+    centroids = f.points[f.triangles[changed]].mean(axis=1)
+    if np.abs(f.evaluate_many(centroids) - mutant.evaluate_many(centroids)).max() > 1e-9:
+        return True
+    cs = oracle_levels(f)
+    return level_sets(f, cs) != level_sets(mutant, cs)
+
+
+def face_rows(f, face_index):
+    """The rows of face ``face_index``'s points in f's stacked arrays."""
+    j = f.face_indices.index(face_index)
+    lo = sum(f.face_sizes[:j])
+    return slice(lo, lo + f.face_sizes[j])
+
+
+def point_keys(f):
+    """Per stacked point: the vertex that `point_ids` names there, else None."""
+    names = f.vertex_names
+    return [names[i] if i < len(names) else None for i in f.point_ids.tolist()]
 
 
 class TestLevelSets:
@@ -698,16 +716,21 @@ class TestFaceFans:
                 assert abs(areas.sum() - shoelace(fm.points)) <= 1e-12
 
     def test_audit_flags_a_wrong_triangulation(self, graphs, realized, check_instance):
+        """The first face's triangles turned clockwise, or its first fan
+        triangle (m-1, 0, 1) widened to (m-1, 0, 2) over its second."""
         g, f = graphs["G3"], realized["G3"]
         assert check_instance(g, f) == []
-        fm, *rest = f.face_maps
+        first = slice(0, f.face_sizes[0] - 2)
+        flipped, widened = f.triangles.copy(), f.triangles.copy()
+        flipped[first] = flipped[first, ::-1]
+        widened[0, 2] = widened[1, 2]
         for triangles, problem in (
-            (fm.triangles[:, ::-1], " has a triangle without positive area"),
-            (fm.triangles[1:], ": triangle areas do not sum to its polygon's"),
+            (flipped, " has a triangle without positive area"),
+            (widened, ": triangle areas do not sum to its polygon's"),
         ):
-            maps = (replace(fm, triangles=triangles), *rest)
-            mutant = with_face_maps(f, maps)
-            assert check_instance(g, mutant) == [f"face {fm.face_index}{problem}"]
+            mutant = replace(f, triangles=triangles)
+            assert check_instance(g, mutant) == [f"face {f.face_indices[0]}{problem}"]
+            assert drawn_differently(f, mutant)
 
     def test_fan_rows_from_the_last_point(self):
         square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
@@ -795,11 +818,12 @@ class TestFaceMapsMatchReference:
     def check(self, f, label):
         faces = f.embedding.inner_faces()
         assert [fm.face_index for fm in f.face_maps] == [face.index for face in faces]
+        point_key = point_keys(f)
         for fm, face in zip(f.face_maps, faces):
             pts, vals, keys = references.face_polygon(face.runs, f.embedding, f.heights)
             assert np.array_equal(fm.points, pts), (label, face.index)
             assert np.array_equal(fm.values, vals), (label, face.index)
-            assert fm.keys == keys, (label, face.index)
+            assert tuple(point_key[face_rows(f, face.index)]) == keys, (label, face.index)
             tris = references.ear_clip(pts, vals)
             assert fm.triangles.dtype == tris.dtype
             assert fm.triangles.tolist() == tris.tolist(), (label, face.index)
@@ -882,15 +906,12 @@ class TestSignCensus:
             sides = touched_sides(f)
             for face_index, tree in sides if every_side else sides[:1]:
                 level = f.heights.level(tree)
-                maps = []
-                for fm in f.face_maps:
-                    if fm.face_index == face_index:
-                        values = fm.values.copy()
-                        k = np.flatnonzero(values != level)[0]
-                        values[k] = 2 * level - values[k]
-                        fm = replace(fm, values=values)
-                    maps.append(fm)
-                mutant = with_face_maps(f, tuple(maps))
+                rows = face_rows(f, face_index)
+                values = f.values.copy()
+                k = rows.start + np.flatnonzero(values[rows] != level)[0]
+                values[k] = 2 * level - values[k]
+                mutant = replace(f, values=values)
+                assert drawn_differently(f, mutant)
                 result = sign_census(mutant)
                 assert not result.passed, (face_index, tree.index)
                 assert any(
@@ -923,12 +944,13 @@ class TestSignCensus:
 def touched_sides(f):
     """(face index, tree) for every tree vertex drawn on a face's polygon."""
     dec = f.decomposition
+    keys = point_keys(f)
     sides = {}
-    for fm in f.face_maps:
-        for key in fm.keys:
+    for face_index in f.face_indices:
+        for key in keys[face_rows(f, face_index)]:
             tree = None if key is None else dec.tree_of(key)
             if tree is not None:
-                sides[(fm.face_index, tree.index)] = tree
+                sides[(face_index, tree.index)] = tree
     return [(face_index, tree) for (face_index, _), tree in sides.items()]
 
 
@@ -965,11 +987,12 @@ class TestPointKeys:
         witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
         for f in witnesses:
             names = sorted(f.embedding.coords)
+            assert f.vertex_names == tuple(names)
             at = {tuple(p): v for v, p in f.embedding.coords.items()}
-            ids = f._point_ids.tolist()
+            ids = f.point_ids.tolist()
             named = 0
             for i, key in enumerate(ids):
-                point = tuple(f._tri_points[i])
+                point = tuple(f.points[i])
                 if key < len(names):
                     assert point == tuple(f.embedding.coords[names[key]]), key
                     named += 1
