@@ -6,8 +6,9 @@ checked against the structural invariants: inner faces carry one or two
 boundary arcs, face counts satisfy the Euler relation, boundary extrema
 alternate with even count at exactly the even-degree boundary vertices,
 the corner-sign census passes, the order induced by the heights
-extends the input order, and every face's triangles have positive area
-and tile its polygon.  Without --limit the size-ladder shapes
+extends the input order, and every face's triangles have positive area,
+tile its polygon, are flat nowhere and join no two vertices of a tree
+level that no tree edge joins.  Without --limit the size-ladder shapes
 d = 1..5 (up to 1 703 vertices) follow the corpus specs, and then
 d = 6 (5 105 vertices) in minimal order only.  With --strict
 the strict height mode runs as well and the equality-vs-congruence
@@ -60,12 +61,39 @@ def check_instance(g, f):
         problems.append(f"sign census failed: {census.witnesses[:2]}")
     if not induced_order(f.heights).extends(g.order):
         problems.append("induced order does not extend the input order")
+    return problems + triangle_problems(f)
+
+
+def triangle_problems(f):
+    """Faults of the witness's triangles, face by face.
+
+    Every triangle has positive area and a face's triangles tile its
+    polygon.  No triangle has three equal values, since the function
+    would be flat on it.  At every tree level c, no triangle edge with
+    both ends at c joins two graph vertices that no tree edge joins, so
+    the level set there holds no chord beside the tree.
+    """
+    problems = []
     for fm in f.face_maps:
         areas = signed_area(fm.points[fm.triangles])
         if areas.min() <= 0:
             problems.append(f"face {fm.face_index} has a triangle without positive area")
         elif abs(areas.sum() - signed_area(fm.points)) > 1e-12:
             problems.append(f"face {fm.face_index}: triangle areas do not sum to its polygon's")
+    face = np.repeat(f.face_indices, np.array(f.face_sizes) - 2)
+    vals = f.values[f.triangles]
+    for i in np.unique(face[vals.min(axis=1) == vals.max(axis=1)]).tolist():
+        problems.append(f"face {i} has a triangle with three equal values")
+    nv = len(f.vertex_names)
+    edges = np.stack([f.triangles.ravel(), f.triangles[:, [1, 2, 0]].ravel()])
+    ids, at = f.point_ids[edges], f.values[edges]
+    tree_levels = [f.heights.level(t) for t in f.decomposition.trees]
+    joined = np.sort(f.tree_ends, axis=1) @ (nv, 1)
+    chord = (ids < nv).all(axis=0) & (at[0] == at[1]) & np.isin(at[0], tree_levels)
+    chord &= ~np.isin(ids.min(axis=0) * nv + ids.max(axis=0), joined)
+    for i in np.unique(np.repeat(face, 3)[chord]).tolist():
+        problems.append(f"face {i}: a triangle edge at a tree level joins two vertices "
+                        "that no tree edge joins")
     return problems
 
 

@@ -9,16 +9,17 @@ two-arc face (a band between two levels); one function checks both
 shapes.  `extend_to_faces` builds every face's polygon in one pass —
 circle arcs sampled with heights interpolated between their end
 vertices, tree paths at their tree's level — and, since the placement
-makes every face strictly convex (checked, not assumed), cuts each
-polygon into the fan of triangles from its last point; the function is
-linear on each triangle, so it agrees with the vertex heights, is
-constant on every tree, and stays between the face's two defining
-levels.  One stack holds every face's points, values and triangles, and
-an id per point names the vertex drawn there.  The same triangles
+makes every face strictly convex, cuts each polygon into the fan of
+triangles from its first rim sample; the function is linear on each
+triangle, so it agrees with the vertex heights, is constant on every
+tree, stays between the face's two defining levels, and is flat on no
+triangle.  One stack holds every face's points, values and triangles,
+and an id per point names the vertex drawn there.  The same triangles
 give every level set exactly: `level_sets` cuts each triangle a level
-crosses along one segment, with no sampling grid.  `sign_census`
-audits the drawn values: around every tree vertex, the faces' values
-off the tree's level must lie on alternating sides of it.
+crosses along one segment, with no sampling grid, in the faces whose
+values lie on both sides of the level.  `sign_census` audits the drawn
+values: around every tree vertex, the faces' values off the tree's
+level must lie on alternating sides of it.
 """
 from __future__ import annotations
 
@@ -184,12 +185,12 @@ def _rim_angle(pos, n):
     return math.pi / 2 + 2 * math.pi * pos / n
 
 
-def _gamma_positions(gamma, jitter=0.0):
-    """Boundary vertices on the unit circle; the i-th turns by ``jitter * (i + 1)``."""
+def _gamma_positions(gamma):
+    """Boundary vertices on the unit circle at their `_rim_angle`."""
     n = len(gamma.vertices)
     out = {}
     for i, v in enumerate(gamma.vertices):
-        th = _rim_angle(i, n) + jitter * (i + 1)
+        th = _rim_angle(i, n)
         out[v] = np.array([math.cos(th), math.sin(th)])
     return out
 
@@ -277,21 +278,16 @@ def _certify_drawing(emb, coords):
 def assign_coords(emb):
     """Unit-circle boundary placement plus interior averaging per tree.
 
-    If `_certify_drawing` rejects the averaged drawing, the trees are
-    solved again against slightly perturbed anchor angles, while the
-    boundary vertices keep their places; a second failure raises
-    DegenerateDrawing.
+    The drawing is solved once; DegenerateDrawing is raised when
+    `_certify_drawing` rejects it.
     """
     dec = emb.decomposition
-    base = _gamma_positions(dec.gamma)
-    for jitter in (0.0, 1e-3):
-        anchors = _gamma_positions(dec.gamma, jitter) if jitter else base
-        coords = dict(base)
-        for t in dec.trees:
-            coords.update(_solve_tree_positions(t, anchors))
-        if _certify_drawing(emb, coords):
-            return emb.with_coords(coords)
-    raise DegenerateDrawing("tree placement produced a degenerate drawing")
+    coords = _gamma_positions(dec.gamma)
+    for t in dec.trees:
+        coords.update(_solve_tree_positions(t, coords))
+    if not _certify_drawing(emb, coords):
+        raise DegenerateDrawing("tree placement produced a degenerate drawing")
+    return emb.with_coords(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +385,13 @@ def _fan_faults(points, sizes):
     (left turns alone allow a polygon that winds twice), and every fan
     triangle's cross product exceeds 1e-14; ``bad[j]`` is True otherwise.
 
-    Polygon j of m points gets the fan from its last point, in the rows
-    ``(m-1, k, k+1)`` for ``k = 0 .. m-4`` and then ``(m-3, m-2, m-1)``:
-    the triangles an ear clip that always clips position 0 gives, in its
-    order.  The rows are returned indexed within their polygon.
+    Polygon j of m points gets the fan from point 1, in the rows
+    ``(1, k, (k + 1) % m)`` for ``k = 2 .. m - 1``, indexed within their
+    polygon.  A face polygon of `extend_to_faces` starts with a boundary
+    edge, so point 1 is that edge's first rim sample after its start
+    vertex: never a graph vertex, and valued strictly between the edge's
+    two end heights.  So no fan triangle is flat, and every diagonal
+    leaves a rim sample; none joins two vertices of a tree.
     """
     sizes = np.asarray(sizes)
     owner, prv, nxt = _rings(sizes)
@@ -401,11 +400,8 @@ def _fan_faults(points, sizes):
     upward = (dy < 0) & (dy[nxt] >= 0)
     rows = sizes - 2
     tri_owner = np.repeat(np.arange(len(sizes)), rows)
-    m = sizes[tri_owner]
-    k = np.arange(len(tri_owner)) - (np.cumsum(rows) - rows)[tri_owner]
-    local = np.stack([m - 1, k, k + 1], axis=1)
-    last = k == m - 3
-    local[last] = local[last][:, [1, 2, 0]]
+    k = np.arange(len(tri_owner)) - (np.cumsum(rows) - rows)[tri_owner] + 2
+    local = np.stack([np.ones_like(k), k, (k + 1) % sizes[tri_owner]], axis=1)
     base = (np.cumsum(sizes) - sizes)[tri_owner]
     a, b, c = (points[local[:, i] + base] for i in range(3))
     bad = np.bincount(owner[upward], minlength=len(sizes)) != 1
@@ -444,10 +440,9 @@ def extend_to_faces(emb, heights):
     in the convex hull of its tree's attachments, so it lies strictly
     inside the chord line through the attachment and the next (or
     previous) rim sample: that line meets the circle only at those two
-    points and no attachment lies between them.  The jittered retry of
-    `assign_coords` moves the anchors of the tree solve, by up to 1e-3
-    rad, away from the drawn attachments, which breaks that last
-    argument; so `_convex_fans` checks convexity instead of assuming it.
+    points and no attachment lies between them.  `_convex_fans` still
+    checks convexity, as a guard: a drawing that breaks this argument
+    raises DegenerateDrawing instead of giving folded triangles.
 
     The DiskFunction is the stacked arrays as they are, with the point
     ids that `level_sets` keys its crossings by.
@@ -778,13 +773,14 @@ def level_sets(f, values):
 
     The witness is linear on each triangle of its face maps, so {f = c}
     is one segment per triangle whose vertices lie on both sides of `c`
-    (a vertex at exactly `c` counts as below, so a triangle flat at `c`
-    emits nothing).  One broadcast over (level, triangle) finds every
-    crossed triangle and its two crossing points; segments are joined
-    level by level by the integer keys of their ends (see `_crossings`)
-    with `_stitch`.  Zero-length segments and segments along a tree edge
-    are dropped, since every tree at level `c` is added from its drawn
-    edges, keyed by vertex ids.
+    (a vertex at exactly `c` counts as below; a segment that shrinks to
+    a point is dropped).  Only faces whose values lie strictly on both
+    sides of `c` are cut: a face's tree paths hold its lowest or highest
+    value, so no segment runs along a tree edge, and every tree at level
+    `c` is added from its drawn edges, keyed by vertex ids.  One
+    broadcast over (level, triangle) finds every crossed triangle and
+    its two crossing points; segments are joined level by level by the
+    integer keys of their ends (see `_crossings`) with `_stitch`.
 
     Face-local keys are enough away from graph vertices: a point that is
     not a graph vertex is a rim sample, on the boundary of one face
@@ -796,9 +792,15 @@ def level_sets(f, values):
     """
     cs = np.asarray(values, dtype=float)
     tris = f.triangles
+    sizes = np.asarray(f.face_sizes)
+    firsts = np.cumsum(sizes) - sizes
+    low = np.minimum.reduceat(f.values, firsts)
+    high = np.maximum.reduceat(f.values, firsts)
+    inside = (low < cs[:, None]) & (cs[:, None] < high)
     above = f.values[tris] > cs[:, None, None]
     n_above = above.sum(axis=2)
-    level, hit = np.nonzero((n_above == 1) | (n_above == 2))
+    crossed = inside[:, np.repeat(np.arange(len(sizes)), sizes - 2)]
+    level, hit = np.nonzero(crossed & ((n_above == 1) | (n_above == 2)))
     # the vertex alone on its side of c; the level crosses its two edges
     side = above[level, hit]
     k = np.where(n_above[level, hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
@@ -806,16 +808,11 @@ def level_sets(f, values):
     c = cs[level]
     pa, ka = _crossings(f, c, lone, tris[hit, (k + 1) % 3])
     pb, kb = _crossings(f, c, lone, tris[hit, (k + 2) % 3])
-    # a segment along a tree edge joins two vertex ids that the edge joins;
-    # every other key is clamped to the vertex count, which no edge has
-    ends = f.tree_ends
-    nv = len(f.vertex_names)
-    pair = np.minimum(ka, nv) * (nv + 1) + np.minimum(kb, nv)
-    along = np.isin(pair, np.concatenate([ends @ (nv + 1, 1), ends @ (1, nv + 1)]))
-    keep = (pa != pb).any(axis=1) & ~along
+    keep = (pa != pb).any(axis=1)
     segments = list(zip(ka[keep].tolist(), kb[keep].tolist(),
                         map(tuple, pa[keep].tolist()), map(tuple, pb[keep].tolist())))
     cuts = np.searchsorted(level[keep], np.arange(len(cs) + 1)).tolist()
+    ends = f.tree_ends
     xy = f.vertex_xy.tolist()
     trees = f.decomposition.trees
     tree_rows = np.cumsum([0] + [len(t.edges) for t in trees]).tolist()

@@ -95,3 +95,9 @@ def load_script():
 def check_instance():
     """The invariant audit of scripts/run_corpus.py."""
     return _load_script("run_corpus").check_instance
+
+
+@pytest.fixture(scope="session")
+def triangle_problems():
+    """The triangle audit of scripts/run_corpus.py."""
+    return _load_script("run_corpus").triangle_problems

@@ -6,7 +6,7 @@ inputs: the order closure on frozensets, the A2 scan over every vertex
 of every tree, the per-item validation of a file's id lists, the tree
 criterion that walks the path of every adjacent ring pair, the
 rotation system that walks the subtree behind every tree edge, the
-face polygon built point by point and ear-clipped, the polyline
+face polygon built point by point, the polyline
 stitcher that scans for an unused segment with a generator, A1 by a
 full cycle search, S2's separation by a scan of every pair of trees,
 S3 by building every gap's arc, the masks below each element by
@@ -23,7 +23,6 @@ import numpy as np
 from diskdiagram.conditions import BoundaryPair, ConditionReport
 from diskdiagram.errors import (
     BudgetExceeded,
-    DegenerateDrawing,
     InvariantViolation,
     MalformedFile,
     OrderCycle,
@@ -299,100 +298,6 @@ def face_polygon(runs, emb, heights):
             pts += ps
             vals += vs
     return np.array(pts), np.array(vals), tuple(keys)
-
-
-def ear_clip(pts, vals):
-    """Triangulate a simple counterclockwise polygon.
-
-    The ear clipped is the first convex, unblocked position in polygon
-    order whose three values are not all equal, else the first convex,
-    unblocked one.  A vertex is convex when its cross product exceeds
-    1e-14, so only the last triangle can lack area; it is then dropped.
-    Clipping a vertex changes only its two neighbours' triples, so each
-    convexity flag is computed once and then only for those two.
-
-    An ear is blocked by a vertex in its closed triangle (margin 1e-12),
-    and only reflex vertices (cross <= 1e-14, collinear path points
-    included) are tested; this is the rule of Meisters ("Polygons have
-    ears", 1975).  Let the convex ear a-b-c hold other vertices, and let
-    j be one of them farthest from the line ac.  The sides ab and bc are
-    polygon edges, which no other edge crosses, so every edge at j leaves
-    the triangle through ac or stays in it: both of j's neighbours lie no
-    farther from ac than j does.  No edge meets the part of the triangle
-    beyond j's distance from ac, and the polygon's interior fills it near
-    b, so the interior angle at j is at least pi and j is reflex.  In
-    floating point this leaves one case out: a convex vertex within 1e-12
-    outside the diagonal ac blocked the ear before and is not tested
-    now.  The triangles are identical on the fixtures, the corpus and
-    the size ladder up to d = 4, so the case does not occur there.
-    """
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    vs = [float(v) for v in vals]
-    n = len(pts)
-    idx = list(range(n))
-    tris = []
-
-    def cross(i0, i1, i2):
-        return (xs[i1] - xs[i0]) * (ys[i2] - ys[i0]) - (ys[i1] - ys[i0]) * (
-            xs[i2] - xs[i0]
-        )
-
-    def in_tri(j, i0, i1, i2):
-        eps = 1e-12
-        s1 = (xs[i1] - xs[i0]) * (ys[j] - ys[i0]) - (ys[i1] - ys[i0]) * (
-            xs[j] - xs[i0]
-        )
-        s2 = (xs[i2] - xs[i1]) * (ys[j] - ys[i1]) - (ys[i2] - ys[i1]) * (
-            xs[j] - xs[i1]
-        )
-        s3 = (xs[i0] - xs[i2]) * (ys[j] - ys[i2]) - (ys[i0] - ys[i2]) * (
-            xs[j] - xs[i2]
-        )
-        return s1 >= -eps and s2 >= -eps and s3 >= -eps
-
-    convex = [cross(k - 1, k, (k + 1) % n) > 1e-14 for k in range(n)]
-    reflex = {k for k in range(n) if not convex[k]}
-    while len(idx) > 3:
-        m = len(idx)
-        chosen = None
-        fallback = None
-        for k in range(m):
-            i1 = idx[k]
-            if not convex[i1]:
-                continue
-            i0, i2 = idx[k - 1], idx[(k + 1) % m]
-            blocked = False
-            for j in reflex:
-                if j != i0 and j != i2 and in_tri(j, i0, i1, i2):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            if not (vs[i0] == vs[i1] == vs[i2]):
-                chosen = k
-                break
-            if fallback is None:
-                fallback = k
-        if chosen is None:
-            chosen = fallback
-        if chosen is None:
-            raise DegenerateDrawing("cannot triangulate a face polygon")
-        k = chosen
-        tris.append((idx[k - 1], idx[k], idx[(k + 1) % m]))
-        del idx[k]
-        m -= 1
-        for at in (k - 1, k % m):
-            i = idx[at]
-            convex[i] = cross(idx[at - 1], i, idx[(at + 1) % m]) > 1e-14
-            if convex[i]:
-                reflex.discard(i)
-            else:
-                reflex.add(i)
-    if abs(cross(*idx)) > 1e-14:
-        tris.append(tuple(idx))
-    if not tris:
-        raise DegenerateDrawing("face polygon has no area")
-    return np.array(tris, dtype=int)
 
 
 def stitch(segments):
