@@ -1,0 +1,75 @@
+"""Print one sha256 per CLI input and output on fixed workloads.
+
+Every fixture, every corpus shape and ladder shapes d = 1..4 (both in
+minimal and saturated order) is written to a graph file, and `cli.main`
+runs on it in process: `check`, `check --json`, `embed` in json and dot,
+and `realize` at `--levels` 5, 0 and 9, each with and without
+`--strict-order`.  Each line is ``<sha256>  <input>  <command>``; the
+hash of a command covers its exit code, stdout, stderr and, for
+`realize`, the SVG it writes.  A refactor that must keep every output
+byte runs this in a checkout of each commit and diffs the two listings:
+
+    python scripts/output_hashes.py > after.txt
+"""
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from diskdiagram.cli import main as cli_main
+from diskdiagram.families import build_instance, corpus_instances, ladder_spec
+from diskdiagram.fixtures import FIXTURES, build
+from diskdiagram.formats import serialize
+
+COMMANDS = [["check"], ["check", "--json"], ["embed", "--format", "json"],
+            ["embed", "--format", "dot"]]
+COMMANDS += [["realize", "--levels", str(n)] + strict
+             for n in (5, 0, 9) for strict in ([], ["--strict-order"])]
+
+
+def inputs():
+    """(label, graph) for the fixtures, the corpus and ladder d <= 4."""
+    for name in FIXTURES:
+        yield name, build(name)
+    for spec, mode, g in corpus_instances():
+        yield f"{spec.name}/{mode}", g
+    for d in (1, 2, 3, 4):
+        for mode in ("minimal", "saturated"):
+            yield f"ladder{d}/{mode}", build_instance(ladder_spec(d), mode)
+
+
+def run(argv, out):
+    """The sha256 of one in-process CLI run; `out` is realize's SVG path."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    h = hashlib.sha256(f"{code}\n".encode())
+    h.update(stdout.getvalue().replace(str(out), out.name).encode())
+    h.update(stderr.getvalue().encode())
+    if argv[0] == "realize" and code == 0:
+        h.update(out.read_bytes())
+        out.unlink()
+    return h.hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "graph.json", Path(tmp) / "witness.svg"
+        for label, g in inputs():
+            text = serialize(g)
+            path.write_text(text, encoding="utf-8")
+            print(f"{hashlib.sha256(text.encode()).hexdigest()}  {label}  input")
+            for command in COMMANDS:
+                argv = [command[0], str(path)] + command[1:]
+                if command[0] == "realize":
+                    argv += ["--out", str(out)]
+                print(f"{run(argv, out)}  {label}  {' '.join(command)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

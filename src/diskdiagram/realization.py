@@ -15,11 +15,11 @@ triangle, so it agrees with the vertex heights, is constant on every
 tree, stays between the face's two defining levels, and is flat on no
 triangle.  One stack holds every face's points, values and triangles,
 and an id per point names the vertex drawn there.  The same triangles
-give every level set exactly: `level_sets` cuts each triangle a level
-crosses along one segment, with no sampling grid, in the faces whose
-values lie on both sides of the level.  `sign_census` audits the drawn
-values: around every tree vertex, the faces' values off the tree's
-level must lie on alternating sides of it.
+give every level set exactly, with no sampling grid: in each face whose
+values lie on both sides of a level, `level_sets` reads the level's
+curve segment by segment from the fan rows it crosses, in fan order.
+`sign_census` audits the drawn values: around every tree vertex, the
+faces' values off the tree's level must lie on alternating sides of it.
 """
 from __future__ import annotations
 
@@ -219,6 +219,11 @@ def _solve_tree_positions(tree, fixed):
 
 def _cross_rows(u, v):
     return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
+def _as_points(pts):
+    pts = np.asarray(pts, dtype=float)
+    return np.atleast_2d(pts) if pts.size else pts.reshape(0, 2)
 
 
 def _certify_drawing(emb, coords):
@@ -444,8 +449,8 @@ def extend_to_faces(emb, heights):
     checks convexity, as a guard: a drawing that breaks this argument
     raises DegenerateDrawing instead of giving folded triangles.
 
-    The DiskFunction is the stacked arrays as they are, with the point
-    ids that `level_sets` keys its crossings by.
+    The DiskFunction is the stacked arrays as they are; a point's id
+    names the graph vertex drawn there, for the audits that read it.
     """
     dec = emb.decomposition
     g, gamma, position = dec.graph, dec.gamma, dec.position
@@ -614,12 +619,14 @@ class DiskFunction:
 
         The triangles cover the face's polygon, whose rim arcs are
         sampled chords, so a point between a chord and the circle is NaN
-        here too.
+        here too.  ValueError names an index that is no inner face.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        j = self.face_indices.index(face_index)
+        try:
+            j = self.face_indices.index(face_index)
+        except ValueError:
+            raise ValueError(f"face {face_index} is not an inner face of this witness") from None
         row = sum(self.face_sizes[:j]) - 2 * j  # m - 2 rows per face of m points
-        return self._in_triangles(pts, slice(row, row + self.face_sizes[j] - 2))
+        return self._in_triangles(_as_points(pts), slice(row, row + self.face_sizes[j] - 2))
 
     def evaluate_many(self, pts):
         """Vectorized evaluation of points in the closed disk.
@@ -628,9 +635,9 @@ class DiskFunction:
         share their tree paths exactly and cover the inscribed polygon,
         so the only points no triangle holds lie between a rim chord and
         the circle; `_sliver_values` carries the chord's values out to the
-        rim interpolation on the circle.
+        rim interpolation on the circle.  No points give an empty array.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = _as_points(pts)
         r = np.linalg.norm(pts, axis=1)
         if (r > 1 + SNAP).any():
             bad = pts[r > 1 + SNAP][0]
@@ -708,87 +715,73 @@ def realize(g, mode="default", seed=None, budget=DEFAULT_BUDGET):
 # level sets
 
 
-def _stitch(segments):
-    """Join segments into maximal polylines by their endpoint keys.
+def _stitch(edges, xy):
+    """Join tree edges into maximal polylines, sorted by first point.
 
-    Each segment is ``(key_a, key_b, point_a, point_b)``; two segments
-    join where they share a key.  Polylines are sorted by first point.
+    Each edge is a pair of vertex rows, two edges join where they share
+    a vertex, and a polyline lists the positions ``xy`` of its vertices.
     """
-    by_key = {}
-    for i, (ka, kb, _, _) in enumerate(segments):
-        by_key.setdefault(ka, []).append(i)
-        by_key.setdefault(kb, []).append(i)
-    used = [False] * len(segments)
+    at = {}
+    for i, (a, b) in enumerate(edges):
+        at.setdefault(a, []).append(i)
+        at.setdefault(b, []).append(i)
+    used = [False] * len(edges)
     polylines = []
-    for start, (ka, kb, a, b) in enumerate(segments):
+    for start, (a, b) in enumerate(edges):
         if used[start]:
             continue
         used[start] = True
         forward, backward = [b], [a]
-        for cur, tail in ((kb, forward), (ka, backward)):
+        for tail in (forward, backward):
             while True:
-                for i in by_key[cur]:
-                    if not used[i]:
-                        break
-                else:
+                i = next((i for i in at[tail[-1]] if not used[i]), None)
+                if i is None:
                     break
                 used[i] = True
-                qa, qb, pa, pb = segments[i]
-                if qa == cur:
-                    tail.append(pb)
-                    cur = qb
-                else:
-                    tail.append(pa)
-                    cur = qa
-        polylines.append(backward[::-1] + forward)
+                qa, qb = edges[i]
+                tail.append(qb if qa == tail[-1] else qa)
+        polylines.append([xy[v] for v in backward[::-1] + forward])
     polylines.sort(key=lambda ch: ch[0])
     return polylines
 
 
 def _crossings(f, c, a, b):
-    """Points and keys where levels `c` cross the triangle edges (a, b).
+    """Points where levels `c` cross the triangle edges (a, b).
 
-    Row i is level ``c[i]`` on the edge between point ids ``a[i]`` and
+    Row i is level ``c[i]`` on the edge between point rows ``a[i]`` and
     ``b[i]``, whose values lie on opposite sides of it.  The point is
-    interpolated from the lower-id end, so the two triangles sharing an
-    edge get bit-identical points; an end whose value equals the level
-    is taken exactly and keyed by its point id, and an interior crossing
-    is keyed by the edge, past every point id.
+    interpolated from the lower row, so the two triangles sharing an edge
+    get bit-identical points; an end whose value equals the level is
+    taken exactly.
     """
-    p, v, ids = f.points, f.values, f.point_ids
+    p, v = f.points, f.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     t = (c - v[lo]) / (v[hi] - v[lo])
     pts = p[lo] + t[:, None] * (p[hi] - p[lo])
-    at_lo = v[lo] == c
-    at_hi = v[hi] == c
-    pts[at_lo] = p[lo[at_lo]]
-    pts[at_hi] = p[hi[at_hi]]
-    n = len(v)
-    edge = len(f.vertex_names) + n + lo * n + hi
-    return pts, np.where(at_lo, ids[lo], np.where(at_hi, ids[hi], edge))
+    pts = np.where((v[lo] == c)[:, None], p[lo], pts)
+    return np.where((v[hi] == c)[:, None], p[hi], pts)
 
 
 def level_sets(f, values):
     """Polylines of every level {f = c} for c in `values`, exactly.
 
-    The witness is linear on each triangle of its face maps, so {f = c}
-    is one segment per triangle whose vertices lie on both sides of `c`
-    (a vertex at exactly `c` counts as below; a segment that shrinks to
-    a point is dropped).  Only faces whose values lie strictly on both
-    sides of `c` are cut: a face's tree paths hold its lowest or highest
-    value, so no segment runs along a tree edge, and every tree at level
-    `c` is added from its drawn edges, keyed by vertex ids.  One
-    broadcast over (level, triangle) finds every crossed triangle and
-    its two crossing points; segments are joined level by level by the
-    integer keys of their ends (see `_crossings`) with `_stitch`.
+    The witness is linear on each triangle, so {f = c} is one segment
+    per triangle whose vertices lie on both sides of `c` (a vertex at
+    exactly `c` counts as below), between the crossings of the two edges
+    at the vertex alone on its side.  One broadcast over (level,
+    triangle) finds them, in the faces whose values lie strictly on both
+    sides of `c` only: a face's tree paths hold its lowest or highest
+    value, so the face's curve meets no tree path and runs from rim to
+    rim.  Every tree at level `c` is drawn first, from its edges.
 
-    Face-local keys are enough away from graph vertices: a point that is
-    not a graph vertex is a rim sample, on the boundary of one face
-    only, and an interior crossing lies on an edge inside one face.  At
-    a level no tree has, no crossing lies on a tree path, whose points
-    all sit at its tree's level; each face is bounded by rim arcs and
-    such paths, so every level curve stays in its face and ends on the
-    rim.
+    A face's curve is read in fan order.  The rows ``(1, k, k + 1)`` it
+    crosses follow each other, and each shares its crossing of the
+    diagonal ``(1, k + 1)`` with the next.  A row's entry is its crossing
+    on the edge that comes first in the order ``(1, k)``, ``(k, k + 1)``,
+    ``(1, k + 1)``; rows whose two crossings coincide are dropped.  The
+    curve is the first row's entry, then every row's exit, reversed
+    unless that row's lone vertex is the apex 1; each level's curves are
+    sorted by first point.
     """
     cs = np.asarray(values, dtype=float)
     tris = f.triangles
@@ -799,33 +792,38 @@ def level_sets(f, values):
     inside = (low < cs[:, None]) & (cs[:, None] < high)
     above = f.values[tris] > cs[:, None, None]
     n_above = above.sum(axis=2)
-    crossed = inside[:, np.repeat(np.arange(len(sizes)), sizes - 2)]
-    level, hit = np.nonzero(crossed & ((n_above == 1) | (n_above == 2)))
+    face = np.repeat(np.arange(len(sizes)), sizes - 2)
+    level, hit = np.nonzero(inside[:, face] & ((n_above == 1) | (n_above == 2)))
     # the vertex alone on its side of c; the level crosses its two edges
     side = above[level, hit]
     k = np.where(n_above[level, hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
     lone = tris[hit, k]
-    c = cs[level]
-    pa, ka = _crossings(f, c, lone, tris[hit, (k + 1) % 3])
-    pb, kb = _crossings(f, c, lone, tris[hit, (k + 2) % 3])
+    pa = _crossings(f, cs[level], lone, tris[hit, (k + 1) % 3])
+    pb = _crossings(f, cs[level], lone, tris[hit, (k + 2) % 3])
     keep = (pa != pb).any(axis=1)
-    segments = list(zip(ka[keep].tolist(), kb[keep].tolist(),
-                        map(tuple, pa[keep].tolist()), map(tuple, pb[keep].tolist())))
-    cuts = np.searchsorted(level[keep], np.arange(len(cs) + 1)).tolist()
-    ends = f.tree_ends
-    xy = f.vertex_xy.tolist()
+    level, apex = level[keep], (k == 0)[keep, None]  # entry pa at the apex, else pb
+    exits = list(map(tuple, np.where(apex, pb[keep], pa[keep]).tolist()))
+    starts = np.flatnonzero(np.diff(level * len(sizes) + face[hit[keep]], prepend=-1))
+    entries = np.where(apex, pa[keep], pb[keep])[starts].tolist()
+    bounds = starts.tolist() + [len(exits)]
+    curves = [[] for _ in cs]
+    for i, lo, hi, entry, forward in zip(
+        level[starts].tolist(), bounds, bounds[1:], entries, apex[starts, 0].tolist()
+    ):
+        points = [tuple(entry)] + exits[lo:hi]
+        curves[i].append(points if forward else points[::-1])
+    xy = list(map(tuple, f.vertex_xy.tolist()))
     trees = f.decomposition.trees
-    tree_rows = np.cumsum([0] + [len(t.edges) for t in trees]).tolist()
-    tree_levels = [f.heights.level(t) for t in trees]
+    rows = np.cumsum([0] + [len(t.edges) for t in trees]).tolist()
+    ends = [
+        (f.heights.level(t), f.tree_ends[lo:hi].tolist())
+        for t, lo, hi in zip(trees, rows, rows[1:])
+    ]
     out = []
-    for i, value in enumerate(cs.tolist()):
-        polylines = []
-        for h, lo, hi in zip(tree_levels, tree_rows, tree_rows[1:]):
-            if abs(h - value) <= SNAP:
-                edges = [(a, b, tuple(xy[a]), tuple(xy[b])) for a, b in ends[lo:hi].tolist()]
-                polylines.extend(_stitch(edges))
-        polylines.extend(_stitch(segments[cuts[i] : cuts[i + 1]]))
-        out.append(polylines)
+    for value, polylines in zip(cs.tolist(), curves):
+        polylines.sort(key=lambda ch: ch[0])
+        drawn = [line for h, edges in ends if abs(h - value) <= SNAP for line in _stitch(edges, xy)]
+        out.append(drawn + polylines)
     return out
 
 

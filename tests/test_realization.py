@@ -394,6 +394,19 @@ class TestEvaluation:
             assert np.abs(va - vb).max() <= 1e-9
             assert np.abs(va - level).max() <= 1e-9
 
+    def test_no_points(self, realized):
+        f = realized["G1"]
+        for pts in ([], np.zeros((0, 2)), [[]]):
+            assert f.evaluate_many(pts).shape == (0,), pts
+            assert f.evaluate_in_face(f.face_indices[0], pts).shape == (0,), pts
+
+    def test_evaluate_in_face_names_a_face_that_is_not_inner(self, realized):
+        f = realized["G3"]
+        outer = next(face.index for face in f.embedding.faces if face.is_outer)
+        for index in (outer, max(f.face_indices) + 1):
+            with pytest.raises(ValueError, match=f"face {index} is not an inner face"):
+                f.evaluate_in_face(index, [(0.0, 0.0)])
+
     def test_scalar_matches_vector(self, realized):
         f = realized["G4"]
         pts = [(0.0, 0.0), (0.3, -0.2), (-0.5, 0.1)]
@@ -684,13 +697,18 @@ def point_keys(f):
 class TestLevelSets:
     def test_every_level_at_once_equals_one_at_a_time(self, verdicts, delta_names, corpus, ladder):
         """On the fixtures and a corpus slice in every height mode, and on
-        ladder d <= 3: this pins the faces each level cuts to the reference."""
+        ladder d <= 3, at the oracle levels and at every face's apex value
+        and the value of the rim sample after it: there fan rows shrink to
+        a point, and a face's first crossed row may be dropped.  This pins
+        the faces each level cuts, and each curve's order and direction,
+        to the reference."""
         accepted = [verdicts[name] for name in delta_names]
         accepted += [is_delta_graph(g) for _, _, g in corpus_slice(corpus)]
         witnesses = [f for v in accepted for _, f in mode_witnesses(v)]
         witnesses += [realize(g) for g in ladder.values()]
         for f in witnesses:
-            cs = oracle_levels(f)
+            firsts = np.cumsum(f.face_sizes) - np.array(f.face_sizes)
+            cs = oracle_levels(f) + sorted(set(f.values[np.r_[firsts + 1, firsts + 2]].tolist()))
             for c, polylines in zip(cs, level_sets(f, cs)):
                 assert level_set(f, c) == polylines, c
                 assert polylines == references.level_set(f, c), c
@@ -837,22 +855,24 @@ class TestFaceMapsMatchReference:
 
 
 class TestStitch:
-    def test_matches_reference(self, realized, corpus, monkeypatch):
-        """Every `_stitch` call on every oracle level gives the reference's
-        polylines, in order and direction."""
+    def test_tree_walk_matches_reference(self, verdicts, delta_names, corpus, monkeypatch):
+        """Every tree walk on every oracle level, in every height mode,
+        gives the reference's polylines on the same edges, keyed by
+        vertex row, in order and direction."""
         calls = []
         stitch = realization._stitch
 
-        def both(segments):
-            out = stitch(segments)
-            assert all(type(s[0]) is int and type(s[1]) is int for s in segments)
-            assert out == references.stitch(segments)
-            calls.append(len(segments))
+        def both(edges, xy):
+            out = stitch(edges, xy)
+            assert all(type(a) is int and type(b) is int for a, b in edges)
+            assert out == references.stitch([(a, b, xy[a], xy[b]) for a, b in edges])
+            calls.append(len(edges))
             return out
 
         monkeypatch.setattr(realization, "_stitch", both)
-        witnesses = list(realized.values()) + [realize(g) for _, _, g in corpus_slice(corpus)]
-        for f in witnesses:
+        accepted = [verdicts[name] for name in delta_names]
+        accepted += [is_delta_graph(g) for _, _, g in corpus_slice(corpus)]
+        for f in (f for v in accepted for _, f in mode_witnesses(v)):
             for c in oracle_levels(f):
                 level_set(f, c)
         assert sum(n > 1 for n in calls) > 100

@@ -1,4 +1,5 @@
 """Each script under scripts/ runs its main on a small input and exits 0."""
+import itertools
 import re
 
 
@@ -32,3 +33,19 @@ def test_run_corpus_strict(load_script, capsys):
     congruent, exact, mismatched = map(int, match.groups())
     assert mismatched == 0
     assert congruent == exact > 0
+
+
+def test_output_hashes(load_script, capsys, monkeypatch):
+    """One sha256 per input and per CLI output, the same on a second run."""
+    module = load_script("output_hashes")
+    inputs = module.inputs
+    monkeypatch.setattr(module, "inputs", lambda: itertools.islice(inputs(), 2))
+    listings = []
+    for _ in range(2):
+        assert module.main() == 0
+        listings.append(capsys.readouterr().out)
+    lines = listings[0].splitlines()
+    assert len(lines) == 2 * (1 + len(module.COMMANDS))
+    for line in lines:
+        assert re.fullmatch(r"[0-9a-f]{64}  \S+  (input|check|embed|realize)( .+)?", line), line
+    assert listings[1] == listings[0]
