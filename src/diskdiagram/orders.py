@@ -4,12 +4,13 @@ Vertices are identified by strings throughout.  A strict partial order is
 stored as integer bitsets over its carrier in sorted order: bit i of a
 mask stands for the i-th smallest element.  For every element the order
 keeps the mask of the elements strictly above it, closed under
-transitivity, so a comparison is one shift and one mask.
+transitivity, so a comparison is one shift and one mask.  It also keeps
+the pairs it was generated from, for work that needs no closure.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotInCarrier, OrderCycle
@@ -119,12 +120,14 @@ class StrictPartialOrder:
     ``above[v]`` is the mask of the elements strictly above ``v`` and
     ``below[v]`` the mask of those strictly below it; every carrier
     element has an entry in both.  ``above_names(v)`` gives the names.
-    Two orders are equal when they have the same carrier and relate the
-    same elements the same way.
+    ``succ[i]`` lists the bits j of the pairs ``(elements[i],
+    elements[j])`` that generated the order.  Two orders are equal when
+    they have the same carrier and relate the same elements the same way.
     """
 
     elements: tuple
     above: dict  # v -> mask of every w with v < w
+    succ: list = field(compare=False)  # i -> bits j of the generating pairs i < j
 
     def __hash__(self):
         above = self.above
@@ -138,7 +141,8 @@ class StrictPartialOrder:
         carrier, and OrderCycle if the pairs contain a cycle.  Otherwise
         the closure is built along a depth-first walk, which relates no
         element to itself and no two elements both ways: it is a strict
-        partial order with no further check.
+        partial order with no further check.  The index lists of the
+        pairs become ``succ``.
         """
         elements = tuple(sorted(set(carrier)))
         index = {v: i for i, v in enumerate(elements)}
@@ -149,7 +153,7 @@ class StrictPartialOrder:
             except KeyError:
                 raise NotInCarrier(a if a not in index else b) from None
         reach = _closure(succ, elements)
-        return cls(elements, dict(zip(elements, reach)))
+        return cls(elements, dict(zip(elements, reach)), succ)
 
     @cached_property
     def index(self):
@@ -160,22 +164,18 @@ class StrictPartialOrder:
     def below(self):
         """v -> mask of every u with u < v.
 
-        Built on first read from ``above``: the elements are grouped by
-        equal masks above them, and each group's mask is ORed into the
-        entry of every element of that common mask.  Elements of one
-        level of a diagram share their mask above, so this costs one OR
-        per (distinct mask, element above it) rather than one per
-        closure pair.
+        Built on first read by one pass over the generating pairs.  u < w
+        puts more elements above u than above w, so by falling count of
+        elements above, each element's mask below is complete when it is
+        reached; it is ORed, with the element's own bit, into each of its
+        successors.
         """
-        index = self.index
-        groups = {}
-        for v, m in self.above.items():
-            if m:
-                groups[m] = groups.get(m, 0) | 1 << index[v]
-        below = [0] * len(self.elements)
-        for m, group in groups.items():
-            for j in bits(m):
-                below[j] |= group
+        count = [self.above[v].bit_count() for v in self.elements]
+        below = [0] * len(count)
+        for i in sorted(range(len(count)), key=count.__getitem__, reverse=True):
+            m = below[i] | 1 << i
+            for j in self.succ[i]:
+                below[j] |= m
         return dict(zip(self.elements, below))
 
     @property

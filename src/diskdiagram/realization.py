@@ -71,6 +71,12 @@ def assign_heights(g, dec, mode="default", seed=None):
     (falling back to the default partition otherwise), which makes
     incomparable vertices share a value.  `random` mode draws a random
     linear extension of the block order using `seed`.
+
+    The block graph comes from the pairs that generated the order
+    (``order.succ``).  Kahn's walk, smallest representative first,
+    releases a block once every block with an edge into it is placed,
+    which happens at the same moment under any generating set.  A pair
+    inside a block, or a cycle of blocks, raises InvariantViolation.
     """
     if mode not in ("default", "strict", "random"):
         raise ValueError(f"unknown height mode {mode!r}")
@@ -98,26 +104,20 @@ def assign_heights(g, dec, mode="default", seed=None):
     if set(block_of) != set(g.vertices):
         missing = sorted(set(g.vertices) - set(block_of))
         raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
-    masks = [order.mask(b) for b in blocks]
-    # the blocks directly above block i: walk the mask above its members,
-    # dropping each block met as a whole
-    succ = {}
+    blk = [block_of[v] for v in elements]
+    succ = [[] for _ in blocks]
     indeg = [0] * len(blocks)
-    for i, b in enumerate(blocks):
-        up = 0
-        for v in b:
-            up |= above[v]
-        if up & masks[i]:
-            u = min(v for v in b if above[v] & masks[i])
-            w = elements[lowest(above[u] & masks[i])]
-            raise InvariantViolation(f"comparable vertices {u} < {w} fell into one level block")
-        succ[i] = set()
-        while up:
-            j = block_of[elements[lowest(up)]]
-            up &= ~masks[j]
-            succ[i].add(j)
+    for i, ws in enumerate(order.succ):
+        heads = set(map(blk.__getitem__, ws))
+        if blk[i] in heads:
+            w = next(elements[j] for j in ws if blk[j] == blk[i])
+            raise InvariantViolation(
+                f"comparable vertices {elements[i]} < {w} fell into one level block"
+            )
+        succ[blk[i]] += heads
+        for j in heads:
             indeg[j] += 1
-    rep = {i: min(blocks[i]) for i in range(len(blocks))}
+    rep = [min(b) for b in blocks]
     available = sorted((rep[i], i) for i, d in enumerate(indeg) if d == 0)
     rng = random.Random(seed) if mode == "random" else None
     ordered = []
@@ -127,49 +127,37 @@ def assign_heights(g, dec, mode="default", seed=None):
         else:
             _, i = available.pop(rng.randrange(len(available)))
         ordered.append(i)
-        for j in sorted(succ[i]):
+        for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 bisect.insort(available, (rep[j], j))
     if len(ordered) != len(blocks):
-        raise InvariantViolation("level-block order contains a cycle")
-    height_of_block = {i: float(step) for step, i in enumerate(ordered)}
-    value = {v: height_of_block[block_of[v]] for v in g.vertices}
+        v = min(rep[i] for i, d in enumerate(indeg) if d)
+        raise InvariantViolation(f"level blocks form a cycle; vertex {v} is left unplaced")
+    blocks_ordered = tuple(blocks[i] for i in ordered)
+    block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
+    value = {v: float(block_pos[v]) for v in g.vertices}
     # monotone when everything above a vertex lies in a block assigned
     # later: walk the blocks from the top, collecting the later ones
     later = 0
     for i in reversed(ordered):
         for u in sorted(blocks[i]):
-            if above[u] & ~later:
+            if above[u] & later != above[u]:
                 w = elements[lowest(above[u] & ~later)]
                 raise InvariantViolation(f"heights are not monotone on {u} < {w}")
-        later |= masks[i]
-    blocks_ordered = tuple(blocks[i] for i in ordered)
-    block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
+        later |= order.mask(blocks[i])
     return HeightAssignment(value, blocks_ordered, block_pos, mode)
 
 
 def induced_order(heights):
-    """The strict partial order obtained by comparing assigned values.
-
-    Comparing values is already transitive, so no closure is needed: the
-    distinct values are walked from the top down, and every vertex at one
-    value shares the one mask of the vertices at higher values.
-    """
-    elements = tuple(sorted(heights.value))
-    index = {v: i for i, v in enumerate(elements)}
+    """The strict partial order obtained by comparing assigned values,
+    generated by the pairs between each value and the next higher one."""
     at = {}
-    for v in elements:
-        at.setdefault(heights.value[v], []).append(v)
-    above = {}
-    higher = 0
-    for x in sorted(at, reverse=True):
-        level = 0
-        for v in at[x]:
-            above[v] = higher
-            level |= 1 << index[v]
-        higher |= level
-    return StrictPartialOrder(elements, above)
+    for v, x in heights.value.items():
+        at.setdefault(x, []).append(v)
+    levels = [at[x] for x in sorted(at)]
+    pairs = ((u, w) for lo, hi in zip(levels, levels[1:]) for u in lo for w in hi)
+    return StrictPartialOrder.from_pairs(heights.value, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +227,9 @@ def _certify_drawing(emb, coords):
       direction (``|cross| <= 1e-12`` with a positive dot product);
     - every point lies more than ``SNAP`` from the line through its two
       neighbours;
-    - every interior tree vertex lies at radius below ``1 - 1e-7``.
+    - every interior tree vertex lies at radius below ``1 - band``, where
+      ``band = min(1e-7, s / 2)`` and ``s = 1 - cos(pi / n)`` is the
+      sagitta of one rim chord of the n boundary vertices.
 
     Why this certifies the whole drawing.  `build_embedding` has already
     checked the Euler relation V - E + F = 2 with the boundary cycle
@@ -261,10 +251,19 @@ def _certify_drawing(emb, coords):
     every segment it does not end, and to every other vertex, from
     below.  Two edges that leave a vertex in one direction make a zero
     angle at a corner between them.
+
+    The radius band.  Every interior vertex lies strictly inside the
+    chord polygon, which holds the disk of radius ``cos(pi / n) = 1 - s``,
+    so a band wider than s would reject sound drawings (at n = 39 368,
+    s = 3.2e-9 and a tree vertex lies at 1 - 6.4e-8).  A polygon point at
+    radius ``1 - s / 2`` or more lies within s / 2 of the chord on its
+    ray: the band keeps interior vertices that far off the boundary
+    chords, or 1e-7 off for n below 4 967.
     """
     dec = emb.decomposition
+    band = min(1e-7, (1 - math.cos(math.pi / len(dec.gamma.vertices))) / 2)
     inner = [coords[v] for t in dec.trees for v in t.vertices - t.attach]
-    if inner and (np.hypot(*np.array(inner).T) >= 1.0 - 1e-7).any():
+    if inner and (np.hypot(*np.array(inner).T) >= 1.0 - band).any():
         return False
     walks = [f.darts for f in emb.faces if not f.is_outer and len(f.darts) > 2]
     if not walks:
@@ -381,14 +380,29 @@ def _rings(sizes):
     return np.repeat(np.arange(len(sizes)), sizes), prv, nxt
 
 
+def _flat(u, v):
+    """Rows where v does not turn left of u by an angle whose sine exceeds
+    1e-12: ``cross(u, v) <= 1e-12 |u| |v|``."""
+    return _cross_rows(u, v) <= 1e-12 * np.hypot(*u.T) * np.hypot(*v.T)
+
+
 def _fan_faults(points, sizes):
     """Fan triangles of polygons stacked in ``points``, and which are not convex.
 
     Polygon j holds the next ``sizes[j]`` points.  It is strictly convex
-    and counterclockwise when every turn ``cross(p[i-1], p[i], p[i+1])``
-    exceeds 1e-14, its edge directions cross the direction of +x once
-    (left turns alone allow a polygon that winds twice), and every fan
-    triangle's cross product exceeds 1e-14; ``bad[j]`` is True otherwise.
+    and counterclockwise when no corner and no fan triangle's corner at
+    point 1 is `_flat`, and its edge directions cross the direction of +x
+    once (left turns alone allow a polygon that winds twice); ``bad[j]``
+    is True otherwise.
+
+    The bound.  `_certify_drawing`'s Floater argument needs only the sign
+    of each corner and fan triangle.  A cross product is
+    ``|u| |v| sin(angle)``, so a fixed floor ties the test to the
+    drawing's scale: rim samples ``d = 2 pi / (16 n)`` apart turn by about
+    ``d**3``, 1e-15 at n = 39 368.  Scaled by the two edge lengths, the
+    test bounds the sine instead.  Rounding of about 2.2e-16 in the
+    coordinates turns an edge of length L by about 2.2e-16 / L, which
+    stays below a rim turn's sine d while d**2 > 4.4e-16 (n up to 1.9e7).
 
     Polygon j of m points gets the fan from point 1, in the rows
     ``(1, k, (k + 1) % m)`` for ``k = 2 .. m - 1``, indexed within their
@@ -400,9 +414,8 @@ def _fan_faults(points, sizes):
     """
     sizes = np.asarray(sizes)
     owner, prv, nxt = _rings(sizes)
-    turn = _cross_rows(points - points[prv], points[nxt] - points[prv])
-    dy = points[nxt, 1] - points[:, 1]
-    upward = (dy < 0) & (dy[nxt] >= 0)
+    edge = points[nxt] - points  # the edge leaving each point
+    upward = (edge[:, 1] < 0) & (edge[nxt, 1] >= 0)
     rows = sizes - 2
     tri_owner = np.repeat(np.arange(len(sizes)), rows)
     k = np.arange(len(tri_owner)) - (np.cumsum(rows) - rows)[tri_owner] + 2
@@ -410,8 +423,8 @@ def _fan_faults(points, sizes):
     base = (np.cumsum(sizes) - sizes)[tri_owner]
     a, b, c = (points[local[:, i] + base] for i in range(3))
     bad = np.bincount(owner[upward], minlength=len(sizes)) != 1
-    bad[owner[turn <= 1e-14]] = True
-    bad[tri_owner[_cross_rows(b - a, c - a) <= 1e-14]] = True
+    bad[owner[_flat(edge[prv], edge)]] = True
+    bad[tri_owner[_flat(b - a, c - a)]] = True
     return local, bad
 
 
@@ -784,6 +797,8 @@ def level_sets(f, values):
     sorted by first point.
     """
     cs = np.asarray(values, dtype=float)
+    if cs.ndim != 1:
+        raise TypeError("level_sets takes a sequence of levels; level_set takes one")
     tris = f.triangles
     sizes = np.asarray(f.face_sizes)
     firsts = np.cumsum(sizes) - sizes

@@ -10,12 +10,14 @@ face polygon built point by point, the polyline
 stitcher that scans for an unused segment with a generator, A1 by a
 full cycle search, S2's separation by a scan of every pair of trees,
 S3 by building every gap's arc, the masks below each element by
-inverting the masks above bit by bit, the drawing check over every pair
-of tree segments, and the level cut and SVG renderer that took one
-level and one number at a time.
+inverting the masks above bit by bit, the level heights from a peel of
+every (block, block above) pair of the closure, the drawing check over
+every pair of tree segments, and the level cut and SVG renderer that
+took one level and one number at a time.
 """
 import math
-from bisect import bisect_left
+import random
+from bisect import bisect_left, insort
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -29,7 +31,13 @@ from diskdiagram.errors import (
     UnknownId,
 )
 from diskdiagram.graph import DEFAULT_BUDGET, Cycle, adjacency
-from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, SNAP, _rim_angle
+from diskdiagram.orders import check_A4, lowest
+from diskdiagram.realization import (
+    SAMPLES_PER_BOUNDARY_EDGE,
+    SNAP,
+    HeightAssignment,
+    _rim_angle,
+)
 from diskdiagram.svg import MARGIN, _color
 
 
@@ -355,6 +363,71 @@ def below(order):
         for j in bits(m):
             out[j] |= bit
     return dict(zip(order.elements, out))
+
+
+def assign_heights(g, dec, mode="default", seed=None):
+    """Level heights from the closure: every block's successors are the
+    blocks met in the OR of its members' masks above, one block at a time."""
+    if mode not in ("default", "strict", "random"):
+        raise ValueError(f"unknown height mode {mode!r}")
+    order = g.order
+    above, elements = order.above, order.elements
+    if mode == "strict" and check_A4(order).passed:
+        below = order.below
+        classes = {}
+        for v in elements:
+            classes.setdefault((above[v], below[v]), set()).add(v)
+        blocks = [frozenset(c) for c in classes.values()]
+    else:
+        blocks = [frozenset(t.vertices) for t in dec.trees]
+        blocks += [frozenset({v}) for v in dec.gamma.vertices if dec.tree_of(v) is None]
+    block_of = {}
+    for i, b in enumerate(blocks):
+        for v in b:
+            if v in block_of:
+                raise InvariantViolation(f"vertex {v} lies in two level blocks")
+            block_of[v] = i
+    if set(block_of) != set(g.vertices):
+        missing = sorted(set(g.vertices) - set(block_of))
+        raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
+    masks = [order.mask(b) for b in blocks]
+    succ = {}
+    indeg = [0] * len(blocks)
+    for i, b in enumerate(blocks):
+        up = 0
+        for v in b:
+            up |= above[v]
+        if up & masks[i]:
+            u = min(v for v in b if above[v] & masks[i])
+            w = elements[lowest(above[u] & masks[i])]
+            raise InvariantViolation(f"comparable vertices {u} < {w} fell into one level block")
+        succ[i] = set()
+        while up:
+            j = block_of[elements[lowest(up)]]
+            up &= ~masks[j]
+            succ[i].add(j)
+            indeg[j] += 1
+    rep = {i: min(blocks[i]) for i in range(len(blocks))}
+    available = sorted((rep[i], i) for i, d in enumerate(indeg) if d == 0)
+    rng = random.Random(seed) if mode == "random" else None
+    ordered = []
+    while available:
+        if rng is None:
+            _, i = available.pop(0)
+        else:
+            _, i = available.pop(rng.randrange(len(available)))
+        ordered.append(i)
+        for j in sorted(succ[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                insort(available, (rep[j], j))
+    if len(ordered) != len(blocks):
+        raise InvariantViolation("level-block order contains a cycle")
+    height_of_block = {i: float(step) for step, i in enumerate(ordered)}
+    value = {v: height_of_block[block_of[v]] for v in g.vertices}
+    blocks_ordered = tuple(blocks[i] for i in ordered)
+    block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
+    return HeightAssignment(value, blocks_ordered, block_pos, mode)
 
 
 def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):

@@ -94,7 +94,7 @@ class TestStrictPartialOrder:
 
     def test_constructed_with_above_in_any_key_order(self):
         o = order_of([("m", "a"), ("a", "M")], carrier={"m", "a", "M", "x"})
-        shuffled = StrictPartialOrder(o.elements, dict(reversed(o.above.items())))
+        shuffled = StrictPartialOrder(o.elements, dict(reversed(o.above.items())), o.succ)
         assert shuffled.index == {"M": 0, "a": 1, "m": 2, "x": 3}
         assert shuffled.below == o.below
         assert shuffled == o

@@ -10,12 +10,13 @@ from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
     DegenerateDrawing,
     EqualLevels,
+    InvariantViolation,
     NotDeltaGraph,
     OutsideDisk,
 )
 from diskdiagram.families import build_instance, ladder_spec
 from diskdiagram.fixtures import build
-from diskdiagram.orders import StrictPartialOrder
+from diskdiagram.orders import StrictPartialOrder, bits
 from diskdiagram.planarity import build_embedding
 from diskdiagram.realization import (
     SAMPLES_PER_BOUNDARY_EDGE,
@@ -116,6 +117,101 @@ class TestHeights:
         assert check_A4(g.order).passed
         strict = heights_for(verdicts, "G3", mode="strict")
         assert len(strict.blocks) == 3
+
+
+HEIGHT_MODES = (("default", None), ("strict", None), ("random", 7))
+
+
+def assert_heights_match_peel(g, dec, label):
+    """Heights from the generating pairs equal the closure peel's in every mode."""
+    for mode, seed in HEIGHT_MODES:
+        h = assign_heights(g, dec, mode=mode, seed=seed)
+        ref = references.assign_heights(g, dec, mode=mode, seed=seed)
+        assert (h.value, h.blocks) == (ref.value, ref.blocks), (label, mode)
+
+
+def cover_pairs(order):
+    """The pairs u < w with nothing strictly between them."""
+    elements, above = order.elements, order.above
+    out = []
+    for v in elements:
+        beyond = 0
+        for i in bits(above[v]):
+            beyond |= above[elements[i]]
+        out += [(v, elements[i]) for i in bits(above[v] & ~beyond)]
+    return out
+
+
+class TestHeightsMatchClosurePeel:
+    """`assign_heights` walks the generating pairs; `references.assign_heights`
+    peels every (block, block above) pair of the closure."""
+
+    def test_fixtures(self, verdicts, delta_names):
+        for name in delta_names:
+            dec = verdicts[name].decomposition
+            assert_heights_match_peel(dec.graph, dec, name)
+
+    def test_corpus_both_order_modes(self, realized_corpus):
+        for spec, mode, g, f in realized_corpus:
+            assert_heights_match_peel(g, f.decomposition, (spec.name, mode))
+
+    def test_ladder_up_to_five(self, ladder):
+        graphs = dict(ladder)
+        for d in (4, 5):
+            for mode in ("minimal", "saturated"):
+                graphs[d, mode] = build_instance(ladder_spec(d), mode)
+        for label, g in graphs.items():
+            assert_heights_match_peel(g, is_delta_graph(g).decomposition, label)
+
+    def test_census_accepted(self, census_accepted):
+        for label, g in census_accepted:
+            assert_heights_match_peel(g, is_delta_graph(g).decomposition, label)
+
+    def test_cover_pairs_and_closure_pairs_agree(self, verdicts, delta_names, corpus, ladder):
+        """One graph, its order generated once by its covers and once by
+        every closure pair: the same heights and the same masks below."""
+        graphs = [verdicts[name].decomposition.graph for name in delta_names]
+        graphs += [g for _, _, g in corpus[::7]] + list(ladder.values())
+        fewer = 0
+        for g in graphs:
+            dec = is_delta_graph(g).decomposition
+            covers = StrictPartialOrder.from_pairs(g.vertices, cover_pairs(g.order))
+            closure = StrictPartialOrder.from_pairs(g.vertices, sorted(g.order.pairs))
+            assert covers == closure == g.order
+            fewer += sum(map(len, covers.succ)) < sum(map(len, closure.succ))
+            by_covers = replace(g, order=covers)
+            by_closure = replace(g, order=closure)
+            for mode, seed in HEIGHT_MODES:
+                a = assign_heights(by_covers, dec, mode=mode, seed=seed)
+                b = assign_heights(by_closure, dec, mode=mode, seed=seed)
+                assert (a.value, a.blocks) == (b.value, b.blocks), mode
+            assert covers.below == closure.below == references.below(g.order)
+        assert fewer > len(graphs) // 2
+
+    def test_generating_pair_inside_a_block(self, verdicts):
+        dec = verdicts["G3"].decomposition
+        order = StrictPartialOrder.from_pairs(dec.graph.vertices, [("w1", "w2")])
+        message = "comparable vertices w1 < w2 fell into one level block$"
+        with pytest.raises(InvariantViolation, match=message):
+            assign_heights(replace(dec.graph, order=order), dec)
+
+    def test_cycle_of_blocks(self, verdicts):
+        """w1 < M1 < w2 is no cycle of the order, but one of G3's tree block
+        and the singleton {M1}: both stay unplaced, and M1 is the smaller."""
+        dec = verdicts["G3"].decomposition
+        order = StrictPartialOrder.from_pairs(dec.graph.vertices, [("w1", "M1"), ("M1", "w2")])
+        message = "level blocks form a cycle; vertex M1 is left unplaced$"
+        with pytest.raises(InvariantViolation, match=message):
+            assign_heights(replace(dec.graph, order=order), dec)
+
+    def test_pairs_that_do_not_generate_the_order(self, verdicts):
+        """The monotonicity check reads the closure: an order whose pairs
+        leave out its relation gets heights by representative alone."""
+        dec = verdicts["G3"].decomposition
+        o = dec.graph.order
+        order = StrictPartialOrder(o.elements, o.above, [[] for _ in o.elements])
+        with pytest.raises(InvariantViolation, match="heights are not monotone on m2 < M1$"):
+            assign_heights(replace(dec.graph, order=order), dec)
 
 
 def pair_induced_order(heights):
@@ -715,6 +811,11 @@ class TestLevelSets:
 
     def test_no_levels(self, realized):
         assert level_sets(realized["G1"], []) == []
+
+    def test_one_level_is_not_a_sequence(self, realized):
+        with pytest.raises(TypeError, match="level_sets takes a sequence of levels; level_set"):
+            level_sets(realized["G3"], 0.5)
+        assert level_set(realized["G3"], 0.5) == level_sets(realized["G3"], [0.5])[0]
 
 
 def shoelace(p):

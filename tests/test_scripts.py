@@ -1,6 +1,9 @@
 """Each script under scripts/ runs its main on a small input and exits 0."""
 import itertools
+import json
 import re
+
+from diskdiagram.errors import DegenerateDrawing
 
 
 def test_smoke_conditions(load_script):
@@ -49,3 +52,26 @@ def test_output_hashes(load_script, capsys, monkeypatch):
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}  \S+  (input|check|embed|realize)( .+)?", line), line
     assert listings[1] == listings[0]
+
+
+def test_ladder_record(load_script, monkeypatch):
+    """Every stage of ladder d <= 3 is timed; a stage that raises gives its
+    exception's name, and the stages after it give null."""
+    module = load_script("ladder_record")
+    assert module.SHAPES[0] == (4, "minimal") and module.SHAPES[-1] == (6, "saturated")
+    stages = ["build_s", "decide_s", "place_s", "extend_s", "svg_s"]
+    for d in (1, 2, 3):
+        for mode in ("minimal", "saturated"):
+            row = json.loads(json.dumps(module.shape(d, mode)))
+            assert list(row) == ["shape", "V", "E", *stages, "peak_rss_mib"]
+            assert row["shape"] == f"ladder{d}/{mode}"
+            assert row["V"] > 0 and row["E"] > row["V"]
+            assert all(isinstance(row[k], float) for k in stages + ["peak_rss_mib"]), row
+
+    def fail(verdict):
+        raise DegenerateDrawing("tree placement produced a degenerate drawing")
+
+    monkeypatch.setattr(module, "place", fail)
+    row = module.shape(1, "minimal")
+    assert row["place_s"] == "DegenerateDrawing"
+    assert row["extend_s"] is row["svg_s"] is None
