@@ -10,6 +10,8 @@ circle, a height value for every vertex, and a continuous extension
 over every face, exportable as an SVG picture with level curves.
 """
 
+from importlib import import_module as _import_module
+
 from .errors import (
     ArcStructureViolation,
     BudgetExceeded,
@@ -72,24 +74,126 @@ from .planarity import (
     trace_faces,
     tree_is_disk_planar,
 )
-from .realization import (
-    CensusResult,
-    DiskFunction,
-    FaceMap,
-    HeightAssignment,
-    assign_coords,
-    assign_heights,
-    extend_to_faces,
-    induced_order,
-    level_set,
-    level_sets,
-    place,
-    realize,
-    sign_census,
-)
 from .formats import GraphFile, load_graph_file, parse, serialize, to_dot
-from .svg import render_svg
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The witness layers need numpy, so they load on first read of one of
+# their names (PEP 562): deciding a graph starts without them.
+_LAZY = {
+    "realization": (
+        "CensusResult",
+        "DiskFunction",
+        "FaceMap",
+        "HeightAssignment",
+        "assign_coords",
+        "assign_heights",
+        "extend_to_faces",
+        "induced_order",
+        "level_set",
+        "level_sets",
+        "place",
+        "realize",
+        "sign_census",
+    ),
+    "svg": ("render_svg",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = name if name in _LAZY else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f".{module}", __name__)
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = [
+    "A4Result",
+    "ArcStructureViolation",
+    "BoundaryPair",
+    "BudgetExceeded",
+    "CensusResult",
+    "ConditionReport",
+    "Cycle",
+    "DEFAULT_BUDGET",
+    "Decomposition",
+    "DegenerateDrawing",
+    "DegreeBelowTwo",
+    "DeltaVerdict",
+    "DisconnectedGraph",
+    "DiskDiagramError",
+    "DiskEmbedding",
+    "DiskFunction",
+    "Edge",
+    "EqualLevels",
+    "Face",
+    "FaceMap",
+    "GraphFile",
+    "HeightAssignment",
+    "InvariantViolation",
+    "MalformedFile",
+    "NotAForest",
+    "NotDeltaGraph",
+    "NotInCarrier",
+    "NotInTree",
+    "NotPlanar",
+    "OrderCycle",
+    "OutsideDisk",
+    "PoGraph",
+    "SelfLoop",
+    "StrictPartialOrder",
+    "TerminalNotInVstar",
+    "TreeComponent",
+    "UnknownId",
+    "adjacency",
+    "assign_coords",
+    "assign_heights",
+    "boundary_pairs",
+    "brute_force_tree_embedding",
+    "build_embedding",
+    "build_graph",
+    "check_A1",
+    "check_A2",
+    "check_A3",
+    "check_A4",
+    "check_S2",
+    "check_S3",
+    "conditions",
+    "decompose",
+    "errors",
+    "extend_to_faces",
+    "face_arcs",
+    "find_cr_cycles",
+    "formats",
+    "graph",
+    "induced_order",
+    "is_delta_graph",
+    "level_set",
+    "level_sets",
+    "load_graph_file",
+    "make_edges",
+    "orders",
+    "parse",
+    "place",
+    "planarity",
+    "realization",
+    "realize",
+    "render_svg",
+    "separation_ok",
+    "serialize",
+    "sign_census",
+    "simple_cycles",
+    "svg",
+    "to_dot",
+    "trace_faces",
+    "tree_is_disk_planar",
+]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-import networkx as nx
-
 from .conditions import is_delta_graph
 from .errors import DiskDiagramError
 from .graph import DEFAULT_BUDGET, build_graph, make_edges
@@ -31,6 +29,8 @@ class TreesCensusRow:
 
 def _all_trees(size):
     """All trees on `size` labeled-as-strings vertices, up to isomorphism."""
+    import networkx as nx  # imported here: no other command needs it
+
     if size == 1:
         return []
     if size == 2:

@@ -2,6 +2,10 @@
 
 Exit codes: 0 = accepted / success, 1 = input graph rejected,
 2 = usage, file, or validation error.
+
+The witness layers (`realization`, `svg`, and numpy under them) are
+imported inside the code that draws, so deciding a graph starts
+without them.
 """
 from __future__ import annotations
 
@@ -23,8 +27,6 @@ from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
 from .graph import DEFAULT_BUDGET
 from .planarity import build_embedding, face_arcs
-from .realization import assign_heights, boundary_extrema, place, realize
-from .svg import render_svg
 
 
 def _budget():
@@ -69,6 +71,8 @@ def _verdict_doc(verdict):
     }
     if verdict.delta:
         # faces and heights only: the coordinates `place` adds are not printed
+        from .realization import assign_heights, boundary_extrema
+
         dec = verdict.decomposition
         emb, heights = build_embedding(dec), assign_heights(dec.graph, dec)
         doc["embedding"] = {
@@ -100,6 +104,9 @@ def cmd_check(args):
 
 
 def cmd_realize(args):
+    from .realization import realize
+    from .svg import render_svg
+
     g = _load(args.file)
     mode = "strict" if args.strict_order else "default"
     try:
@@ -107,12 +114,17 @@ def cmd_realize(args):
     except NotDeltaGraph as exc:
         return _refuse("not realizable", exc)
     text = render_svg(f, levels=args.levels)
-    Path(args.out).write_text(text, encoding="utf-8")
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DiskDiagramError(f"cannot write {args.out}: {exc.strerror}")
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_embed(args):
+    from .realization import place
+
     g = _load(args.file)
     try:
         emb, heights = place(is_delta_graph(g, budget=_budget()))

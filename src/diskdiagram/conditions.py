@@ -73,24 +73,30 @@ def check_A2(dec):
     when its bit is in the OR but not in the AND of the members' masks
     above them, and likewise with the masks below.  So only those
     vertices and T's own are scanned, in sorted order; the rest compare
-    with all of T or with none of it.
+    with all of T or with none of it.  T's own indices come from the
+    index map, and only the mask of the others, empty on an accepted
+    graph, is read bit by bit: masks are as wide as the graph.
     """
     g = dec.graph
     order = g.order
-    elements, above, below = order.elements, order.above, order.below
+    elements, index, above, below = order.elements, order.index, order.above, order.below
     wits = []
     for t in dec.trees:
-        tmask = order.mask(t.vertices)
+        members = sorted(index[u] for u in t.vertices)
+        tmask = 0
         up_any = down_any = 0
         up_all = down_all = -1
-        for u in t.vertices:
+        for i in members:
+            u = elements[i]
+            tmask |= 1 << i
             up, down = above[u], below[u]
             up_any |= up
             up_all &= up
             down_any |= down
             down_all &= down
-        scan = (up_any & ~up_all) | (down_any & ~down_all) | tmask
-        for i in bits(scan):
+        others = ((up_any & ~up_all) | (down_any & ~down_all)) & ~tmask
+        scan = sorted(members + bits(others)) if others else members
+        for i in scan:
             v = elements[i]
             rest = tmask & ~(1 << i)
             if not rest:
@@ -107,7 +113,7 @@ def check_A2(dec):
                     f"tree {t.index} compares unevenly with {v}: "
                     f"{v} < {elements[lowest(hi)]} but not {v} < {elements[lowest(rest & ~hi)]}"
                 )
-        for i in bits(tmask):
+        for i in members:
             for j in bits((above[elements[i]] | below[elements[i]]) & tmask & (-2 << i)):
                 wits.append(f"tree {t.index} vertices {elements[i]}, {elements[j]} are comparable")
     for v in sorted(dec.interior_vertices()):

@@ -3,7 +3,7 @@
 Each is the simple version that an optimized path in the package
 replaced, kept here so tests can require equal results on the same
 inputs: the order closure on frozensets, the A2 scan over every vertex
-of every tree, the per-item validation of a file's id lists, the tree
+of every tree and A2 on full-width tree masks, the per-item validation of a file's id lists, the tree
 criterion that walks the path of every adjacent ring pair, the
 rotation system that walks the subtree behind every tree edge, the
 face polygon built point by point, the polyline
@@ -145,6 +145,53 @@ def check_A2(dec):
             for b in tv[i + 1 :]:
                 if b in above[a] or a in above[b]:
                     wits.append(f"tree {t.index} vertices {a}, {b} are comparable")
+    for v in sorted(dec.interior_vertices()):
+        d = g.degree(v)
+        if d < 4 or d % 2:
+            wits.append(f"interior vertex {v} has degree {d}; need even degree >= 4")
+    return ConditionReport("A2", not wits, tuple(wits))
+
+
+def check_A2_masks(dec):
+    """A2 on the closure's masks, reading the members and the scanned
+    vertices of every tree from full-width masks through `orders.bits`."""
+    from diskdiagram.orders import bits
+
+    g = dec.graph
+    order = g.order
+    elements, above, below = order.elements, order.above, order.below
+    wits = []
+    for t in dec.trees:
+        tmask = order.mask(t.vertices)
+        up_any = down_any = 0
+        up_all = down_all = -1
+        for u in t.vertices:
+            up, down = above[u], below[u]
+            up_any |= up
+            up_all &= up
+            down_any |= down
+            down_all &= down
+        scan = (up_any & ~up_all) | (down_any & ~down_all) | tmask
+        for i in bits(scan):
+            v = elements[i]
+            rest = tmask & ~(1 << i)
+            if not rest:
+                continue
+            lo = rest & below[v]
+            hi = rest & above[v]
+            if lo and lo != rest:
+                wits.append(
+                    f"tree {t.index} compares unevenly with {v}: "
+                    f"{elements[lowest(lo)]} < {v} but {elements[lowest(rest & ~lo)]} is not"
+                )
+            if hi and hi != rest:
+                wits.append(
+                    f"tree {t.index} compares unevenly with {v}: "
+                    f"{v} < {elements[lowest(hi)]} but not {v} < {elements[lowest(rest & ~hi)]}"
+                )
+        for i in bits(tmask):
+            for j in bits((above[elements[i]] | below[elements[i]]) & tmask & (-2 << i)):
+                wits.append(f"tree {t.index} vertices {elements[i]}, {elements[j]} are comparable")
     for v in sorted(dec.interior_vertices()):
         d = g.degree(v)
         if d < 4 or d % 2:

@@ -484,6 +484,50 @@ class TestAgainstReferences:
         assert decided > 500 and rejected > 100
 
 
+class TestA2OnMemberIndices:
+    """A2 reading each tree's members from the index map gives the witness
+    tuples of A2 on full-width tree masks."""
+
+    def test_census_rejects(self):
+        # every A2 reject of the census that has a decomposition
+        compared = 0
+        for raw in census_inputs(4):
+            verdict = is_delta_graph(build_graph(*raw))
+            if verdict.failed_condition() != "A2" or verdict.decomposition is None:
+                continue
+            assert verdict.reports[-1] == references.check_A2_masks(verdict.decomposition), raw
+            compared += 1
+        assert compared == 1578
+
+    def test_ladder_attachment_swaps(self):
+        """Ladder d = 5 minimal with the attachment edges of two trees
+        swapped: each tree's edge to its first attachment is bent over to
+        the other tree's attachment."""
+        g = build_instance(ladder_spec(5), "minimal")
+        dec = is_delta_graph(g).decomposition
+        edges = [e[:2] for e in g.edges]
+
+        def attachment_edge(t):
+            a = min(t.attach)
+            u, v = min(e[:2] for e in t.edges if a in e[:2])
+            return (u, v), (v if u == a else u), a
+
+        rng = random.Random(5)
+        for _ in range(8):
+            (e1, u1, a1), (e2, u2, a2) = map(attachment_edge, rng.sample(dec.trees, 2))
+            swapped = list(edges)
+            swapped.remove(e1)
+            swapped.remove(e2)
+            verdict = is_delta_graph(
+                build_graph(g.vertices, swapped + [(u1, a2), (u2, a1)], g.order.pairs)
+            )
+            assert verdict.failed_condition() == "A2"
+            assert verdict.decomposition is not None
+            report = verdict.reports[-1]
+            assert report == references.check_A2_masks(verdict.decomposition), (e1, e2)
+            assert any("compares unevenly" in w for w in report.witnesses)
+
+
 def ring_with_trees(ring, trees, start=0):
     """A decomposition: ``ring`` as the boundary cycle read from
     ``ring[start]``, and per tree its list of attachments, joined by one

@@ -5,6 +5,7 @@ import random
 import string
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diskdiagram
 import references
 from diskdiagram import cli, formats
 from diskdiagram.cli import main
@@ -349,6 +351,15 @@ class TestCliRealize:
         err = capsys.readouterr().err
         assert "not realizable: fails S2" in err
 
+    def test_unwritable_out_is_file_error(self, files, tmp_path, capsys):
+        for out, reason in (
+            (tmp_path / "absent" / "w.svg", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            assert main(["realize", files["G1"], "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write {out}: {reason}\n"
 
     def test_names_with_markup_characters(self, tmp_path, capsys):
         """G1 with names holding `&`, `<`, `%` and `"`: the SVG parses and
@@ -555,6 +566,89 @@ class TestParserReuse:
         assert list(subs) == list(fresh_subs)
         for name, sub in subs.items():
             assert sub.format_help() == fresh_subs[name].format_help(), name
+
+
+# `diskdiagram.__all__` as the package has always listed it, the witness
+# layers' names included
+PUBLIC_NAMES = """
+    A4Result ArcStructureViolation BoundaryPair BudgetExceeded CensusResult
+    ConditionReport Cycle DEFAULT_BUDGET Decomposition DegenerateDrawing
+    DegreeBelowTwo DeltaVerdict DisconnectedGraph DiskDiagramError DiskEmbedding
+    DiskFunction Edge EqualLevels Face FaceMap GraphFile HeightAssignment
+    InvariantViolation MalformedFile NotAForest NotDeltaGraph NotInCarrier
+    NotInTree NotPlanar OrderCycle OutsideDisk PoGraph SelfLoop
+    StrictPartialOrder TerminalNotInVstar TreeComponent UnknownId adjacency
+    assign_coords assign_heights boundary_pairs brute_force_tree_embedding
+    build_embedding build_graph check_A1 check_A2 check_A3 check_A4 check_S2
+    check_S3 conditions decompose errors extend_to_faces face_arcs
+    find_cr_cycles formats graph induced_order is_delta_graph level_set
+    level_sets load_graph_file make_edges orders parse place planarity
+    realization realize render_svg separation_ok serialize sign_census
+    simple_cycles svg to_dot trace_faces tree_is_disk_planar
+""".split()
+
+
+def run_fresh(script, *args):
+    """Stdout of ``script`` run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(diskdiagram.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImports:
+    """Commands import numpy and networkx only when they run code that uses
+    them, and the package still exports every name it did."""
+
+    def test_check_and_graphs_census_load_neither(self, files, tmp_path):
+        script = (
+            "import contextlib, io, sys\n"
+            "import diskdiagram.cli as cli\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+            "loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['check', sys.argv[1]]) == 0\n"
+            "    assert cli.main(['check', sys.argv[2], '--json']) == 1\n"
+            "    assert cli.main(['enumerate', '--max', '2', '--mode', 'graphs']) == 0\n"
+            "loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['realize', sys.argv[1], '--out', sys.argv[3]]) == 0\n"
+            "loaded()\n"
+        )
+        out = run_fresh(script, files["G1"], files["g1_missing"], str(tmp_path / "w.svg"))
+        assert out.splitlines() == ["[]", "[]", "['numpy']"]
+
+    def test_package_import_loads_neither(self):
+        script = (
+            "import sys\n"
+            "import diskdiagram\n"
+            "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+            "diskdiagram.realize\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert run_fresh(script).splitlines() == ["[]", "True"]
+
+    def test_public_names(self):
+        assert sorted(diskdiagram.__all__) == sorted(PUBLIC_NAMES)
+        assert diskdiagram.realize is diskdiagram.realization.realize
+        assert diskdiagram.render_svg is diskdiagram.svg.render_svg
+        for name in diskdiagram.__all__:
+            value = getattr(diskdiagram, name)
+            if isinstance(value, types.ModuleType):
+                assert value is sys.modules[f"diskdiagram.{name}"], name
+            elif getattr(value, "__module__", "").startswith("diskdiagram."):
+                assert value is getattr(sys.modules[value.__module__], name), name
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            diskdiagram.nonesuch
+
+    def test_star_import_binds_every_name(self):
+        ns = {}
+        exec("from diskdiagram import *", ns)
+        assert {name for name in ns if name != "__builtins__"} == set(PUBLIC_NAMES)
+        assert all(ns[name] is getattr(diskdiagram, name) for name in PUBLIC_NAMES)
 
 
 class TestModuleEntryPoint:
