@@ -25,14 +25,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.families import build_instance, corpus_specs, ladder_spec
-from diskdiagram.orders import check_A4
+from diskdiagram.orders import check_A4, induced_order
 from diskdiagram.planarity import face_arcs
-from diskdiagram.realization import (
-    extend_to_faces,
-    induced_order,
-    place,
-    sign_census,
-)
+from diskdiagram.realization import extend_to_faces, place, sign_census
 
 
 def signed_area(p):

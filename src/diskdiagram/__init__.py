@@ -44,21 +44,22 @@ from .graph import (
     build_graph,
     decompose,
     make_edges,
-    simple_cycles,
 )
 from .orders import (
     A4Result,
+    HeightAssignment,
     StrictPartialOrder,
+    assign_heights,
     check_A4,
+    induced_order,
 )
 from .conditions import (
-    BoundaryPair,
     ConditionReport,
     DeltaVerdict,
-    boundary_pairs,
     check_A1,
     check_A2,
     check_A3,
+    check_S2,
     check_S3,
     find_cr_cycles,
     is_delta_graph,
@@ -68,7 +69,6 @@ from .planarity import (
     Face,
     brute_force_tree_embedding,
     build_embedding,
-    check_S2,
     face_arcs,
     separation_ok,
     trace_faces,
@@ -85,11 +85,8 @@ _LAZY = {
         "CensusResult",
         "DiskFunction",
         "FaceMap",
-        "HeightAssignment",
         "assign_coords",
-        "assign_heights",
         "extend_to_faces",
-        "induced_order",
         "level_set",
         "level_sets",
         "place",
@@ -119,7 +116,6 @@ def __dir__():
 __all__ = [
     "A4Result",
     "ArcStructureViolation",
-    "BoundaryPair",
     "BudgetExceeded",
     "CensusResult",
     "ConditionReport",
@@ -157,7 +153,6 @@ __all__ = [
     "adjacency",
     "assign_coords",
     "assign_heights",
-    "boundary_pairs",
     "brute_force_tree_embedding",
     "build_embedding",
     "build_graph",
@@ -191,7 +186,6 @@ __all__ = [
     "separation_ok",
     "serialize",
     "sign_census",
-    "simple_cycles",
     "svg",
     "to_dot",
     "trace_faces",

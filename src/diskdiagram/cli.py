@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 = accepted / success, 1 = input graph rejected,
+Exit codes: 0 = accepted / success, 1 = input graph rejected (or, in
+`enumerate --mode trees`, the criterion disagrees with the oracle),
 2 = usage, file, or validation error.
 
 The witness layers (`realization`, `svg`, and numpy under them) are
-imported inside the code that draws, so deciding a graph starts
-without them.
+imported inside the code that draws, so deciding a graph, and
+`check --json` with its heights, starts without them.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .conditions import is_delta_graph
 from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
 from .graph import DEFAULT_BUDGET
+from .orders import assign_heights, boundary_extrema
 from .planarity import build_embedding, face_arcs
 
 
@@ -71,8 +73,6 @@ def _verdict_doc(verdict):
     }
     if verdict.delta:
         # faces and heights only: the coordinates `place` adds are not printed
-        from .realization import assign_heights, boundary_extrema
-
         dec = verdict.decomposition
         emb, heights = build_embedding(dec), assign_heights(dec.graph, dec)
         doc["embedding"] = {
@@ -141,7 +141,7 @@ def cmd_enumerate(args):
     if args.mode == "trees":
         rows = trees_census(args.max, budget=_budget())
         print(format_trees_census(rows))
-        return 0
+        return 1 if any(r.disagreements for r in rows) else 0
     res = graphs_census(args.max, budget=_budget())
     print(format_graphs_census(res))
     return 0

@@ -1,4 +1,4 @@
-"""Structural conditions deciding realizability on the disk.
+"""The condition battery that decides realizability on the disk.
 
 The battery runs in a fixed sequence and stops at the first failure:
 
@@ -13,7 +13,9 @@ The battery runs in a fixed sequence and stops at the first failure:
 
 A graph passing all five is realizable ("delta" verdict); the pipeline
 then also re-checks the consequence that order-minimal and order-maximal
-vertices sit on the boundary cycle with degree two.
+vertices sit on the boundary cycle with degree two.  Every check is here;
+S2 reads the tree walks of `planarity`, and the cycle search and the
+decomposition come from `graph`.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, NotAForest
 from .graph import DEFAULT_BUDGET, decompose, enumerate_simple_cycles
 from .orders import bits, lowest
+from .planarity import _run_counts, separation_ok
 
 
 @dataclass(frozen=True)
@@ -159,35 +162,6 @@ def check_A3(dec):
     return ConditionReport("A3", not wits, tuple(wits))
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
-    tree_index: int
-    pair: tuple  # (v1, v2) attachments of the tree
-    alpha: tuple  # vertices of the open arc, in cycle direction
-    tilde: tuple  # cycle-neighbors of v1 and v2 inside alpha
-
-
-def boundary_pairs(dec, tree_index):
-    """Attachment pairs of one tree that face foreign attachments.
-
-    A pair (v1, v2) of the tree's attachments, v1 < v2, qualifies when
-    some open arc of the boundary cycle between them contains no
-    attachment of the same tree but at least one attachment of another
-    tree.  Such an arc is a gap between two attachments consecutive in the
-    tree's ring (see `_gaps`).  The arc (from v1 to v2) and the neighbors
-    of v1, v2 inside it are returned with the pair; a tree with two
-    attachments has two gaps, and when both qualify the pair appears once
-    per arc.
-    """
-    vs = dec.gamma.vertices
-    n = len(vs)
-    out = []
-    for pair, tilde, a, b in _gaps(dec, dec.ring(dec.trees[tree_index]), _attached_before(dec)):
-        arc = tuple(vs[(a + k) % n] for k in range(1, (b - a) % n))
-        out.append(BoundaryPair(tree_index, pair, arc if pair[0] == vs[a] else arc[::-1], tilde))
-    return out
-
-
 def _attached_before(dec):
     """``before[i]``: how many of the first i boundary vertices attach a tree."""
     before = [0]
@@ -226,6 +200,32 @@ def _gaps(dec, ring, before):
             out.append(((vb, va), (vs[b - 1], vs[(a + 1) % n]), a, b))
     out.sort()
     return out
+
+
+def check_S2(dec):
+    """Every tree embeds against the boundary, and no two trees interleave.
+
+    A tree passes when its run counts (`planarity._run_counts`) are all
+    2 for its attachments in boundary order; the trees together pass
+    when `planarity.separation_ok` finds no two of them interleaved.
+    """
+    witnesses = []
+    for t in dec.trees:
+        ok, counts = _run_counts(t._adjacency, dec.ring(t), t.edges)
+        if not ok:
+            bad = sorted((e for e, c in counts.items() if c != 2), key=repr)
+            witnesses.append(
+                f"tree {t.index} cannot embed with attachments in boundary order: "
+                f"edge {bad[0]} lies on {counts[bad[0]]} adjacent-pair paths (need 2)"
+            )
+    sep, wit = separation_ok(dec)
+    if not sep:
+        m, n_, b1, b2 = wit
+        witnesses.append(
+            f"attachments of tree {n_} fall on both sides of tree {m}'s "
+            f"attachments ({b1} vs {b2})"
+        )
+    return ConditionReport("S2", not witnesses, tuple(witnesses))
 
 
 def check_S3(dec):
@@ -275,8 +275,6 @@ class DeltaVerdict:
 
 def is_delta_graph(g, budget=DEFAULT_BUDGET):
     """Run the full condition battery; short-circuits at the first failure."""
-    from .planarity import check_S2
-
     reports = []
     a1, gamma = check_A1(g, budget=budget)
     reports.append(a1)

@@ -112,12 +112,6 @@ class Cycle:
     def edge_set(self):
         return frozenset(self.edges)
 
-    def neighbors_of(self, v):
-        """(previous, next) vertex along the cycle; equal on a 2-cycle."""
-        i = self.vertices.index(v)
-        n = len(self.vertices)
-        return self.vertices[(i - 1) % n], self.vertices[(i + 1) % n]
-
     def canonical(self):
         """Representative tuple invariant under rotation and reflection."""
         n = len(self.vertices)
@@ -161,9 +155,6 @@ class PoGraph:
 
     def degree(self, v):
         return len(self._incident[v])
-
-    def neighbors(self, v):
-        return sorted({e.other(v) for e in self._incident[v]})
 
 
 def build_graph(vertices, edge_pairs, order_pairs):
@@ -316,11 +307,6 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
     # class: paths start at the smallest cycle vertex, direction fixed by
     # the second-vs-last comparison, and 2-cycles are emitted sorted
     return cycles
-
-
-def simple_cycles(g, budget=DEFAULT_BUDGET):
-    """All simple cycles of ``g`` up to rotation and reflection."""
-    return enumerate_simple_cycles(g.vertices, g.edges, budget)
 
 
 @dataclass(frozen=True)

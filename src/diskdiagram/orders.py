@@ -1,4 +1,4 @@
-"""Strict partial orders.
+"""Strict partial orders, and the level heights that realize them.
 
 Vertices are identified by strings throughout.  A strict partial order is
 stored as integer bitsets over its carrier in sorted order: bit i of a
@@ -6,14 +6,23 @@ mask stands for the i-th smallest element.  For every element the order
 keeps the mask of the elements strictly above it, closed under
 transitivity, so a comparison is one shift and one mask.  It also keeps
 the pairs it was generated from, for work that needs no closure.
+
+On top of the order sit the checks and constructions that compare
+elements and nothing else: congruence of incomparability (`check_A4`),
+a monotone height per level block of a decomposed graph
+(`assign_heights`), the order those heights induce (`induced_order`)
+and the extrema of the heights along the boundary cycle
+(`boundary_extrema`).
 """
 from __future__ import annotations
 
+import bisect
+import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotInCarrier, OrderCycle
+from .errors import InvariantViolation, NotInCarrier, OrderCycle
 
 
 def bits(mask):
@@ -178,10 +187,6 @@ class StrictPartialOrder:
                 below[j] |= m
         return dict(zip(self.elements, below))
 
-    @property
-    def carrier(self):
-        return frozenset(self.elements)
-
     def above_names(self, v):
         """The frozenset of the elements strictly above ``v``."""
         elements = self.elements
@@ -268,3 +273,129 @@ def check_A4(order):
             v = lowest((up ^ above[b]) | (down ^ below[b]))
             return A4Result(False, (elements[v], a, b))
     return A4Result(True, None)
+
+
+@dataclass(frozen=True)
+class HeightAssignment:
+    value: dict  # vertex -> float: its block's position in ``blocks``
+    blocks: tuple  # tuple of frozensets, in assignment order
+
+    def level(self, tree):
+        return self.value[min(tree.vertices)]
+
+
+def assign_heights(g, dec, mode="default", seed=None):
+    """Monotone distinct heights for the level blocks of the graph.
+
+    Blocks are each tree's vertex set plus one singleton per degree-2
+    boundary vertex.  `strict` mode instead merges whole mutual-
+    incomparability classes whenever the order-congruence test passes
+    (falling back to the default partition otherwise), which makes
+    incomparable vertices share a value.  `random` mode draws a random
+    linear extension of the block order using `seed`.
+
+    The block graph comes from the pairs that generated the order
+    (``order.succ``).  Kahn's walk, smallest representative first,
+    releases a block once every block with an edge into it is placed,
+    which happens at the same moment under any generating set.  A pair
+    inside a block, or a cycle of blocks, raises InvariantViolation.
+    """
+    if mode not in ("default", "strict", "random"):
+        raise ValueError(f"unknown height mode {mode!r}")
+    order = g.order
+    above, elements = order.above, order.elements
+    if mode == "strict" and check_A4(order).passed:
+        # Under congruence two elements are incomparable exactly when they
+        # have the same masks above and below them (equal masks rule out
+        # v < w, which would put w above itself), so the incomparability
+        # classes are the groups of equal (above, below) pairs.
+        below = order.below
+        classes = {}
+        for v in elements:
+            classes.setdefault((above[v], below[v]), set()).add(v)
+        blocks = [frozenset(c) for c in classes.values()]
+    else:
+        blocks = [frozenset(t.vertices) for t in dec.trees]
+        blocks += [frozenset({v}) for v in dec.gamma.vertices if dec.tree_of(v) is None]
+    block_of = {}
+    for i, b in enumerate(blocks):
+        for v in b:
+            if v in block_of:
+                raise InvariantViolation(f"vertex {v} lies in two level blocks")
+            block_of[v] = i
+    if set(block_of) != set(g.vertices):
+        missing = sorted(set(g.vertices) - set(block_of))
+        raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
+    blk = [block_of[v] for v in elements]
+    succ = [[] for _ in blocks]
+    indeg = [0] * len(blocks)
+    for i, ws in enumerate(order.succ):
+        heads = set(map(blk.__getitem__, ws))
+        if blk[i] in heads:
+            w = next(elements[j] for j in ws if blk[j] == blk[i])
+            raise InvariantViolation(
+                f"comparable vertices {elements[i]} < {w} fell into one level block"
+            )
+        succ[blk[i]] += heads
+        for j in heads:
+            indeg[j] += 1
+    rep = [min(b) for b in blocks]
+    available = sorted((rep[i], i) for i, d in enumerate(indeg) if d == 0)
+    rng = random.Random(seed) if mode == "random" else None
+    ordered = []
+    while available:
+        if rng is None:
+            _, i = available.pop(0)
+        else:
+            _, i = available.pop(rng.randrange(len(available)))
+        ordered.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                bisect.insort(available, (rep[j], j))
+    if len(ordered) != len(blocks):
+        v = min(rep[i] for i, d in enumerate(indeg) if d)
+        raise InvariantViolation(f"level blocks form a cycle; vertex {v} is left unplaced")
+    blocks_ordered = tuple(blocks[i] for i in ordered)
+    block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
+    value = {v: float(block_pos[v]) for v in g.vertices}
+    # monotone when everything above a vertex lies in a block assigned
+    # later: walk the blocks from the top, collecting the later ones
+    later = 0
+    for i in reversed(ordered):
+        for u in sorted(blocks[i]):
+            if above[u] & later != above[u]:
+                w = elements[lowest(above[u] & ~later)]
+                raise InvariantViolation(f"heights are not monotone on {u} < {w}")
+        later |= order.mask(blocks[i])
+    return HeightAssignment(value, blocks_ordered)
+
+
+def induced_order(heights):
+    """The strict partial order obtained by comparing assigned values,
+    generated by the pairs between each value and the next higher one."""
+    at = {}
+    for v, x in heights.value.items():
+        at.setdefault(x, []).append(v)
+    levels = [at[x] for x in sorted(at)]
+    pairs = ((u, w) for lo, hi in zip(levels, levels[1:]) for u in lo for w in hi)
+    return StrictPartialOrder.from_pairs(heights.value, pairs)
+
+
+def boundary_extrema(gamma, heights):
+    """Vertices of ``gamma`` that are local extrema of ``heights`` along it.
+
+    Returns ``[(vertex, "min"|"max"), ...]`` in cycle order.
+    """
+    vs = gamma.vertices
+    n = len(vs)
+    h = [heights.value[v] for v in vs]
+    out = []
+    for i, v in enumerate(vs):
+        prev_h = h[(i - 1) % n]
+        next_h = h[(i + 1) % n]
+        if h[i] > prev_h and h[i] > next_h:
+            out.append((v, "max"))
+        elif h[i] < prev_h and h[i] < next_h:
+            out.append((v, "min"))
+    return out

@@ -8,22 +8,27 @@ complement tree is disk-planar for its attachments in boundary order
 and distinct trees occupy nested, non-interleaving portions of the
 boundary.
 
-Both tests read one walk per tree, `_beyond`, which gives every dart
-the ring vertices lying past it as a bitmask.  A tree edge lies on the
-path between two circularly adjacent ring vertices exactly when it
-separates them, so the number of such paths through it is twice the
-number of circular runs that the ring vertices beyond it form; the tree
-is disk-planar when every edge cuts off a single run.
-`build_embedding` orders the edges at each tree vertex by where the run
-beyond each edge starts, and certifies the rotation system by tracing
-faces: the Euler relation must hold and the boundary cycle must bound a
-face.
+Condition S2 (`conditions.check_S2`) reads both tests from here: the
+per-tree criterion `_run_counts` and the interleaving test
+`separation_ok`.  An accepted graph's rotation system and faces come
+from `build_embedding`.  This module reads no condition.
+
+The criterion and `build_embedding` read one walk per tree, `_beyond`,
+which gives every dart the ring vertices lying past it as a bitmask.  A
+tree edge lies on the path between two circularly adjacent ring
+vertices exactly when it separates them, so the number of such paths
+through it is twice the number of circular runs that the ring vertices
+beyond it form; the tree is disk-planar when every edge cuts off a
+single run.  `build_embedding` orders the edges at each tree vertex by
+where the run beyond each edge starts, and certifies the rotation
+system by tracing faces: the Euler relation must hold and the boundary
+cycle must bound a face.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import factorial
 
 from .errors import (
@@ -239,29 +244,6 @@ def _separation_witness(dec):
     raise InvariantViolation("interleaved attachments but no tree spans two gaps")
 
 
-def check_S2(dec):
-    """Combined embedding test for a decomposed graph (condition S2)."""
-    witnesses = []
-    for t in dec.trees:
-        ok, counts = _run_counts(t._adjacency, dec.ring(t), t.edges)
-        if not ok:
-            bad = sorted((e for e, c in counts.items() if c != 2), key=repr)
-            witnesses.append(
-                f"tree {t.index} cannot embed with attachments in boundary order: "
-                f"edge {bad[0]} lies on {counts[bad[0]]} adjacent-pair paths (need 2)"
-            )
-    sep, wit = separation_ok(dec)
-    if not sep:
-        m, n_, b1, b2 = wit
-        witnesses.append(
-            f"attachments of tree {n_} fall on both sides of tree {m}'s "
-            f"attachments ({b1} vs {b2})"
-        )
-    from .conditions import ConditionReport
-
-    return ConditionReport("S2", not witnesses, tuple(witnesses))
-
-
 @dataclass(frozen=True)
 class Face:
     index: int
@@ -271,12 +253,6 @@ class Face:
 
     def arc_count(self):
         return sum(1 for kind, _ in self.runs if kind == "arc")
-
-    def vertices(self):
-        return tuple(u for u, _ in self.darts)
-
-    def edges(self):
-        return tuple(e for _, e in self.darts)
 
 
 @dataclass(frozen=True)
@@ -291,9 +267,6 @@ class DiskEmbedding:
     @property
     def outer(self):
         return self.faces[self.outer_index]
-
-    def inner_faces(self):
-        return tuple(f for f in self.faces if not f.is_outer)
 
     def with_coords(self, coords):
         return replace(self, coords=coords)

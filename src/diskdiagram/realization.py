@@ -1,31 +1,30 @@
-"""Constructing an explicit height function for an accepted graph.
+"""Drawing an explicit height function for an accepted graph.
 
-The pipeline: quotient the vertex set into level blocks and pick a
-monotone integer height per block; place the boundary cycle on the unit
-circle and solve for interior tree positions; then extend the heights
-continuously over every face.  An inner face is either a one-arc face
-(one boundary extremum between two visits of a single tree) or a
-two-arc face (a band between two levels); one function checks both
-shapes.  `extend_to_faces` builds every face's polygon in one pass —
-circle arcs sampled with heights interpolated between their end
-vertices, tree paths at their tree's level — and, since the placement
-makes every face strictly convex, cuts each polygon into the fan of
-triangles from its first rim sample; the function is linear on each
-triangle, so it agrees with the vertex heights, is constant on every
-tree, stays between the face's two defining levels, and is flat on no
-triangle.  One stack holds every face's points, values and triangles,
-and an id per point names the vertex drawn there.  The same triangles
-give every level set exactly, with no sampling grid: in each face whose
-values lie on both sides of a level, `level_sets` reads the level's
-curve segment by segment from the fan rows it crosses, in fan order.
-`sign_census` audits the drawn values: around every tree vertex, the
-faces' values off the tree's level must lie on alternating sides of it.
+This is the witness layer, the only one that needs numpy; the level
+heights come from `orders.assign_heights`.  The pipeline: place the
+boundary cycle on the unit circle and solve for interior tree
+positions; then extend the heights continuously over every face.  An
+inner face is either a one-arc face (one boundary extremum between two
+visits of a single tree) or a two-arc face (a band between two levels);
+one function checks both shapes.  `extend_to_faces` builds every face's
+polygon in one pass — circle arcs sampled with heights interpolated
+between their end vertices, tree paths at their tree's level — and,
+since the placement makes every face strictly convex, cuts each polygon
+into the fan of triangles from its first rim sample; the function is
+linear on each triangle, so it agrees with the vertex heights, is
+constant on every tree, stays between the face's two defining levels,
+and is flat on no triangle.  One stack holds every face's points,
+values and triangles, and an id per point names the vertex drawn there.
+The same triangles give every level set exactly, with no sampling grid:
+in each face whose values lie on both sides of a level, `level_sets`
+reads the level's curve segment by segment from the fan rows it
+crosses, in fan order.  `sign_census` audits the drawn values: around
+every tree vertex, the faces' values off the tree's level must lie on
+alternating sides of it.
 """
 from __future__ import annotations
 
-import bisect
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,124 +39,11 @@ from .errors import (
     OutsideDisk,
 )
 from .graph import DEFAULT_BUDGET
-from .orders import StrictPartialOrder, check_A4, lowest
+from .orders import HeightAssignment, assign_heights, boundary_extrema
 from .planarity import build_embedding
 
 SNAP = 1e-9
 SAMPLES_PER_BOUNDARY_EDGE = 16
-
-
-# ---------------------------------------------------------------------------
-# heights
-
-
-@dataclass(frozen=True)
-class HeightAssignment:
-    value: dict  # vertex -> float
-    blocks: tuple  # tuple of frozensets, in assignment order
-    block_of: dict  # vertex -> position in blocks
-    mode: str
-
-    def level(self, tree):
-        return self.value[min(tree.vertices)]
-
-
-def assign_heights(g, dec, mode="default", seed=None):
-    """Monotone distinct heights for the level blocks of the graph.
-
-    Blocks are each tree's vertex set plus one singleton per degree-2
-    boundary vertex.  `strict` mode instead merges whole mutual-
-    incomparability classes whenever the order-congruence test passes
-    (falling back to the default partition otherwise), which makes
-    incomparable vertices share a value.  `random` mode draws a random
-    linear extension of the block order using `seed`.
-
-    The block graph comes from the pairs that generated the order
-    (``order.succ``).  Kahn's walk, smallest representative first,
-    releases a block once every block with an edge into it is placed,
-    which happens at the same moment under any generating set.  A pair
-    inside a block, or a cycle of blocks, raises InvariantViolation.
-    """
-    if mode not in ("default", "strict", "random"):
-        raise ValueError(f"unknown height mode {mode!r}")
-    order = g.order
-    above, elements = order.above, order.elements
-    if mode == "strict" and check_A4(order).passed:
-        # Under congruence two elements are incomparable exactly when they
-        # have the same masks above and below them (equal masks rule out
-        # v < w, which would put w above itself), so the incomparability
-        # classes are the groups of equal (above, below) pairs.
-        below = order.below
-        classes = {}
-        for v in elements:
-            classes.setdefault((above[v], below[v]), set()).add(v)
-        blocks = [frozenset(c) for c in classes.values()]
-    else:
-        blocks = [frozenset(t.vertices) for t in dec.trees]
-        blocks += [frozenset({v}) for v in dec.gamma.vertices if dec.tree_of(v) is None]
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            if v in block_of:
-                raise InvariantViolation(f"vertex {v} lies in two level blocks")
-            block_of[v] = i
-    if set(block_of) != set(g.vertices):
-        missing = sorted(set(g.vertices) - set(block_of))
-        raise InvariantViolation(f"vertex {missing[0]} belongs to no level block")
-    blk = [block_of[v] for v in elements]
-    succ = [[] for _ in blocks]
-    indeg = [0] * len(blocks)
-    for i, ws in enumerate(order.succ):
-        heads = set(map(blk.__getitem__, ws))
-        if blk[i] in heads:
-            w = next(elements[j] for j in ws if blk[j] == blk[i])
-            raise InvariantViolation(
-                f"comparable vertices {elements[i]} < {w} fell into one level block"
-            )
-        succ[blk[i]] += heads
-        for j in heads:
-            indeg[j] += 1
-    rep = [min(b) for b in blocks]
-    available = sorted((rep[i], i) for i, d in enumerate(indeg) if d == 0)
-    rng = random.Random(seed) if mode == "random" else None
-    ordered = []
-    while available:
-        if rng is None:
-            _, i = available.pop(0)
-        else:
-            _, i = available.pop(rng.randrange(len(available)))
-        ordered.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                bisect.insort(available, (rep[j], j))
-    if len(ordered) != len(blocks):
-        v = min(rep[i] for i, d in enumerate(indeg) if d)
-        raise InvariantViolation(f"level blocks form a cycle; vertex {v} is left unplaced")
-    blocks_ordered = tuple(blocks[i] for i in ordered)
-    block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
-    value = {v: float(block_pos[v]) for v in g.vertices}
-    # monotone when everything above a vertex lies in a block assigned
-    # later: walk the blocks from the top, collecting the later ones
-    later = 0
-    for i in reversed(ordered):
-        for u in sorted(blocks[i]):
-            if above[u] & later != above[u]:
-                w = elements[lowest(above[u] & ~later)]
-                raise InvariantViolation(f"heights are not monotone on {u} < {w}")
-        later |= order.mask(blocks[i])
-    return HeightAssignment(value, blocks_ordered, block_pos, mode)
-
-
-def induced_order(heights):
-    """The strict partial order obtained by comparing assigned values,
-    generated by the pairs between each value and the next higher one."""
-    at = {}
-    for v, x in heights.value.items():
-        at.setdefault(x, []).append(v)
-    levels = [at[x] for x in sorted(at)]
-    pairs = ((u, w) for lo, hi in zip(levels, levels[1:]) for u in lo for w in hi)
-    return StrictPartialOrder.from_pairs(heights.value, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +96,16 @@ def _cross_rows(u, v):
 
 
 def _as_points(pts):
+    """``pts`` as an (N, 2) float array; no points give shape (0, 2).
+
+    ValueError names any other shape."""
     pts = np.asarray(pts, dtype=float)
-    return np.atleast_2d(pts) if pts.size else pts.reshape(0, 2)
+    if not pts.size:
+        return pts.reshape(0, 2)
+    out = np.atleast_2d(pts)
+    if out.ndim != 2 or out.shape[1] != 2:
+        raise ValueError(f"points need shape (N, 2), got shape {pts.shape}")
+    return out
 
 
 def _certify_drawing(emb, coords):
@@ -649,11 +543,14 @@ class DiskFunction:
         so the only points no triangle holds lie between a rim chord and
         the circle; `_sliver_values` carries the chord's values out to the
         rim interpolation on the circle.  No points give an empty array.
+        OutsideDisk names the first point outside the closed disk or with
+        a NaN coordinate.
         """
         pts = _as_points(pts)
-        r = np.linalg.norm(pts, axis=1)
-        if (r > 1 + SNAP).any():
-            bad = pts[r > 1 + SNAP][0]
+        # a NaN coordinate compares False both ways, so it is rejected too
+        outside = ~(np.linalg.norm(pts, axis=1) <= 1 + SNAP)
+        if outside.any():
+            bad = pts[outside][0]
             raise OutsideDisk((float(bad[0]), float(bad[1])))
         out = np.full(len(pts), np.nan)
         d = np.linalg.norm(pts[:, None, :] - self.vertex_xy[None, :, :], axis=2)
@@ -682,25 +579,6 @@ class DiskFunction:
     def boundary_extrema(self):
         """Boundary vertices that are local extrema along the circle."""
         return boundary_extrema(self.gamma, self.heights)
-
-
-def boundary_extrema(gamma, heights):
-    """Vertices of ``gamma`` that are local extrema of ``heights`` along it.
-
-    Returns ``[(vertex, "min"|"max"), ...]`` in cycle order.
-    """
-    vs = gamma.vertices
-    n = len(vs)
-    h = [heights.value[v] for v in vs]
-    out = []
-    for i, v in enumerate(vs):
-        prev_h = h[(i - 1) % n]
-        next_h = h[(i + 1) % n]
-        if h[i] > prev_h and h[i] > next_h:
-            out.append((v, "max"))
-        elif h[i] < prev_h and h[i] < next_h:
-            out.append((v, "min"))
-    return out
 
 
 def place(verdict, mode="default", seed=None):

@@ -18,11 +18,12 @@ took one level and one number at a time.
 import math
 import random
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from diskdiagram.conditions import BoundaryPair, ConditionReport
+from diskdiagram.conditions import ConditionReport
 from diskdiagram.errors import (
     BudgetExceeded,
     InvariantViolation,
@@ -31,13 +32,8 @@ from diskdiagram.errors import (
     UnknownId,
 )
 from diskdiagram.graph import DEFAULT_BUDGET, Cycle, adjacency
-from diskdiagram.orders import check_A4, lowest
-from diskdiagram.realization import (
-    SAMPLES_PER_BOUNDARY_EDGE,
-    SNAP,
-    HeightAssignment,
-    _rim_angle,
-)
+from diskdiagram.orders import HeightAssignment, check_A4, lowest
+from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, SNAP, _rim_angle
 from diskdiagram.svg import MARGIN, _color
 
 
@@ -472,9 +468,7 @@ def assign_heights(g, dec, mode="default", seed=None):
         raise InvariantViolation("level-block order contains a cycle")
     height_of_block = {i: float(step) for step, i in enumerate(ordered)}
     value = {v: height_of_block[block_of[v]] for v in g.vertices}
-    blocks_ordered = tuple(blocks[i] for i in ordered)
-    block_pos = {v: k for k, b in enumerate(blocks_ordered) for v in b}
-    return HeightAssignment(value, blocks_ordered, block_pos, mode)
+    return HeightAssignment(value, tuple(blocks[i] for i in ordered))
 
 
 def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
@@ -583,9 +577,21 @@ def separation_ok(dec):
     return True, None
 
 
+@dataclass(frozen=True)
+class BoundaryPair:
+    tree_index: int
+    pair: tuple  # (v1, v2) attachments of the tree, sorted
+    alpha: tuple  # vertices of the open arc between them, from v1
+    tilde: tuple  # cycle-neighbors of v1 and v2 inside alpha
+
+
 def boundary_pairs(dec, tree_index):
-    """Every gap of the tree's ring with its whole arc, scanned for an
-    attachment of any tree."""
+    """Attachment pairs of one tree that face foreign attachments.
+
+    Every gap of the tree's ring (the open arc between two attachments
+    consecutive in it) with its whole arc, scanned for an attachment of
+    any tree; a tree with two attachments has two gaps, and when both
+    qualify the pair appears once per arc."""
     ring = dec.ring(dec.trees[tree_index])
     vs = dec.gamma.vertices
     n = len(vs)

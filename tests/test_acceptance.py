@@ -14,8 +14,8 @@ from diskdiagram.census import trees_census
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.fixtures import build
 from diskdiagram.formats import serialize
-from diskdiagram.orders import check_A4
-from diskdiagram.realization import induced_order, realize, sign_census
+from diskdiagram.orders import check_A4, induced_order
+from diskdiagram.realization import realize, sign_census
 
 
 @pytest.fixture()
@@ -93,8 +93,8 @@ def test_criterion_3_face_structure(announce, realized_corpus):
             v = len(g.vertices)
             e = len(g.edges)
             assert v - e + len(emb.faces) == 2, spec.name
-            for face in emb.inner_faces():
-                assert face.arc_count() in (1, 2), (spec.name, face.index)
+            for face in emb.faces:
+                assert face.is_outer or face.arc_count() in (1, 2), (spec.name, face.index)
         c.detail = f"{len(realized_corpus)} instances"
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from diskdiagram.census import census_inputs, graphs_census
 from diskdiagram.conditions import (
-    BoundaryPair,
-    boundary_pairs,
     check_A1,
     check_A2,
     check_A3,
@@ -16,10 +14,11 @@ from diskdiagram.conditions import (
 )
 from diskdiagram.families import build_instance, corpus_specs, ladder_spec
 from diskdiagram.fixtures import EXPECTED, FIXTURES, build, raw
-from diskdiagram.graph import Cycle, build_graph, decompose, simple_cycles
+from diskdiagram.graph import Cycle, build_graph, decompose, enumerate_simple_cycles
 from diskdiagram.orders import StrictPartialOrder
 from diskdiagram.planarity import separation_ok
 import references
+from references import BoundaryPair, boundary_pairs
 from references import check_A2 as reference_A2
 from references import reach_sets, transitive_closure
 
@@ -108,7 +107,7 @@ class TestA1:
         def reference(g):
             return [
                 c
-                for c in simple_cycles(g)
+                for c in enumerate_simple_cycles(g.vertices, g.edges)
                 if all(
                     g.order.comparable(c.vertices[i], c.vertices[(i + 1) % len(c)])
                     for i in range(len(c))
@@ -301,6 +300,9 @@ def all_pairs_boundary_pairs(dec, tree_index):
 
 
 class TestBoundaryPairs:
+    """`references.boundary_pairs`, on which `references.check_S3` is built,
+    against fixed cases and an oracle over every pair of attachments."""
+
     def _g4_dec(self):
         g = build("G4")
         _, gamma = check_A1(g)
@@ -588,8 +590,6 @@ class TestLinearScans:
                 continue
             assert separation_ok(dec) == references.separation_ok(dec), label
             assert check_S3(dec) == references.check_S3(dec), label
-            for t in dec.trees:
-                assert boundary_pairs(dec, t.index) == references.boundary_pairs(dec, t.index)
             decided += 1
         assert decided > 450
 
@@ -618,8 +618,6 @@ class TestLinearScans:
             assert sep == references.separation_ok(dec)
             report = check_S3(dec)
             assert report == references.check_S3(dec)
-            for t in dec.trees:
-                assert boundary_pairs(dec, t.index) == references.boundary_pairs(dec, t.index)
             text = "".join(report.witnesses)
             seen["S2"] += not sep[0]
             seen["no tree"] += "attaches no tree" in text

@@ -460,6 +460,18 @@ class TestCliEnumerate:
         out = capsys.readouterr().out
         assert "agreement 4/4 = 100.0%" in out
 
+    def test_trees_disagreement_exits_1(self, capsys, monkeypatch):
+        from diskdiagram import census
+        from diskdiagram.planarity import tree_is_disk_planar
+
+        def wrong(edges, ring):
+            ok, counts = tree_is_disk_planar(edges, ring)
+            return not ok, counts
+
+        monkeypatch.setattr(census, "tree_is_disk_planar", wrong)
+        assert main(["enumerate", "--max", "3", "--mode", "trees"]) == 1
+        assert "agreement 0/4 = 0.0%" in capsys.readouterr().out
+
     def test_graphs_small(self, capsys):
         assert main(["enumerate", "--max", "2", "--mode", "graphs"]) == 0
         out = capsys.readouterr().out
@@ -568,23 +580,22 @@ class TestParserReuse:
             assert sub.format_help() == fresh_subs[name].format_help(), name
 
 
-# `diskdiagram.__all__` as the package has always listed it, the witness
-# layers' names included
+# every name of `diskdiagram.__all__`, the witness layers' included
 PUBLIC_NAMES = """
-    A4Result ArcStructureViolation BoundaryPair BudgetExceeded CensusResult
+    A4Result ArcStructureViolation BudgetExceeded CensusResult
     ConditionReport Cycle DEFAULT_BUDGET Decomposition DegenerateDrawing
     DegreeBelowTwo DeltaVerdict DisconnectedGraph DiskDiagramError DiskEmbedding
     DiskFunction Edge EqualLevels Face FaceMap GraphFile HeightAssignment
     InvariantViolation MalformedFile NotAForest NotDeltaGraph NotInCarrier
     NotInTree NotPlanar OrderCycle OutsideDisk PoGraph SelfLoop
     StrictPartialOrder TerminalNotInVstar TreeComponent UnknownId adjacency
-    assign_coords assign_heights boundary_pairs brute_force_tree_embedding
+    assign_coords assign_heights brute_force_tree_embedding
     build_embedding build_graph check_A1 check_A2 check_A3 check_A4 check_S2
     check_S3 conditions decompose errors extend_to_faces face_arcs
     find_cr_cycles formats graph induced_order is_delta_graph level_set
     level_sets load_graph_file make_edges orders parse place planarity
     realization realize render_svg separation_ok serialize sign_census
-    simple_cycles svg to_dot trace_faces tree_is_disk_planar
+    svg to_dot trace_faces tree_is_disk_planar
 """.split()
 
 
@@ -615,11 +626,14 @@ class TestImports:
             "    assert cli.main(['enumerate', '--max', '2', '--mode', 'graphs']) == 0\n"
             "loaded()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['check', sys.argv[1], '--json']) == 0\n"
+            "loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['realize', sys.argv[1], '--out', sys.argv[3]]) == 0\n"
             "loaded()\n"
         )
         out = run_fresh(script, files["G1"], files["g1_missing"], str(tmp_path / "w.svg"))
-        assert out.splitlines() == ["[]", "[]", "['numpy']"]
+        assert out.splitlines() == ["[]", "[]", "[]", "['numpy']"]
 
     def test_package_import_loads_neither(self):
         script = (

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,18 +17,21 @@ from diskdiagram.errors import (
 )
 from diskdiagram.families import build_instance, ladder_spec
 from diskdiagram.fixtures import build
-from diskdiagram.orders import StrictPartialOrder, bits
+from diskdiagram.orders import (
+    HeightAssignment,
+    StrictPartialOrder,
+    assign_heights,
+    bits,
+    induced_order,
+)
 from diskdiagram.planarity import build_embedding
 from diskdiagram.realization import (
     SAMPLES_PER_BOUNDARY_EDGE,
     SNAP,
-    HeightAssignment,
     _certify_drawing,
     _convex_fans,
     assign_coords,
-    assign_heights,
     extend_to_faces,
-    induced_order,
     level_set,
     level_sets,
     place,
@@ -74,7 +78,7 @@ class TestHeights:
                 assert not (seen & b)
                 seen |= b
                 for v in b:
-                    assert h.block_of[v] == i
+                    assert h.value[v] == i
             assert seen == set(verdicts[name].decomposition.graph.vertices)
 
     def test_monotone_on_input_order(self, verdicts, delta_names):
@@ -457,6 +461,24 @@ class TestEvaluation:
         with pytest.raises(OutsideDisk):
             realized["G1"].evaluate((1.5, 0.0))
 
+    def test_nan_point_raises_outside_disk(self, realized):
+        f = realized["G1"]
+        for p in ((math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(OutsideDisk) as info:
+                f.evaluate(p)
+            assert str(info.value.point) == str(p)
+        with pytest.raises(OutsideDisk):
+            f.evaluate_many([(0.1, 0.2), (math.nan, math.nan)])
+
+    def test_points_of_wrong_shape_raise(self, realized):
+        f = realized["G1"]
+        for pts in ([(0.0, 0.0, 0.0)], [[[0.0, 0.0]]], [0.1, 0.2, 0.3]):
+            shape = np.asarray(pts).shape
+            with pytest.raises(ValueError, match=rf"shape \(N, 2\), got shape {re.escape(str(shape))}"):
+                f.evaluate_many(pts)
+            with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
+                f.evaluate_in_face(f.face_indices[0], pts)
+
     def test_evaluate_takes_one_point(self, realized):
         with pytest.raises(ValueError, match="evaluate_many"):
             realized["G1"].evaluate([(0.1, 0.2), (0.0, 0.5)])
@@ -590,8 +612,7 @@ class TestRealizePipeline:
             frozenset({"a1", "b1", "a2", "b2"}),
             frozenset({"M"}),
         )
-        block_of = {v_: i for i, b in enumerate(blocks) for v_ in b}
-        fake = HeightAssignment(value, blocks, block_of, "default")
+        fake = HeightAssignment(value, blocks)
         with pytest.raises(EqualLevels):
             extend_to_faces(emb, fake)
 
@@ -926,7 +947,7 @@ class TestFaceMapsMatchReference:
     them, are flat nowhere and draw no chord beside a tree."""
 
     def check(self, f, label, triangle_problems):
-        faces = f.embedding.inner_faces()
+        faces = [face for face in f.embedding.faces if not face.is_outer]
         assert [fm.face_index for fm in f.face_maps] == [face.index for face in faces]
         point_key = point_keys(f)
         for fm, face in zip(f.face_maps, faces):
@@ -1074,7 +1095,9 @@ def former_face_signs(f):
     """
     value = f.heights.value
     signs = {}
-    for face in f.embedding.inner_faces():
+    for face in f.embedding.faces:
+        if face.is_outer:
+            continue
         arcs = [darts for kind, darts in face.runs if kind == "arc"]
         (u, e), *_ = arcs[0]
         if len(arcs) == 1:
