@@ -287,22 +287,13 @@ def is_delta_graph(g, budget=DEFAULT_BUDGET):
             ConditionReport("A2", False, (f"complement component {exc.component_index} is not a tree",))
         )
         return DeltaVerdict(False, tuple(reports), gamma)
-    a2 = check_A2(dec)
-    reports.append(a2)
-    if not a2:
-        return DeltaVerdict(False, tuple(reports), gamma, dec)
-    s2 = check_S2(dec)
-    reports.append(s2)
-    if not s2:
-        return DeltaVerdict(False, tuple(reports), gamma, dec)
-    s3 = check_S3(dec)
-    reports.append(s3)
-    if not s3:
-        return DeltaVerdict(False, tuple(reports), gamma, dec)
-    a3 = check_A3(dec)
-    reports.append(a3)
-    if not a3:
-        return DeltaVerdict(False, tuple(reports), gamma, dec)
+    # the checks are looked up here, at each call, so that a profiler
+    # that rebinds the module's names times them
+    for check in (check_A2, check_S2, check_S3, check_A3):
+        report = check(dec)
+        reports.append(report)
+        if not report:
+            return DeltaVerdict(False, tuple(reports), gamma, dec)
     _check_extrema_on_boundary(g, dec)
     return DeltaVerdict(True, tuple(reports), gamma, dec)
 

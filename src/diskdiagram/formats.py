@@ -4,15 +4,24 @@ The single input format is a JSON object with "vertices", "edges" and
 "order" arrays; edges may repeat (parallel edges).  `parse` goes all
 the way to a validated PoGraph, `load_graph_file` stops at the
 syntactic level so files can be round-tripped without validation.
+Ids reach SVG, Graphviz and UTF-8 text, so an id holding a character
+XML 1.0 cannot hold is refused as malformed; `to_dot` escapes quotes
+and backslashes.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import MalformedFile, UnknownId
 from .graph import PoGraph, build_graph
+
+
+# characters XML 1.0 cannot hold: C0 controls other than tab, newline
+# and carriage return, lone surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,8 @@ def load_graph_file(text):
         raise MalformedFile(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise MalformedFile("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedFile("top level must be an object")
     for field in ("vertices", "edges", "order"):
@@ -92,6 +103,10 @@ def load_graph_file(text):
     if extra:
         raise MalformedFile(f"unknown field '{extra[0]}'")
     vertices = _string_list(doc["vertices"], "vertices")
+    # one pass in C for the common valid list; the loop names the fault
+    if _NOT_XML.search("".join(vertices)):
+        i, bad = next((i, m) for i, v in enumerate(vertices) if (m := _NOT_XML.search(v)))
+        raise MalformedFile(f"vertices[{i}] holds U+{ord(bad.group()):04X}, not allowed in XML")
     if len(set(vertices)) != len(vertices):
         dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
         raise MalformedFile(f"duplicate vertex id '{dup}'")
@@ -132,6 +147,11 @@ def _edge_name(e):
     return f"{e.a}--{e.b}#{e.key}"
 
 
+def _dot_id(v):
+    """``v`` as a quoted Graphviz id, its backslashes and quotes escaped."""
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g, heights=None):
     """Graphviz text; vertices of equal height share a rank."""
     lines = ["graph diagram {", "  rankdir=BT;"]
@@ -140,12 +160,12 @@ def to_dot(g, heights=None):
         for v in g.vertices:
             by_level.setdefault(heights.value[v], []).append(v)
         for level in sorted(by_level):
-            vs = " ".join(f'"{v}"' for v in sorted(by_level[level]))
+            vs = " ".join(map(_dot_id, sorted(by_level[level])))
             lines.append(f"  {{ rank=same; {vs} }}")
     for v in sorted(g.vertices):
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for e in sorted(g.edges):
-        lines.append(f'  "{e.a}" -- "{e.b}";')
+        lines.append(f"  {_dot_id(e.a)} -- {_dot_id(e.b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

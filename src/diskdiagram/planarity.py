@@ -388,15 +388,11 @@ def build_embedding(dec):
             f"Euler relation fails: V={len(g.vertices)} E={len(g.edges)} "
             f"F={n_faces}"
         )
-    outer_darts = frozenset(
-        (gamma.vertices[(i + 1) % n], gamma.edges[i]) for i in range(n)
-    )
-    outer_index = None
-    for idx, walk in enumerate(walks):
-        if frozenset(walk) == outer_darts:
-            outer_index = idx
-            break
-    if outer_index is None:
+    # face walks are disjoint, so only the walk of one reversed boundary
+    # dart can be the reversed boundary cycle
+    outer_index = dart_face[(gamma.vertices[1 % n], gamma.edges[0])]
+    reversed_gamma = {(gamma.vertices[(i + 1) % n], gamma.edges[i]) for i in range(n)}
+    if set(walks[outer_index]) != reversed_gamma:
         raise NotPlanar("the boundary cycle does not bound a face")
     gamma_edges = gamma.edge_set()
     faces = []

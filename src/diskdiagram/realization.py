@@ -59,16 +59,6 @@ def _rim_angle(pos, n):
     return math.pi / 2 + 2 * math.pi * pos / n
 
 
-def _gamma_positions(gamma):
-    """Boundary vertices on the unit circle at their `_rim_angle`."""
-    n = len(gamma.vertices)
-    out = {}
-    for i, v in enumerate(gamma.vertices):
-        th = _rim_angle(i, n)
-        out[v] = np.array([math.cos(th), math.sin(th)])
-    return out
-
-
 def _solve_tree_positions(tree, fixed):
     """Place interior tree vertices at the average of their neighbors."""
     interior = sorted(tree.vertices - tree.attach)
@@ -180,7 +170,8 @@ def assign_coords(emb):
     `_certify_drawing` rejects it.
     """
     dec = emb.decomposition
-    coords = _gamma_positions(dec.gamma)
+    gamma = dec.gamma.vertices
+    coords = dict(zip(gamma, _rim_points(len(gamma), 1)))
     for t in dec.trees:
         coords.update(_solve_tree_positions(t, coords))
     if not _certify_drawing(emb, coords):
@@ -245,15 +236,15 @@ def _check_face(face, g, heights):
         raise EqualLevels(face.index, levels[0])
 
 
-def _rim_points(n):
-    """The rim samples of a boundary of ``n`` vertices, edge by edge.
+def _rim_points(n, k):
+    """The rim samples of a boundary of ``n`` vertices, ``k`` per edge.
 
-    Row ``k * i + s`` (``k = SAMPLES_PER_BOUNDARY_EDGE``) is sample s of
-    the edge from the i-th boundary vertex to the next, at the fraction
-    ``s / k`` of the edge's arc: sample 0 is the vertex itself, and the
-    end vertex is sample 0 of the next edge.
+    Row ``k * i + s`` is sample s of the edge from the i-th boundary
+    vertex to the next, at the fraction ``s / k`` of the edge's arc:
+    sample 0 is the vertex itself, and the end vertex is sample 0 of the
+    next edge.  So ``k = 1`` places the boundary vertices, and every
+    ``k`` puts them at the same bits.
     """
-    k = SAMPLES_PER_BOUNDARY_EDGE
     th = _rim_angle(np.arange(n), n)[:, None] + np.arange(k) / k * (2 * math.pi / n)
     th = th.ravel().tolist()
     # math's cos and sin, which the drawing has always used; numpy's
@@ -363,9 +354,8 @@ def extend_to_faces(emb, heights):
     g, gamma, position = dec.graph, dec.gamma, dec.position
     n = len(gamma.vertices)
     k = SAMPLES_PER_BOUNDARY_EDGE
-    names = sorted(emb.coords)
-    index = {v: i for i, v in enumerate(names)}
-    table_pts = np.concatenate([_rim_points(n), np.array([emb.coords[v] for v in names])])
+    names, index = g.order.elements, g.order.index
+    table_pts = np.concatenate([_rim_points(n, k), np.array([emb.coords[v] for v in names])])
     # rim values, linear along each boundary edge, then the vertex heights
     t = np.arange(k) / k
     h = [heights.value[v] for v in gamma.vertices]
@@ -398,7 +388,7 @@ def extend_to_faces(emb, heights):
     ends = [(index[e.a], index[e.b]) for t in dec.trees for e in sorted(t.edges)]
     return DiskFunction(
         emb, heights, points, values, triangles, ids, tuple(f.index for f in faces),
-        tuple(sizes), tuple(names), table_pts[k * n :], table_vals[k * n :],
+        tuple(sizes), names, table_pts[k * n :], table_vals[k * n :],
         np.array(ends, dtype=int).reshape(-1, 2),
     )
 
@@ -450,44 +440,37 @@ class DiskFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def _rim_edges(self, pts):
-        """Per point: the boundary edge at its angle, the fraction of that
-        edge swept up to the angle, and the edge's two end heights."""
-        gamma = self.gamma.vertices
-        n = len(gamma)
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        # the rim position at each angle, inverting `_rim_angle`
-        pos = np.mod((th - _rim_angle(0, n)) / (2 * math.pi / n), n)
-        i = np.floor(pos).astype(int) % n
-        t = pos - np.floor(pos)
-        h = np.array([self.heights.value[v] for v in gamma])
-        return i, t, h[i], h[(i + 1) % n]
-
     def _sliver_values(self, pts):
         """Values between a rim chord and the circle.
 
         The chord is the polygon edge between the two rim samples
-        around the point's angle (see `_rim_points`).  The point takes
-        the chord's linear value at its radial projection ``q`` onto the
-        chord, blended linearly in radius from ``|q|`` to 1 towards the
-        rim value at its angle, so the witness is continuous across the
-        chord and equals the rim interpolation on the circle.
+        around the point's angle, both rows of `_rim_points`.  The point
+        takes the chord's linear value at its radial projection ``q``
+        onto the chord, blended linearly in radius from ``|q|`` to 1
+        towards the rim value at its angle, so the witness is continuous
+        across the chord and equals the rim interpolation on the circle.
         """
-        i, t, h0, h1 = self._rim_edges(pts)
-        k = SAMPLES_PER_BOUNDARY_EDGE
-        n = len(self.gamma.vertices)
-        ta = np.minimum(np.floor(t * k), k - 1) / k
-        th = _rim_angle(i + ta, n)
-        th_b = th + 2 * math.pi / (k * n)
-        a = np.stack([np.cos(th), np.sin(th)], axis=1)
-        e = np.stack([np.cos(th_b), np.sin(th_b)], axis=1) - a
+        gamma = self.gamma.vertices
+        n, k = len(gamma), SAMPLES_PER_BOUNDARY_EDGE
+        th = np.arctan2(pts[:, 1], pts[:, 0])
+        # the rim position at each angle, inverting `_rim_angle`: the
+        # point lies over boundary edge i, at the fraction t of its arc
+        pos = np.mod((th - _rim_angle(0, n)) / (2 * math.pi / n), n)
+        i = np.floor(pos).astype(int) % n
+        t = pos - np.floor(pos)
+        h = np.array([self.heights.value[v] for v in gamma])
+        h0, h1 = h[i], h[(i + 1) % n]
+        sample = np.minimum(np.floor(t * k), k - 1).astype(int)
+        rim_xy = _rim_points(n, k)
+        a = rim_xy[k * i + sample]
+        e = rim_xy[(k * i + sample + 1) % (k * n)] - a
         r = np.hypot(pts[:, 0], pts[:, 1])
         u = pts / r[:, None]
         # |q|, where the ray through the point meets the chord a + s e
         radius = _cross_rows(a, e) / _cross_rows(u, e)
         qa = radius[:, None] * u - a
         s = (qa * e).sum(axis=1) / (e * e).sum(axis=1)
-        tq = ta + s / k
+        tq = sample / k + s / k
         chord = (1 - tq) * h0 + tq * h1
         w = np.divide(r - radius, 1 - radius, out=np.ones_like(r), where=radius < 1)
         rim = (1 - t) * h0 + t * h1
@@ -636,6 +619,12 @@ def _stitch(edges, xy):
     return polylines
 
 
+def _face_ranges(f):
+    """Each inner face's lowest and highest drawn value, in face order."""
+    firsts = np.cumsum(f.face_sizes) - f.face_sizes
+    return np.minimum.reduceat(f.values, firsts), np.maximum.reduceat(f.values, firsts)
+
+
 def _crossings(f, c, a, b):
     """Points where levels `c` cross the triangle edges (a, b).
 
@@ -679,9 +668,7 @@ def level_sets(f, values):
         raise TypeError("level_sets takes a sequence of levels; level_set takes one")
     tris = f.triangles
     sizes = np.asarray(f.face_sizes)
-    firsts = np.cumsum(sizes) - sizes
-    low = np.minimum.reduceat(f.values, firsts)
-    high = np.maximum.reduceat(f.values, firsts)
+    low, high = _face_ranges(f)
     inside = (low < cs[:, None]) & (cs[:, None] < high)
     above = f.values[tris] > cs[:, None, None]
     n_above = above.sum(axis=2)
@@ -739,56 +726,39 @@ class CensusResult:
         return self.passed
 
 
-def _face_sign(values, level):
-    """+1 when every value off ``level`` lies above it, -1 when every one
-    lies below it, and None when they lie on both sides or there are none."""
-    sides = np.unique(np.sign(values[values != level] - level))
-    return int(sides[0]) if len(sides) == 1 else None
-
-
 def sign_census(f):
     """Alternation of face signs around every tree vertex, read from the drawing.
 
-    A face's sign at a tree is read from the face map's drawn values:
-    +1 when every value off the tree's level lies above it, -1 when every
-    one lies below, and no sign otherwise, which is a witness.  Around an
-    interior tree vertex the incident faces must alternate in rotation
-    order (an even cycle), and at a boundary attachment the chain of
-    inner corners must alternate with end signs dictated by the two
-    boundary neighbors — opposite ends for odd degree, equal ends for
-    even degree.
+    A face's sign at a tree is read from the range of the face's drawn
+    values (`_face_ranges`): +1 when its lowest value lies at or above
+    the tree's level and its highest above it, -1 when its highest lies
+    at or below the level and its lowest below, and no sign otherwise,
+    which is a witness.  Around an interior tree vertex the incident
+    faces must alternate in rotation order (an even cycle), and at a
+    boundary attachment the chain of inner corners must alternate with
+    end signs dictated by the two boundary neighbors — opposite ends for
+    odd degree, equal ends for even degree.
     """
     emb = f.embedding
     dec = emb.decomposition
     g = dec.graph
     heights = f.heights
-    values = {fm.face_index: fm.values for fm in f.face_maps}
+    ranges = dict(zip(f.face_indices, zip(*(r.tolist() for r in _face_ranges(f)))))
     witnesses = []
     corner_signs = {}
     for t in dec.trees:
         c_k = heights.level(t)
-        face_sign = {}  # face index -> its sign at this tree, read once
         for v in sorted(t.vertices):
             rot = emb.rotation[v]
-            if v in t.attach:
-                corner_darts = [(v, e) for e in rot[:-1]]
-            else:
-                corner_darts = [(v, e) for e in rot]
-            faces = [emb.dart_face[d] for d in corner_darts]
-            signs = []
-            missing = False
-            for fi in faces:
-                if fi not in face_sign:
-                    face_sign[fi] = _face_sign(values[fi], c_k) if fi in values else None
-                s = face_sign[fi]
-                if s is None:
-                    witnesses.append(
-                        f"face {fi} at vertex {v} carries no sign for tree {t.index}"
-                    )
-                    missing = True
-                    break
-                signs.append(s)
-            if missing:
+            faces = [emb.dart_face[(v, e)] for e in (rot[:-1] if v in t.attach else rot)]
+            # the outer face draws no values, so it carries no sign
+            signs = [
+                1 if lo >= c_k < hi else -1 if hi <= c_k > lo else None
+                for lo, hi in (ranges.get(fi, (c_k, c_k)) for fi in faces)
+            ]
+            if None in signs:
+                fi = faces[signs.index(None)]
+                witnesses.append(f"face {fi} at vertex {v} carries no sign for tree {t.index}")
                 continue
             corner_signs[v] = tuple(signs)
             # Consecutive corners always form one sequence: a chain of

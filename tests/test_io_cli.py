@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from diskdiagram.formats import (
     serialize,
     to_dot,
 )
+from diskdiagram.graph import build_graph
 from diskdiagram.planarity import face_arcs
 from diskdiagram.realization import place, realize
 from diskdiagram.svg import render_svg
@@ -70,12 +72,19 @@ class TestLoadGraphFile:
             (doc(["a", "b"], [["a", "b", "a"]], []), "edges[0]"),
             (doc(["a", "b"], ["ab"], []), "edges[0]"),
             (doc(["a", "b"], [], [["a", 1]]), "order[0]"),
+            pytest.param("[" * 200_000 + "]" * 200_000, "nested too deeply", id="nesting"),
+            (doc(["a", "b\ud800"], [], []), "vertices[1] holds U+D800"),
+            (doc(["a\x01", "b"], [], []), "vertices[0] holds U+0001"),
         ],
     )
     def test_malformed_documents(self, payload, fragment):
         with pytest.raises(MalformedFile) as info:
             load_graph_file(payload)
         assert fragment in str(info.value)
+
+    def test_tab_newline_percent_and_angle_ids_accepted(self):
+        ids = ["a\tb", "c\nd", "e\r%", "<f>", "\U0001f600"]
+        assert load_graph_file(doc(ids, [], [])).vertices == tuple(ids)
 
     def test_unknown_edge_id(self):
         with pytest.raises(UnknownId) as info:
@@ -200,6 +209,16 @@ class TestExports:
         assert '"a" -- "b";' in text
         assert text.count("rank=same") == len(set(f.heights.value.values()))
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        ids = ['a"x', "b\\", "c", "d"]
+        g = build_graph(ids, [[u, v] for u, v in zip(ids, ids[1:] + ids[:1])], [])
+        text = to_dot(g)
+        assert '  "a\\"x";' in text
+        assert '  "b\\\\" -- "c";' in text
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        assert '"' not in quoted.sub("", text)
+        assert {re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(text)} == g.vertices
+
     def test_dot_without_heights(self):
         text = to_dot(build("G1"))
         assert "rank=same" not in text
@@ -290,6 +309,20 @@ class TestCliCheck:
         p.write_text("{nope")
         assert main(["check", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["nesting", "\ud800", "\x01"])
+    def test_unwritable_id_or_deep_nesting_is_usage_error(self, tmp_path, capsys, fault):
+        """JSON too deep to parse and ids that SVG or UTF-8 cannot hold
+        are bad input: exit 2, and no SVG written."""
+        if fault == "nesting":
+            text = "[" * 200_000 + "]" * 200_000
+        else:
+            text = serialize(build("G1")).replace('"a"', json.dumps("a" + fault))
+        p, out = tmp_path / "bad.json", tmp_path / "out.svg"
+        p.write_text(text)
+        assert main(["realize", str(p), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cycle_named_under_every_hash_seed(self, tmp_path):
         p = tmp_path / "cyclic.json"

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskdiagram import planarity
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
     BudgetExceeded,
-    InvariantViolation,
     NotInTree,
     NotPlanar,
     TerminalNotInVstar,
@@ -246,8 +246,28 @@ class TestEmbedding:
 
         g = graphs["interleaved"]
         _, gamma = check_A1(g)
-        with pytest.raises((NotPlanar, InvariantViolation)):
+        with pytest.raises(NotPlanar, match="Euler relation fails: V=4 E=6 F=2"):
             build_embedding(decompose(g, gamma))
+
+    def test_boundary_not_bounding_a_face_is_refused(self, verdicts, monkeypatch):
+        """One reversed boundary dart moved into the inner face beside it
+        keeps the face count, so only the outer-face check refuses."""
+        dec = verdicts["G4"].decomposition
+        gamma = dec.gamma
+        dart = (gamma.vertices[1], gamma.edges[0])
+        traced = planarity.trace_faces
+
+        def moved(rotation, edges):
+            walks, dart_face = traced(rotation, edges)
+            walks = list(walks)
+            outer, inner = dart_face[dart], dart_face[(gamma.vertices[0], gamma.edges[0])]
+            walks[outer] = tuple(d for d in walks[outer] if d != dart)
+            walks[inner] += (dart,)
+            return walks, {**dart_face, dart: inner}
+
+        monkeypatch.setattr(planarity, "trace_faces", moved)
+        with pytest.raises(NotPlanar, match="the boundary cycle does not bound a face"):
+            build_embedding(dec)
 
     def test_trace_faces_orbits_partition(self):
         es = edges([("a", "b"), ("b", "c"), ("c", "a")])

@@ -1058,10 +1058,6 @@ class TestSignCensus:
         for f in witnesses:
             emb = f.embedding
             expected = former_face_signs(f)
-            values = {fm.face_index: fm.values for fm in f.face_maps}
-            for (face_index, tree_index), sign in expected.items():
-                level = f.heights.level(f.decomposition.trees[tree_index])
-                assert realization._face_sign(values[face_index], level) == sign
             corner_signs = sign_census(f).corner_signs
             for t in f.decomposition.trees:
                 for v in t.vertices:

@@ -6,10 +6,6 @@ import re
 from diskdiagram.errors import DegenerateDrawing
 
 
-def test_smoke_conditions(load_script):
-    assert load_script("smoke_conditions").main() == 0
-
-
 def test_oracle_sweep(load_script):
     assert load_script("oracle_sweep").main(["--trees", "5", "--graphs", "3"]) == 0
 
