@@ -6,8 +6,12 @@ runs on it in process: `check`, `check --json`, `embed` in json and dot,
 and `realize` at `--levels` 5, 0 and 9, each with and without
 `--strict-order`.  Each line is ``<sha256>  <input>  <command>``; the
 hash of a command covers its exit code, stdout, stderr and, for
-`realize`, the SVG it writes.  A refactor that must keep every output
-byte runs this in a checkout of each commit and diffs the two listings:
+`realize`, the SVG it writes.  Two more lines, labelled ``census4``,
+each hash one command, `check` or `check --json`, over all 93 944
+instances of `census.census_inputs(4)` in order, so that the witness
+text of every census reject is covered.  A refactor that must keep
+every output byte runs this in a checkout of each commit and diffs the
+two listings (about two minutes each on a 2-core host):
 
     python scripts/output_hashes.py > after.txt
 """
@@ -20,15 +24,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from diskdiagram.census import census_inputs
 from diskdiagram.cli import main as cli_main
 from diskdiagram.families import build_instance, corpus_instances, ladder_spec
 from diskdiagram.fixtures import FIXTURES, build
-from diskdiagram.formats import serialize
+from diskdiagram.formats import GraphFile, serialize
 
 COMMANDS = [["check"], ["check", "--json"], ["embed", "--format", "json"],
             ["embed", "--format", "dot"]]
 COMMANDS += [["realize", "--levels", str(n)] + strict
              for n in (5, 0, 9) for strict in ([], ["--strict-order"])]
+CENSUS_COMMANDS = [["check"], ["check", "--json"]]
 
 
 def inputs():
@@ -68,6 +74,13 @@ def main():
                 if command[0] == "realize":
                     argv += ["--out", str(out)]
                 print(f"{run(argv, out)}  {label}  {' '.join(command)}")
+        hashes = [hashlib.sha256() for _ in CENSUS_COMMANDS]
+        for names, edges, rel in census_inputs(4):
+            path.write_text(serialize(GraphFile(tuple(names), edges, rel)), encoding="utf-8")
+            for h, command in zip(hashes, CENSUS_COMMANDS):
+                h.update(run([command[0], str(path)] + command[1:], out).encode())
+        for h, command in zip(hashes, CENSUS_COMMANDS):
+            print(f"{h.hexdigest()}  census4  {' '.join(command)}")
     return 0
 
 

@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from .census import (
     format_graphs_census,
@@ -46,7 +45,8 @@ def _budget():
 
 def _load(path):
     try:
-        text = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DiskDiagramError(f"cannot read {path}: {exc.strerror}")
     return parse(text)
@@ -115,7 +115,8 @@ def cmd_realize(args):
         return _refuse("not realizable", exc)
     text = render_svg(f, levels=args.levels)
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise DiskDiagramError(f"cannot write {args.out}: {exc.strerror}")
     print(f"wrote {args.out}")

@@ -55,7 +55,10 @@ def find_cr_cycles(g, budget=DEFAULT_BUDGET):
     a subset of the paths the search of ``g`` walks, at each path vertex
     a subset of its edges.
     """
-    comparable = [e for e in g.edges if g.order.comparable(e.a, e.b)]
+    above, index = g.order.above, g.order.index
+    comparable = [
+        e for e in g.edges if (above[e[0]] >> index[e[1]] | above[e[1]] >> index[e[0]]) & 1
+    ]
     return enumerate_simple_cycles(g.vertices, comparable, budget=budget)
 
 

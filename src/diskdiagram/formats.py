@@ -11,17 +11,11 @@ and backslashes.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from itertools import chain
 
 from .errors import MalformedFile, UnknownId
-from .graph import PoGraph, build_graph
-
-
-# characters XML 1.0 cannot hold: C0 controls other than tab, newline
-# and carriage return, lone surrogates, U+FFFE and U+FFFF
-_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+from .graph import _NOT_XML, PoGraph, build_graph
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ edges counts as a simple cycle of length two.  Self-loops are rejected.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -14,6 +15,7 @@ from .errors import (
     BudgetExceeded,
     DegreeBelowTwo,
     DisconnectedGraph,
+    DiskDiagramError,
     InvariantViolation,
     NotAForest,
     SelfLoop,
@@ -22,6 +24,10 @@ from .errors import (
 from .orders import StrictPartialOrder
 
 DEFAULT_BUDGET = 10**6
+
+# characters XML 1.0 cannot hold: C0 controls other than tab, newline
+# and carriage return, lone surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class Edge(tuple):
@@ -63,14 +69,20 @@ class Edge(tuple):
 
 
 def make_edges(pairs):
-    """Assign keys to raw endpoint pairs, numbering parallel copies."""
+    """Assign keys to raw endpoint pairs, numbering parallel copies.
+
+    Raises SelfLoop for the first pair whose endpoints are equal.
+    """
     seen = {}
     out = []
+    new = tuple.__new__  # an Edge of sorted ends, without a call to Edge()
     for u, v in pairs:
-        ends = (u, v) if u <= v else (v, u)
+        if u == v:
+            raise SelfLoop(u)
+        ends = (u, v) if u < v else (v, u)
         k = seen.get(ends, 0)
         seen[ends] = k + 1
-        out.append(Edge(ends[0], ends[1], k))
+        out.append(new(Edge, (*ends, k)))
     return tuple(out)
 
 
@@ -95,12 +107,13 @@ class Cycle:
     edges: tuple
 
     def __post_init__(self):
-        n = len(self.vertices)
-        if n != len(self.edges) or n < 2:
+        vs, es = self.vertices, self.edges
+        n = len(vs)
+        if n != len(es) or n < 2:
             raise ValueError("cycle needs matching vertex and edge sequences, length >= 2")
-        for i, e in enumerate(self.edges):
-            u, v = self.vertices[i], self.vertices[(i + 1) % n]
-            if not (e.touches(u) and e.touches(v)):
+        # `Edge.touches` inlined: the cycle search builds every cycle here
+        for u, v, e in zip(vs, vs[1:] + vs[:1], es):
+            if not ((u == e[0] or u == e[1]) and (v == e[0] or v == e[1])):
                 raise ValueError(f"edge {e} does not join {u!r} and {v!r}")
 
     def __len__(self):
@@ -160,23 +173,37 @@ class PoGraph:
 def build_graph(vertices, edge_pairs, order_pairs):
     """Validate and assemble a PoGraph.
 
-    Checks, in this sequence: no self-loops, connectivity, minimum degree
-    two, and that the order generates no cycle.
+    Checks, in this sequence: ids that XML 1.0 can hold (as in
+    `formats.load_graph_file`), no self-loops, edge ends among the
+    vertices, connectivity, minimum degree two, and that the order
+    generates no cycle.
     """
-    vertices = frozenset(vertices)
+    names = sorted(set(vertices))
+    # one search in C over the joined names; the loop names the fault
+    if _NOT_XML.search("".join(names)):
+        v, bad = next((v, m) for v in names if (m := _NOT_XML.search(v)))
+        raise DiskDiagramError(
+            f"vertex id {v!r} holds U+{ord(bad.group()):04X}, not allowed in XML"
+        )
+    vertices = frozenset(names)
     edges = make_edges(edge_pairs)  # raises SelfLoop
-    for e in edges:
-        for x in (e.a, e.b):
-            if x not in vertices:
-                raise UnknownId(x, "edge list")
-    incident = adjacency(edges, sorted(vertices))
-    if vertices:
-        comp = _component(incident, min(vertices))
-        if comp != vertices:
+    incident = {v: [] for v in names}
+    try:
+        # sorted once, so each vertex's list comes out sorted
+        for e in sorted(edges):
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
+    except KeyError:
+        x = next(x for e in edges for x in e[:2] if x not in vertices)
+        raise UnknownId(x, "edge list") from None
+    incident = {v: tuple(es) for v, es in incident.items()}
+    if names:
+        comp = _component(incident, names[0])
+        if len(comp) != len(names):
             raise DisconnectedGraph(comp)
-    for v in sorted(vertices):
-        if len(incident[v]) < 2:
-            raise DegreeBelowTwo(v, len(incident[v]))
+    for v, es in incident.items():
+        if len(es) < 2:
+            raise DegreeBelowTwo(v, len(es))
     order = StrictPartialOrder.from_pairs(vertices, order_pairs)  # raises OrderCycle
     return PoGraph(vertices, edges, order, incident)
 
@@ -186,8 +213,8 @@ def _component(incident, start):
     stack = [start]
     while stack:
         v = stack.pop()
-        for e in incident[v]:
-            w = e.other(v)
+        for a, b, _ in incident[v]:
+            w = b if a == v else a
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -199,24 +226,37 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
 
     Works on raw vertex and edge collections so acyclic inputs (which
     PoGraph validation would refuse) can still be queried.  A pair of
-    parallel edges counts as one cycle of length two.  Raises
-    BudgetExceeded after ``budget`` search steps.
+    parallel edges counts as one cycle of length two.  Raises UnknownId
+    for an edge end outside ``vertices``, and BudgetExceeded after
+    ``budget`` search steps.
 
-    First the 2-core is peeled: a vertex with fewer than two live edges
-    lies on no cycle, so it is dropped, and the drop cascades.  When
-    every vertex left has exactly two live edges, the core is a union
-    of disjoint cycles; if one walk from its smallest vertex covers it,
-    that walk is the only cycle, listed from its smallest vertex towards
-    the smaller of its two neighbours, at one budget step per edge.
-    Otherwise the search runs from each start vertex in name order over
-    the 2-core of the vertices not yet searched, dropping each start
-    after its search.  Each search thus finds exactly the cycles whose
-    smallest vertex is its start, and never walks a path that cannot
-    close.
+    Each vertex lists its incident edges in sorted order, each with the
+    neighbour it leads to.  First the 2-core is peeled: a vertex with
+    fewer than two live edges lies on no cycle, so it is dropped, and
+    the drop cascades.  When every vertex left has exactly two live
+    edges, the core is a union of disjoint cycles; if one walk from its
+    smallest vertex covers it, that walk is the only cycle, listed from
+    its smallest vertex towards the smaller of its two neighbours, at
+    one budget step per edge.  Otherwise the search runs from each start
+    vertex in name order over the 2-core of the vertices not yet
+    searched, dropping each start after its search.  Each search thus
+    finds exactly the cycles whose smallest vertex is its start, and
+    never walks a path that cannot close.  A step is one incident edge
+    taken from the end of the current path; every list a search enters
+    is read to its end, so a vertex's steps are counted as it is
+    entered.
     """
     verts = sorted(set(vertices))
-    incident = adjacency(edges, verts)
-    live = {v: len(es) for v, es in incident.items()}
+    edges = sorted(edges)
+    nbrs = {v: [] for v in verts}  # v -> [(edge, neighbour)], edges sorted
+    try:
+        for e in edges:
+            a, b = e[0], e[1]
+            nbrs[a].append((e, b))
+            nbrs[b].append((e, a))
+    except KeyError as exc:
+        raise UnknownId(exc.args[0], "edge list") from None
+    live = {v: len(ps) for v, ps in nbrs.items()}
     alive = set(verts)
 
     def drop(v):
@@ -224,9 +264,7 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
         alive.discard(v)
         todo = [v]
         while todo:
-            u = todo.pop()
-            for e in incident[u]:
-                w = e.other(u)
+            for _, w in nbrs[todo.pop()]:
                 if w in alive:
                     live[w] -= 1
                     if live[w] < 2:
@@ -243,65 +281,59 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
         # towards the smaller neighbour, as the search would list it
         s = next(v for v in verts if v in alive)
         path_v, path_e = [s], []
-        v, e = s, next(e for e in incident[s] if e.other(s) in alive)
+        e, v = next(p for p in nbrs[s] if p[1] in alive)
         while True:
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(budget, "cycle enumeration")
             path_e.append(e)
-            v = e.other(v)
             if v == s:
                 break
             path_v.append(v)
-            e = next(f for f in incident[v] if f != e and f.other(v) in alive)
+            e, v = next(p for p in nbrs[v] if p[0] != e and p[1] in alive)
+        steps = len(path_e)
+        if steps > budget:
+            raise BudgetExceeded(budget, "cycle enumeration")
         if len(path_v) == len(alive):
             # the only cycle; a 2-cycle's edges come in key order
             return [Cycle(tuple(path_v), tuple(path_e))]
     cycles = []
-    # length-2 cycles: each unordered pair of parallel edges, keys ascending
-    by_ends = {}
-    for e in edges:
-        by_ends.setdefault((e.a, e.b), []).append(e)
-    for (a, b), group in sorted(by_ends.items()):
-        group.sort()
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                cycles.append(Cycle((a, b), (group[i], group[j])))
+    # length-2 cycles: each unordered pair of parallel edges, keys ascending;
+    # the sorted edges hold each group of parallel copies side by side
+    for i, e in enumerate(edges):
+        j = i + 1
+        while j < len(edges) and edges[j][1] == e[1] and edges[j][0] == e[0]:
+            cycles.append(Cycle(e[:2], (e, edges[j])))
+            j += 1
     # depth-first search with an explicit stack, one iterator over the
-    # incident edges per path vertex, so path length is not bounded by
+    # incident pairs per path vertex, so path length is not bounded by
     # the interpreter's recursion limit
     for s in verts:
         if s not in alive:
             continue
-        path_v, path_e, used_e, on_path = [s], [], set(), {s}
-        stack = [iter(incident[s])]
+        path_v, path_e, on_path = [s], [], {s}
+        steps += len(nbrs[s])
+        if steps > budget:
+            raise BudgetExceeded(budget, "cycle enumeration")
+        stack = [iter(nbrs[s])]
         while stack:
-            e = next(stack[-1], None)
-            if e is None:
+            for e, w in stack[-1]:
+                # no set of used edges is needed: the edge the path came
+                # in by leads back onto the path, so it is never taken
+                if w not in on_path:
+                    if w in alive:
+                        path_v.append(w)
+                        path_e.append(e)
+                        on_path.add(w)
+                        steps += len(nbrs[w])
+                        if steps > budget:
+                            raise BudgetExceeded(budget, "cycle enumeration")
+                        stack.append(iter(nbrs[w]))
+                        break
+                elif w == s and len(path_v) >= 3 and path_v[1] < path_v[-1]:
+                    cycles.append(Cycle(tuple(path_v), (*path_e, e)))
+            else:
                 stack.pop()
                 if path_e:
-                    used_e.discard(path_e.pop())
+                    path_e.pop()
                     on_path.discard(path_v.pop())
-                continue
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(budget, "cycle enumeration")
-            if e in used_e:
-                continue
-            w = e.other(path_v[-1])
-            if w not in alive:
-                continue
-            if w == s:
-                if len(path_v) >= 3 and path_v[1] < path_v[-1]:
-                    cycles.append(Cycle(tuple(path_v), tuple(path_e) + (e,)))
-                continue
-            if w in on_path:
-                continue
-            path_v.append(w)
-            path_e.append(e)
-            used_e.add(e)
-            on_path.add(w)
-            stack.append(iter(incident[w]))
         drop(s)
     # the search already yields one representative per rotation/reflection
     # class: paths start at the smallest cycle vertex, direction fixed by

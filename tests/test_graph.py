@@ -116,6 +116,14 @@ class TestCycleType:
         assert c1 == c2 == c3
         assert len({c1, c2, c3}) == 1
 
+    def test_edges_must_join_consecutive_vertices(self):
+        ab, bc, ca = Edge("a", "b"), Edge("b", "c"), Edge("c", "a")
+        assert len(Cycle(("a", "b", "c"), (ab, bc, ca))) == 3
+        with pytest.raises(ValueError, match=r"edge b-c does not join 'c' and 'a'"):
+            Cycle(("a", "b", "c"), (ab, bc, bc))
+        with pytest.raises(ValueError, match="matching vertex and edge sequences"):
+            Cycle(("a", "b", "c"), (ab, bc))
+
     @given(st.integers(3, 8), st.integers(0, 7), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_canonical_invariant(self, n, shift, flip):
@@ -204,6 +212,12 @@ class TestSimpleCycles:
                 unpruned_cycles(names, es)
             )
 
+    def test_edge_end_outside_vertices_rejected(self):
+        es = make_edges([("a", "b"), ("a", "x"), ("b", "x")])
+        with pytest.raises(UnknownId) as info:
+            enumerate_simple_cycles(["a", "b"], es)
+        assert (info.value.ident, info.value.where) == ("x", "edge list")
+
     def test_long_ring_searched_once(self):
         # each start searches only the 2-core of the vertices not yet
         # searched; after the first start of a ring nothing is left, so the
@@ -286,6 +300,40 @@ class TestTwoCoreWalk:
             found = self.check(names, pairs)
             walked += len(found) == 1
         assert walked > 100
+
+
+class TestSearchSteps:
+    """The budget a search needs is its step count: one incident edge
+    taken from the end of the current path, or one edge on the 2-core
+    walk.  Each graph here has a 2-core that is not one ring, so it is
+    searched path by path; the numbers are the smallest budgets that
+    do not raise."""
+
+    NEEDED = [354, 24, 29, 483, 18, 307, 51, 26, 74, 29, 221, 148, 32]
+
+    @staticmethod
+    def searched():
+        g = build("G3")
+        yield sorted(g.vertices), g.edges
+        rng = random.Random(26)
+        kept = 0
+        while kept < 12:
+            n = rng.randrange(4, 9)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            es = make_edges(tuple(rng.sample(names, 2)) for _ in range(rng.randrange(n, 2 * n)))
+            # a core that is one ring holds one cycle
+            if len(enumerate_simple_cycles(names, es)) >= 2:
+                kept += 1
+                yield names, es
+
+    def test_smallest_budgets_pinned(self):
+        cases = list(self.searched())
+        assert len(cases) == len(self.NEEDED)
+        for (names, es), need in zip(cases, self.NEEDED):
+            assert enumerate_simple_cycles(names, es, budget=need)
+            with pytest.raises(BudgetExceeded):
+                enumerate_simple_cycles(names, es, budget=need - 1)
 
 
 class TestDecompose:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import random
@@ -19,7 +20,7 @@ import references
 from diskdiagram import cli, formats
 from diskdiagram.cli import main
 from diskdiagram.conditions import is_delta_graph
-from diskdiagram.errors import MalformedFile, UnknownId
+from diskdiagram.errors import DiskDiagramError, MalformedFile, UnknownId
 from diskdiagram.families import build_instance, ladder_spec
 from diskdiagram.fixtures import FIXTURES, build
 from diskdiagram.formats import (
@@ -301,8 +302,11 @@ class TestCliCheck:
         assert "embedding" not in docd
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
-        assert main(["check", str(tmp_path / "absent.json")]) == 2
-        assert "error:" in capsys.readouterr().err
+        for path, code in ((tmp_path / "absent.json", errno.ENOENT), (tmp_path, errno.EISDIR)):
+            assert main(["check", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot read {path}: {os.strerror(code)}\n"
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -323,6 +327,29 @@ class TestCliCheck:
         assert main(["realize", str(p), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_library_refuses_ids_xml_cannot_hold(self):
+        """`build_graph` refuses the ids files refuse, so G1 with such an
+        id never reaches `render_svg`; the ids it keeps render as XML."""
+
+        def g1_with(name):
+            vs, es, order = FIXTURES["G1"]()
+            ren = {"a": name}.get
+            return build_graph(
+                [ren(v, v) for v in vs],
+                [(ren(u, u), ren(v, v)) for u, v in es],
+                [(ren(u, u), ren(v, v)) for u, v in order],
+            )
+
+        for ch in ("\x01", "\x1f", "\ud800", "\ufffe", "\uffff"):
+            with pytest.raises(DiskDiagramError) as info:
+                g1_with("a" + ch)
+            assert str(info.value) == (
+                f"vertex id {'a' + ch!r} holds U+{ord(ch):04X}, not allowed in XML"
+            )
+        root = ET.fromstring(render_svg(realize(g1_with("a\t<b\n"))))
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert any(label.startswith("a\t<b\n=") for label in labels)
 
     def test_cycle_named_under_every_hash_seed(self, tmp_path):
         p = tmp_path / "cyclic.json"
