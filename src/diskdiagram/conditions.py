@@ -214,7 +214,7 @@ def check_S2(dec):
     """
     witnesses = []
     for t in dec.trees:
-        ok, counts = _run_counts(t._adjacency, dec.ring(t), t.edges)
+        ok, counts = _run_counts(dec._beyond_masks[t.index], len(dec.ring(t)), t.edges)
         if not ok:
             bad = sorted((e for e, c in counts.items() if c != 2), key=repr)
             witnesses.append(

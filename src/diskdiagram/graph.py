@@ -18,6 +18,7 @@ from .errors import (
     DiskDiagramError,
     InvariantViolation,
     NotAForest,
+    NotInTree,
     SelfLoop,
     UnknownId,
 )
@@ -204,7 +205,7 @@ def build_graph(vertices, edge_pairs, order_pairs):
     for v, es in incident.items():
         if len(es) < 2:
             raise DegreeBelowTwo(v, len(es))
-    order = StrictPartialOrder.from_pairs(vertices, order_pairs)  # raises OrderCycle
+    order = StrictPartialOrder._from_sorted(tuple(names), order_pairs)  # raises OrderCycle
     return PoGraph(vertices, edges, order, incident)
 
 
@@ -359,6 +360,38 @@ class TreeComponent:
         return self._adjacency.get(v, ())
 
 
+def _beyond(adj, ring):
+    """Ring vertices past every dart of a tree, as bitmasks.
+
+    Bit i stands for ``ring[i]``.  One walk from ``ring[0]`` sums each
+    vertex's subtree into a mask; the dart ``(v, e)`` from a vertex to
+    its child gets the child's mask, and the dart back gets the rest of
+    the ring.  Raises NotInTree for a vertex of ``adj`` the walk does
+    not reach, the first such ring vertex if there is one.
+    """
+    full = (1 << len(ring)) - 1
+    mask = {v: 1 << i for i, v in enumerate(ring)}
+    parent = dict.fromkeys(ring[:1])
+    order = list(ring[:1])
+    for v in order:
+        for e in adj[v]:
+            w = e.other(v)
+            if w not in parent:
+                parent[w] = e
+                order.append(w)
+    if len(order) < len(adj):
+        raise NotInTree(next(v for v in (*ring, *adj) if v not in parent))
+    out = {}
+    for w in reversed(order[1:]):
+        e = parent[w]
+        v = e.other(w)
+        m = mask.get(w, 0)
+        mask[v] = mask.get(v, 0) | m
+        out[v, e] = m
+        out[w, e] = full ^ m
+    return out
+
+
 @dataclass(frozen=True)
 class Decomposition:
     graph: PoGraph
@@ -386,6 +419,11 @@ class Decomposition:
             if t is not None:
                 rings[t.index].append(v)
         return {i: tuple(ring) for i, ring in rings.items()}
+
+    @cached_property
+    def _beyond_masks(self):
+        """Tree index -> the `_beyond` masks of the tree's ring."""
+        return {t.index: _beyond(t._adjacency, self.ring(t)) for t in self.trees}
 
     def tree_of(self, v):
         """The unique tree containing v, or None."""

@@ -153,7 +153,13 @@ class StrictPartialOrder:
         partial order with no further check.  The index lists of the
         pairs become ``succ``.
         """
-        elements = tuple(sorted(set(carrier)))
+        return cls._from_sorted(tuple(sorted(set(carrier))), pairs)
+
+    @classmethod
+    def _from_sorted(cls, elements, pairs):
+        """`from_pairs` on a carrier already given as a sorted tuple with no
+        repeats, such as `graph.build_graph`'s; the element-to-bit map
+        built here becomes ``index``."""
         index = {v: i for i, v in enumerate(elements)}
         succ = [[] for _ in elements]
         for a, b in pairs:
@@ -162,7 +168,9 @@ class StrictPartialOrder:
             except KeyError:
                 raise NotInCarrier(a if a not in index else b) from None
         reach = _closure(succ, elements)
-        return cls(elements, dict(zip(elements, reach)), succ)
+        order = cls(elements, dict(zip(elements, reach)), succ)
+        order.__dict__["index"] = index  # what the cached property would build
+        return order
 
     @cached_property
     def index(self):

@@ -13,8 +13,9 @@ per-tree criterion `_run_counts` and the interleaving test
 `separation_ok`.  An accepted graph's rotation system and faces come
 from `build_embedding`.  This module reads no condition.
 
-The criterion and `build_embedding` read one walk per tree, `_beyond`,
-which gives every dart the ring vertices lying past it as a bitmask.  A
+The criterion and `build_embedding` read one walk per tree,
+`graph._beyond`, which gives every dart the ring vertices lying past it
+as a bitmask; a decomposition keeps each tree's masks.  A
 tree edge lies on the path between two circularly adjacent ring
 vertices exactly when it separates them, so the number of such paths
 through it is twice the number of circular runs that the ring vertices
@@ -38,7 +39,7 @@ from .errors import (
     NotPlanar,
     TerminalNotInVstar,
 )
-from .graph import DEFAULT_BUDGET, adjacency
+from .graph import DEFAULT_BUDGET, _beyond, adjacency
 
 
 def _validate_tree_input(edges, ring):
@@ -53,38 +54,6 @@ def _validate_tree_input(edges, ring):
         if len(es) == 1 and v not in marked:
             raise TerminalNotInVstar(v)
     return adj
-
-
-def _beyond(adj, ring):
-    """Ring vertices past every dart of a tree, as bitmasks.
-
-    Bit i stands for ``ring[i]``.  One walk from ``ring[0]`` sums each
-    vertex's subtree into a mask; the dart ``(v, e)`` from a vertex to
-    its child gets the child's mask, and the dart back gets the rest of
-    the ring.  Raises NotInTree for a vertex of ``adj`` the walk does
-    not reach, the first such ring vertex if there is one.
-    """
-    full = (1 << len(ring)) - 1
-    mask = {v: 1 << i for i, v in enumerate(ring)}
-    parent = dict.fromkeys(ring[:1])
-    order = list(ring[:1])
-    for v in order:
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in parent:
-                parent[w] = e
-                order.append(w)
-    if len(order) < len(adj):
-        raise NotInTree(next(v for v in (*ring, *adj) if v not in parent))
-    out = {}
-    for w in reversed(order[1:]):
-        e = parent[w]
-        v = e.other(w)
-        m = mask.get(w, 0)
-        mask[v] = mask.get(v, 0) | m
-        out[v, e] = m
-        out[w, e] = full ^ m
-    return out
 
 
 def _run_starts(m, k):
@@ -106,13 +75,12 @@ def tree_is_disk_planar(edges, ring):
     """
     edges = list(edges)
     ring = tuple(ring)
-    return _run_counts(_validate_tree_input(edges, ring), ring, edges)
+    return _run_counts(_beyond(_validate_tree_input(edges, ring), ring), len(ring), edges)
 
 
-def _run_counts(adj, ring, edges):
-    """`tree_is_disk_planar` on a checked adjacency, such as a decomposed tree's."""
-    beyond = _beyond(adj, ring)
-    k = len(ring)
+def _run_counts(beyond, k, edges):
+    """`tree_is_disk_planar` from the `_beyond` masks of a ring of ``k``
+    vertices, such as a decomposed tree's."""
     counts = {e: 2 * _run_starts(beyond.get((e.a, e), 0), k).bit_count() for e in edges}
     return all(c == 2 for c in counts.values()), counts
 
@@ -368,7 +336,7 @@ def build_embedding(dec):
     """
     g, gamma = dec.graph, dec.gamma
     n = len(gamma.vertices)
-    beyond = {t.index: _beyond(t._adjacency, dec.ring(t)) for t in dec.trees}
+    beyond = dec._beyond_masks
     rotation = {}
     for i, v in enumerate(gamma.vertices):
         e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]

@@ -3,10 +3,12 @@
 This is the witness layer, the only one that needs numpy; the level
 heights come from `orders.assign_heights`.  The pipeline: place the
 boundary cycle on the unit circle and solve for interior tree
-positions; then extend the heights continuously over every face.  An
-inner face is either a one-arc face (one boundary extremum between two
-visits of a single tree) or a two-arc face (a band between two levels);
-one function checks both shapes.  `extend_to_faces` builds every face's
+positions; then extend the heights continuously over every face.  One
+read-only table of rim samples per boundary size (`_rim_points`) gives
+both the boundary vertices and the sampled arcs.  An inner face is
+either a one-arc face (one boundary extremum between two visits of a
+single tree) or a two-arc face (a band between two levels); one
+function checks both shapes.  `extend_to_faces` builds every face's
 polygon in one pass — circle arcs sampled with heights interpolated
 between their end vertices, tree paths at their tree's level — and,
 since the placement makes every face strictly convex, cuts each polygon
@@ -14,18 +16,25 @@ into the fan of triangles from its first rim sample; the function is
 linear on each triangle, so it agrees with the vertex heights, is
 constant on every tree, stays between the face's two defining levels,
 and is flat on no triangle.  One stack holds every face's points,
-values and triangles, and an id per point names the vertex drawn there.
-The same triangles give every level set exactly, with no sampling grid:
-in each face whose values lie on both sides of a level, `level_sets`
-reads the level's curve segment by segment from the fan rows it
-crosses, in fan order.  `sign_census` audits the drawn values: around
-every tree vertex, the faces' values off the tree's level must lie on
-alternating sides of it.
+values and triangles, and an id per point names the vertex drawn there;
+one pass over the stack (`_fan_faults`) gives the fan rows, in rows of
+the stack, and the convexity test.  The same triangles give every level
+set exactly, with no sampling grid: in each face whose values lie on
+both sides of a level, `_level_polylines` reads the level's curve
+segment by segment from the fan rows it crosses, in fan order, all
+levels in one pass.  Its polylines stay arrays for `svg.render_svg`;
+`level_sets` gives them as lists of points.  `sign_census` audits the
+drawn values: around every tree vertex, the faces' values off the
+tree's level must lie on alternating sides of it.  Rows of the stacked
+(N, 2) arrays are gathered with `np.take(a, rows, axis=0)`, which runs
+several times faster than ``a[rows]`` at a few hundred rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -154,9 +163,8 @@ def _certify_drawing(emb, coords):
         return True
     sizes = [len(w) for w in walks]
     p = np.array([coords[u] for w in walks for u, _ in w])
-    _, bad = _fan_faults(p, sizes)
-    _, prv, nxt = _rings(sizes)
-    u1, u2 = p[prv] - p, p[nxt] - p
+    _, bad, (prv, nxt) = _fan_faults(p, sizes)
+    u1, u2 = np.take(p, prv, axis=0) - p, np.take(p, nxt, axis=0) - p
     cross = np.abs(_cross_rows(u1, u2))
     spike = (cross <= 1e-12) & ((u1 * u2).sum(axis=1) > 0)
     near = cross <= SNAP * np.hypot(*(u2 - u1).T)
@@ -171,7 +179,7 @@ def assign_coords(emb):
     """
     dec = emb.decomposition
     gamma = dec.gamma.vertices
-    coords = dict(zip(gamma, _rim_points(len(gamma), 1)))
+    coords = dict(zip(gamma, _rim_points(len(gamma))[::SAMPLES_PER_BOUNDARY_EDGE]))
     for t in dec.trees:
         coords.update(_solve_tree_positions(t, coords))
     if not _certify_drawing(emb, coords):
@@ -236,33 +244,28 @@ def _check_face(face, g, heights):
         raise EqualLevels(face.index, levels[0])
 
 
-def _rim_points(n, k):
-    """The rim samples of a boundary of ``n`` vertices, ``k`` per edge.
+@lru_cache(maxsize=32)
+def _rim_points(n):
+    """The rim samples of a boundary of ``n`` vertices, read-only.
 
-    Row ``k * i + s`` is sample s of the edge from the i-th boundary
-    vertex to the next, at the fraction ``s / k`` of the edge's arc:
-    sample 0 is the vertex itself, and the end vertex is sample 0 of the
-    next edge.  So ``k = 1`` places the boundary vertices, and every
-    ``k`` puts them at the same bits.
+    With ``k = SAMPLES_PER_BOUNDARY_EDGE``, row ``k * i + s`` is sample s
+    of the edge from the i-th boundary vertex to the next, at the
+    fraction ``s / k`` of the edge's arc: sample 0 is the vertex itself,
+    at the angle `_rim_angle` gives it plus 0.0, and the end vertex is
+    sample 0 of the next edge.  So the rows ``[::k]`` place the boundary
+    vertices.  One table is kept per boundary size of the last few
+    drawn, since the same sizes recur within a process.
     """
+    k = SAMPLES_PER_BOUNDARY_EDGE
     th = _rim_angle(np.arange(n), n)[:, None] + np.arange(k) / k * (2 * math.pi / n)
     th = th.ravel().tolist()
+    table = np.empty((len(th), 2))
     # math's cos and sin, which the drawing has always used; numpy's
     # vectorized ones may round differently
-    return np.array([[math.cos(a) for a in th], [math.sin(a) for a in th]]).T
-
-
-def _rings(sizes):
-    """Per point of polygons stacked by ``sizes``: its polygon, and the
-    rows of the previous and the next point around that polygon."""
-    sizes = np.asarray(sizes)
-    ends = np.cumsum(sizes)
-    firsts = ends - sizes
-    at = np.arange(ends[-1])
-    prv, nxt = at - 1, at + 1
-    prv[firsts] = ends - 1
-    nxt[ends - 1] = firsts
-    return np.repeat(np.arange(len(sizes)), sizes), prv, nxt
+    table[:, 0] = np.fromiter(map(math.cos, th), float, len(th))
+    table[:, 1] = np.fromiter(map(math.sin, th), float, len(th))
+    table.flags.writeable = False
+    return table
 
 
 def _flat(u, v):
@@ -272,13 +275,16 @@ def _flat(u, v):
 
 
 def _fan_faults(points, sizes):
-    """Fan triangles of polygons stacked in ``points``, and which are not convex.
+    """Fan triangles of polygons stacked in ``points``, which are not convex,
+    and the rings of the stack.
 
-    Polygon j holds the next ``sizes[j]`` points.  It is strictly convex
-    and counterclockwise when no corner and no fan triangle's corner at
-    point 1 is `_flat`, and its edge directions cross the direction of +x
-    once (left turns alone allow a polygon that winds twice); ``bad[j]``
-    is True otherwise.
+    Polygon j holds the next ``sizes[j]`` points, at least three; the
+    rings ``(prv, nxt)`` give each point's previous and next row around
+    its polygon.
+    It is strictly convex and counterclockwise when no corner and no fan
+    triangle's corner at point 1 is `_flat`, and its edge directions
+    cross the direction of +x once (left turns alone allow a polygon
+    that winds twice); ``bad[j]`` is True otherwise.
 
     The bound.  `_certify_drawing`'s Floater argument needs only the sign
     of each corner and fan triangle.  A cross product is
@@ -289,37 +295,51 @@ def _fan_faults(points, sizes):
     coordinates turns an edge of length L by about 2.2e-16 / L, which
     stays below a rim turn's sine d while d**2 > 4.4e-16 (n up to 1.9e7).
 
-    Polygon j of m points gets the fan from point 1, in the rows
-    ``(1, k, (k + 1) % m)`` for ``k = 2 .. m - 1``, indexed within their
-    polygon.  A face polygon of `extend_to_faces` starts with a boundary
-    edge, so point 1 is that edge's first rim sample after its start
-    vertex: never a graph vertex, and valued strictly between the edge's
-    two end heights.  So no fan triangle is flat, and every diagonal
-    leaves a rim sample; none joins two vertices of a tree.
+    Polygon j gets the fan from its point 1: every point r from its
+    third on gives the row ``(first + 1, r, next(r))`` of the stack,
+    where ``first`` is the polygon's first row and ``next(r)`` the point
+    after r around the polygon.  A face polygon of `extend_to_faces`
+    starts with a boundary edge, so point 1 is that edge's first rim
+    sample after its start vertex: never a graph vertex, and valued
+    strictly between the edge's two end heights.  So no fan triangle is
+    flat, and every diagonal leaves a rim sample; none joins two
+    vertices of a tree.
     """
     sizes = np.asarray(sizes)
-    owner, prv, nxt = _rings(sizes)
-    edge = points[nxt] - points  # the edge leaving each point
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    prv, nxt = np.arange(-1, ends[-1] - 1), np.arange(1, ends[-1] + 1)
+    prv[firsts] = ends - 1
+    nxt[ends - 1] = firsts
+    tri_owner = np.repeat(np.arange(len(sizes)), sizes - 2)
+    # polygon j's fan rows start 2 j rows before its points, and its
+    # row for point r is the one 2 j + 2 rows before r
+    tri_firsts = firsts - 2 * np.arange(len(sizes))
+    rows = np.empty((len(tri_owner), 3), dtype=int)
+    rows[:, 0] = firsts[tri_owner] + 1
+    rows[:, 1] = np.arange(len(tri_owner)) + 2 * tri_owner + 2
+    rows[:, 2] = nxt[rows[:, 1]]
+    edge = np.take(points, nxt, axis=0) - points  # the edge leaving each point
     upward = (edge[:, 1] < 0) & (edge[nxt, 1] >= 0)
-    rows = sizes - 2
-    tri_owner = np.repeat(np.arange(len(sizes)), rows)
-    k = np.arange(len(tri_owner)) - (np.cumsum(rows) - rows)[tri_owner] + 2
-    local = np.stack([np.ones_like(k), k, (k + 1) % sizes[tri_owner]], axis=1)
-    base = (np.cumsum(sizes) - sizes)[tri_owner]
-    a, b, c = (points[local[:, i] + base] for i in range(3))
-    bad = np.bincount(owner[upward], minlength=len(sizes)) != 1
-    bad[owner[_flat(edge[prv], edge)]] = True
-    bad[tri_owner[_flat(b - a, c - a)]] = True
-    return local, bad
+    bad = np.add.reduceat(upward, firsts, dtype=int) != 1
+    # every corner, then every fan row's corner at point 1, in one test
+    apex = np.take(points, rows[:, 0], axis=0)
+    u = np.concatenate([np.take(edge, prv, axis=0), np.take(points, rows[:, 1], axis=0) - apex])
+    v = np.concatenate([edge, np.take(points, rows[:, 2], axis=0) - apex])
+    del edge, apex  # freed before the test's temporaries, a million rows at ladder d = 8
+    flat = _flat(u, v)
+    bad |= np.logical_or.reduceat(flat[: len(points)], firsts)
+    bad |= np.logical_or.reduceat(flat[len(points) :], tri_firsts)
+    return rows, bad, (prv, nxt)
 
 
 def _convex_fans(points, sizes, names):
     """`_fan_faults`' fan rows; DegenerateDrawing names the first polygon
     that is not strictly convex by ``names[j]``."""
-    local, bad = _fan_faults(points, sizes)
+    rows, bad, _ = _fan_faults(points, sizes)
     if bad.any():
         raise DegenerateDrawing(f"face {names[int(np.argmax(bad))]} is not strictly convex")
-    return local
+    return rows
 
 
 def extend_to_faces(emb, heights):
@@ -355,12 +375,13 @@ def extend_to_faces(emb, heights):
     n = len(gamma.vertices)
     k = SAMPLES_PER_BOUNDARY_EDGE
     names, index = g.order.elements, g.order.index
-    table_pts = np.concatenate([_rim_points(n, k), np.array([emb.coords[v] for v in names])])
+    table_pts = np.concatenate([_rim_points(n), np.array([emb.coords[v] for v in names])])
     # rim values, linear along each boundary edge, then the vertex heights
     t = np.arange(k) / k
-    h = [heights.value[v] for v in gamma.vertices]
-    rim = (1 - t) * np.array(h)[:, None] + t * np.array(h[1:] + h[:1])[:, None]
-    table_vals = np.concatenate([rim.ravel(), [heights.value[v] for v in names]])
+    h = np.array([heights.value[v] for v in gamma.vertices])[:, None]
+    table_vals = np.concatenate(
+        [((1 - t) * h + t * np.roll(h, -1)).ravel(), [heights.value[v] for v in names]]
+    )
     faces = [f for f in emb.faces if not f.is_outer]
     starts, counts, drawn, sizes = [], [], [], []
     for face in faces:
@@ -380,11 +401,11 @@ def extend_to_faces(emb, heights):
     counts = np.array(counts)
     firsts = np.cumsum(counts) - counts  # each dart's first point
     take = np.repeat(np.array(starts) - firsts, counts) + np.arange(firsts[-1] + counts[-1])
-    points, values = table_pts[take], table_vals[take]
-    local = _convex_fans(points, sizes, [f.index for f in faces])
-    ids = np.arange(len(names), len(names) + len(take))
+    points, values = np.take(table_pts, take, axis=0), table_vals[take]
+    del take  # freed before the fan test, whose peak sets the memory at size
+    triangles = _convex_fans(points, sizes, [f.index for f in faces])
+    ids = np.arange(len(names), len(names) + len(points))
     ids[firsts] = [index[u] for u in drawn]
-    triangles = local + np.repeat(np.cumsum(sizes) - sizes, np.array(sizes) - 2)[:, None]
     ends = [(index[e.a], index[e.b]) for t in dec.trees for e in sorted(t.edges)]
     return DiskFunction(
         emb, heights, points, values, triangles, ids, tuple(f.index for f in faces),
@@ -461,7 +482,7 @@ class DiskFunction:
         h = np.array([self.heights.value[v] for v in gamma])
         h0, h1 = h[i], h[(i + 1) % n]
         sample = np.minimum(np.floor(t * k), k - 1).astype(int)
-        rim_xy = _rim_points(n, k)
+        rim_xy = _rim_points(n)
         a = rim_xy[k * i + sample]
         e = rim_xy[(k * i + sample + 1) % (k * n)] - a
         r = np.hypot(pts[:, 0], pts[:, 1])
@@ -590,17 +611,18 @@ def realize(g, mode="default", seed=None, budget=DEFAULT_BUDGET):
 
 
 def _stitch(edges, xy):
-    """Join tree edges into maximal polylines, sorted by first point.
+    """Join tree edges into maximal walks, sorted by first point.
 
     Each edge is a pair of vertex rows, two edges join where they share
-    a vertex, and a polyline lists the positions ``xy`` of its vertices.
+    a vertex, and a walk lists the rows of its vertices; walks are
+    sorted by the position ``xy[v]`` of their first vertex v.
     """
     at = {}
     for i, (a, b) in enumerate(edges):
         at.setdefault(a, []).append(i)
         at.setdefault(b, []).append(i)
     used = [False] * len(edges)
-    polylines = []
+    walks = []
     for start, (a, b) in enumerate(edges):
         if used[start]:
             continue
@@ -614,9 +636,9 @@ def _stitch(edges, xy):
                 used[i] = True
                 qa, qb = edges[i]
                 tail.append(qb if qa == tail[-1] else qa)
-        polylines.append([xy[v] for v in backward[::-1] + forward])
-    polylines.sort(key=lambda ch: ch[0])
-    return polylines
+        walks.append(backward[::-1] + forward)
+    walks.sort(key=lambda walk: xy[walk[0]])
+    return walks
 
 
 def _face_ranges(f):
@@ -628,31 +650,39 @@ def _face_ranges(f):
 def _crossings(f, c, a, b):
     """Points where levels `c` cross the triangle edges (a, b).
 
-    Row i is level ``c[i]`` on the edge between point rows ``a[i]`` and
-    ``b[i]``, whose values lie on opposite sides of it.  The point is
-    interpolated from the lower row, so the two triangles sharing an edge
-    get bit-identical points; an end whose value equals the level is
-    taken exactly.
+    Entry i is level ``c[i]`` on the edge between point rows ``a[i]``
+    and ``b[i]``, whose values lie on opposite sides of it; the three
+    broadcast together, and the points gain a last axis of x and y.  The
+    point is interpolated from the lower row, so the two triangles
+    sharing an edge get bit-identical points; an end whose value equals
+    the level is taken exactly, the higher row where both do.
     """
-    p, v = f.points, f.values
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    t = (c - v[lo]) / (v[hi] - v[lo])
-    pts = p[lo] + t[:, None] * (p[hi] - p[lo])
-    pts = np.where((v[lo] == c)[:, None], p[lo], pts)
-    return np.where((v[hi] == c)[:, None], p[hi], pts)
+    p_lo, p_hi = np.take(f.points, lo, axis=0), np.take(f.points, hi, axis=0)
+    v_lo, v_hi = f.values[lo], f.values[hi]
+    pts = p_lo + ((c - v_lo) / (v_hi - v_lo))[..., None] * (p_hi - p_lo)
+    pts = np.where((v_lo == c)[..., None], p_lo, pts)
+    return np.where((v_hi == c)[..., None], p_hi, pts)
 
 
-def level_sets(f, values):
-    """Polylines of every level {f = c} for c in `values`, exactly.
+# row k: the corners of a triangle from its corner k on, in turn
+_FROM_CORNER = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
-    The witness is linear on each triangle, so {f = c} is one segment
-    per triangle whose vertices lie on both sides of `c` (a vertex at
-    exactly `c` counts as below), between the crossings of the two edges
-    at the vertex alone on its side.  One broadcast over (level,
-    triangle) finds them, in the faces whose values lie strictly on both
-    sides of `c` only: a face's tree paths hold its lowest or highest
-    value, so the face's curve meets no tree path and runs from rim to
-    rim.  Every tree at level `c` is drawn first, from its edges.
+
+def _level_polylines(f, values):
+    """Polylines of every level {f = c} for c in `values`, exactly, as arrays.
+
+    Level i gets a list of (m, 2) arrays: every tree at level `c` first,
+    walked along its edges (`_stitch`), then the curves through the
+    faces, sorted by first point.  The witness is linear on each
+    triangle, so {f = c} is one segment per triangle whose vertices lie
+    on both sides of `c` (a vertex at exactly `c` counts as below),
+    between the crossings of the two edges at the vertex alone on its
+    side.  One broadcast over (level, triangle) finds them, in the faces
+    whose values lie strictly on both sides of `c` only: a face's tree
+    paths hold its lowest or highest value, so the face's curve meets no
+    tree path and runs from rim to rim.  One `_crossings` call cuts both
+    edges of every such triangle.
 
     A face's curve is read in fan order.  The rows ``(1, k, k + 1)`` it
     crosses follow each other, and each shares its crossing of the
@@ -660,51 +690,73 @@ def level_sets(f, values):
     on the edge that comes first in the order ``(1, k)``, ``(k, k + 1)``,
     ``(1, k + 1)``; rows whose two crossings coincide are dropped.  The
     curve is the first row's entry, then every row's exit, reversed
-    unless that row's lone vertex is the apex 1; each level's curves are
-    sorted by first point.
+    unless that row's lone vertex is the apex 1.
+    """
+    cs = np.asarray(values, dtype=float)[:, None]
+    tris = f.triangles
+    sizes = np.asarray(f.face_sizes)
+    face = np.repeat(np.arange(len(sizes)), sizes - 2)
+    v0, v1, v2 = f.values[tris.T]
+    # below c and above it, with the face's lowest value strictly below;
+    # a triangle's highest value is at most its face's
+    low_face = _face_ranges(f)[0][face]
+    low, high = np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2)
+    level, hit = np.nonzero((low_face < cs) & (low <= cs) & (cs < high))
+    c = cs[level]
+    s0, s1, s2 = v0[hit] > c[:, 0], v1[hit] > c[:, 0], v2[hit] > c[:, 0]
+    # the vertex alone on its side of c; the level crosses its two edges
+    k = np.where(s1 == s2, 0, np.where(s0 == s2, 1, 2))
+    corners = tris.ravel()[3 * hit[:, None] + _FROM_CORNER.take(k, axis=0)]
+    ends = _crossings(f, c, corners[:, :1], corners[:, 1:])  # each row's pa, pb
+    pa, pb = ends[:, 0], ends[:, 1]
+    kept = np.flatnonzero((pa[:, 0] != pb[:, 0]) | (pa[:, 1] != pb[:, 1]))
+    level, apex = level[kept], k[kept] == 0
+    key = level * len(sizes) + face[hit[kept]]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    # curve r, rows lo[r]:hi[r] of `points`, is its first row's entry
+    # (pa at the apex, else pb) and then every row's exit (the other)
+    lo = starts + np.arange(len(starts))
+    src = np.empty(len(key) + len(starts), dtype=int)
+    src[np.arange(len(key)) + np.cumsum(new)] = 2 * kept + apex
+    src[lo] = 2 * kept[starts] + 1 - apex[starts]
+    points = np.take(ends.reshape(-1, 2), src, axis=0)
+    hi = np.append(lo[1:], len(points))
+    forward = apex[starts]
+    first = np.take(points, np.where(forward, lo, hi - 1), axis=0)
+    order = np.lexsort((first[:, 1], first[:, 0], level[starts]))
+    out = [[] for _ in cs]
+    trees = f.decomposition.trees
+    rows = list(accumulate((len(t.edges) for t in trees), initial=0))
+    # a tree's level, read at one of its vertices: `_check_face` holds
+    # every tree path at one level
+    tree_levels = f.vertex_values[f.tree_ends[rows[:-1], 0]]
+    xy = None
+    for i, j in zip(*np.nonzero(np.abs(tree_levels - cs) <= SNAP)):
+        xy = xy or f.vertex_xy.tolist()
+        edges = f.tree_ends[rows[j] : rows[j + 1]].tolist()
+        out[i] += [np.take(f.vertex_xy, walk, axis=0) for walk in _stitch(edges, xy)]
+    curves = list(zip(level[starts].tolist(), lo.tolist(), hi.tolist(), forward.tolist()))
+    for r in order.tolist():
+        i, a, b, fwd = curves[r]
+        out[i].append(points[a:b] if fwd else points[a:b][::-1])
+    return out
+
+
+def level_sets(f, values):
+    """Polylines of every level {f = c} for c in `values`, exactly.
+
+    A polyline is a list of ``(x, y)`` tuples; each level lists its
+    trees' polylines, then the curves through the faces sorted by first
+    point (see `_level_polylines`).
     """
     cs = np.asarray(values, dtype=float)
     if cs.ndim != 1:
         raise TypeError("level_sets takes a sequence of levels; level_set takes one")
-    tris = f.triangles
-    sizes = np.asarray(f.face_sizes)
-    low, high = _face_ranges(f)
-    inside = (low < cs[:, None]) & (cs[:, None] < high)
-    above = f.values[tris] > cs[:, None, None]
-    n_above = above.sum(axis=2)
-    face = np.repeat(np.arange(len(sizes)), sizes - 2)
-    level, hit = np.nonzero(inside[:, face] & ((n_above == 1) | (n_above == 2)))
-    # the vertex alone on its side of c; the level crosses its two edges
-    side = above[level, hit]
-    k = np.where(n_above[level, hit] == 1, side.argmax(axis=1), side.argmin(axis=1))
-    lone = tris[hit, k]
-    pa = _crossings(f, cs[level], lone, tris[hit, (k + 1) % 3])
-    pb = _crossings(f, cs[level], lone, tris[hit, (k + 2) % 3])
-    keep = (pa != pb).any(axis=1)
-    level, apex = level[keep], (k == 0)[keep, None]  # entry pa at the apex, else pb
-    exits = list(map(tuple, np.where(apex, pb[keep], pa[keep]).tolist()))
-    starts = np.flatnonzero(np.diff(level * len(sizes) + face[hit[keep]], prepend=-1))
-    entries = np.where(apex, pa[keep], pb[keep])[starts].tolist()
-    bounds = starts.tolist() + [len(exits)]
-    curves = [[] for _ in cs]
-    for i, lo, hi, entry, forward in zip(
-        level[starts].tolist(), bounds, bounds[1:], entries, apex[starts, 0].tolist()
-    ):
-        points = [tuple(entry)] + exits[lo:hi]
-        curves[i].append(points if forward else points[::-1])
-    xy = list(map(tuple, f.vertex_xy.tolist()))
-    trees = f.decomposition.trees
-    rows = np.cumsum([0] + [len(t.edges) for t in trees]).tolist()
-    ends = [
-        (f.heights.level(t), f.tree_ends[lo:hi].tolist())
-        for t, lo, hi in zip(trees, rows, rows[1:])
+    return [
+        [list(map(tuple, line.tolist())) for line in lines] for lines in _level_polylines(f, cs)
     ]
-    out = []
-    for value, polylines in zip(cs.tolist(), curves):
-        polylines.sort(key=lambda ch: ch[0])
-        drawn = [line for h, edges in ends if abs(h - value) <= SNAP for line in _stitch(edges, xy)]
-        out.append(drawn + polylines)
-    return out
 
 
 def level_set(f, c):

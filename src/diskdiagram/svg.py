@@ -9,7 +9,7 @@ from html import escape
 
 import numpy as np
 
-from .realization import level_sets
+from .realization import _level_polylines
 
 MARGIN = 1.1
 SIZE = 600.0  # canvas width and height
@@ -27,7 +27,7 @@ def _color(t):
 def render_svg(f, levels=5):
     """Render boundary circle, trees, vertices, and exact level polylines.
 
-    Every level is cut at once (`level_sets`).  The drawing is one
+    Every level is cut at once (`_level_polylines`).  The drawing is one
     template with a ``%.4f`` slot per number, filled by a single ``%``
     operation: the level points, tree segment ends, vertex marks and
     labels are mapped to the canvas in one numpy step, and any number
@@ -50,15 +50,15 @@ def render_svg(f, levels=5):
         '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
         '<circle cx="%.4f" cy="%.4f" r="%.4f" stroke="#202020" stroke-width="2"/>',
     ]
-    drawn = [(0.0, 0.0)]  # the circle's center, then every level point
-    for c, chains in zip(level_values, level_sets(f, level_values)):
+    drawn = [np.zeros((1, 2))]  # the circle's center, then every level's points
+    for c, chains in zip(level_values, _level_polylines(f, level_values)):
         color = _color((c - lo) / span)
         for chain in chains:
             out.append(
                 f'<polyline class="level" points="{" ".join(["%.4f,%.4f"] * len(chain))}" '
                 f'stroke="{color}" stroke-width="1"/>'
             )
-            drawn += chain
+        drawn += chains
     ends = f.tree_ends
     out += [
         '<line class="tree" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
@@ -72,12 +72,12 @@ def render_svg(f, levels=5):
     out.append("</g>")
     out.append("</svg>")
     xy = f.vertex_xy
-    p = np.concatenate([np.array(drawn), xy[ends.ravel()], xy])
-    x = (p[:, 0] + MARGIN) / (2 * MARGIN) * SIZE
-    y = (MARGIN - p[:, 1]) / (2 * MARGIN) * SIZE
-    lines = len(drawn) + 2 * len(ends)  # the center, level points and tree ends
-    canvas = np.stack([x[:lines], y[:lines]], axis=1).ravel()
-    vx, vy = x[lines:], y[lines:]
+    p = np.concatenate(drawn + [np.take(xy, ends.ravel(), axis=0), xy])
+    # x and y on the canvas; -y + MARGIN rounds as MARGIN - y does
+    p = (p * [1, -1] + MARGIN) / (2 * MARGIN) * SIZE
+    lines = len(p) - len(xy)  # the center, level points and tree ends
+    canvas = p[:lines].ravel()
+    vx, vy = p[lines:, 0], p[lines:, 1]
     numbers = np.concatenate([
         [SIZE] * 4,
         canvas[:2],

@@ -309,6 +309,16 @@ def rotation(dec):
     return out
 
 
+def rim_points(n, k):
+    """The rim samples of a boundary of ``n`` vertices, ``k`` per edge,
+    computed afresh: row ``k * i + s`` is sample s of the edge from the
+    i-th boundary vertex to the next, at the fraction ``s / k`` of its
+    arc, by math's cos and sin."""
+    th = _rim_angle(np.arange(n), n)[:, None] + np.arange(k) / k * (2 * math.pi / n)
+    th = th.ravel().tolist()
+    return np.array([[math.cos(a) for a in th], [math.sin(a) for a in th]]).T
+
+
 def arc_points(dart, heights, position):
     """Sample positions/values along one boundary edge, endpoint excluded."""
     u, e = dart

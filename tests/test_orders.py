@@ -99,6 +99,22 @@ class TestStrictPartialOrder:
         assert shuffled == o
         assert hash(shuffled) == hash(o)
 
+    def test_unsorted_carrier_is_sorted(self):
+        """A carrier in any order, with repeats, gives the sorted elements,
+        their bits and the masks over those bits; `build_graph` hands its
+        sorted names over unchanged."""
+        pairs = [("m", "a"), ("a", "M")]
+        for carrier in (["x", "m", "a", "M", "a"], ("m", "x", "M", "a"), iter("xmaM")):
+            o = StrictPartialOrder.from_pairs(carrier, pairs)
+            assert o.elements == ("M", "a", "m", "x")
+            assert o.index == {"M": 0, "a": 1, "m": 2, "x": 3}
+            assert o.above == {"M": 0, "a": 0b0001, "m": 0b0011, "x": 0}
+            assert o == order_of(pairs, carrier={"m", "a", "M", "x"})
+        g = build_graph(["b", "a", "c"], [("a", "b"), ("b", "c"), ("c", "a")], [("c", "a")])
+        assert g.order.elements == ("a", "b", "c")
+        assert g.order.index == {"a": 0, "b": 1, "c": 2}
+        assert g.order.above == {"a": 0, "b": 0, "c": 0b001}
+
     def test_outside_the_carrier_is_unrelated(self):
         o = order_of([("m", "a")])
         assert not o.lt("m", "z")

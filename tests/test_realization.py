@@ -844,6 +844,22 @@ def shoelace(p):
     return 0.5 * (x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y).sum(axis=-1)
 
 
+class TestRimTable:
+    def test_one_read_only_table_per_size_at_todays_bits(self):
+        """The table of n boundary vertices is kept, cannot be written,
+        and equals the per-call computation bit for bit, its rows [::k]
+        too, which place the boundary vertices."""
+        k = SAMPLES_PER_BOUNDARY_EDGE
+        for n in [*range(2, 41), 39368]:
+            table = realization._rim_points(n)
+            assert realization._rim_points(n) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+            assert table.tobytes() == references.rim_points(n, k).tobytes(), n
+            assert table[::k].tobytes() == references.rim_points(n, 1).tobytes(), n
+
+
 class TestFaceFans:
     def test_face_triangles_tile_their_polygons(self, realized, realized_corpus):
         witnesses = list(realized.values()) + [f for *_, f in realized_corpus]
@@ -890,8 +906,8 @@ class TestFaceFans:
     def test_fan_rows_from_the_first_rim_sample(self):
         square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
         hexagon = np.array([(math.cos(a), math.sin(a)) for a in np.arange(6) * math.pi / 3])
-        local = _convex_fans(np.concatenate([square, hexagon]), [4, 6], [0, 1])
-        assert local.tolist() == [[1, 2, 3], [1, 3, 0], [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 0]]
+        rows = _convex_fans(np.concatenate([square, hexagon]), [4, 6], [0, 1])
+        assert rows.tolist() == [[1, 2, 3], [1, 3, 0], [5, 6, 7], [5, 7, 8], [5, 8, 9], [5, 9, 4]]
 
     def test_reflex_vertex_raises(self):
         pts = np.array([(0, 0), (4, 0), (4, 4), (2, 1), (0, 4)], dtype=float)
@@ -979,15 +995,18 @@ class TestFaceMapsMatchReference:
 class TestStitch:
     def test_tree_walk_matches_reference(self, verdicts, delta_names, corpus, monkeypatch):
         """Every tree walk on every oracle level, in every height mode,
-        gives the reference's polylines on the same edges, keyed by
-        vertex row, in order and direction."""
+        mapped through the drawn vertex positions, gives the reference's
+        polylines on the same edges, keyed by vertex row, in order and
+        direction."""
         calls = []
         stitch = realization._stitch
 
         def both(edges, xy):
             out = stitch(edges, xy)
             assert all(type(a) is int and type(b) is int for a, b in edges)
-            assert out == references.stitch([(a, b, xy[a], xy[b]) for a, b in edges])
+            pts = [tuple(p) for p in xy]
+            drawn = [[pts[v] for v in walk] for walk in out]
+            assert drawn == references.stitch([(a, b, pts[a], pts[b]) for a, b in edges])
             calls.append(len(edges))
             return out
 
