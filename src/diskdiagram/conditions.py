@@ -20,6 +20,7 @@ decomposition come from `graph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvariantViolation, NotAForest
 from .graph import DEFAULT_BUDGET, decompose, enumerate_simple_cycles
@@ -78,10 +79,10 @@ def check_A2(dec):
     A vertex v outside a tree T lies below some but not all of T exactly
     when its bit is in the OR but not in the AND of the members' masks
     above them, and likewise with the masks below.  So only those
-    vertices and T's own are scanned, in sorted order; the rest compare
-    with all of T or with none of it.  T's own indices come from the
-    index map, and only the mask of the others, empty on an accepted
-    graph, is read bit by bit: masks are as wide as the graph.
+    vertices are scanned, and T's own only when some member's masks hold
+    a bit of T; the rest compare with all of T or with none of it.  T's
+    own indices come from the index map, and only masks empty on an
+    accepted graph are read bit by bit: masks are as wide as the graph.
     """
     g = dec.graph
     order = g.order
@@ -101,7 +102,8 @@ def check_A2(dec):
             down_any |= down
             down_all &= down
         others = ((up_any & ~up_all) | (down_any & ~down_all)) & ~tmask
-        scan = sorted(members + bits(others)) if others else members
+        inner = (up_any | down_any) & tmask  # nonzero when two members compare
+        scan = sorted(members + bits(others)) if inner else bits(others)
         for i in scan:
             v = elements[i]
             rest = tmask & ~(1 << i)
@@ -119,11 +121,11 @@ def check_A2(dec):
                     f"tree {t.index} compares unevenly with {v}: "
                     f"{v} < {elements[lowest(hi)]} but not {v} < {elements[lowest(rest & ~hi)]}"
                 )
-        for i in members:
+        for i in members if inner else ():
             for j in bits((above[elements[i]] | below[elements[i]]) & tmask & (-2 << i)):
                 wits.append(f"tree {t.index} vertices {elements[i]}, {elements[j]} are comparable")
     for v in sorted(dec.interior_vertices()):
-        d = g.degree(v)
+        d = len(g._incident[v])
         if d < 4 or d % 2:
             wits.append(f"interior vertex {v} has degree {d}; need even degree >= 4")
     return ConditionReport("A2", not wits, tuple(wits))
@@ -132,7 +134,8 @@ def check_A2(dec):
 def check_A3(dec):
     """Per-vertex passage rules along the boundary cycle."""
     g = dec.graph
-    order = g.order
+    incident, tree_at = g._incident, dec.tree_at
+    above, index = g.order.above, g.order.index
     vs = dec.gamma.vertices
     wits = []
     for i, v in enumerate(vs):
@@ -140,37 +143,32 @@ def check_A3(dec):
         if p == n:
             # the two-vertex boundary cycle: no distinct neighbor pair to test
             continue
-        d = g.degree(v)
+        d = len(incident[v])
         if d == 2:
-            if g.degree(p) <= 2 or g.degree(n) <= 2:
+            if len(incident[p]) <= 2 or len(incident[n]) <= 2:
                 wits.append(f"degree-2 vertex {v} has a degree-2 neighbor")
                 continue
-            tp, tn = dec.tree_of(p), dec.tree_of(n)
+            tp, tn = tree_at.get(p), tree_at.get(n)
             if tp is None or tn is None or tp.index != tn.index:
                 wits.append(f"neighbors {p}, {n} of degree-2 vertex {v} are not in one tree")
-        elif d % 2 == 0:
-            below = order.lt(p, v) and order.lt(n, v)
-            above = order.lt(v, p) and order.lt(v, n)
-            if not (below or above):
+            continue
+        # bit tests of the masks above: x < y when y's bit is set in above[x]
+        i_v, up = index[v], above[v]
+        p_lt_v, n_lt_v = above[p] >> i_v & 1, above[n] >> i_v & 1
+        v_lt_p, v_lt_n = up >> index[p] & 1, up >> index[n] & 1
+        if d % 2 == 0:
+            if not (p_lt_v and n_lt_v or v_lt_p and v_lt_n):
                 wits.append(
                     f"even-degree vertex {v} is not extremal among its cycle neighbors {p}, {n}"
                 )
-        else:
-            up = order.lt(p, v) and order.lt(v, n)
-            down = order.lt(n, v) and order.lt(v, p)
-            if not (up or down):
-                wits.append(
-                    f"odd-degree vertex {v} is not passed monotonically between {p} and {n}"
-                )
+        elif not (p_lt_v and v_lt_n or n_lt_v and v_lt_p):
+            wits.append(f"odd-degree vertex {v} is not passed monotonically between {p} and {n}")
     return ConditionReport("A3", not wits, tuple(wits))
 
 
 def _attached_before(dec):
     """``before[i]``: how many of the first i boundary vertices attach a tree."""
-    before = [0]
-    for v in dec.gamma.vertices:
-        before.append(before[-1] + (dec.tree_of(v) is not None))
-    return before
+    return list(accumulate((v in dec.tree_at for v in dec.gamma.vertices), initial=0))
 
 
 def _gaps(dec, ring, before):
@@ -214,7 +212,7 @@ def check_S2(dec):
     """
     witnesses = []
     for t in dec.trees:
-        ok, counts = _run_counts(dec._beyond_masks[t.index], len(dec.ring(t)), t.edges)
+        ok, counts = _run_counts(dec._beyond_masks[t.index], len(dec.rings[t.index]), t.edges)
         if not ok:
             bad = sorted((e for e, c in counts.items() if c != 2), key=repr)
             witnesses.append(
@@ -242,8 +240,8 @@ def check_S3(dec):
     before = _attached_before(dec)
     wits = []
     for t in dec.trees:
-        for pair, tilde, _, _ in _gaps(dec, dec.ring(t), before):
-            t1, t2 = (dec.tree_of(x) for x in tilde)
+        for pair, tilde, _, _ in _gaps(dec, dec.rings[t.index], before):
+            t1, t2 = dec.tree_at.get(tilde[0]), dec.tree_at.get(tilde[1])
             if t1 is None or t2 is None:
                 missing = [x for x, tr in zip(tilde, (t1, t2)) if tr is None]
                 wits.append(
@@ -304,7 +302,7 @@ def is_delta_graph(g, budget=DEFAULT_BUDGET):
 def _check_extrema_on_boundary(g, dec):
     """Consequence check: order extrema are degree-2 boundary vertices."""
     for v in g.order.minimal_elements() | g.order.maximal_elements():
-        if v not in dec.position or g.degree(v) != 2:
+        if v not in dec.position or len(g._incident[v]) != 2:
             raise InvariantViolation(
                 f"order extremum {v} should lie on the boundary cycle with degree 2"
             )

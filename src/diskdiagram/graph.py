@@ -87,13 +87,9 @@ def make_edges(pairs):
     return tuple(out)
 
 
-def adjacency(edges, vertices=()):
-    """Vertex -> sorted tuple of incident edges.
-
-    Every vertex in ``vertices`` gets an entry, isolated ones included;
-    other vertices appear when some edge touches them.
-    """
-    adj = {v: [] for v in vertices}
+def adjacency(edges):
+    """Vertex -> sorted tuple of incident edges, for each vertex an edge touches."""
+    adj = {}
     for e in edges:
         adj.setdefault(e.a, []).append(e)
         adj.setdefault(e.b, []).append(e)
@@ -344,20 +340,19 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
 
 @dataclass(frozen=True)
 class TreeComponent:
-    """One component of the closure of the graph minus the boundary cycle."""
+    """One component of the closure of the graph minus the boundary cycle.
+
+    ``adj``: each tree vertex -> its sorted tree edges, from `decompose`."""
 
     index: int
     vertices: frozenset
     edges: tuple
     attach: frozenset  # vertices shared with the boundary cycle
     terminal: frozenset  # leaves within the component
-
-    @cached_property
-    def _adjacency(self):
-        return adjacency(self.edges)
+    adj: dict = field(compare=False, repr=False)
 
     def incident(self, v):
-        return self._adjacency.get(v, ())
+        return self.adj.get(v, ())
 
 
 def _beyond(adj, ring):
@@ -371,20 +366,19 @@ def _beyond(adj, ring):
     """
     full = (1 << len(ring)) - 1
     mask = {v: 1 << i for i, v in enumerate(ring)}
-    parent = dict.fromkeys(ring[:1])
+    parent = dict.fromkeys(ring[:1])  # vertex -> (its parent, the edge to it)
     order = list(ring[:1])
     for v in order:
         for e in adj[v]:
-            w = e.other(v)
+            w = e[1] if e[0] == v else e[0]
             if w not in parent:
-                parent[w] = e
+                parent[w] = v, e
                 order.append(w)
     if len(order) < len(adj):
         raise NotInTree(next(v for v in (*ring, *adj) if v not in parent))
     out = {}
     for w in reversed(order[1:]):
-        e = parent[w]
-        v = e.other(w)
+        v, e = parent[w]
         m = mask.get(w, 0)
         mask[v] = mask.get(v, 0) | m
         out[v, e] = m
@@ -394,44 +388,43 @@ def _beyond(adj, ring):
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The boundary cycle ``gamma`` and the trees hanging off it.
+
+    Every decomposition, hand-built too, gets its tables here in one
+    pass over ``gamma``: ``position`` (boundary vertex -> index along
+    ``gamma.vertices``), ``tree_at`` (tree vertex -> its tree) and
+    ``rings`` (tree index -> its attachments in boundary order, from
+    ``gamma``'s start).  The `_beyond` masks wait for their first read,
+    which an A2 reject never makes.
+    """
+
     graph: PoGraph
     gamma: Cycle
     trees: tuple
+    position: dict = field(init=False, compare=False, repr=False)
+    tree_at: dict = field(init=False, compare=False, repr=False)
+    rings: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        tree_at = {v: t for t in self.trees for v in t.vertices}
+        position, rings = {}, {t.index: [] for t in self.trees}
+        for i, v in enumerate(self.gamma.vertices):
+            position[v] = i
+            t = tree_at.get(v)
+            if t is not None:
+                rings[t.index].append(v)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "tree_at", tree_at)
+        object.__setattr__(self, "rings", {i: tuple(ring) for i, ring in rings.items()})
 
     def interior_vertices(self):
         """Vertices of the graph not on the boundary cycle."""
         return frozenset(self.graph.vertices) - frozenset(self.gamma.vertices)
 
     @cached_property
-    def position(self):
-        """Boundary vertex -> its index along ``gamma.vertices``."""
-        return {v: i for i, v in enumerate(self.gamma.vertices)}
-
-    @cached_property
-    def _tree_at(self):
-        return {v: t for t in self.trees for v in t.vertices}
-
-    @cached_property
-    def _rings(self):
-        rings = {t.index: [] for t in self.trees}
-        for v in self.gamma.vertices:
-            t = self.tree_of(v)
-            if t is not None:
-                rings[t.index].append(v)
-        return {i: tuple(ring) for i, ring in rings.items()}
-
-    @cached_property
     def _beyond_masks(self):
         """Tree index -> the `_beyond` masks of the tree's ring."""
-        return {t.index: _beyond(t._adjacency, self.ring(t)) for t in self.trees}
-
-    def tree_of(self, v):
-        """The unique tree containing v, or None."""
-        return self._tree_at.get(v)
-
-    def ring(self, tree):
-        """The tree's attachments in boundary order, from ``gamma``'s start."""
-        return self._rings[tree.index]
+        return {t.index: _beyond(t.adj, self.rings[t.index]) for t in self.trees}
 
 
 def decompose(g, gamma):
@@ -441,42 +434,48 @@ def decompose(g, gamma):
     edges not on ``gamma`` together with their endpoints.  Each component
     must be a tree; otherwise NotAForest is raised.  Components are indexed
     deterministically by their smallest vertex.
+
+    The trees' adjacency is ``g._incident``, which `build_graph` sorts,
+    less the cycle edges, so their vertices and edges come out sorted.
     """
-    gamma_edges = set(gamma.edges)
-    gamma_verts = set(gamma.vertices)
-    adj = adjacency(e for e in g.edges if e not in gamma_edges)
-    seen = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
+    adj = dict(g._incident)
+    for i, v in enumerate(gamma.vertices):
+        es = adj[v]
+        if len(es) == 2:
+            # the two cycle edges at v are all its edges
+            del adj[v]
+        else:
+            es = list(es)
+            es.remove(gamma.edges[i - 1])
+            es.remove(gamma.edges[i])
+            adj[v] = tuple(es)
+    comp = {}  # vertex -> the index of its component
+    members = []  # per component, its vertices in name order
+    for s in adj:
+        if s in comp:
+            members[comp[s]].append(s)
             continue
-        verts = {start}
-        comp_edges = set()
-        stack = [start]
+        i = comp[s] = len(members)
+        members.append([s])
+        stack = [s]
         while stack:
             v = stack.pop()
-            for e in adj[v]:
-                comp_edges.add(e)
-                w = e.other(v)
-                if w not in verts:
-                    verts.add(w)
+            for a, b, _ in adj[v]:
+                w = b if a == v else a
+                if w not in comp:
+                    comp[w] = i
                     stack.append(w)
-        seen |= verts
-        comps.append((sorted(verts)[0], verts, comp_edges))
-    comps.sort(key=lambda c: c[0])
+    on_gamma = set(gamma.vertices)
     trees = []
-    for idx, (_, verts, comp_edges) in enumerate(comps):
-        if len(comp_edges) != len(verts) - 1:
-            raise NotAForest(idx, sorted(verts))
-        attach = frozenset(verts & gamma_verts)
-        deg = {v: 0 for v in verts}
-        for e in comp_edges:
-            deg[e.a] += 1
-            deg[e.b] += 1
-        terminal = frozenset(v for v, d in deg.items() if d == 1)
-        trees.append(
-            TreeComponent(idx, frozenset(verts), tuple(sorted(comp_edges)), attach, terminal)
-        )
+    for i, verts in enumerate(members):
+        t_adj = {v: adj[v] for v in verts}
+        # each edge once, at its smaller end: sorted, as the vertices are
+        edges = tuple([e for v in verts for e in t_adj[v] if e[0] == v])
+        if len(edges) != len(verts) - 1:
+            raise NotAForest(i, verts)
+        attach = frozenset([v for v in verts if v in on_gamma])
+        terminal = frozenset([v for v in verts if len(t_adj[v]) == 1])
+        trees.append(TreeComponent(i, frozenset(verts), edges, attach, terminal, t_adj))
     dec = Decomposition(g, gamma, tuple(trees))
     _validate_decomposition(dec)
     return dec
@@ -490,13 +489,13 @@ def _validate_decomposition(dec):
             raise InvariantViolation(
                 f"tree {t.index} has a leaf off the boundary: {sorted(t.terminal - t.attach)}"
             )
-        overlap = seen_edges & set(t.edges)
-        if overlap:
+        if not seen_edges.isdisjoint(t.edges):
+            overlap = seen_edges.intersection(t.edges)
             raise InvariantViolation(f"edge {sorted(overlap)[0]} assigned twice")
-        seen_edges |= set(t.edges)
+        seen_edges.update(t.edges)
     if len(seen_edges) != len(dec.graph.edges):
         raise InvariantViolation("decomposition does not cover every edge")
-    if sum(len(t.vertices) for t in dec.trees) == len(dec._tree_at):
+    if sum(len(t.vertices) for t in dec.trees) == len(dec.tree_at):
         return
     # some vertex lies in two trees: name the first such pair of trees
     for i, t in enumerate(dec.trees):

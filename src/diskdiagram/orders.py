@@ -324,7 +324,7 @@ def assign_heights(g, dec, mode="default", seed=None):
         blocks = [frozenset(c) for c in classes.values()]
     else:
         blocks = [frozenset(t.vertices) for t in dec.trees]
-        blocks += [frozenset({v}) for v in dec.gamma.vertices if dec.tree_of(v) is None]
+        blocks += [frozenset({v}) for v in dec.gamma.vertices if v not in dec.tree_at]
     block_of = {}
     for i, b in enumerate(blocks):
         for v in b:

@@ -15,15 +15,16 @@ from `build_embedding`.  This module reads no condition.
 
 The criterion and `build_embedding` read one walk per tree,
 `graph._beyond`, which gives every dart the ring vertices lying past it
-as a bitmask; a decomposition keeps each tree's masks.  A
-tree edge lies on the path between two circularly adjacent ring
-vertices exactly when it separates them, so the number of such paths
-through it is twice the number of circular runs that the ring vertices
-beyond it form; the tree is disk-planar when every edge cuts off a
-single run.  `build_embedding` orders the edges at each tree vertex by
-where the run beyond each edge starts, and certifies the rotation
-system by tracing faces: the Euler relation must hold and the boundary
-cycle must bound a face.
+as a bitmask; a decomposition builds each tree's masks once, from the
+adjacency that `graph.decompose` gives the tree and the rings that
+`graph.Decomposition` builds.  A tree edge lies on the path between two
+circularly adjacent ring vertices exactly when it separates them, so
+the number of such paths through it is twice the number of circular
+runs that the ring vertices beyond it form; the tree is disk-planar
+when every edge cuts off a single run.  `build_embedding` orders the
+edges at each tree vertex by where the run beyond each edge starts, and
+certifies the rotation system by tracing faces: the Euler relation must
+hold and the boundary cycle must bound a face.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ def tree_is_disk_planar(edges, ring):
 def _run_counts(beyond, k, edges):
     """`tree_is_disk_planar` from the `_beyond` masks of a ring of ``k``
     vertices, such as a decomposed tree's."""
-    counts = {e: 2 * _run_starts(beyond.get((e.a, e), 0), k).bit_count() for e in edges}
+    counts = {e: 2 * _run_starts(beyond.get((e[0], e), 0), k).bit_count() for e in edges}
     return all(c == 2 for c in counts.values()), counts
 
 
@@ -179,12 +180,13 @@ def separation_ok(dec):
     while n is open above it.  On a reject the witness comes from the
     scan of every pair of trees, in tree order.
     """
+    tree_at, rings = dec.tree_at, dec.rings
     stack = []
     for v in dec.gamma.vertices:
-        t = dec.tree_of(v)
+        t = tree_at.get(v)
         if t is None:
             continue
-        ring = dec.ring(t)
+        ring = rings[t.index]
         if v == ring[0]:
             stack.append(t.index)
         elif stack[-1] != t.index:
@@ -198,7 +200,7 @@ def _separation_witness(dec):
     """``(m, n, b1, b2)`` for the first trees such that ``n`` spans two gaps of ``m``."""
     pos = dec.position
     for m, t in enumerate(dec.trees):
-        pa = [pos[v] for v in dec.ring(t)]
+        pa = [pos[v] for v in dec.rings[t.index]]
         for n_, other in enumerate(dec.trees):
             if n_ == m:
                 continue
@@ -243,7 +245,7 @@ class DiskEmbedding:
 def trace_faces(rotation, edges):
     """Orbit decomposition of darts under the face-successor map."""
     pos = {v: {e: i for i, e in enumerate(rs)} for v, rs in rotation.items()}
-    darts = sorted((u, e) for e in edges for u in (e.a, e.b))
+    darts = sorted((u, e) for e in edges for u in (e[0], e[1]))
     dart_face = {}
     walks = []
     for d0 in darts:
@@ -257,7 +259,7 @@ def trace_faces(rotation, edges):
             dart_face[d] = len(walks)
             walk.append(d)
             u, e = d
-            v = e.other(u)
+            v = e[1] if e[0] == u else e[0]
             rot = rotation[v]
             d = (v, rot[(pos[v][e] - 1) % len(rot)])
             if d == d0:
@@ -281,7 +283,7 @@ def _sorted_tree_edges(tree, v, beyond, ring, first):
     k = len(ring)
     cut = ring.index(first)
     keyed = []
-    for e in tree.incident(v):
+    for e in tree.adj[v]:
         start = _run_starts(beyond[v, e], k)
         if start & (start - 1) or not start:
             raise InvariantViolation(
@@ -336,19 +338,19 @@ def build_embedding(dec):
     """
     g, gamma = dec.graph, dec.gamma
     n = len(gamma.vertices)
-    beyond = dec._beyond_masks
+    beyond, rings, tree_at = dec._beyond_masks, dec.rings, dec.tree_at
     rotation = {}
     for i, v in enumerate(gamma.vertices):
         e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]
-        t = dec.tree_of(v)
+        t = tree_at.get(v)
         if t is None:
             rotation[v] = (e_next, e_prev)
         else:
-            tree_edges = _sorted_tree_edges(t, v, beyond[t.index], dec.ring(t), v)
+            tree_edges = _sorted_tree_edges(t, v, beyond[t.index], rings[t.index], v)
             rotation[v] = (e_next, *tree_edges, e_prev)
     for t in dec.trees:
         for v in sorted(t.vertices - t.attach):
-            rotation[v] = _sorted_tree_edges(t, v, beyond[t.index], dec.ring(t), min(t.attach))
+            rotation[v] = _sorted_tree_edges(t, v, beyond[t.index], rings[t.index], min(t.attach))
     walks, dart_face = trace_faces(rotation, g.edges)
     n_faces = len(walks)
     if len(g.vertices) - len(g.edges) + n_faces != 2:

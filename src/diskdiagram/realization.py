@@ -79,7 +79,7 @@ def _solve_tree_positions(tree, fixed):
     b = np.zeros((k, 2))
     for v in interior:
         i = idx[v]
-        nbrs = [e.other(v) for e in tree.incident(v)]
+        nbrs = [y if x == v else x for x, y, _ in tree.adj[v]]
         a[i, i] = len(nbrs)
         for w in nbrs:
             if w in idx:
@@ -375,13 +375,14 @@ def extend_to_faces(emb, heights):
     n = len(gamma.vertices)
     k = SAMPLES_PER_BOUNDARY_EDGE
     names, index = g.order.elements, g.order.index
-    table_pts = np.concatenate([_rim_points(n), np.array([emb.coords[v] for v in names])])
+    # arrays of their own: a witness keeps no rim samples alive through them
+    vertex_xy = np.array([emb.coords[v] for v in names])
+    vertex_values = np.array([heights.value[v] for v in names])
+    table_pts = np.concatenate([_rim_points(n), vertex_xy])
     # rim values, linear along each boundary edge, then the vertex heights
     t = np.arange(k) / k
     h = np.array([heights.value[v] for v in gamma.vertices])[:, None]
-    table_vals = np.concatenate(
-        [((1 - t) * h + t * np.roll(h, -1)).ravel(), [heights.value[v] for v in names]]
-    )
+    table_vals = np.concatenate([((1 - t) * h + t * np.roll(h, -1)).ravel(), vertex_values])
     faces = [f for f in emb.faces if not f.is_outer]
     starts, counts, drawn, sizes = [], [], [], []
     for face in faces:
@@ -402,14 +403,14 @@ def extend_to_faces(emb, heights):
     firsts = np.cumsum(counts) - counts  # each dart's first point
     take = np.repeat(np.array(starts) - firsts, counts) + np.arange(firsts[-1] + counts[-1])
     points, values = np.take(table_pts, take, axis=0), table_vals[take]
-    del take  # freed before the fan test, whose peak sets the memory at size
+    del take, table_pts, table_vals  # freed before the fan test, which sets the peak
     triangles = _convex_fans(points, sizes, [f.index for f in faces])
     ids = np.arange(len(names), len(names) + len(points))
     ids[firsts] = [index[u] for u in drawn]
     ends = [(index[e.a], index[e.b]) for t in dec.trees for e in sorted(t.edges)]
     return DiskFunction(
         emb, heights, points, values, triangles, ids, tuple(f.index for f in faces),
-        tuple(sizes), names, table_pts[k * n :], table_vals[k * n :],
+        tuple(sizes), names, vertex_xy, vertex_values,
         np.array(ends, dtype=int).reshape(-1, 2),
     )
 

@@ -5,7 +5,8 @@ replaced, kept here so tests can require equal results on the same
 inputs: the order closure on frozensets, the A2 scan over every vertex
 of every tree and A2 on full-width tree masks, the per-item validation of a file's id lists, the tree
 criterion that walks the path of every adjacent ring pair, the
-rotation system that walks the subtree behind every tree edge, the
+rotation system that walks the subtree behind every tree edge, a
+decomposition's tables built afresh from its trees, the
 face polygon built point by point, the polyline
 stitcher that scans for an unused segment with a generator, A1 by a
 full cycle search, S2's separation by a scan of every pair of trees,
@@ -289,14 +290,28 @@ def sorted_tree_edges(tree, v, lin, cut):
     return tuple(e for _, e in keyed)
 
 
+def decomposition_tables(dec):
+    """A decomposition's tables built afresh from its trees and cycle:
+    each tree index's adjacency by `graph.adjacency` over its edges, the
+    boundary position of each cycle vertex, the tree of each tree
+    vertex, and each tree index's attachments in cycle order."""
+    adj = {t.index: adjacency(t.edges) for t in dec.trees}
+    position = {v: i for i, v in enumerate(dec.gamma.vertices)}
+    tree_at = {v: t for v in sorted(dec.graph.vertices) for t in dec.trees if v in t.vertices}
+    rings = {
+        t.index: tuple(v for v in dec.gamma.vertices if v in t.attach) for t in dec.trees
+    }
+    return adj, position, tree_at, rings
+
+
 def rotation(dec):
     """The rotation system of `build_embedding`, in its vertex order."""
     gamma = dec.gamma
-    lins = {t.index: {x: i for i, x in enumerate(dec.ring(t))} for t in dec.trees}
+    lins = {t.index: {x: i for i, x in enumerate(dec.rings[t.index])} for t in dec.trees}
     out = {}
     for i, v in enumerate(gamma.vertices):
         e_next, e_prev = gamma.edges[i], gamma.edges[i - 1]
-        t = dec.tree_of(v)
+        t = dec.tree_at.get(v)
         if t is None:
             out[v] = (e_next, e_prev)
         else:
@@ -433,7 +448,7 @@ def assign_heights(g, dec, mode="default", seed=None):
         blocks = [frozenset(c) for c in classes.values()]
     else:
         blocks = [frozenset(t.vertices) for t in dec.trees]
-        blocks += [frozenset({v}) for v in dec.gamma.vertices if dec.tree_of(v) is None]
+        blocks += [frozenset({v}) for v in dec.gamma.vertices if v not in dec.tree_at]
     block_of = {}
     for i, b in enumerate(blocks):
         for v in b:
@@ -490,7 +505,7 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
     vertex is smaller than its last, and drops the start afterwards.
     """
     verts = sorted(set(vertices))
-    incident = adjacency(edges, verts)
+    incident = {v: () for v in verts} | adjacency(edges)
     cycles = []
     by_ends = {}
     for e in edges:
@@ -573,7 +588,7 @@ def separation_ok(dec):
     attachments fall in; the first pair with two gaps is the witness."""
     pos = dec.position
     for m, t in enumerate(dec.trees):
-        pa = [pos[v] for v in dec.ring(t)]
+        pa = [pos[v] for v in dec.rings[t.index]]
         for n_, other in enumerate(dec.trees):
             if n_ == m:
                 continue
@@ -602,14 +617,14 @@ def boundary_pairs(dec, tree_index):
     consecutive in it) with its whole arc, scanned for an attachment of
     any tree; a tree with two attachments has two gaps, and when both
     qualify the pair appears once per arc."""
-    ring = dec.ring(dec.trees[tree_index])
+    ring = dec.rings[dec.trees[tree_index].index]
     vs = dec.gamma.vertices
     n = len(vs)
     out = []
     for va, vb in zip(ring, ring[1:] + ring[:1]):
         a, b = dec.position[va], dec.position[vb]
         arc = tuple(vs[(a + k) % n] for k in range(1, (b - a) % n))
-        if not any(dec.tree_of(x) is not None for x in arc):
+        if not any(x in dec.tree_at for x in arc):
             continue
         if va < vb:
             out.append(BoundaryPair(tree_index, (va, vb), arc, (arc[0], arc[-1])))
@@ -624,7 +639,7 @@ def check_S3(dec):
     wits = []
     for t in dec.trees:
         for bp in boundary_pairs(dec, t.index):
-            t1, t2 = (dec.tree_of(x) for x in bp.tilde)
+            t1, t2 = (dec.tree_at.get(x) for x in bp.tilde)
             if t1 is None or t2 is None:
                 missing = [x for x, tr in zip(bp.tilde, (t1, t2)) if tr is None]
                 wits.append(

@@ -337,7 +337,7 @@ class TestBoundaryPairs:
     def test_two_attachment_root_faces_both_arcs(self):
         spec = next(s for s in corpus_specs() if s.name == "chord2[c2(e),c2(e)]")
         dec = is_delta_graph(build_instance(spec, "minimal")).decomposition
-        root = dec.tree_of("t0a0")
+        root = dec.tree_at.get("t0a0")
         assert root.attach == {"t0a0", "t0a1"}
         bps = boundary_pairs(dec, root.index)
         assert [(bp.pair, bp.alpha) for bp in bps] == [

@@ -2,11 +2,13 @@ import copy
 from dataclasses import replace
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
     BudgetExceeded,
     DegreeBelowTwo,
@@ -29,6 +31,8 @@ from diskdiagram.graph import (
     enumerate_simple_cycles,
     make_edges,
 )
+from diskdiagram.realization import extend_to_faces, place
+from diskdiagram.svg import render_svg
 
 import references
 
@@ -139,7 +143,7 @@ class TestCycleType:
 def unpruned_cycles(vertices, edges):
     """Reference search: from each start, every simple path over larger names."""
     verts = sorted(set(vertices))
-    incident = adjacency(edges, verts)
+    incident = {v: () for v in verts} | adjacency(edges)
     out = []
     groups = {}
     for e in edges:
@@ -358,9 +362,9 @@ class TestDecompose:
         assert t.attach == frozenset({"w1", "w2", "w3", "w4"})
         assert t.terminal == frozenset({"w1", "w2", "w3", "w4"})
         assert dec.interior_vertices() == frozenset({"c"})
-        assert dec.tree_of("c") is t
-        assert dec.tree_of("m1") is None
-        assert dec.ring(t) == ("w1", "w2", "w3", "w4")
+        assert dec.tree_at["c"] is t
+        assert "m1" not in dec.tree_at
+        assert dec.rings[t.index] == ("w1", "w2", "w3", "w4")
         assert [dec.position[v] for v in ring] == list(range(8))
 
     def test_g1_alternate_cycle_puts_peak_inside(self):
@@ -404,4 +408,47 @@ class TestDecompose:
         g = build_graph(names, ring + [("a", "c"), ("c", "e"), ("e", "a")], [])
         with pytest.raises(NotAForest):
             decompose(g, ring_cycle(g, names))
+
+    def test_tables_match_reference(self, verdicts, realized_corpus, census_accepted, ladder):
+        """Each tree's adjacency (the graph's incidence less the cycle
+        edges) and the decomposition's tables equal the ones built
+        afresh, for `decompose`'s decompositions of the fixtures, the
+        corpus, the census's accepted graphs and ladder d <= 3, and for
+        hand-built ones with their trees in reverse."""
+        found = [(name, v.decomposition) for name, v in sorted(verdicts.items())]
+        found += [(f"{s.name} [{m}]", f.decomposition) for s, m, _, f in realized_corpus]
+        found += [(label, is_delta_graph(g).decomposition) for label, g in census_accepted]
+        found += [(f"ladder {k}", is_delta_graph(g).decomposition) for k, g in ladder.items()]
+        found = [(label, dec) for label, dec in found if dec is not None]
+        assert len(found) > 440
+        by_hand = [
+            (f"{label} by hand", Decomposition(dec.graph, dec.gamma, dec.trees[::-1]))
+            for label, dec in found
+        ]
+        for label, dec in found + by_hand:
+            adj, position, tree_at, rings = references.decomposition_tables(dec)
+            for t in dec.trees:
+                assert {v: t.incident(v) for v in t.vertices} == adj[t.index], label
+            assert dec.position == position, label
+            assert dec.tree_at.keys() == tree_at.keys(), label
+            assert all(dec.tree_at[v] is t for v, t in tree_at.items()), label
+            assert dec.rings == rings, label
+
+    def test_pipeline_builds_no_adjacency(self, monkeypatch, corpus):
+        """Deciding, placing and drawing read the graph's incidence and
+        the trees' adjacency from `decompose`; only raw tree input calls
+        `graph.adjacency`."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph.adjacency called")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("diskdiagram") and (
+                getattr(module, "adjacency", None) is adjacency
+            ):
+                monkeypatch.setattr(module, "adjacency", refuse)
+        for g in (build("G3"), corpus[0][2]):
+            verdict = is_delta_graph(g)
+            assert verdict.delta
+            assert render_svg(extend_to_faces(*place(verdict))).endswith("</svg>\n")
 

@@ -304,7 +304,7 @@ class TestAgainstReferences:
         checked = rejected = 0
         for label, dec, _ in decompositions:
             for t in dec.trees:
-                ring = dec.ring(t)
+                ring = dec.rings[t.index]
                 for r in [ring, *transposed(ring)]:
                     got = tree_is_disk_planar(t.edges, r)
                     assert got == references.tree_is_disk_planar(t.edges, r), (label, r)

@@ -437,6 +437,15 @@ class TestEvaluation:
             for v, p in f.embedding.coords.items():
                 assert f.evaluate(p) == f.heights.value[v], (name, v)
 
+    def test_vertex_arrays_hold_the_vertices_alone(self, realized):
+        """The vertex arrays hold V rows and are no views of a larger
+        table, so a witness keeps no rim samples alive through them."""
+        for name, f in realized.items():
+            n_vertices = len(f.vertex_names)
+            assert f.vertex_xy.shape == (n_vertices, 2), name
+            assert f.vertex_values.shape == (n_vertices,), name
+            assert f.vertex_xy.base is None and f.vertex_values.base is None, name
+
     def test_rim_interpolates_between_vertices(self, realized):
         f = realized["G1"]
         n = len(f.gamma.vertices)
@@ -1094,7 +1103,7 @@ def touched_sides(f):
     sides = {}
     for face_index in f.face_indices:
         for key in keys[face_rows(f, face_index)]:
-            tree = None if key is None else dec.tree_of(key)
+            tree = None if key is None else dec.tree_at.get(key)
             if tree is not None:
                 sides[(face_index, tree.index)] = tree
     return [(face_index, tree) for (face_index, _), tree in sides.items()]
@@ -1123,7 +1132,7 @@ def former_face_signs(f):
             if kind == "path":
                 own = value[path[0][0]]
                 other = levels[1] if own == levels[0] else levels[0]
-                tree = f.decomposition.tree_of(path[0][0])
+                tree = f.decomposition.tree_at.get(path[0][0])
                 signs[(face.index, tree.index)] = 1 if other > own else -1
     return signs
 

@@ -3,6 +3,8 @@ import itertools
 import json
 import re
 
+import pytest
+
 from diskdiagram.errors import DegenerateDrawing
 
 
@@ -77,3 +79,35 @@ def test_ladder_record(load_script, monkeypatch):
     row = module.shape(1, "minimal")
     assert row["place_s"] == "DegenerateDrawing"
     assert row["extend_s"] is row["svg_s"] is None
+
+
+def test_bench_pairs_summary(load_script):
+    """Medians, the parent's quartiles and the pairs won, from fixed
+    result lines: a null latency loses its pair, a tie counts for
+    neither side, and a metric no line holds gets no row."""
+    module = load_script("bench_pairs")
+
+    def line(p50, per_s, setup):
+        metrics = {"verdict_p50_ms": p50, "verdicts_per_s": per_s, "setup_s": setup}
+        return {"metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}
+
+    parent = [(1.0, 100.0, 0.5), (1.1, 100.0, 0.6), (1.2, 100.0, 0.7), (1.3, 100.0, 0.8)]
+    change = [(0.9, 110.0, 0.1), (1.0, 120.0, 0.1), (1.2, 90.0, 0.1), (None, 130.0, 0.1)]
+    pairs = [
+        {"seed": s, "first": "parent", "parent": line(*p), "change": line(*c)}
+        for s, p, c in zip(range(4), parent, change)
+    ]
+    better = {
+        "verdict_p50_ms": "lower", "verdicts_per_s": "higher", "setup_s": "lower",
+        "svg_p50_ms": "lower",
+    }
+    rows = {r["metric"]: r for r in module.summary({"corpus": pairs}, better)}
+    assert list(rows) == ["verdict_p50_ms", "verdicts_per_s", "setup_s"]
+    p50, per_s, setup = rows.values()
+    assert p50["workload"] == "corpus" and p50["pairs"] == 4
+    assert (p50["parent"], p50["change"], p50["won"]) == (pytest.approx(1.15), 1.1, 2)
+    assert (p50["parent_q1"], p50["parent_q3"]) == (pytest.approx(1.025), pytest.approx(1.275))
+    assert not p50["resolved_gain"]
+    assert (per_s["parent"], per_s["change"], per_s["won"]) == (100.0, 115.0, 3)
+    assert not per_s["resolved_gain"]  # 3 of 4 pairs is under nine tenths
+    assert setup["won"] == 4 and setup["resolved_gain"]
