@@ -1,13 +1,13 @@
 """Exhaustive cross-check of the fast run-counting planarity criterion.
 
-Enumerates every tree up to --trees vertices, one per isomorphism class
-(networkx.nonisomorphic_trees), every admissible boundary-vertex set,
-and every cyclic order of that set, then compares the criterion, read
-from the runs of ring vertices beyond each tree edge, against a brute
-force search over all rotation systems.  A
-second sweep feeds every small connected multigraph up to --graphs
-vertices through the full decision pipeline and prints the verdict
-tallies.
+Enumerates every tree up to --trees vertices, one per isomorphism class,
+every admissible boundary-vertex set, and every cyclic order of that
+set, then compares the criterion, read from the runs of ring vertices
+beyond each tree edge, against a brute force search over all rotation
+systems.  A second sweep feeds every small connected multigraph up to
+--graphs vertices through the full decision pipeline and prints the
+verdict tallies.  Exits 0 when the criterion and the oracle agree
+everywhere, 1 on a disagreement, and 2 on a size out of range.
 """
 import argparse
 import sys
@@ -22,6 +22,7 @@ from diskdiagram.census import (
     graphs_census,
     trees_census,
 )
+from diskdiagram.errors import DiskDiagramError
 
 
 def main(argv=None):
@@ -35,7 +36,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     kw = {} if args.budget is None else {"budget": args.budget}
+    try:
+        return _sweep(args, kw)
+    except DiskDiagramError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _sweep(args, kw):
     t0 = time.perf_counter()
     rows = trees_census(args.trees, **kw)
     t1 = time.perf_counter()

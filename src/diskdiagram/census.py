@@ -3,9 +3,11 @@
 Trees mode compares the embedding criterion, read from the runs of ring
 vertices beyond each tree edge, against the brute-force rotation-system
 oracle over every tree up to a size bound, every admissible boundary
-subset, and every ring (circular order) of that subset.  Graphs mode enumerates small partially ordered multigraphs
-and tabulates how many fall at each condition of the acceptance
-pipeline.
+subset, and every ring (circular order) of that subset; `_free_trees`
+generates the trees, one per isomorphism class, with the standard
+library only.  Graphs mode enumerates small partially ordered
+multigraphs and tabulates how many fall at each condition of the
+acceptance pipeline.
 """
 from __future__ import annotations
 
@@ -27,17 +29,59 @@ class TreesCensusRow:
     disagreements: tuple  # mismatching (edges, ring) pairs, at most _COLLECT_LIMIT
 
 
-def _all_trees(size):
-    """All trees on `size` labeled-as-strings vertices, up to isomorphism."""
-    import networkx as nx  # imported here: no other command needs it
+def _successor(level, p):
+    """Beyer–Hedetniemi: the next rooted level sequence, changed from `p` on.
 
-    if size == 1:
-        return []
-    if size == 2:
-        g = nx.Graph()
-        g.add_edge(0, 1)
-        return [g]
-    return list(nx.nonisomorphic_trees(size))
+    In place, so the copy reads entries it has already overwritten.
+    """
+    q = p - 1
+    while level[q] != level[p] - 1:
+        q -= 1
+    for i in range(p, len(level)):
+        level[i] = level[i - p + q]
+
+
+def _first_subtree_end(level):
+    """The index where the root's second subtree starts, or the length."""
+    return next((i for i in range(2, len(level)) if level[i] == 1), len(level))
+
+
+def _free_trees(n):
+    """Every tree on ``n >= 2`` vertices up to isomorphism, as edge lists.
+
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of
+    free trees", SIAM J. Comput. 15 (1986): walk the level sequences of
+    rooted trees from the path rooted at its centre, keep those rooted
+    at a centre (the root's first subtree ``left`` no taller, and on a
+    tie no larger, than the rest), and jump past every invalid ``left``
+    at once.  Each tree is its ``(parent, child)`` index pairs in child
+    order, vertex 0 the root.
+    """
+    level = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = _first_subtree_end(level)
+        left, rest = [d - 1 for d in level[1:m]], [0, *level[m:]]
+        hl, hr = max(left), max(rest)
+        if hr < hl or hr == hl and (
+            len(left) > len(rest) or len(left) == len(rest) and left > rest
+        ):
+            deep = level[m - 1] > 2
+            _successor(level, m - 1)
+            if deep:
+                h = max(level[1 : _first_subtree_end(level)])
+                level[n - h :] = range(1, h + 1)
+        last = [0] * n  # the latest vertex at each depth
+        edges = []
+        for i in range(1, n):
+            edges.append((last[level[i] - 1], i))
+            last[level[i]] = i
+        yield edges
+        p = n - 1
+        while level[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _successor(level, p)
 
 
 _COLLECT_LIMIT = 5
@@ -58,14 +102,17 @@ def trees_census(max_vertices, budget=DEFAULT_BUDGET):
         )
     rows = []
     for size in range(2, max_vertices + 1):
-        trees = _all_trees(size)
+        trees = list(_free_trees(size))
         instances = agreements = 0
         bad = []
-        for t in trees:
-            names = {v: f"v{v}" for v in t.nodes}
-            edges = make_edges((names[a], names[b]) for a, b in sorted(t.edges))
-            leaves = [names[v] for v in t.nodes if t.degree(v) == 1]
-            internal = sorted(set(names.values()) - set(leaves))
+        for tree in trees:
+            degree = [0] * size
+            for a, b in tree:
+                degree[a] += 1
+                degree[b] += 1
+            edges = make_edges((f"v{a}", f"v{b}") for a, b in tree)
+            leaves = [f"v{v}" for v, d in enumerate(degree) if d == 1]
+            internal = [f"v{v}" for v, d in enumerate(degree) if d > 1]
             for extra in range(len(internal) + 1):
                 for add in combinations(internal, extra):
                     boundary = sorted(set(leaves) | set(add))

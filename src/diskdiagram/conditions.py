@@ -172,12 +172,12 @@ def _attached_before(dec):
 
 
 def _gaps(dec, ring, before):
-    """The qualifying gaps of a tree's ring, as ``(pair, tilde, a, b)``.
+    """The qualifying gaps of a tree's ring, as ``(pair, tilde)``.
 
-    ``a`` and ``b`` are the boundary positions of two attachments
-    consecutive in the ring, ``pair`` the two names sorted and ``tilde``
-    the arc's end vertices next to ``pair[0]`` and ``pair[1]``.  The gap
-    is the open arc from ``a`` forward to ``b``; it qualifies when it
+    ``pair`` is two attachments consecutive in the ring, at boundary
+    positions ``a`` and ``b``, their names sorted, and ``tilde`` the
+    arc's end vertices next to ``pair[0]`` and ``pair[1]``.  The gap is
+    the open arc from ``a`` forward to ``b``; it qualifies when it
     holds an attached vertex, which the prefix counts ``before`` (see
     `_attached_before`) tell in O(1).  The gaps come sorted by ``(pair,
     tilde)``, which is the order by ``(pair, arc from pair[0])``: a pair
@@ -196,9 +196,9 @@ def _gaps(dec, ring, before):
         if not inside:
             continue
         if va < vb:
-            out.append(((va, vb), (vs[(a + 1) % n], vs[b - 1]), a, b))
+            out.append(((va, vb), (vs[(a + 1) % n], vs[b - 1])))
         else:
-            out.append(((vb, va), (vs[b - 1], vs[(a + 1) % n]), a, b))
+            out.append(((vb, va), (vs[b - 1], vs[(a + 1) % n])))
     out.sort()
     return out
 
@@ -240,7 +240,7 @@ def check_S3(dec):
     before = _attached_before(dec)
     wits = []
     for t in dec.trees:
-        for pair, tilde, _, _ in _gaps(dec, dec.rings[t.index], before):
+        for pair, tilde in _gaps(dec, dec.rings[t.index], before):
             t1, t2 = dec.tree_at.get(tilde[0]), dec.tree_at.get(tilde[1])
             if t1 is None or t2 is None:
                 missing = [x for x, tr in zip(tilde, (t1, t2)) if tr is None]

@@ -108,6 +108,11 @@ class Cycle:
         n = len(vs)
         if n != len(es) or n < 2:
             raise ValueError("cycle needs matching vertex and edge sequences, length >= 2")
+        # distinct vertices force distinct edges from length 3 on
+        if len(set(vs)) != n:
+            raise ValueError(f"cycle repeats a vertex: {vs}")
+        if n == 2 and es[0] == es[1]:
+            raise ValueError(f"2-cycle takes edge {es[0]} twice")
         # `Edge.touches` inlined: the cycle search builds every cycle here
         for u, v, e in zip(vs, vs[1:] + vs[:1], es):
             if not ((u == e[0] or u == e[1]) and (v == e[0] or v == e[1])):

@@ -14,7 +14,8 @@ S3 by building every gap's arc, the masks below each element by
 inverting the masks above bit by bit, the level heights from a peel of
 every (block, block above) pair of the closure, the drawing check over
 every pair of tree segments, and the level cut and SVG renderer that
-took one level and one number at a time.
+took one level and one number at a time.  Besides these, a Prüfer
+sequence decoder gives the tests labelled trees without a graph library.
 """
 import math
 import random
@@ -223,6 +224,23 @@ def pair_list(obj, field, known):
                 raise UnknownId(x, f"{field}[{i}]")
         out.append((item[0], item[1]))
     return tuple(out)
+
+
+def prufer_tree(seq):
+    """The labelled tree on ``0 .. len(seq) + 1`` with Prüfer sequence
+    ``seq``, as its sorted ``(u, v)`` pairs with ``u < v``: each entry
+    joins the smallest remaining leaf to itself."""
+    degree = [1] * (len(seq) + 2)
+    for x in seq:
+        degree[x] += 1
+    out = []
+    for x in seq:
+        leaf = degree.index(1)
+        out.append((min(leaf, x), max(leaf, x)))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    out.append(tuple(v for v, d in enumerate(degree) if d == 1))
+    return sorted(out)
 
 
 def tree_path(adj, u, v):

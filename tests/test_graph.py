@@ -127,6 +127,12 @@ class TestCycleType:
             Cycle(("a", "b", "c"), (ab, bc, bc))
         with pytest.raises(ValueError, match="matching vertex and edge sequences"):
             Cycle(("a", "b", "c"), (ab, bc))
+        # a cycle is simple: no vertex twice, and a 2-cycle takes two copies
+        assert len(Cycle(("a", "b"), (ab, Edge("a", "b", 1)))) == 2
+        with pytest.raises(ValueError, match="2-cycle takes edge a-b twice"):
+            Cycle(("a", "b"), (ab, ab))
+        with pytest.raises(ValueError, match="cycle repeats a vertex"):
+            Cycle(("a", "b", "a", "c"), (ab, ab, ca, ca))
 
     @given(st.integers(3, 8), st.integers(0, 7), st.booleans())
     @settings(max_examples=40, deadline=None)

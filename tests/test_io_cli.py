@@ -669,16 +669,25 @@ def run_fresh(script, *args):
     return proc.stdout
 
 
+# the top-level modules, other than the package's, loaded since the start
+LOADED = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "def loaded():\n"
+    "    new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+    "    print(sorted(new - set(sys.stdlib_module_names) - {'diskdiagram'}))\n"
+)
+
+
 class TestImports:
-    """Commands import numpy and networkx only when they run code that uses
-    them, and the package still exports every name it did."""
+    """Commands import numpy only when they run code that uses it, nothing
+    else outside the standard library, and the package still exports
+    every name it did."""
 
     def test_check_and_graphs_census_load_neither(self, files, tmp_path):
-        script = (
-            "import contextlib, io, sys\n"
+        script = LOADED + (
+            "import contextlib, io\n"
             "import diskdiagram.cli as cli\n"
-            "def loaded():\n"
-            "    print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
             "loaded()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['check', sys.argv[1]]) == 0\n"
@@ -695,11 +704,20 @@ class TestImports:
         out = run_fresh(script, files["G1"], files["g1_missing"], str(tmp_path / "w.svg"))
         assert out.splitlines() == ["[]", "[]", "[]", "['numpy']"]
 
+    def test_trees_census_loads_only_the_standard_library(self):
+        script = LOADED + (
+            "import contextlib, io\n"
+            "import diskdiagram.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['enumerate', '--max', '3', '--mode', 'trees']) == 0\n"
+            "loaded()\n"
+        )
+        assert run_fresh(script).splitlines() == ["[]"]
+
     def test_package_import_loads_neither(self):
-        script = (
-            "import sys\n"
+        script = LOADED + (
             "import diskdiagram\n"
-            "print(sorted(m for m in ('numpy', 'networkx') if m in sys.modules))\n"
+            "loaded()\n"
             "diskdiagram.realize\n"
             "print('numpy' in sys.modules)\n"
         )

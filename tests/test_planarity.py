@@ -104,22 +104,19 @@ class TestOracle:
     @given(st.data())
     @settings(max_examples=120, deadline=None)
     def test_criterion_equals_oracle_random_trees(self, data):
-        import networkx as nx
-
         n = data.draw(st.integers(3, 7), label="n")
         if n == 3:
-            tree = nx.path_graph(3)
+            prufer = [1]  # the path, the only tree on three vertices
         else:
             prufer = data.draw(
                 st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2),
                 label="prufer",
             )
-            tree = nx.from_prufer_sequence(prufer)
-        relabel = {i: f"v{i}" for i in tree.nodes}
-        tree = nx.relabel_nodes(tree, relabel)
-        es = edges(sorted(tree.edges))
-        leaves = {v for v in tree.nodes if tree.degree(v) == 1}
-        internal = sorted(set(tree.nodes) - leaves)
+        pairs = [(f"v{a}", f"v{b}") for a, b in references.prufer_tree(prufer)]
+        es = edges(pairs)
+        ends = [v for pair in pairs for v in pair]
+        leaves = {v for v in ends if ends.count(v) == 1}
+        internal = sorted(set(ends) - leaves)
         extra = data.draw(
             st.sets(st.sampled_from(internal), max_size=len(internal))
             if internal
