@@ -125,7 +125,7 @@ def check_A2(dec):
             for j in bits((above[elements[i]] | below[elements[i]]) & tmask & (-2 << i)):
                 wits.append(f"tree {t.index} vertices {elements[i]}, {elements[j]} are comparable")
     for v in sorted(dec.interior_vertices()):
-        d = len(g._incident[v])
+        d = len(g.incident[v])
         if d < 4 or d % 2:
             wits.append(f"interior vertex {v} has degree {d}; need even degree >= 4")
     return ConditionReport("A2", not wits, tuple(wits))
@@ -134,7 +134,7 @@ def check_A2(dec):
 def check_A3(dec):
     """Per-vertex passage rules along the boundary cycle."""
     g = dec.graph
-    incident, tree_at = g._incident, dec.tree_at
+    incident, tree_at = g.incident, dec.tree_at
     above, index = g.order.above, g.order.index
     vs = dec.gamma.vertices
     wits = []
@@ -302,7 +302,7 @@ def is_delta_graph(g, budget=DEFAULT_BUDGET):
 def _check_extrema_on_boundary(g, dec):
     """Consequence check: order extrema are degree-2 boundary vertices."""
     for v in g.order.minimal_elements() | g.order.maximal_elements():
-        if v not in dec.position or len(g._incident[v]) != 2:
+        if v not in dec.position or len(g.incident[v]) != 2:
             raise InvariantViolation(
                 f"order extremum {v} should lie on the boundary cycle with degree 2"
             )

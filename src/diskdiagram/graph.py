@@ -16,7 +16,6 @@ from .errors import (
     DegreeBelowTwo,
     DisconnectedGraph,
     DiskDiagramError,
-    InvariantViolation,
     NotAForest,
     NotInTree,
     SelfLoop,
@@ -163,13 +162,10 @@ class PoGraph:
     vertices: frozenset
     edges: tuple
     order: StrictPartialOrder
-    _incident: dict = field(compare=False, repr=False, default=None)
-
-    def incident(self, v):
-        return self._incident[v]
+    incident: dict = field(compare=False, repr=False)  # vertex -> its sorted edges
 
     def degree(self, v):
-        return len(self._incident[v])
+        return len(self.incident[v])
 
 
 def build_graph(vertices, edge_pairs, order_pairs):
@@ -353,11 +349,7 @@ class TreeComponent:
     vertices: frozenset
     edges: tuple
     attach: frozenset  # vertices shared with the boundary cycle
-    terminal: frozenset  # leaves within the component
     adj: dict = field(compare=False, repr=False)
-
-    def incident(self, v):
-        return self.adj.get(v, ())
 
 
 def _beyond(adj, ring):
@@ -438,21 +430,32 @@ def decompose(g, gamma):
     The forest components are the connected components of the union of all
     edges not on ``gamma`` together with their endpoints.  Each component
     must be a tree; otherwise NotAForest is raised.  Components are indexed
-    deterministically by their smallest vertex.
+    deterministically by their smallest vertex.  Raises ValueError for an
+    edge of ``gamma`` that is not an edge of ``g``.
 
-    The trees' adjacency is ``g._incident``, which `build_graph` sorts,
+    The trees' adjacency is ``g.incident``, which `build_graph` sorts,
     less the cycle edges, so their vertices and edges come out sorted.
+    With ``gamma``'s edges checked to be ``g``'s, the trees and ``gamma``
+    split ``g`` by construction: components are labelled once per vertex,
+    so the trees are vertex-disjoint; each non-cycle edge is listed once,
+    at its smaller end, inside its own component, so no edge is assigned
+    twice and every edge is covered; and a tree leaf off ``gamma`` would
+    have graph degree 1, which `build_graph` refuses.
     """
-    adj = dict(g._incident)
+    adj = dict(g.incident)
     for i, v in enumerate(gamma.vertices):
-        es = adj[v]
+        es = adj.get(v, ())
+        prev, nxt = gamma.edges[i - 1], gamma.edges[i]
+        for e in (prev, nxt):
+            if e not in es:
+                raise ValueError(f"cycle edge {e} is not an edge of the graph")
         if len(es) == 2:
             # the two cycle edges at v are all its edges
             del adj[v]
         else:
             es = list(es)
-            es.remove(gamma.edges[i - 1])
-            es.remove(gamma.edges[i])
+            es.remove(prev)
+            es.remove(nxt)
             adj[v] = tuple(es)
     comp = {}  # vertex -> the index of its component
     members = []  # per component, its vertices in name order
@@ -479,34 +482,6 @@ def decompose(g, gamma):
         if len(edges) != len(verts) - 1:
             raise NotAForest(i, verts)
         attach = frozenset([v for v in verts if v in on_gamma])
-        terminal = frozenset([v for v in verts if len(t_adj[v]) == 1])
-        trees.append(TreeComponent(i, frozenset(verts), edges, attach, terminal, t_adj))
-    dec = Decomposition(g, gamma, tuple(trees))
-    _validate_decomposition(dec)
-    return dec
-
-
-def _validate_decomposition(dec):
-    seen_edges = set(dec.gamma.edges)
-    for t in dec.trees:
-        if not t.terminal <= t.attach:
-            # impossible when every graph vertex has degree >= 2
-            raise InvariantViolation(
-                f"tree {t.index} has a leaf off the boundary: {sorted(t.terminal - t.attach)}"
-            )
-        if not seen_edges.isdisjoint(t.edges):
-            overlap = seen_edges.intersection(t.edges)
-            raise InvariantViolation(f"edge {sorted(overlap)[0]} assigned twice")
-        seen_edges.update(t.edges)
-    if len(seen_edges) != len(dec.graph.edges):
-        raise InvariantViolation("decomposition does not cover every edge")
-    if sum(len(t.vertices) for t in dec.trees) == len(dec.tree_at):
-        return
-    # some vertex lies in two trees: name the first such pair of trees
-    for i, t in enumerate(dec.trees):
-        for s in dec.trees[i + 1 :]:
-            if t.vertices & s.vertices:
-                raise InvariantViolation(
-                    f"trees {t.index} and {s.index} share vertices {sorted(t.vertices & s.vertices)}"
-                )
+        trees.append(TreeComponent(i, frozenset(verts), edges, attach, t_adj))
+    return Decomposition(g, gamma, tuple(trees))
 

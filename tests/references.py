@@ -283,7 +283,7 @@ def subtree_vertices(tree, root, first_edge):
         if u in out:
             continue
         out.add(u)
-        for e in tree.incident(u):
+        for e in tree.adj.get(u, ()):
             w = e.other(u)
             if w not in out and w != root:
                 stack.append(w)
@@ -298,7 +298,7 @@ def sorted_tree_edges(tree, v, lin, cut):
     """
     k = len(lin)
     keyed = []
-    for e in tree.incident(v):
+    for e in tree.adj.get(v, ()):
         block = {(lin[x] - cut) % k for x in subtree_vertices(tree, v, e) if x in lin}
         starts = [s for s in block if (s - 1) % k not in block]
         if len(starts) != 1:

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 import pickle
 import random
 import sys
@@ -13,7 +12,6 @@ from diskdiagram.errors import (
     BudgetExceeded,
     DegreeBelowTwo,
     DisconnectedGraph,
-    InvariantViolation,
     NotAForest,
     OrderCycle,
     SelfLoop,
@@ -24,7 +22,6 @@ from diskdiagram.graph import (
     Cycle,
     Decomposition,
     Edge,
-    _validate_decomposition,
     adjacency,
     build_graph,
     decompose,
@@ -355,7 +352,6 @@ class TestDecompose:
         assert t.vertices == frozenset({"a", "b"})
         assert len(t.edges) == 1
         assert t.attach == frozenset({"a", "b"})
-        assert t.terminal == frozenset({"a", "b"})
         assert dec.interior_vertices() == frozenset()
 
     def test_g3_star_tree(self):
@@ -366,7 +362,6 @@ class TestDecompose:
         t = dec.trees[0]
         assert t.vertices == frozenset({"c", "w1", "w2", "w3", "w4"})
         assert t.attach == frozenset({"w1", "w2", "w3", "w4"})
-        assert t.terminal == frozenset({"w1", "w2", "w3", "w4"})
         assert dec.interior_vertices() == frozenset({"c"})
         assert dec.tree_at["c"] is t
         assert "m1" not in dec.tree_at
@@ -388,26 +383,6 @@ class TestDecompose:
         assert dec.trees[0].vertices == frozenset({"a1", "b1"})
         assert dec.trees[1].vertices == frozenset({"a2", "b2"})
 
-    def test_trees_sharing_a_vertex_named(self):
-        g = build("G4")
-        dec = decompose(g, ring_cycle(g, ["m", "a1", "a2", "M", "b2", "b1"]))
-        t0, t1 = dec.trees
-        bad = Decomposition(g, dec.gamma, (t0, replace(t1, vertices=t1.vertices | {"a1"})))
-        with pytest.raises(InvariantViolation, match=r"trees 0 and 1 share vertices \['a1'\]"):
-            _validate_decomposition(bad)
-
-    def test_edge_partition(self, graphs):
-        g = build("G3")
-        ring = ["w1", "M1", "w2", "m1", "w3", "M2", "w4", "m2"]
-        gamma = ring_cycle(g, ring)
-        dec = decompose(g, gamma)
-        parts = [set(gamma.edges)] + [set(t.edges) for t in dec.trees]
-        union = set()
-        for p in parts:
-            assert not (union & p)
-            union |= p
-        assert union == set(g.edges)
-
     def test_cyclic_leftover_rejected(self):
         names = ["a", "b", "c", "d", "e"]
         ring = [(names[i], names[(i + 1) % 5]) for i in range(5)]
@@ -415,12 +390,27 @@ class TestDecompose:
         with pytest.raises(NotAForest):
             decompose(g, ring_cycle(g, names))
 
+    def test_bogus_gamma_rejected(self):
+        """A cycle edge that is not an edge of the graph is named, also
+        when the cycle's vertices are the graph's."""
+        g = build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], [])
+        crossed = make_edges([("a", "c"), ("c", "b"), ("b", "d"), ("d", "a")])
+        with pytest.raises(ValueError, match=r"^cycle edge a-c is not an edge of the graph$"):
+            decompose(g, Cycle(("a", "c", "b", "d"), crossed))
+        g = build("G1")
+        gamma = ring_cycle(g, ["m", "a", "M", "b"])
+        edges = tuple(Edge("M", "a", 7) if e[:2] == ("M", "a") else e for e in gamma.edges)
+        with pytest.raises(ValueError, match=r"^cycle edge M-a#7 is not an edge of the graph$"):
+            decompose(g, Cycle(gamma.vertices, edges))
+
     def test_tables_match_reference(self, verdicts, realized_corpus, census_accepted, ladder):
         """Each tree's adjacency (the graph's incidence less the cycle
         edges) and the decomposition's tables equal the ones built
         afresh, for `decompose`'s decompositions of the fixtures, the
         corpus, the census's accepted graphs and ladder d <= 3, and for
-        hand-built ones with their trees in reverse."""
+        hand-built ones with their trees in reverse.  The trees are
+        vertex-disjoint, their edges and the cycle's partition the
+        graph's, and every tree leaf lies on the cycle."""
         found = [(name, v.decomposition) for name, v in sorted(verdicts.items())]
         found += [(f"{s.name} [{m}]", f.decomposition) for s, m, _, f in realized_corpus]
         found += [(label, is_delta_graph(g).decomposition) for label, g in census_accepted]
@@ -434,7 +424,11 @@ class TestDecompose:
         for label, dec in found + by_hand:
             adj, position, tree_at, rings = references.decomposition_tables(dec)
             for t in dec.trees:
-                assert {v: t.incident(v) for v in t.vertices} == adj[t.index], label
+                assert {v: t.adj.get(v, ()) for v in t.vertices} == adj[t.index], label
+                assert all(v in dec.gamma for v, es in adj[t.index].items() if len(es) == 1), label
+            assert sum(len(t.vertices) for t in dec.trees) == len(dec.tree_at), label
+            edges = [*dec.gamma.edges, *(e for t in dec.trees for e in t.edges)]
+            assert sorted(edges) == sorted(dec.graph.edges), label
             assert dec.position == position, label
             assert dec.tree_at.keys() == tree_at.keys(), label
             assert all(dec.tree_at[v] is t for v, t in tree_at.items()), label

@@ -235,7 +235,7 @@ class TestEmbedding:
             emb = self._embed(verdicts, name)
             g = emb.decomposition.graph
             for v in g.vertices:
-                assert sorted(emb.rotation[v]) == sorted(g.incident(v))
+                assert sorted(emb.rotation[v]) == sorted(g.incident[v])
 
     def test_interleaved_decomposition_not_embeddable(self, graphs):
         from diskdiagram.conditions import check_A1

@@ -8,18 +8,6 @@ import pytest
 from diskdiagram.errors import DegenerateDrawing
 
 
-def test_oracle_sweep(load_script):
-    assert load_script("oracle_sweep").main(["--trees", "5", "--graphs", "3"]) == 0
-
-
-def test_oracle_sweep_size_out_of_range(load_script, capsys):
-    """A size the census refuses exits 2 with one error line, as the CLI
-    does, not 1, which means a disagreement."""
-    assert load_script("oracle_sweep").main(["--trees", "9"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: trees census size must be between 2 and 8, got 9\n"
-
-
 def test_render_examples(load_script, tmp_path):
     assert load_script("render_examples").main(["--out", str(tmp_path)]) == 0
     assert list(tmp_path.glob("*.svg"))
