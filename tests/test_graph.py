@@ -383,6 +383,18 @@ class TestDecompose:
         assert dec.trees[0].vertices == frozenset({"a1", "b1"})
         assert dec.trees[1].vertices == frozenset({"a2", "b2"})
 
+    def test_edge_partition(self, graphs):
+        g = build("G3")
+        ring = ["w1", "M1", "w2", "m1", "w3", "M2", "w4", "m2"]
+        gamma = ring_cycle(g, ring)
+        dec = decompose(g, gamma)
+        parts = [set(gamma.edges)] + [set(t.edges) for t in dec.trees]
+        union = set()
+        for p in parts:
+            assert not (union & p)
+            union |= p
+        assert union == set(g.edges)
+
     def test_cyclic_leftover_rejected(self):
         names = ["a", "b", "c", "d", "e"]
         ring = [(names[i], names[(i + 1) % 5]) for i in range(5)]
