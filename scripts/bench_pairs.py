@@ -17,8 +17,9 @@ The output JSON holds ``about``, ``environment``, ``workloads`` (per
 workload one entry per seed: the seed, the side run first and both
 result lines) and ``trace`` (per workload the seed and both result
 lines).  It prints, per end-to-end metric and workload, each side's
-median, the parent's quartiles and the pairs the change won (ties count
-for neither), and marks a gain as resolved when the change won at least
+median, the change's median as a percentage of the parent's, the
+parent's quartiles and the pairs the change won (ties count for
+neither), and marks a gain as resolved when the change won at least
 nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range; then the traced metrics of both sides.
 """
@@ -85,8 +86,9 @@ def _value(result, metric, better):
 def summary(workloads, better):
     """One row per workload and end-to-end metric of ``better`` (metric ->
     "lower" or "higher") found in the results, as a dict: the medians,
-    the parent's quartiles, the pairs the change won, the pair count and
-    whether the gain is resolved."""
+    the change's median in percent of the parent's, the parent's
+    quartiles, the pairs the change won, the pair count and whether the
+    gain is resolved."""
     rows = []
     for workload, pairs in workloads.items():
         for metric, direction in better.items():
@@ -106,6 +108,7 @@ def summary(workloads, better):
                     "parent_q1": q1,
                     "parent_q3": q3,
                     "change": m_chg,
+                    "percent": 100 * m_chg / m_par if m_par else math.nan,
                     "won": won,
                     "pairs": len(pairs),
                     "resolved_gain": 10 * won >= 9 * len(pairs)
@@ -170,8 +173,8 @@ def main(argv=None):
     for r in summary(doc["workloads"], better):
         print(
             f"{r['workload']:8s} {r['metric']:16s} parent {r['parent']:10.4f} "
-            f"[{r['parent_q1']:.4f}, {r['parent_q3']:.4f}]  change {r['change']:10.4f}  "
-            f"won {r['won']}/{r['pairs']}{'  gain resolved' if r['resolved_gain'] else ''}"
+            f"[{r['parent_q1']:.4f}, {r['parent_q3']:.4f}]  change {r['change']:10.4f} "
+            f"({r['percent']:6.1f} %)  won {r['won']}/{r['pairs']}{'  gain resolved' if r['resolved_gain'] else ''}"
         )
     for workload, traced in doc["trace"].items():
         for metric, v in traced["parent"]["metrics"].items():

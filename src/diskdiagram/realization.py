@@ -25,9 +25,10 @@ segment by segment from the fan rows it crosses, in fan order, all
 levels in one pass.  Its polylines stay arrays for `svg.render_svg`;
 `level_sets` gives them as lists of points.  `sign_census` audits the
 drawn values: around every tree vertex, the faces' values off the
-tree's level must lie on alternating sides of it.  Rows of the stacked
-(N, 2) arrays are gathered with `np.take(a, rows, axis=0)`, which runs
-several times faster than ``a[rows]`` at a few hundred rows.
+tree's level must lie on alternating sides of it.  The passes call
+ndarray methods and slices, not numpy's wrappers: at a few hundred rows
+``np.take(a, rows, axis=0)`` takes 1.8 µs, ``a[rows]`` 5 µs and
+``a.take(rows, axis=0)`` 0.8 µs, and `np.roll` 7 µs.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .graph import DEFAULT_BUDGET
 from .orders import HeightAssignment, assign_heights, boundary_extrema
-from .planarity import build_embedding
+from .planarity import DiskEmbedding, build_embedding
 
 SNAP = 1e-9
 SAMPLES_PER_BOUNDARY_EDGE = 16
@@ -66,28 +67,6 @@ def _rim_angle(pos, n):
     counterclockwise from the top of the circle.  ``pos`` may be an array.
     """
     return math.pi / 2 + 2 * math.pi * pos / n
-
-
-def _solve_tree_positions(tree, fixed):
-    """Place interior tree vertices at the average of their neighbors."""
-    interior = sorted(tree.vertices - tree.attach)
-    if not interior:
-        return {}
-    idx = {v: i for i, v in enumerate(interior)}
-    k = len(interior)
-    a = np.zeros((k, k))
-    b = np.zeros((k, 2))
-    for v in interior:
-        i = idx[v]
-        nbrs = [y if x == v else x for x, y, _ in tree.adj[v]]
-        a[i, i] = len(nbrs)
-        for w in nbrs:
-            if w in idx:
-                a[i, idx[w]] -= 1.0
-            else:
-                b[i] += fixed[w]
-    sol = np.linalg.solve(a, b)
-    return {v: sol[idx[v]] for v in interior}
 
 
 def _cross_rows(u, v):
@@ -156,7 +135,8 @@ def _certify_drawing(emb, coords):
     dec = emb.decomposition
     band = min(1e-7, (1 - math.cos(math.pi / len(dec.gamma.vertices))) / 2)
     inner = [coords[v] for t in dec.trees for v in t.vertices - t.attach]
-    if inner and (np.hypot(*np.array(inner).T) >= 1.0 - band).any():
+    r = np.array(inner).reshape(-1, 2)
+    if (np.hypot(r[:, 0], r[:, 1]) >= 1.0 - band).any():
         return False
     walks = [f.darts for f in emb.faces if not f.is_outer and len(f.darts) > 2]
     if not walks:
@@ -164,27 +144,47 @@ def _certify_drawing(emb, coords):
     sizes = [len(w) for w in walks]
     p = np.array([coords[u] for w in walks for u, _ in w])
     _, bad, (prv, nxt) = _fan_faults(p, sizes)
-    u1, u2 = np.take(p, prv, axis=0) - p, np.take(p, nxt, axis=0) - p
+    u1, u2 = p.take(prv, axis=0) - p, p.take(nxt, axis=0) - p
     cross = np.abs(_cross_rows(u1, u2))
-    spike = (cross <= 1e-12) & ((u1 * u2).sum(axis=1) > 0)
-    near = cross <= SNAP * np.hypot(*(u2 - u1).T)
+    spike = (cross <= 1e-12) & (u1[:, 0] * u2[:, 0] + u1[:, 1] * u2[:, 1] > 0)
+    d = u2 - u1
+    near = cross <= SNAP * np.hypot(d[:, 0], d[:, 1])
     return not (bad.any() or spike.any() or near.any())
 
 
 def assign_coords(emb):
     """Unit-circle boundary placement plus interior averaging per tree.
 
-    The drawing is solved once; DegenerateDrawing is raised when
+    The systems of all trees with k interior vertices go to one stacked
+    `np.linalg.solve`, which runs the same LAPACK routine on each.  The
+    drawing is solved once; DegenerateDrawing is raised when
     `_certify_drawing` rejects it.
     """
     dec = emb.decomposition
     gamma = dec.gamma.vertices
     coords = dict(zip(gamma, _rim_points(len(gamma))[::SAMPLES_PER_BOUNDARY_EDGE]))
+    by_size = {}
     for t in dec.trees:
-        coords.update(_solve_tree_positions(t, coords))
+        interior = sorted(t.vertices - t.attach)
+        if interior:
+            by_size.setdefault(len(interior), []).append((t.adj, interior))
+    for k, group in by_size.items():
+        a, b = np.zeros((len(group), k, k)), np.zeros((len(group), k, 2))
+        for j, (adj, interior) in enumerate(group):
+            idx = {v: i for i, v in enumerate(interior)}
+            for v, i in idx.items():
+                nbrs = [y if x == v else x for x, y, _ in adj[v]]
+                a[j, i, i] = len(nbrs)
+                for w in nbrs:
+                    if w in idx:
+                        a[j, i, idx[w]] -= 1.0
+                    else:
+                        b[j, i] += coords[w]
+        for (_, interior), sol in zip(group, np.linalg.solve(a, b)):
+            coords.update(zip(interior, sol))
     if not _certify_drawing(emb, coords):
         raise DegenerateDrawing("tree placement produced a degenerate drawing")
-    return emb.with_coords(coords)
+    return DiskEmbedding(dec, emb.rotation, emb.faces, emb.outer_index, emb.dart_face, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,12 @@ def _rim_points(n):
     return table
 
 
-def _flat(u, v):
-    """Rows where v does not turn left of u by an angle whose sine exceeds
-    1e-12: ``cross(u, v) <= 1e-12 |u| |v|``."""
-    return _cross_rows(u, v) <= 1e-12 * np.hypot(*u.T) * np.hypot(*v.T)
+def _flat(u, nxt):
+    """Rows r where ``u[nxt[r]]`` does not turn left of ``u[r]`` by an angle
+    whose sine exceeds 1e-12: ``cross(u, v) <= 1e-12 |u| |v|``."""
+    x, y = u[:, 0], u[:, 1]
+    size = np.hypot(x, y)
+    return x * y.take(nxt) - y * x.take(nxt) <= 1e-12 * size * size.take(nxt)
 
 
 def _fan_faults(points, sizes):
@@ -304,32 +306,29 @@ def _fan_faults(points, sizes):
     strictly between the edge's two end heights.  So no fan triangle is
     flat, and every diagonal leaves a rim sample; none joins two
     vertices of a tree.
+    Both tests run once per point r: the corner at ``next(r)`` and the
+    fan row of r, as seen from point 1; only their OR per polygon is read.
     """
     sizes = np.asarray(sizes)
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     firsts = ends - sizes
-    prv, nxt = np.arange(-1, ends[-1] - 1), np.arange(1, ends[-1] + 1)
+    prv, nxt = np.arange(-1, len(points) - 1), np.arange(1, len(points) + 1)
     prv[firsts] = ends - 1
     nxt[ends - 1] = firsts
-    tri_owner = np.repeat(np.arange(len(sizes)), sizes - 2)
-    # polygon j's fan rows start 2 j rows before its points, and its
-    # row for point r is the one 2 j + 2 rows before r
-    tri_firsts = firsts - 2 * np.arange(len(sizes))
+    tri_owner = np.arange(len(sizes)).repeat(sizes - 2)
     rows = np.empty((len(tri_owner), 3), dtype=int)
-    rows[:, 0] = firsts[tri_owner] + 1
+    rows[:, 0] = firsts.take(tri_owner) + 1
+    # polygon j's row for point r is the one 2 j + 2 rows before r
     rows[:, 1] = np.arange(len(tri_owner)) + 2 * tri_owner + 2
-    rows[:, 2] = nxt[rows[:, 1]]
-    edge = np.take(points, nxt, axis=0) - points  # the edge leaving each point
-    upward = (edge[:, 1] < 0) & (edge[nxt, 1] >= 0)
+    rows[:, 2] = nxt.take(rows[:, 1])
+    edge = points.take(nxt, axis=0) - points  # the edge leaving each point
+    upward = (edge[:, 1] < 0) & (edge[:, 1] >= 0).take(nxt)
     bad = np.add.reduceat(upward, firsts, dtype=int) != 1
-    # every corner, then every fan row's corner at point 1, in one test
-    apex = np.take(points, rows[:, 0], axis=0)
-    u = np.concatenate([np.take(edge, prv, axis=0), np.take(points, rows[:, 1], axis=0) - apex])
-    v = np.concatenate([edge, np.take(points, rows[:, 2], axis=0) - apex])
-    del edge, apex  # freed before the test's temporaries, a million rows at ladder d = 8
-    flat = _flat(u, v)
-    bad |= np.logical_or.reduceat(flat[: len(points)], firsts)
-    bad |= np.logical_or.reduceat(flat[len(points) :], tri_firsts)
+    flat = _flat(edge, nxt)
+    del edge  # freed before the fan's temporaries, a million rows at ladder d = 8
+    fan = _flat(points - points.take((firsts + 1).repeat(sizes), axis=0), nxt)
+    fan[firsts] = fan[firsts + 1] = False  # points 0 and 1 have no fan row
+    bad |= np.logical_or.reduceat(flat | fan, firsts)
     return rows, bad, (prv, nxt)
 
 
@@ -338,7 +337,7 @@ def _convex_fans(points, sizes, names):
     that is not strictly convex by ``names[j]``."""
     rows, bad, _ = _fan_faults(points, sizes)
     if bad.any():
-        raise DegenerateDrawing(f"face {names[int(np.argmax(bad))]} is not strictly convex")
+        raise DegenerateDrawing(f"face {names[bad.argmax()]} is not strictly convex")
     return rows
 
 
@@ -381,8 +380,8 @@ def extend_to_faces(emb, heights):
     table_pts = np.concatenate([_rim_points(n), vertex_xy])
     # rim values, linear along each boundary edge, then the vertex heights
     t = np.arange(k) / k
-    h = np.array([heights.value[v] for v in gamma.vertices])[:, None]
-    table_vals = np.concatenate([((1 - t) * h + t * np.roll(h, -1)).ravel(), vertex_values])
+    h = np.array([heights.value[v] for v in gamma.vertices + gamma.vertices[:1]])[:, None]
+    table_vals = np.concatenate([((1 - t) * h[:-1] + t * h[1:]).ravel(), vertex_values])
     faces = [f for f in emb.faces if not f.is_outer]
     starts, counts, drawn, sizes = [], [], [], []
     for face in faces:
@@ -400,9 +399,9 @@ def extend_to_faces(emb, heights):
                 drawn.append(u)
                 sizes[-1] += counts[-1]
     counts = np.array(counts)
-    firsts = np.cumsum(counts) - counts  # each dart's first point
-    take = np.repeat(np.array(starts) - firsts, counts) + np.arange(firsts[-1] + counts[-1])
-    points, values = np.take(table_pts, take, axis=0), table_vals[take]
+    firsts = counts.cumsum() - counts  # each dart's first point
+    take = (np.array(starts) - firsts).repeat(counts) + np.arange(firsts[-1] + counts[-1])
+    points, values = table_pts.take(take, axis=0), table_vals.take(take)
     del take, table_pts, table_vals  # freed before the fan test, which sets the peak
     triangles = _convex_fans(points, sizes, [f.index for f in faces])
     ids = np.arange(len(names), len(names) + len(points))
@@ -642,12 +641,6 @@ def _stitch(edges, xy):
     return walks
 
 
-def _face_ranges(f):
-    """Each inner face's lowest and highest drawn value, in face order."""
-    firsts = np.cumsum(f.face_sizes) - f.face_sizes
-    return np.minimum.reduceat(f.values, firsts), np.maximum.reduceat(f.values, firsts)
-
-
 def _crossings(f, c, a, b):
     """Points where levels `c` cross the triangle edges (a, b).
 
@@ -659,8 +652,8 @@ def _crossings(f, c, a, b):
     the level is taken exactly, the higher row where both do.
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    p_lo, p_hi = np.take(f.points, lo, axis=0), np.take(f.points, hi, axis=0)
-    v_lo, v_hi = f.values[lo], f.values[hi]
+    p_lo, p_hi = f.points.take(lo, axis=0), f.points.take(hi, axis=0)
+    v_lo, v_hi = f.values.take(lo), f.values.take(hi)
     pts = p_lo + ((c - v_lo) / (v_hi - v_lo))[..., None] * (p_hi - p_lo)
     pts = np.where((v_lo == c)[..., None], p_lo, pts)
     return np.where((v_hi == c)[..., None], p_hi, pts)
@@ -696,36 +689,38 @@ def _level_polylines(f, values):
     cs = np.asarray(values, dtype=float)[:, None]
     tris = f.triangles
     sizes = np.asarray(f.face_sizes)
-    face = np.repeat(np.arange(len(sizes)), sizes - 2)
-    v0, v1, v2 = f.values[tris.T]
+    face = np.arange(len(sizes)).repeat(sizes - 2)
+    vt = f.values.take(tris)
+    v0, v1, v2 = vt[:, 0], vt[:, 1], vt[:, 2]
     # below c and above it, with the face's lowest value strictly below;
     # a triangle's highest value is at most its face's
-    low_face = _face_ranges(f)[0][face]
+    low_face = np.minimum.reduceat(f.values, sizes.cumsum() - sizes).take(face)
     low, high = np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2)
-    level, hit = np.nonzero((low_face < cs) & (low <= cs) & (cs < high))
-    c = cs[level]
-    s0, s1, s2 = v0[hit] > c[:, 0], v1[hit] > c[:, 0], v2[hit] > c[:, 0]
+    level, hit = ((low_face < cs) & (low <= cs) & (cs < high)).nonzero()
+    c = cs.take(level, axis=0)
+    above = vt.take(hit, axis=0) > c
+    s0, s1, s2 = above[:, 0], above[:, 1], above[:, 2]
     # the vertex alone on its side of c; the level crosses its two edges
     k = np.where(s1 == s2, 0, np.where(s0 == s2, 1, 2))
-    corners = tris.ravel()[3 * hit[:, None] + _FROM_CORNER.take(k, axis=0)]
+    corners = tris.take(3 * hit[:, None] + _FROM_CORNER.take(k, axis=0))
     ends = _crossings(f, c, corners[:, :1], corners[:, 1:])  # each row's pa, pb
     pa, pb = ends[:, 0], ends[:, 1]
-    kept = np.flatnonzero((pa[:, 0] != pb[:, 0]) | (pa[:, 1] != pb[:, 1]))
+    kept = ((pa[:, 0] != pb[:, 0]) | (pa[:, 1] != pb[:, 1])).nonzero()[0]
     level, apex = level[kept], k[kept] == 0
     key = level * len(sizes) + face[hit[kept]]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new)
+    new = np.ones(len(key) + 1, dtype=bool)  # curves' first kept rows, then the end
+    new[1:-1] = key[1:] != key[:-1]
+    bounds = new.nonzero()[0]
     # curve r, rows lo[r]:hi[r] of `points`, is its first row's entry
     # (pa at the apex, else pb) and then every row's exit (the other)
-    lo = starts + np.arange(len(starts))
+    cuts = bounds + np.arange(len(bounds))
+    starts, lo, hi = bounds[:-1], cuts[:-1], cuts[1:]
     src = np.empty(len(key) + len(starts), dtype=int)
-    src[np.arange(len(key)) + np.cumsum(new)] = 2 * kept + apex
+    src[np.arange(len(key)) + new[:-1].cumsum()] = 2 * kept + apex
     src[lo] = 2 * kept[starts] + 1 - apex[starts]
-    points = np.take(ends.reshape(-1, 2), src, axis=0)
-    hi = np.append(lo[1:], len(points))
+    points = ends.reshape(-1, 2).take(src, axis=0)
     forward = apex[starts]
-    first = np.take(points, np.where(forward, lo, hi - 1), axis=0)
+    first = points.take(np.where(forward, lo, hi - 1), axis=0)
     order = np.lexsort((first[:, 1], first[:, 0], level[starts]))
     out = [[] for _ in cs]
     trees = f.decomposition.trees
@@ -734,10 +729,10 @@ def _level_polylines(f, values):
     # every tree path at one level
     tree_levels = f.vertex_values[f.tree_ends[rows[:-1], 0]]
     xy = None
-    for i, j in zip(*np.nonzero(np.abs(tree_levels - cs) <= SNAP)):
+    for i, j in zip(*(np.abs(tree_levels - cs) <= SNAP).nonzero()):
         xy = xy or f.vertex_xy.tolist()
         edges = f.tree_ends[rows[j] : rows[j + 1]].tolist()
-        out[i] += [np.take(f.vertex_xy, walk, axis=0) for walk in _stitch(edges, xy)]
+        out[i] += [f.vertex_xy.take(walk, axis=0) for walk in _stitch(edges, xy)]
     curves = list(zip(level[starts].tolist(), lo.tolist(), hi.tolist(), forward.tolist()))
     for r in order.tolist():
         i, a, b, fwd = curves[r]
@@ -783,7 +778,7 @@ def sign_census(f):
     """Alternation of face signs around every tree vertex, read from the drawing.
 
     A face's sign at a tree is read from the range of the face's drawn
-    values (`_face_ranges`): +1 when its lowest value lies at or above
+    values: +1 when its lowest value lies at or above
     the tree's level and its highest above it, -1 when its highest lies
     at or below the level and its lowest below, and no sign otherwise,
     which is a witness.  Around an interior tree vertex the incident
@@ -796,7 +791,9 @@ def sign_census(f):
     dec = emb.decomposition
     g = dec.graph
     heights = f.heights
-    ranges = dict(zip(f.face_indices, zip(*(r.tolist() for r in _face_ranges(f)))))
+    firsts = list(accumulate(f.face_sizes[:-1], initial=0))
+    lows, highs = (u.reduceat(f.values, firsts).tolist() for u in (np.minimum, np.maximum))
+    ranges = dict(zip(f.face_indices, zip(lows, highs)))
     witnesses = []
     corner_signs = {}
     for t in dec.trees:

@@ -50,7 +50,7 @@ def render_svg(f, levels=5):
         '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
         '<circle cx="%.4f" cy="%.4f" r="%.4f" stroke="#202020" stroke-width="2"/>',
     ]
-    drawn = [np.zeros((1, 2))]  # the circle's center, then every level's points
+    drawn = []  # every level's points
     for c, chains in zip(level_values, _level_polylines(f, level_values)):
         color = _color((c - lo) / span)
         for chain in chains:
@@ -72,18 +72,18 @@ def render_svg(f, levels=5):
     out.append("</g>")
     out.append("</svg>")
     xy = f.vertex_xy
-    p = np.concatenate(drawn + [np.take(xy, ends.ravel(), axis=0), xy])
+    p = np.concatenate(drawn + [xy.take(ends.ravel(), axis=0), xy])
     # x and y on the canvas; -y + MARGIN rounds as MARGIN - y does
     p = (p * [1, -1] + MARGIN) / (2 * MARGIN) * SIZE
-    lines = len(p) - len(xy)  # the center, level points and tree ends
-    canvas = p[:lines].ravel()
-    vx, vy = p[lines:, 0], p[lines:, 1]
-    numbers = np.concatenate([
-        [SIZE] * 4,
-        canvas[:2],
-        [SIZE / (2 * MARGIN)],
-        canvas[2:],
-        np.stack([vx, vy, vx + 5, vy - 5, f.vertex_values], axis=1).ravel(),
-    ])
+    lines = len(p) - len(xy)  # level points and tree ends
+    # the canvas size, the circle's center (the origin, mapped as p is) and
+    # radius, the lines' points, then each vertex's x, y, x + 5, y - 5, value
+    numbers = np.empty(7 + 2 * lines + 5 * len(xy))
+    numbers[:7] = [SIZE] * 4 + [MARGIN / (2 * MARGIN) * SIZE] * 2 + [SIZE / (2 * MARGIN)]
+    numbers[7 : 7 + 2 * lines] = p[:lines].ravel()
+    marks = numbers[7 + 2 * lines :].reshape(-1, 5)
+    marks[:, :2] = p[lines:]
+    marks[:, 2:4] = p[lines:] + [5, -5]
+    marks[:, 4] = f.vertex_values
     numbers[np.abs(numbers) < 5e-5] = 0.0
     return "\n".join(out) % tuple(numbers.tolist()) + "\n"

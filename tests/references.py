@@ -13,8 +13,10 @@ full cycle search, S2's separation by a scan of every pair of trees,
 S3 by building every gap's arc, the masks below each element by
 inverting the masks above bit by bit, the level heights from a peel of
 every (block, block above) pair of the closure, the drawing check over
-every pair of tree segments, and the level cut and SVG renderer that
-took one level and one number at a time.  Besides these, a Prüfer
+every pair of tree segments, each tree's Tutte system solved on its
+own, the fan rows and convexity test of one polygon at a time, and the
+level cut and SVG renderer that took one level and one number at a
+time.  Besides these, a Prüfer
 sequence decoder gives the tests labelled trees without a graph library.
 """
 import math
@@ -350,6 +352,61 @@ def rim_points(n, k):
     th = _rim_angle(np.arange(n), n)[:, None] + np.arange(k) / k * (2 * math.pi / n)
     th = th.ravel().tolist()
     return np.array([[math.cos(a) for a in th], [math.sin(a) for a in th]]).T
+
+
+def solve_tree_positions(tree, fixed):
+    """Place one tree's interior vertices at the average of their
+    neighbours, by one `np.linalg.solve` of this tree's system alone."""
+    interior = sorted(tree.vertices - tree.attach)
+    if not interior:
+        return {}
+    idx = {v: i for i, v in enumerate(interior)}
+    k = len(interior)
+    a = np.zeros((k, k))
+    b = np.zeros((k, 2))
+    for v in interior:
+        i = idx[v]
+        nbrs = [y if x == v else x for x, y, _ in tree.adj[v]]
+        a[i, i] = len(nbrs)
+        for w in nbrs:
+            if w in idx:
+                a[i, idx[w]] -= 1.0
+            else:
+                b[i] += fixed[w]
+    sol = np.linalg.solve(a, b)
+    return {v: sol[idx[v]] for v in interior}
+
+
+def fan_faults(points, sizes):
+    """Fan rows, faults and rings of stacked polygons, one polygon at a time.
+
+    Polygon j holds the next ``sizes[j]`` rows of ``points``; returns the
+    fan rows ``(first + 1, r, next(r))`` for every point r from the third
+    on, whether each polygon is not strictly convex and counterclockwise
+    or winds other than once, and each point's previous and next row.  A
+    turn from u to v is flat when ``u[0] v[1] - u[1] v[0] <= 1e-12 |u| |v|``,
+    with the lengths by `np.hypot`; a polygon is bad when a corner or a
+    fan row's turn at point 1 is flat, or its edges do not turn upward
+    (y from below 0 to at least 0) exactly once.
+    """
+    def flat(u, v):
+        return u[0] * v[1] - u[1] * v[0] <= 1e-12 * np.hypot(u[0], u[1]) * np.hypot(v[0], v[1])
+
+    rows, bad, prv, nxt = [], [], [], []
+    first = 0
+    for m in sizes:
+        ring = list(range(first, first + m))
+        prv += ring[-1:] + ring[:-1]
+        nxt += ring[1:] + ring[:1]
+        fan = [(first + 1, ring[r], ring[(r + 1) % m]) for r in range(2, m)]
+        edge = [points[ring[(r + 1) % m]] - points[ring[r]] for r in range(m)]
+        upward = sum(edge[r][1] < 0 <= edge[(r + 1) % m][1] for r in range(m))
+        corners = any(flat(edge[r - 1], edge[r]) for r in range(m))
+        fans = any(flat(points[b] - points[a], points[c] - points[a]) for a, b, c in fan)
+        rows += fan
+        bad.append(upward != 1 or corners or fans)
+        first += m
+    return np.array(rows, dtype=int).reshape(-1, 3), np.array(bad), (np.array(prv), np.array(nxt))
 
 
 def arc_points(dart, heights, position):

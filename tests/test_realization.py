@@ -30,6 +30,7 @@ from diskdiagram.realization import (
     SNAP,
     _certify_drawing,
     _convex_fans,
+    _fan_faults,
     assign_coords,
     extend_to_faces,
     level_set,
@@ -281,6 +282,26 @@ class TestCoords:
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert math.dist(pts[i], pts[j]) > 1e-9
+
+    def test_stacked_solves_equal_one_solve_per_tree(self, graphs, delta_names, corpus):
+        """Trees with equal interior counts share one stacked solve, which
+        places every interior vertex bit for bit as solving its tree's
+        system alone does: fixtures, corpus and ladder d <= 4, both order
+        modes."""
+        inputs = [graphs[name] for name in delta_names] + [g for *_, g in corpus] + [
+            build_instance(ladder_spec(d), mode)
+            for d in (1, 2, 3, 4) for mode in ("minimal", "saturated")
+        ]
+        shared = 0
+        for g in inputs:
+            dec = is_delta_graph(g).decomposition
+            coords = assign_coords(build_embedding(dec)).coords
+            sizes = [len(t.vertices - t.attach) for t in dec.trees]
+            shared += any(k and sizes.count(k) > 1 for k in sizes)
+            for t in dec.trees:
+                for v, p in references.solve_tree_positions(t, coords).items():
+                    assert coords[v].tobytes() == p.tobytes(), (g.vertices[:3], v)
+        assert shared >= 50
 
 
 def moved_coords(f, moved):
@@ -943,6 +964,60 @@ class TestFaceFans:
         assert turns.min() > 1e-3 and fans.min() > 1e-3
         with pytest.raises(DegenerateDrawing, match="face 0 is not strictly convex"):
             _convex_fans(pts, [40], [0])
+
+    @staticmethod
+    def random_polygons(rng, count):
+        """Seeded polygons of 3 to 40 points: convex ones in either turning
+        direction, with a reflex point, with a collinear run, winding
+        twice, with its first point doubled, and triangles."""
+        kinds = ["convex", "clockwise", "reflex", "collinear", "twice", "doubled", "triangle"]
+        out = []
+        for _ in range(count):
+            kind = rng.choice(kinds)
+            m = 3 if kind == "triangle" else int(rng.integers(4, 41))
+            if kind == "twice":
+                t = np.arange(m) * 4 * math.pi / m
+                r = 1.5 + np.cos(t / 2)
+            else:
+                # a triangle's corners in random order, so of either turn
+                t = rng.uniform(0, 2 * math.pi, m)
+                t = t if kind == "triangle" else np.sort(t)
+                r = rng.uniform(0.5, 2.0) * np.ones(m)
+            pts = np.stack([r * np.cos(t), 0.7 * r * np.sin(t)], axis=1) + rng.normal(size=2)
+            if kind == "clockwise":
+                pts = pts[::-1]
+            elif kind == "reflex":
+                pts[m // 2] *= 0.2
+            elif kind == "collinear":
+                i = int(rng.integers(0, m - 2))
+                pts[i + 1] = (pts[i] + pts[i + 2]) / 2
+            if kind == "doubled":  # an edge of length 0, from point 0 to point 1
+                out.append(np.concatenate([pts[:1], pts]))
+            else:
+                out.append(np.roll(pts, int(rng.integers(0, m)), axis=0))
+        return out
+
+    def test_stacks_match_the_per_polygon_reference(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(40):
+            polys = self.random_polygons(rng, int(rng.integers(1, 12)))
+            points, sizes = np.concatenate(polys), [len(p) for p in polys]
+            rows, bad, rings = _fan_faults(points, sizes)
+            want_rows, want_bad, want_rings = references.fan_faults(points, sizes)
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(bad, want_bad)
+            assert all(np.array_equal(a, b) for a, b in zip(rings, want_rings))
+            seen.update(bad.tolist())
+        assert seen == {True, False}
+
+    def test_witnesses_match_the_per_polygon_reference(self, realized, realized_corpus):
+        for f in list(realized.values()) + [f for *_, f in realized_corpus]:
+            rows, bad, rings = _fan_faults(f.points, f.face_sizes)
+            want_rows, want_bad, want_rings = references.fan_faults(f.points, f.face_sizes)
+            assert np.array_equal(rows, want_rows) and np.array_equal(rows, f.triangles)
+            assert np.array_equal(bad, want_bad) and not bad.any()
+            assert all(np.array_equal(a, b) for a, b in zip(rings, want_rings))
 
     def test_first_bad_face_is_named(self):
         square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)

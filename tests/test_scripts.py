@@ -78,9 +78,10 @@ def test_ladder_record(load_script, monkeypatch):
 
 
 def test_bench_pairs_summary(load_script):
-    """Medians, the parent's quartiles and the pairs won, from fixed
-    result lines: a null latency loses its pair, a tie counts for
-    neither side, and a metric no line holds gets no row."""
+    """Medians, the change's in percent of the parent's, the parent's
+    quartiles and the pairs won, from fixed result lines: a null latency
+    loses its pair, a tie counts for neither side, and a metric no line
+    holds gets no row."""
     module = load_script("bench_pairs")
 
     def line(p50, per_s, setup):
@@ -102,8 +103,10 @@ def test_bench_pairs_summary(load_script):
     p50, per_s, setup = rows.values()
     assert p50["workload"] == "corpus" and p50["pairs"] == 4
     assert (p50["parent"], p50["change"], p50["won"]) == (pytest.approx(1.15), 1.1, 2)
+    assert p50["percent"] == pytest.approx(100 * 1.1 / 1.15)
     assert (p50["parent_q1"], p50["parent_q3"]) == (pytest.approx(1.025), pytest.approx(1.275))
     assert not p50["resolved_gain"]
     assert (per_s["parent"], per_s["change"], per_s["won"]) == (100.0, 115.0, 3)
+    assert per_s["percent"] == pytest.approx(115.0)
     assert not per_s["resolved_gain"]  # 3 of 4 pairs is under nine tenths
     assert setup["won"] == 4 and setup["resolved_gain"]
