@@ -21,7 +21,11 @@ median, the change's median as a percentage of the parent's, the
 parent's quartiles and the pairs the change won (ties count for
 neither), and marks a gain as resolved when the change won at least
 nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range; then the traced metrics of both sides.
+parent's interquartile range.  It also marks a metric whose change
+median is worse than the parent's by more than the metric's bound in
+BENCHMARK.json (a share of the parent's median), and one left
+unresolved because the parent's interquartile range alone exceeds that
+bound.  Then come the traced metrics of both sides.
 """
 import argparse
 import importlib.util
@@ -83,15 +87,20 @@ def _value(result, metric, better):
     return v
 
 
-def summary(workloads, better):
-    """One row per workload and end-to-end metric of ``better`` (metric ->
-    "lower" or "higher") found in the results, as a dict: the medians,
-    the change's median in percent of the parent's, the parent's
-    quartiles, the pairs the change won, the pair count and whether the
-    gain is resolved."""
+def summary(workloads, end_to_end):
+    """One row per workload and end-to-end metric of ``end_to_end`` (the
+    entries of BENCHMARK.json, each with its name, "better" direction and
+    bound) found in the results, as a dict: the medians, the change's
+    median in percent of the parent's, the parent's quartiles, the pairs
+    the change won, the pair count, whether the gain is resolved, whether
+    the change's median is worse than the parent's by more than the
+    metric's bound (a share of the parent's median), and whether the
+    parent's interquartile range alone exceeds that bound, which leaves
+    a regression of that size unresolved."""
     rows = []
     for workload, pairs in workloads.items():
-        for metric, direction in better.items():
+        for m in end_to_end:
+            metric, direction = m["name"], m["better"]
             if metric not in pairs[0]["parent"]["metrics"]:
                 continue
             par = [_value(p["parent"], metric, direction) for p in pairs]
@@ -100,6 +109,7 @@ def summary(workloads, better):
             won = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
             q1, _, q3 = statistics.quantiles(par, n=4)
             m_par, m_chg = statistics.median(par), statistics.median(chg)
+            allowed = m["bound"] * abs(m_par)
             rows.append(
                 {
                     "workload": workload,
@@ -113,6 +123,8 @@ def summary(workloads, better):
                     "pairs": len(pairs),
                     "resolved_gain": 10 * won >= 9 * len(pairs)
                     and sign * (m_par - m_chg) > q3 - q1,
+                    "beyond_bound": sign * (m_chg - m_par) > allowed,
+                    "unresolved": q3 - q1 > allowed,
                 }
             )
     return rows
@@ -169,12 +181,19 @@ def main(argv=None):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    for r in summary(doc["workloads"], better):
+    for r in summary(doc["workloads"], spec["end_to_end"]):
+        marks = [
+            text for key, text in (
+                ("resolved_gain", "gain resolved"),
+                ("beyond_bound", "WORSE BEYOND BOUND"),
+                ("unresolved", "unresolved: parent IQR exceeds bound"),
+            ) if r[key]
+        ]
         print(
             f"{r['workload']:8s} {r['metric']:16s} parent {r['parent']:10.4f} "
             f"[{r['parent_q1']:.4f}, {r['parent_q3']:.4f}]  change {r['change']:10.4f} "
-            f"({r['percent']:6.1f} %)  won {r['won']}/{r['pairs']}{'  gain resolved' if r['resolved_gain'] else ''}"
+            f"({r['percent']:6.1f} %)  won {r['won']}/{r['pairs']}"
+            + "".join(f"  {text}" for text in marks)
         )
     for workload, traced in doc["trace"].items():
         for metric, v in traced["parent"]["metrics"].items():

@@ -12,9 +12,12 @@ class SelfLoop(DiskDiagramError):
 
 
 class DisconnectedGraph(DiskDiagramError):
-    def __init__(self, component):
+    def __init__(self, component, outside):
         self.component = frozenset(component)
-        super().__init__(f"graph is not connected; one component is {sorted(component)}")
+        super().__init__(
+            f"graph is not connected; a component of {len(self.component)} vertices"
+            f" leaves out {outside!r}"
+        )
 
 
 class DegreeBelowTwo(DiskDiagramError):

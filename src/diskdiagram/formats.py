@@ -1,18 +1,18 @@
 """JSON input files and export formats.
 
 The single input format is a JSON object with "vertices", "edges" and
-"order" arrays; edges may repeat (parallel edges).  `parse` goes all
-the way to a validated PoGraph, `load_graph_file` stops at the
-syntactic level so files can be round-tripped without validation.
-Ids reach SVG, Graphviz and UTF-8 text, so an id holding a character
-XML 1.0 cannot hold is refused as malformed; `to_dot` escapes quotes
-and backslashes.
+"order" arrays; edges may repeat (parallel edges).  `load_graph_file`
+stops at the syntactic level so files can be round-tripped without
+validation.  `parse` shares its read of the document and the vertex
+list, and hands the raw edge and order lists to `build_graph`.  Ids
+reach SVG, Graphviz and UTF-8 text, so an id holding a character XML
+1.0 cannot hold is refused as malformed; `to_dot` escapes quotes and
+backslashes.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import MalformedFile, UnknownId
 from .graph import _NOT_XML, PoGraph, build_graph
@@ -27,54 +27,20 @@ class GraphFile:
     order: tuple  # of (u, v) pairs meaning u < v
 
 
-def _string_list(obj, field):
-    # one pass in C for the common valid list; the loop names the fault
-    if isinstance(obj, list) and set(map(type, obj)) <= {str} and all(obj):
-        return tuple(obj)
-    if not isinstance(obj, list):
-        raise MalformedFile(f"field '{field}' must be an array")
-    for i, x in enumerate(obj):
-        if not isinstance(x, str) or not x:
-            raise MalformedFile(f"{field}[{i}] must be a non-empty string")
-    return tuple(obj)
-
-
 def _pair_list(obj, field, known):
-    # passes in C for the common valid list; the loop names the fault
-    if (
-        isinstance(obj, list)
-        and set(map(type, obj)) <= {list}
-        and set(map(len, obj)) <= {2}
-        and _all_known(known, obj)
-    ):
-        return tuple(map(tuple, obj))
     if not isinstance(obj, list):
         raise MalformedFile(f"field '{field}' must be an array")
-    out = []
     for i, item in enumerate(obj):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, str) for x in item)
-        ):
+        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
             raise MalformedFile(f"{field}[{i}] must be a pair of id strings")
         for x in item:
             if x not in known:
                 raise UnknownId(x, f"{field}[{i}]")
-        out.append((item[0], item[1]))
-    return tuple(out)
+    return tuple(map(tuple, obj))
 
 
-def _all_known(known, pairs):
-    """Whether every id in ``pairs`` is a string of ``known``."""
-    try:
-        return known.issuperset(chain.from_iterable(pairs))
-    except TypeError:  # an unhashable id, such as a list or an object
-        return False
-
-
-def load_graph_file(text):
-    """Parse JSON text (or bytes) into a GraphFile; syntax errors only."""
+def _document(text):
+    """The text's three fields, once it is known to be a JSON object of them."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -83,9 +49,7 @@ def load_graph_file(text):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedFile(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        raise MalformedFile(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise MalformedFile("JSON nested too deeply") from None
     if not isinstance(doc, dict):
@@ -96,24 +60,55 @@ def load_graph_file(text):
     extra = sorted(set(doc) - {"vertices", "edges", "order"})
     if extra:
         raise MalformedFile(f"unknown field '{extra[0]}'")
-    vertices = _string_list(doc["vertices"], "vertices")
-    # one pass in C for the common valid list; the loop names the fault
-    if _NOT_XML.search("".join(vertices)):
-        i, bad = next((i, m) for i, v in enumerate(vertices) if (m := _NOT_XML.search(v)))
-        raise MalformedFile(f"vertices[{i}] holds U+{ord(bad.group()):04X}, not allowed in XML")
-    if len(set(vertices)) != len(vertices):
-        dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
-        raise MalformedFile(f"duplicate vertex id '{dup}'")
-    known = set(vertices)
-    edges = _pair_list(doc["edges"], "edges", known)
-    order = _pair_list(doc["order"], "order", known)
-    return GraphFile(vertices, edges, order)
+    return doc["vertices"], doc["edges"], doc["order"]
+
+
+def _checked(vertices, edges, order):
+    """The three fields, checked one item at a time, as tuples (see `parse`)."""
+    if not isinstance(vertices, list):
+        raise MalformedFile("field 'vertices' must be an array")
+    for i, v in enumerate(vertices):
+        if not isinstance(v, str) or not v:
+            raise MalformedFile(f"vertices[{i}] must be a non-empty string")
+    for i, v in enumerate(vertices):
+        if bad := _NOT_XML.search(v):
+            raise MalformedFile(f"vertices[{i}] holds U+{ord(bad.group()):04X}, not allowed in XML")
+    known = set()
+    for v in vertices:
+        if v in known:
+            raise MalformedFile(f"duplicate vertex id '{v}'")
+        known.add(v)
+    return tuple(vertices), _pair_list(edges, "edges", known), _pair_list(order, "order", known)
+
+
+def load_graph_file(text):
+    """Parse JSON text (or bytes) into a GraphFile; syntax errors only."""
+    return GraphFile(*_checked(*_document(text)))
+
+
+def _all(obj, kind):
+    return isinstance(obj, list) and set(map(type, obj)) <= {kind}
 
 
 def parse(text):
-    """File text straight to a validated PoGraph."""
-    gf = load_graph_file(text)
-    return build_graph(gf.vertices, gf.edges, gf.order)
+    """File text straight to a validated PoGraph.
+
+    The first fault is reported: a file fault (the document, the vertex
+    list, then each edge pair and order pair in file order) with
+    `load_graph_file`'s message, else `build_graph`'s in its sequence.
+    The raw lists go to `build_graph` once passes in C find valid ids and
+    only lists for pairs (a 2-character string would unpack as one); if
+    the passes or the build fail, the file's own checks run first.
+    """
+    vertices, edges, order = _document(text)
+    ids = _all(vertices, str) and all(vertices) and len(set(vertices)) == len(vertices)
+    if not (ids and _all(edges, list) and _all(order, list)):
+        return build_graph(*_checked(vertices, edges, order))  # names the fault they found
+    try:
+        return build_graph(vertices, edges, order)
+    except Exception:  # a bad id fails the build too, so name the file's fault first
+        _checked(vertices, edges, order)
+        raise
 
 
 def file_of_graph(g):

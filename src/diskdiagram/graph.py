@@ -112,7 +112,6 @@ class Cycle:
             raise ValueError(f"cycle repeats a vertex: {vs}")
         if n == 2 and es[0] == es[1]:
             raise ValueError(f"2-cycle takes edge {es[0]} twice")
-        # `Edge.touches` inlined: the cycle search builds every cycle here
         for u, v, e in zip(vs, vs[1:] + vs[:1], es):
             if not ((u == e[0] or u == e[1]) and (v == e[0] or v == e[1])):
                 raise ValueError(f"edge {e} does not join {u!r} and {v!r}")
@@ -155,6 +154,13 @@ class Cycle:
         return isinstance(other, Cycle) and self.canonical() == other.canonical()
 
 
+def _cycle(vertices, edges):
+    """A Cycle that `enumerate_simple_cycles` has built right, without `Cycle`'s check."""
+    c = object.__new__(Cycle)
+    c.__dict__.update(vertices=vertices, edges=edges)
+    return c
+
+
 @dataclass(frozen=True)
 class PoGraph:
     """A validated partially ordered multigraph."""
@@ -171,19 +177,18 @@ class PoGraph:
 def build_graph(vertices, edge_pairs, order_pairs):
     """Validate and assemble a PoGraph.
 
-    Checks, in this sequence: ids that XML 1.0 can hold (as in
-    `formats.load_graph_file`), no self-loops, edge ends among the
-    vertices, connectivity, minimum degree two, and that the order
-    generates no cycle.
+    Checks, in this sequence: ids that XML 1.0 can hold, no self-loops,
+    edge ends among the vertices, connectivity, minimum degree two, and
+    order pairs of vertices that generate no cycle.  A library caller
+    gets the first fault's error; `formats.parse` reports a file's own
+    fault first, with `formats.load_graph_file`'s message.
     """
-    names = sorted(set(vertices))
+    vertices = frozenset(vertices)
+    names = sorted(vertices)
     # one search in C over the joined names; the loop names the fault
     if _NOT_XML.search("".join(names)):
         v, bad = next((v, m) for v in names if (m := _NOT_XML.search(v)))
-        raise DiskDiagramError(
-            f"vertex id {v!r} holds U+{ord(bad.group()):04X}, not allowed in XML"
-        )
-    vertices = frozenset(names)
+        raise DiskDiagramError(f"vertex id {v!r} holds U+{ord(bad.group()):04X}, not allowed in XML")
     edges = make_edges(edge_pairs)  # raises SelfLoop
     incident = {v: [] for v in names}
     try:
@@ -198,7 +203,7 @@ def build_graph(vertices, edge_pairs, order_pairs):
     if names:
         comp = _component(incident, names[0])
         if len(comp) != len(names):
-            raise DisconnectedGraph(comp)
+            raise DisconnectedGraph(comp, next(v for v in names if v not in comp))
     for v, es in incident.items():
         if len(es) < 2:
             raise DegreeBelowTwo(v, len(es))
@@ -208,15 +213,14 @@ def build_graph(vertices, edge_pairs, order_pairs):
 
 def _component(incident, start):
     seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
+    todo = [start]
+    for v in todo:
         for a, b, _ in incident[v]:
             w = b if a == v else a
             if w not in seen:
                 seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+                todo.append(w)
+    return seen
 
 
 def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
@@ -277,28 +281,29 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
         # every core vertex has two core edges, so the core is a union of
         # disjoint cycles; walk the one through its smallest vertex,
         # towards the smaller neighbour, as the search would list it
-        s = next(v for v in verts if v in alive)
+        s = min(alive)
+        core = {v: [p for p in nbrs[v] if p[1] in alive] for v in alive}
         path_v, path_e = [s], []
-        e, v = next(p for p in nbrs[s] if p[1] in alive)
-        while True:
+        e, v = core[s][0]
+        while v != s:
             path_e.append(e)
-            if v == s:
-                break
             path_v.append(v)
-            e, v = next(p for p in nbrs[v] if p[0] != e and p[1] in alive)
+            p, q = core[v]
+            e, v = q if p[0] == e else p  # leave by the other core edge
+        path_e.append(e)
         steps = len(path_e)
         if steps > budget:
             raise BudgetExceeded(budget, "cycle enumeration")
         if len(path_v) == len(alive):
             # the only cycle; a 2-cycle's edges come in key order
-            return [Cycle(tuple(path_v), tuple(path_e))]
+            return [_cycle(tuple(path_v), tuple(path_e))]
     cycles = []
     # length-2 cycles: each unordered pair of parallel edges, keys ascending;
     # the sorted edges hold each group of parallel copies side by side
     for i, e in enumerate(edges):
         j = i + 1
         while j < len(edges) and edges[j][1] == e[1] and edges[j][0] == e[0]:
-            cycles.append(Cycle(e[:2], (e, edges[j])))
+            cycles.append(_cycle(e[:2], (e, edges[j])))
             j += 1
     # depth-first search with an explicit stack, one iterator over the
     # incident pairs per path vertex, so path length is not bounded by
@@ -326,7 +331,7 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
                         stack.append(iter(nbrs[w]))
                         break
                 elif w == s and len(path_v) >= 3 and path_v[1] < path_v[-1]:
-                    cycles.append(Cycle(tuple(path_v), (*path_e, e)))
+                    cycles.append(_cycle(tuple(path_v), (*path_e, e)))
             else:
                 stack.pop()
                 if path_e:

@@ -160,7 +160,7 @@ class StrictPartialOrder:
         """`from_pairs` on a carrier already given as a sorted tuple with no
         repeats, such as `graph.build_graph`'s; the element-to-bit map
         built here becomes ``index``."""
-        index = {v: i for i, v in enumerate(elements)}
+        index = dict(zip(elements, range(len(elements))))
         succ = [[] for _ in elements]
         for a, b in pairs:
             try:

@@ -3,7 +3,8 @@
 Each is the simple version that an optimized path in the package
 replaced, kept here so tests can require equal results on the same
 inputs: the order closure on frozensets, the A2 scan over every vertex
-of every tree and A2 on full-width tree masks, the per-item validation of a file's id lists, the tree
+of every tree and A2 on full-width tree masks, the per-item validation
+of a file's id lists and the file-to-graph path built on it, the tree
 criterion that walks the path of every adjacent ring pair, the
 rotation system that walks the subtree behind every tree edge, a
 decomposition's tables built afresh from its trees, the
@@ -19,6 +20,7 @@ level cut and SVG renderer that took one level and one number at a
 time.  Besides these, a Prüfer
 sequence decoder gives the tests labelled trees without a graph library.
 """
+import json
 import math
 import random
 from bisect import bisect_left, insort
@@ -35,7 +37,7 @@ from diskdiagram.errors import (
     OrderCycle,
     UnknownId,
 )
-from diskdiagram.graph import DEFAULT_BUDGET, Cycle, adjacency
+from diskdiagram.graph import _NOT_XML, DEFAULT_BUDGET, Cycle, adjacency, build_graph
 from diskdiagram.orders import HeightAssignment, check_A4, lowest
 from diskdiagram.realization import SAMPLES_PER_BOUNDARY_EDGE, SNAP, _rim_angle
 from diskdiagram.svg import MARGIN, _color
@@ -226,6 +228,49 @@ def pair_list(obj, field, known):
                 raise UnknownId(x, f"{field}[{i}]")
         out.append((item[0], item[1]))
     return tuple(out)
+
+
+def graph_file(text):
+    """A file's (vertices, edges, order), each item checked in turn: the
+    read `formats.load_graph_file` made before `formats.parse` took the
+    file's lists without it."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"not UTF-8: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise MalformedFile("JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise MalformedFile("top level must be an object")
+    for field in ("vertices", "edges", "order"):
+        if field not in doc:
+            raise MalformedFile(f"missing field '{field}'")
+    extra = sorted(set(doc) - {"vertices", "edges", "order"})
+    if extra:
+        raise MalformedFile(f"unknown field '{extra[0]}'")
+    vertices = string_list(doc["vertices"], "vertices")
+    for i, v in enumerate(vertices):
+        if m := _NOT_XML.search(v):
+            raise MalformedFile(f"vertices[{i}] holds U+{ord(m.group()):04X}, not allowed in XML")
+    for i, v in enumerate(vertices):
+        if v in vertices[:i]:
+            raise MalformedFile(f"duplicate vertex id '{v}'")
+    edges = pair_list(doc["edges"], "edges", set(vertices))
+    order = pair_list(doc["order"], "order", set(vertices))
+    return vertices, edges, order
+
+
+def parse(text):
+    """`build_graph` on a file's checked lists: every file fault comes
+    before any graph fault."""
+    return build_graph(*graph_file(text))
 
 
 def prufer_tree(seq):

@@ -2,11 +2,13 @@ import copy
 import pickle
 import random
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskdiagram.census import census_inputs
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
     BudgetExceeded,
@@ -49,12 +51,15 @@ class TestBuildGraph:
             build_graph(["a", "b"], [("a", "a"), ("a", "b"), ("a", "b")], [])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraph):
+        with pytest.raises(DisconnectedGraph) as info:
             build_graph(
                 ["a", "b", "c", "d"],
                 [("a", "b"), ("a", "b"), ("c", "d"), ("c", "d")],
                 [],
             )
+        # the component of the smallest vertex, and the smallest vertex outside it
+        assert info.value.component == {"a", "b"}
+        assert str(info.value) == "graph is not connected; a component of 2 vertices leaves out 'c'"
 
     def test_degree_below_two_rejected(self):
         with pytest.raises(DegreeBelowTwo):
@@ -236,6 +241,28 @@ class TestSimpleCycles:
         assert [c.vertices for c in found] == [tuple(names)]
 
 
+def rebuilt(cycles):
+    """Each cycle as (vertices, edges), made again through `Cycle(...)`,
+    whose check the search skips."""
+    return [(c.vertices, c.edges) for c in (Cycle(c.vertices, c.edges) for c in cycles)]
+
+
+class TestSearchBuildsValidCycles:
+    """Every cycle the search lists passes `Cycle`'s check unchanged."""
+
+    def test_fixtures_corpus_and_census(self, graphs, corpus):
+        # every seventh corpus graph: the corpus holds 148 510 cycles in all
+        gs = list(graphs.values()) + [g for _, _, g in corpus[::7]]
+        gs += [build_graph(*raw) for raw in islice(census_inputs(4), 0, None, 47)]
+        total = 0
+        for g in gs:
+            found = enumerate_simple_cycles(g.vertices, g.edges)
+            assert [(c.vertices, c.edges) for c in found] == rebuilt(found)
+            assert all(type(c) is Cycle for c in found)
+            total += len(found)
+        assert total > 10_000
+
+
 class TestTwoCoreWalk:
     """A core of degree-2 vertices is walked once; any other core is
     searched.  Every case must list what the full search lists."""
@@ -248,6 +275,7 @@ class TestTwoCoreWalk:
         es = make_edges(pairs)
         found = enumerate_simple_cycles(names, es)
         assert self.exact(found) == self.exact(references.enumerate_simple_cycles(names, es))
+        assert self.exact(found) == rebuilt(found)
         return found
 
     def test_both_walk_directions(self):

@@ -7,6 +7,7 @@ import re
 import string
 import subprocess
 import sys
+import time
 import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -17,10 +18,17 @@ from hypothesis import strategies as st
 
 import diskdiagram
 import references
-from diskdiagram import cli, formats
+from diskdiagram import cli
 from diskdiagram.cli import main
 from diskdiagram.conditions import is_delta_graph
-from diskdiagram.errors import DiskDiagramError, MalformedFile, UnknownId
+from diskdiagram.errors import (
+    DisconnectedGraph,
+    DiskDiagramError,
+    MalformedFile,
+    OrderCycle,
+    SelfLoop,
+    UnknownId,
+)
 from diskdiagram.families import build_instance, ladder_spec
 from diskdiagram.fixtures import FIXTURES, build
 from diskdiagram.formats import (
@@ -130,43 +138,89 @@ def _mutations(doc, rng):
             replaced(f"{field} id empty", field, k, with_id(pair, side, "")),
             replaced(f"{field} id unknown", field, k, with_id(pair, side, "zz")),
             replaced(f"{field} dict for a pair", field, k, {"a": 1}),
+            # each unpacks as the pair it replaces: two 1-character ids in
+            # a string, or any two as a dict's keys
+            replaced(f"{field} pair as a string", field, k, "".join(pair)),
+            replaced(f"{field} pair as a dict", field, k, dict.fromkeys(pair, 0)),
         ]
     k = rng.randrange(len(doc["vertices"]))
     out += [
         replaced("vertex not a string", "vertices", k, None),
         replaced("vertex empty", "vertices", k, ""),
+        replaced("vertex repeated", "vertices", None, doc["vertices"] + doc["vertices"][k:k + 1]),
+        replaced("vertex not in XML", "vertices", k, doc["vertices"][k] + "\x01"),
     ]
     return out
 
 
-def _outcome(text):
+def _graph_faults(doc, rng):
+    """(label, document) pairs, each with one fault that only the graph
+    shows: a self-loop, a second component, or an order cycle."""
+    vs = doc["vertices"]
+    a, b = rng.sample(vs, 2)
+    twin = [["x-1", "x-2"], ["x-2", "x-1"]]
+    return [
+        ("self-loop", dict(doc, edges=doc["edges"] + [[a, a]])),
+        ("second component", dict(doc, vertices=vs + ["x-1", "x-2"], edges=doc["edges"] + twin)),
+        ("order cycle", dict(doc, order=doc["order"] + [[a, b], [b, a]])),
+    ]
+
+
+def _outcome(read, text):
     try:
-        return load_graph_file(text)
-    except (MalformedFile, UnknownId) as exc:
+        return read(text)
+    except DiskDiagramError as exc:
         return type(exc), str(exc)
 
 
 class TestBulkValidation:
-    """The bulk id checks reject what the per-item loop rejects, with the
-    same exception and message, on faults put into real files."""
+    """`load_graph_file` and `parse` reject what the reference path, which
+    checks each item of the file before it builds the graph, rejects,
+    with the same exception and message, on faults put into real files:
+    one file fault, one graph fault, or a graph fault with a fault in
+    the order's syntax."""
 
-    def test_mutated_files_fail_like_the_loop(self, graphs, corpus, monkeypatch):
+    def test_mutated_files_fail_like_the_loop(self, graphs, corpus):
         rng = random.Random(13)
         docs = [json.loads(serialize(g)) for g in graphs.values()]
         docs += [json.loads(serialize(g)) for _, _, g in corpus]
-        cases = []
-        for d in docs:
-            cases.append(("as written", d))
-            cases += _mutations(d, rng)
-        texts = [(label, json.dumps(d)) for label, d in cases]
-        got = [_outcome(text) for _, text in texts]
-        monkeypatch.setattr(formats, "_string_list", references.string_list)
-        monkeypatch.setattr(formats, "_pair_list", references.pair_list)
-        want = [_outcome(text) for _, text in texts]
-        for (label, _), g, w in zip(texts, got, want):
-            assert g == w, label
-        kinds = {w[0] for w in want if isinstance(w, tuple)}
-        assert kinds == {MalformedFile, UnknownId}
+        files, graph_cases = [], []
+        for k, d in enumerate(docs):
+            files.append(("as written", d))
+            files += _mutations(d, rng)
+            if k >= len(graphs) and k % 5:
+                continue  # graph faults on the fixtures and a fifth of the corpus
+            for label, bad in _graph_faults(d, rng):
+                graph_cases.append((label, bad))
+                graph_cases += [
+                    (f"{label} and {what}", worse)
+                    for what, worse in _mutations(bad, rng)
+                    if what.startswith("order")
+                ]
+        for read, ref, cases in (
+            (load_graph_file, lambda t: GraphFile(*references.graph_file(t)), files),
+            (parse, references.parse, files + graph_cases),
+        ):
+            kinds = set()
+            for label, d in cases:
+                text = json.dumps(d)
+                got, want = _outcome(read, text), _outcome(ref, text)
+                assert got == want, (read.__name__, label)
+                if isinstance(want, tuple):
+                    kinds.add(want[0])
+                elif read is parse:
+                    assert got.incident == want.incident
+            assert kinds >= {MalformedFile, UnknownId}
+        assert kinds == {MalformedFile, UnknownId, SelfLoop, DisconnectedGraph, OrderCycle}
+
+    def test_duplicate_id_found_in_linear_time(self):
+        ids = [f"v{i}" for i in range(50_000)]
+        text = doc(ids + ["v0"], [], [])
+        for read in (load_graph_file, parse):
+            t0 = time.perf_counter()
+            with pytest.raises(MalformedFile, match="duplicate vertex id 'v0'"):
+                read(text)
+            assert time.perf_counter() - t0 < 1.0, read.__name__
 
 
 class TestRoundTrip:
@@ -307,6 +361,17 @@ class TestCliCheck:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: cannot read {path}: {os.strerror(code)}\n"
+
+    def test_disconnected_error_names_no_component(self, tmp_path, capsys):
+        # a 20 000-vertex ring beside a 2-cycle: the error gives the ring's size
+        ring = [f"r{i:05d}" for i in range(20_000)]
+        pairs = [[ring[i - 1], ring[i]] for i in range(len(ring))] + [["x", "y"]] * 2
+        p = tmp_path / "split.json"
+        p.write_text(doc(ring + ["x", "y"], pairs, []))
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "graph is not connected; a component of 20000 vertices leaves out 'x'" in err
+        assert len(err) < 200
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

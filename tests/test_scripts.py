@@ -98,7 +98,8 @@ def test_bench_pairs_summary(load_script):
         "verdict_p50_ms": "lower", "verdicts_per_s": "higher", "setup_s": "lower",
         "svg_p50_ms": "lower",
     }
-    rows = {r["metric"]: r for r in module.summary({"corpus": pairs}, better)}
+    end_to_end = [{"name": k, "better": v, "bound": 0.25} for k, v in better.items()]
+    rows = {r["metric"]: r for r in module.summary({"corpus": pairs}, end_to_end)}
     assert list(rows) == ["verdict_p50_ms", "verdicts_per_s", "setup_s"]
     p50, per_s, setup = rows.values()
     assert p50["workload"] == "corpus" and p50["pairs"] == 4
@@ -109,4 +110,41 @@ def test_bench_pairs_summary(load_script):
     assert (per_s["parent"], per_s["change"], per_s["won"]) == (100.0, 115.0, 3)
     assert per_s["percent"] == pytest.approx(115.0)
     assert not per_s["resolved_gain"]  # 3 of 4 pairs is under nine tenths
+    assert not any(r["beyond_bound"] for r in rows.values())
+    # the parent's quartiles (0.525, 0.775) span 38 % of its median, 0.65
+    assert setup["unresolved"] and not p50["unresolved"] and not per_s["unresolved"]
     assert setup["won"] == 4 and setup["resolved_gain"]
+
+
+def test_bench_pairs_marks_regressions_and_unresolved_metrics(load_script):
+    """A change median worse than the parent's by more than the metric's
+    bound, a share of the parent's median, is marked; so is a metric whose
+    parent runs alone spread wider than that bound, whatever the change
+    reads."""
+    module = load_script("bench_pairs")
+
+    def line(p50, per_s, svg):
+        metrics = {"verdict_p50_ms": p50, "verdicts_per_s": per_s, "svg_p50_ms": svg}
+        return {"metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}
+
+    # p50 26 % worse on a tight parent; per_s 20 % worse, inside its bound,
+    # but the parent's quartiles (70, 130) span 60 % of its median;
+    # svg 24 % worse on a tight parent: inside the bound
+    parent = [(1.0, 100.0, 2.0), (1.0, 60.0, 2.0), (1.0, 140.0, 2.0), (1.0, 100.0, 2.0)]
+    change = [(1.26, 80.0, 2.48)] * 4
+    pairs = [
+        {"seed": s, "first": "change", "parent": line(*p), "change": line(*c)}
+        for s, p, c in zip(range(4), parent, change)
+    ]
+    end_to_end = [
+        {"name": "verdict_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "verdicts_per_s", "better": "higher", "bound": 0.25},
+        {"name": "svg_p50_ms", "better": "lower", "bound": 0.25},
+    ]
+    rows = {r["metric"]: r for r in module.summary({"census": pairs}, end_to_end)}
+    p50, per_s, svg = rows.values()
+    assert p50["beyond_bound"] and not p50["unresolved"]
+    assert not per_s["beyond_bound"] and per_s["unresolved"]
+    assert (per_s["parent_q1"], per_s["parent_q3"]) == (70.0, 130.0)
+    assert not svg["beyond_bound"] and not svg["unresolved"]
+    assert not any(r["resolved_gain"] for r in rows.values())
