@@ -14,7 +14,6 @@ from importlib import import_module as _import_module
 
 from .errors import (
     ArcStructureViolation,
-    BudgetExceeded,
     DegenerateDrawing,
     DegreeBelowTwo,
     DisconnectedGraph,
@@ -34,7 +33,6 @@ from .errors import (
     UnknownId,
 )
 from .graph import (
-    DEFAULT_BUDGET,
     Cycle,
     Decomposition,
     Edge,
@@ -116,11 +114,9 @@ def __dir__():
 __all__ = [
     "A4Result",
     "ArcStructureViolation",
-    "BudgetExceeded",
     "CensusResult",
     "ConditionReport",
     "Cycle",
-    "DEFAULT_BUDGET",
     "Decomposition",
     "DegenerateDrawing",
     "DegreeBelowTwo",

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 
 from .conditions import is_delta_graph
 from .errors import DiskDiagramError
-from .graph import DEFAULT_BUDGET, build_graph, make_edges
+from .graph import build_graph, make_edges
 from .planarity import brute_force_tree_embedding, tree_is_disk_planar
 
 
@@ -94,7 +94,7 @@ def _cyclic_orders(items):
     return [(first,) + p for p in permutations(rest)]
 
 
-def trees_census(max_vertices, budget=DEFAULT_BUDGET):
+def trees_census(max_vertices):
     """Criterion-vs-oracle agreement for all trees up to `max_vertices`."""
     if not 2 <= max_vertices <= 8:
         raise DiskDiagramError(
@@ -118,7 +118,7 @@ def trees_census(max_vertices, budget=DEFAULT_BUDGET):
                     boundary = sorted(set(leaves) | set(add))
                     for ring in _cyclic_orders(boundary):
                         verdict, _ = tree_is_disk_planar(edges, ring)
-                        truth = brute_force_tree_embedding(edges, ring, budget=budget)
+                        truth = brute_force_tree_embedding(edges, ring)
                         instances += 1
                         if verdict == truth:
                             agreements += 1
@@ -229,7 +229,7 @@ def census_inputs(max_vertices):
                 yield names, edges, rel
 
 
-def graphs_census(max_vertices, budget=DEFAULT_BUDGET):
+def graphs_census(max_vertices):
     """Verdict tabulation over all small partially ordered multigraphs."""
     by_outcome = {}
     profiles = set()
@@ -237,7 +237,7 @@ def graphs_census(max_vertices, budget=DEFAULT_BUDGET):
     for names, edges, rel in census_inputs(max_vertices):
         instances += 1
         g = build_graph(names, edges, rel)
-        verdict = is_delta_graph(g, budget=budget)
+        verdict = is_delta_graph(g)
         key = "delta" if verdict.delta else verdict.failed_condition()
         by_outcome[key] = by_outcome.get(key, 0) + 1
         if verdict.delta:

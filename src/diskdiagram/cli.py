@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .census import (
@@ -25,22 +24,8 @@ from .census import (
 from .conditions import is_delta_graph
 from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
-from .graph import DEFAULT_BUDGET
 from .orders import assign_heights, boundary_extrema
 from .planarity import build_embedding, face_arcs
-
-
-def _budget():
-    raw = os.environ.get("DELTA_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-    except ValueError:
-        raise DiskDiagramError(f"DELTA_BUDGET must be a positive integer, got {raw!r}")
-    return value
 
 
 def _load(path):
@@ -88,7 +73,7 @@ def _verdict_doc(verdict):
 
 def cmd_check(args):
     g = _load(args.file)
-    verdict = is_delta_graph(g, budget=_budget())
+    verdict = is_delta_graph(g)
     if args.json:
         doc = _verdict_doc(verdict)
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -110,7 +95,7 @@ def cmd_realize(args):
     g = _load(args.file)
     mode = "strict" if args.strict_order else "default"
     try:
-        f = realize(g, mode=mode, budget=_budget())
+        f = realize(g, mode=mode)
     except NotDeltaGraph as exc:
         return _refuse("not realizable", exc)
     text = render_svg(f, levels=args.levels)
@@ -128,7 +113,7 @@ def cmd_embed(args):
 
     g = _load(args.file)
     try:
-        emb, heights = place(is_delta_graph(g, budget=_budget()))
+        emb, heights = place(is_delta_graph(g))
     except NotDeltaGraph as exc:
         return _refuse("cannot embed", exc)
     if args.format == "dot":
@@ -140,10 +125,10 @@ def cmd_embed(args):
 
 def cmd_enumerate(args):
     if args.mode == "trees":
-        rows = trees_census(args.max, budget=_budget())
+        rows = trees_census(args.max)
         print(format_trees_census(rows))
         return 1 if any(r.disagreements for r in rows) else 0
-    res = graphs_census(args.max, budget=_budget())
+    res = graphs_census(args.max)
     print(format_graphs_census(res))
     return 0
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, NotAForest
-from .graph import DEFAULT_BUDGET, decompose, enumerate_simple_cycles
+from .graph import decompose, enumerate_simple_cycles
 from .orders import bits, lowest
 from .planarity import _run_counts, separation_ok
 
@@ -38,8 +38,14 @@ class ConditionReport:
         return self.passed
 
 
-def find_cr_cycles(g, budget=DEFAULT_BUDGET):
-    """Simple cycles in which every pair of cycle-adjacent vertices is comparable.
+# check_A1 counts the qualifying cycles up to this many; beyond it, the
+# search stops at the next one and the report says "more than" this many
+A1_COUNTED = 100
+
+
+def find_cr_cycles(g):
+    """Simple cycles in which every pair of cycle-adjacent vertices is
+    comparable: all of them, up to ``A1_COUNTED + 1``.
 
     The search runs over the comparable edges only.  A cycle qualifies
     exactly when each of its edges joins two comparable vertices, so the
@@ -49,28 +55,26 @@ def find_cr_cycles(g, budget=DEFAULT_BUDGET):
     ``g`` would list them.  On a Δ-graph the subgraph is the boundary
     cycle alone (A2 makes tree vertices pairwise incomparable), so its
     2-core is one cycle of degree-2 vertices, which
-    `enumerate_simple_cycles` walks once, at one ``budget`` step per
-    edge, with no search.  Any other core is searched from each start
-    vertex over the 2-core of the vertices not yet searched, and the
-    2-core of a subgraph lies inside that of ``g``; so the search walks
-    a subset of the paths the search of ``g`` walks, at each path vertex
-    a subset of its edges.
+    `enumerate_simple_cycles` walks once, with no search.  Any other
+    core is searched, and the search stops at the cycle past the count
+    `check_A1` reports.
     """
     above, index = g.order.above, g.order.index
     comparable = [
         e for e in g.edges if (above[e[0]] >> index[e[1]] | above[e[1]] >> index[e[0]]) & 1
     ]
-    return enumerate_simple_cycles(g.vertices, comparable, budget=budget)
+    return enumerate_simple_cycles(g.vertices, comparable, limit=A1_COUNTED + 1)
 
 
-def check_A1(g, budget=DEFAULT_BUDGET):
-    crs = find_cr_cycles(g, budget=budget)
+def check_A1(g):
+    crs = find_cr_cycles(g)
     if len(crs) == 1:
         return ConditionReport("A1", True), crs[0]
     if not crs:
         return ConditionReport("A1", False, ("no cycle with all adjacent pairs comparable",)), None
+    count = f"more than {A1_COUNTED}" if len(crs) > A1_COUNTED else len(crs)
     wits = tuple(f"cycle {'-'.join(c.vertices)}" for c in crs[:4])
-    return ConditionReport("A1", False, (f"{len(crs)} qualifying cycles",) + wits), None
+    return ConditionReport("A1", False, (f"{count} qualifying cycles",) + wits), None
 
 
 def check_A2(dec):
@@ -274,10 +278,10 @@ class DeltaVerdict:
         return None if bad is None else bad.condition
 
 
-def is_delta_graph(g, budget=DEFAULT_BUDGET):
+def is_delta_graph(g):
     """Run the full condition battery; short-circuits at the first failure."""
     reports = []
-    a1, gamma = check_A1(g, budget=budget)
+    a1, gamma = check_A1(g)
     reports.append(a1)
     if not a1:
         return DeltaVerdict(False, tuple(reports))

@@ -39,13 +39,6 @@ class NotInCarrier(DiskDiagramError):
         super().__init__(f"{item!r} is not in the carrier set")
 
 
-class BudgetExceeded(DiskDiagramError):
-    def __init__(self, budget, where="enumeration"):
-        self.budget = budget
-        self.where = where
-        super().__init__(f"{where} exceeded the step budget of {budget}")
-
-
 class NotAForest(DiskDiagramError):
     def __init__(self, component_index, witness=()):
         self.component_index = component_index

@@ -9,10 +9,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from .errors import (
-    BudgetExceeded,
     DegreeBelowTwo,
     DisconnectedGraph,
     DiskDiagramError,
@@ -22,8 +22,6 @@ from .errors import (
     UnknownId,
 )
 from .orders import StrictPartialOrder
-
-DEFAULT_BUDGET = 10**6
 
 # characters XML 1.0 cannot hold: C0 controls other than tab, newline
 # and carriage return, lone surrogates, U+FFFE and U+FFFF
@@ -79,10 +77,11 @@ def make_edges(pairs):
     for u, v in pairs:
         if u == v:
             raise SelfLoop(u)
-        ends = (u, v) if u < v else (v, u)
-        k = seen.get(ends, 0)
-        seen[ends] = k + 1
-        out.append(new(Edge, (*ends, k)))
+        if u > v:
+            u, v = v, u
+        k = seen.get((u, v), 0)
+        seen[u, v] = k + 1
+        out.append(new(Edge, (u, v, k)))
     return tuple(out)
 
 
@@ -223,14 +222,14 @@ def _component(incident, start):
     return seen
 
 
-def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
-    """All simple cycles of a multigraph, one per rotation/reflection class.
+def enumerate_simple_cycles(vertices, edges, limit=None):
+    """The simple cycles of a multigraph, one per rotation/reflection
+    class: all of them, or the first ``limit``.
 
     Works on raw vertex and edge collections so acyclic inputs (which
     PoGraph validation would refuse) can still be queried.  A pair of
     parallel edges counts as one cycle of length two.  Raises UnknownId
-    for an edge end outside ``vertices``, and BudgetExceeded after
-    ``budget`` search steps.
+    for an edge end outside ``vertices``.
 
     Each vertex lists its incident edges in sorted order, each with the
     neighbour it leads to.  First the 2-core is peeled: a vertex with
@@ -238,19 +237,23 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
     the drop cascades.  When every vertex left has exactly two live
     edges, the core is a union of disjoint cycles; if one walk from its
     smallest vertex covers it, that walk is the only cycle, listed from
-    its smallest vertex towards the smaller of its two neighbours, at
-    one budget step per edge.  Otherwise the search runs from each start
-    vertex in name order over the 2-core of the vertices not yet
-    searched, dropping each start after its search.  Each search thus
-    finds exactly the cycles whose smallest vertex is its start, and
-    never walks a path that cannot close.  A step is one incident edge
-    taken from the end of the current path; every list a search enters
-    is read to its end, so a vertex's steps are counted as it is
-    entered.
+    its smallest vertex towards the smaller of its two neighbours.
+    Otherwise the 2-cycles of parallel edges come first, keys ascending,
+    and then a search runs from each start vertex in name order over the
+    2-core of the vertices not yet searched, dropping each start after
+    its search.  Each search thus lists exactly the cycles whose
+    smallest vertex is its start.  Before the path enters a vertex, a
+    search of the live vertices off the path checks that the vertex
+    still reaches the start (Read and Tarjan, "Bounds on backtrack
+    algorithms for listing cycles, paths, and spanning trees",
+    Networks 5 (1975)); a vertex that does not is skipped, as no cycle
+    closes through it.  This cuts no cycle and keeps their order, and
+    the search spends time polynomial in the graph's size before each
+    cycle it lists, so the first ``limit`` come quickly however many
+    cycles the graph holds.
     """
-    verts = sorted(set(vertices))
+    nbrs = {v: [] for v in sorted(set(vertices))}  # v -> [(edge, neighbour)], edges sorted
     edges = sorted(edges)
-    nbrs = {v: [] for v in verts}  # v -> [(edge, neighbour)], edges sorted
     try:
         for e in edges:
             a, b = e[0], e[1]
@@ -258,8 +261,13 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
             nbrs[b].append((e, a))
     except KeyError as exc:
         raise UnknownId(exc.args[0], "edge list") from None
+    return list(islice(_cycles(nbrs, edges), limit))
+
+
+def _cycles(nbrs, edges):
+    """Yield the cycles `enumerate_simple_cycles` lists, in its order."""
     live = {v: len(ps) for v, ps in nbrs.items()}
-    alive = set(verts)
+    alive = set(nbrs)
 
     def drop(v):
         # remove v, then every vertex left with fewer than two live edges
@@ -273,10 +281,9 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
                         alive.discard(w)
                         todo.append(w)
 
-    for v in verts:
+    for v in nbrs:
         if v in alive and live[v] < 2:
             drop(v)
-    steps = 0
     if alive and all(live[v] == 2 for v in alive):
         # every core vertex has two core edges, so the core is a union of
         # disjoint cycles; walk the one through its smallest vertex,
@@ -291,57 +298,60 @@ def enumerate_simple_cycles(vertices, edges, budget=DEFAULT_BUDGET):
             p, q = core[v]
             e, v = q if p[0] == e else p  # leave by the other core edge
         path_e.append(e)
-        steps = len(path_e)
-        if steps > budget:
-            raise BudgetExceeded(budget, "cycle enumeration")
         if len(path_v) == len(alive):
             # the only cycle; a 2-cycle's edges come in key order
-            return [_cycle(tuple(path_v), tuple(path_e))]
-    cycles = []
+            yield _cycle(tuple(path_v), tuple(path_e))
+            return
     # length-2 cycles: each unordered pair of parallel edges, keys ascending;
     # the sorted edges hold each group of parallel copies side by side
     for i, e in enumerate(edges):
         j = i + 1
         while j < len(edges) and edges[j][1] == e[1] and edges[j][0] == e[0]:
-            cycles.append(_cycle(e[:2], (e, edges[j])))
+            yield _cycle(e[:2], (e, edges[j]))
             j += 1
+
+    def reaches_start(w):
+        # whether w reaches s through live vertices off the path
+        seen = {w}
+        todo = [w]
+        for u in todo:
+            for _, x in nbrs[u]:
+                if x == s:
+                    return True
+                if x in alive and x not in seen and x not in on_path:
+                    seen.add(x)
+                    todo.append(x)
+        return False
+
     # depth-first search with an explicit stack, one iterator over the
     # incident pairs per path vertex, so path length is not bounded by
-    # the interpreter's recursion limit
-    for s in verts:
+    # the interpreter's recursion limit; it yields one representative
+    # per rotation/reflection class: paths start at the smallest cycle
+    # vertex, and the second-vs-last comparison fixes the direction
+    for s in nbrs:
         if s not in alive:
             continue
         path_v, path_e, on_path = [s], [], {s}
-        steps += len(nbrs[s])
-        if steps > budget:
-            raise BudgetExceeded(budget, "cycle enumeration")
         stack = [iter(nbrs[s])]
         while stack:
             for e, w in stack[-1]:
                 # no set of used edges is needed: the edge the path came
                 # in by leads back onto the path, so it is never taken
                 if w not in on_path:
-                    if w in alive:
+                    if w in alive and reaches_start(w):
                         path_v.append(w)
                         path_e.append(e)
                         on_path.add(w)
-                        steps += len(nbrs[w])
-                        if steps > budget:
-                            raise BudgetExceeded(budget, "cycle enumeration")
                         stack.append(iter(nbrs[w]))
                         break
                 elif w == s and len(path_v) >= 3 and path_v[1] < path_v[-1]:
-                    cycles.append(_cycle(tuple(path_v), (*path_e, e)))
+                    yield _cycle(tuple(path_v), (*path_e, e))
             else:
                 stack.pop()
                 if path_e:
                     path_e.pop()
                     on_path.discard(path_v.pop())
         drop(s)
-    # the search already yields one representative per rotation/reflection
-    # class: paths start at the smallest cycle vertex, direction fixed by
-    # the second-vs-last comparison, and 2-cycles are emitted sorted
-    return cycles
 
 
 @dataclass(frozen=True)

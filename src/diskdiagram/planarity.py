@@ -34,13 +34,12 @@ from dataclasses import dataclass, replace
 from math import factorial
 
 from .errors import (
-    BudgetExceeded,
     InvariantViolation,
     NotInTree,
     NotPlanar,
     TerminalNotInVstar,
 )
-from .graph import DEFAULT_BUDGET, _beyond, adjacency
+from .graph import _beyond, adjacency
 
 
 def _validate_tree_input(edges, ring):
@@ -124,14 +123,20 @@ def _contour_sequence(adj, rotation, start_dart):
             return seq
 
 
-def brute_force_tree_embedding(edges, ring, budget=DEFAULT_BUDGET):
+# the most rotation systems `brute_force_tree_embedding` tries; a tree
+# of at most 8 vertices, the trees census's bound, has at most 6! = 720
+_MAX_ROTATIONS = 10**6
+
+
+def brute_force_tree_embedding(edges, ring):
     """Ground-truth check by exhaustive rotation-system search.
 
     Enumerates every cyclic edge order at every vertex, walks the single
     contour of the tree drawing, and accepts when the contour passes the
     ring's vertices in the ring's circular sequence (one visit per
     vertex).  Mirror drawings arise as reversed rotation systems, so the
-    requested sequence alone covers both orientations.
+    requested sequence alone covers both orientations.  Raises
+    ValueError for a tree with more than 10**6 rotation systems.
     """
     edges = list(edges)
     ring = tuple(ring)
@@ -142,8 +147,8 @@ def brute_force_tree_embedding(edges, ring, budget=DEFAULT_BUDGET):
     total = 1
     for es in adj.values():
         total *= factorial(len(es) - 1)
-    if total > budget:
-        raise BudgetExceeded(budget, "rotation-system search")
+    if total > _MAX_ROTATIONS:
+        raise ValueError(f"{total} rotation systems exceed the search's bound of {_MAX_ROTATIONS}")
     order = sorted(adj)
     choices = []
     for v in order:

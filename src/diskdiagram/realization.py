@@ -48,7 +48,6 @@ from .errors import (
     NotDeltaGraph,
     OutsideDisk,
 )
-from .graph import DEFAULT_BUDGET
 from .orders import HeightAssignment, assign_heights, boundary_extrema
 from .planarity import DiskEmbedding, build_embedding
 
@@ -601,9 +600,9 @@ def place(verdict, mode="default", seed=None):
     return assign_coords(build_embedding(dec)), heights
 
 
-def realize(g, mode="default", seed=None, budget=DEFAULT_BUDGET):
+def realize(g, mode="default", seed=None):
     """Full pipeline: decide, place, lift; raises NotDeltaGraph."""
-    return extend_to_faces(*place(is_delta_graph(g, budget=budget), mode, seed))
+    return extend_to_faces(*place(is_delta_graph(g), mode, seed))
 
 
 # ---------------------------------------------------------------------------

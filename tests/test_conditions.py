@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -68,6 +69,33 @@ class TestVerdicts:
                 assert v.decomposition is not None
 
 
+def complete_chain(n):
+    """K_n with its vertices in a chain order: every cycle qualifies."""
+    names = [f"v{i:03d}" for i in range(n)]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    return build_graph(names, edges, list(zip(names, names[1:])))
+
+
+def diamond_trap(k):
+    """A triangle a-y-z, a bridge from a to b00, and k diamonds from b00
+    to b{k} closed by the edge b{k}-b00, in a chain order.  From a, an
+    unpruned search walks all 2^k paths through the diamonds, and none
+    of them returns to a."""
+    b = [f"b{i:02d}" for i in range(k + 1)]
+    edges = [("a", "y"), ("y", "z"), ("z", "a"), ("a", b[0]), (b[k], b[0])]
+    for i in range(k):
+        for side in (f"c{i:02d}", f"d{i:02d}"):
+            edges += [(b[i], side), (side, b[i + 1])]
+    names = sorted({v for e in edges for v in e})
+    return build_graph(names, edges, list(zip(names, names[1:])))
+
+
+def many_cycles():
+    """Graphs with more than 100 qualifying cycles, each cheap to decide."""
+    yield from ((f"K{n}", complete_chain(n)) for n in (9, 60, 300))
+    yield from ((f"trap {k}", diamond_trap(k)) for k in (14, 20, 40))
+
+
 class TestA1:
     def test_g1_unique_cr_cycle(self):
         g = build("G1")
@@ -128,7 +156,7 @@ class TestA1:
         # a 1 200-vertex ring whose names zigzag around it (position 2i is
         # v{i}, position 2i+1 is v{1199-i}), ordered as a chain along the
         # ring: the one qualifying cycle is longer than Python's default
-        # recursion limit, and the search stays well within its budget
+        # recursion limit
         n = 1200
         ring = [None] * n
         for i in range(n // 2):
@@ -143,8 +171,8 @@ class TestA1:
     def test_ring_named_in_ring_order_decides(self):
         # a 1 200-vertex ring named v0000…v1199 in ring order, ordered as a
         # chain along it: from every start the ring runs on through larger
-        # names only, so the search stays within the default budget only
-        # because it drops each searched start and what it strands
+        # names only, so it decides at once only because the search drops
+        # each searched start and what it strands
         n = 1200
         ring = [f"v{k:04d}" for k in range(n)]
         edges = [(ring[k], ring[(k + 1) % n]) for k in range(n)]
@@ -152,6 +180,27 @@ class TestA1:
         v = is_delta_graph(build_graph(ring, edges, order))
         assert v.reports[0].passed
         assert v.failed_condition() == "A3"
+
+    def test_count_reported_up_to_100(self):
+        # bundles of parallel edges along the chain a < b < c < d: a
+        # bundle of k edges holds k(k-1)/2 2-cycles, so 91 + 6 + 3 and
+        # 91 + 10 qualifying cycles
+        for bundles, count in (((14, 4, 3), "100"), ((14, 5), "more than 100")):
+            edges = [pair for pair, k in zip(("ab", "bc", "cd"), bundles) for _ in range(k)]
+            names = sorted({v for e in edges for v in e})
+            g = build_graph(names, edges, list(zip(names, names[1:])))
+            report, gamma = check_A1(g)
+            assert report.witnesses[0] == f"{count} qualifying cycles"
+            assert (report, gamma) == references.check_A1(g)
+
+    def test_many_qualifying_cycles_decide_at_once(self):
+        for label, g in many_cycles():
+            t0 = time.perf_counter()
+            v = is_delta_graph(g)
+            assert time.perf_counter() - t0 < 0.5, label
+            assert v.failed_condition() == "A1", label
+            assert v.reports[0].witnesses[0] == "more than 100 qualifying cycles", label
+            assert len(v.reports[0].witnesses) == 5, label
 
     def test_cyclic_complement_reported_as_a2(self):
         names = [f"v{i}" for i in range(1, 7)]
@@ -438,6 +487,9 @@ class TestMetamorphic:
 
     def test_census_slice(self, census_slice):
         self._assert_invariant(enumerate(census_slice))
+
+    def test_many_qualifying_cycles(self):
+        self._assert_invariant(many_cycles())
 
 
 class TestAgainstReferences:

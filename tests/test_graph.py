@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+import time
 from itertools import islice
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from diskdiagram.census import census_inputs
 from diskdiagram.conditions import is_delta_graph
 from diskdiagram.errors import (
-    BudgetExceeded,
     DegreeBelowTwo,
     DisconnectedGraph,
     NotAForest,
@@ -199,11 +199,6 @@ class TestSimpleCycles:
         es = make_edges([("a", "b"), ("b", "c")])
         assert enumerate_simple_cycles({"a", "b", "c"}, es) == []
 
-    def test_budget_exceeded(self):
-        g = build("G3")
-        with pytest.raises(BudgetExceeded):
-            enumerate_simple_cycles(g.vertices, g.edges, budget=3)
-
     def test_no_duplicates_up_to_symmetry(self, graphs):
         for g in graphs.values():
             found = enumerate_simple_cycles(g.vertices, g.edges)
@@ -233,12 +228,46 @@ class TestSimpleCycles:
     def test_long_ring_searched_once(self):
         # each start searches only the 2-core of the vertices not yet
         # searched; after the first start of a ring nothing is left, so the
-        # steps grow linearly, not quadratically, with the ring's length
+        # time grows linearly, not quadratically, with the ring's length
         n = 1200
         names = [f"v{k:04d}" for k in range(n)]
         es = make_edges((names[k], names[(k + 1) % n]) for k in range(n))
-        found = enumerate_simple_cycles(names, es, budget=5 * n)
+        t0 = time.perf_counter()
+        found = enumerate_simple_cycles(names, es)
+        assert time.perf_counter() - t0 < 0.5
         assert [c.vertices for c in found] == [tuple(names)]
+
+
+class TestLimit:
+    """The first ``limit`` cycles are the first ``limit`` of the full,
+    unpruned listing of `references.enumerate_simple_cycles`."""
+
+    @staticmethod
+    def check(names, es, rng):
+        want = [(c.vertices, c.edges) for c in references.enumerate_simple_cycles(names, es)]
+        limits = {0, 1, 2, len(want) - 1, len(want), len(want) + 1, rng.randrange(len(want) + 2)}
+        for m in sorted(limits - {-1}):
+            found = enumerate_simple_cycles(names, es, limit=m)
+            assert [(c.vertices, c.edges) for c in found] == want[:m], m
+        return len(want)
+
+    def test_fixtures_and_census(self, graphs):
+        rng = random.Random(33)
+        gs = list(graphs.values())
+        gs += [build_graph(*raw) for raw in islice(census_inputs(4), 0, None, 97)]
+        several = sum(self.check(g.vertices, g.edges, rng) >= 3 for g in gs)
+        assert several > 500
+
+    def test_random_multigraphs(self):
+        rng = random.Random(34)
+        several = 0
+        for _ in range(400):
+            n = rng.randrange(2, 10)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randrange(1, 3 * n))]
+            several += self.check(names, make_edges(pairs), rng) >= 3
+        assert several > 100
 
 
 def rebuilt(cycles):
@@ -287,13 +316,6 @@ class TestTwoCoreWalk:
             found = self.check(list(ring) + ["x", "y"], pairs)
             assert [c.vertices for c in found] == [tuple("abcde")]
 
-    def test_walk_budget_is_one_step_per_edge(self):
-        names = [f"v{k}" for k in range(6)]
-        es = make_edges((names[k], names[(k + 1) % 6]) for k in range(6))
-        assert len(enumerate_simple_cycles(names, es, budget=6)) == 1
-        with pytest.raises(BudgetExceeded):
-            enumerate_simple_cycles(names, es, budget=5)
-
     def test_core_with_a_degree_three_vertex(self):
         # the theta graph a=b: three paths a-x-b, a-y-b, a-z-b
         pairs = [("a", w) for w in "xyz"] + [(w, "b") for w in "xyz"]
@@ -335,40 +357,6 @@ class TestTwoCoreWalk:
             found = self.check(names, pairs)
             walked += len(found) == 1
         assert walked > 100
-
-
-class TestSearchSteps:
-    """The budget a search needs is its step count: one incident edge
-    taken from the end of the current path, or one edge on the 2-core
-    walk.  Each graph here has a 2-core that is not one ring, so it is
-    searched path by path; the numbers are the smallest budgets that
-    do not raise."""
-
-    NEEDED = [354, 24, 29, 483, 18, 307, 51, 26, 74, 29, 221, 148, 32]
-
-    @staticmethod
-    def searched():
-        g = build("G3")
-        yield sorted(g.vertices), g.edges
-        rng = random.Random(26)
-        kept = 0
-        while kept < 12:
-            n = rng.randrange(4, 9)
-            names = [f"v{i}" for i in range(n)]
-            rng.shuffle(names)
-            es = make_edges(tuple(rng.sample(names, 2)) for _ in range(rng.randrange(n, 2 * n)))
-            # a core that is one ring holds one cycle
-            if len(enumerate_simple_cycles(names, es)) >= 2:
-                kept += 1
-                yield names, es
-
-    def test_smallest_budgets_pinned(self):
-        cases = list(self.searched())
-        assert len(cases) == len(self.NEEDED)
-        for (names, es), need in zip(cases, self.NEEDED):
-            assert enumerate_simple_cycles(names, es, budget=need)
-            with pytest.raises(BudgetExceeded):
-                enumerate_simple_cycles(names, es, budget=need - 1)
 
 
 class TestDecompose:

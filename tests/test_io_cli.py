@@ -612,34 +612,6 @@ class TestCliEnumerate:
         assert err == "error: graphs census size must be between 2 and 4, got 9\n"
 
 
-class TestBudgetEnv:
-    def test_garbage_budget(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_BUDGET", "lots")
-        assert main(["check", files["G1"]]) == 2
-        assert "DELTA_BUDGET" in capsys.readouterr().err
-
-    def test_negative_budget(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_BUDGET", "-3")
-        assert main(["check", files["G1"]]) == 2
-
-    def test_tiny_budget_stops_search(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_BUDGET", "2")
-        assert main(["check", files["G3"]]) == 2
-        assert "budget" in capsys.readouterr().err
-
-    def test_generous_budget_ok(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("DELTA_BUDGET", "100000")
-        assert main(["check", files["G1"]]) == 0
-
-    def test_read_on_every_call(self, files, capsys, monkeypatch):
-        assert main(["check", files["G1"]]) == 0
-        monkeypatch.setenv("DELTA_BUDGET", "2")
-        assert main(["check", files["G1"]]) == 2
-        assert "step budget" in capsys.readouterr().err
-        monkeypatch.delenv("DELTA_BUDGET")
-        assert main(["check", files["G1"]]) == 0
-
-
 def _subparsers(parser):
     (action,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
@@ -707,8 +679,8 @@ class TestParserReuse:
 
 # every name of `diskdiagram.__all__`, the witness layers' included
 PUBLIC_NAMES = """
-    A4Result ArcStructureViolation BudgetExceeded CensusResult
-    ConditionReport Cycle DEFAULT_BUDGET Decomposition DegenerateDrawing
+    A4Result ArcStructureViolation CensusResult
+    ConditionReport Cycle Decomposition DegenerateDrawing
     DegreeBelowTwo DeltaVerdict DisconnectedGraph DiskDiagramError DiskEmbedding
     DiskFunction Edge EqualLevels Face FaceMap GraphFile HeightAssignment
     InvariantViolation MalformedFile NotAForest NotDeltaGraph NotInCarrier
