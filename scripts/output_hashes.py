@@ -9,20 +9,26 @@ hash of a command covers its exit code, stdout, stderr and, for
 `realize`, the SVG it writes.  Two more lines, labelled ``census4``,
 each hash one command, `check` or `check --json`, over all 93 944
 instances of `census.census_inputs(4)` in order, so that the witness
-text of every census reject is covered.  A refactor that must keep
-every output byte runs this in a checkout of each commit and diffs the
-two listings (about two minutes each on a 2-core host):
+text of every census reject is covered.  The ``usage`` lines, one per
+argv of `USAGE` on the fixture G1, cover argument parsing: help, usage
+errors and a valid call of each command; a run that exits through
+`SystemExit` is hashed with the exit's code, and help is wrapped at 80
+columns whatever the terminal.  A refactor that must keep every output
+byte runs this in a checkout of each commit and diffs the two listings
+(about two minutes each on a 2-core host):
 
     python scripts/output_hashes.py > after.txt
 """
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's width
 
 from diskdiagram.census import census_inputs
 from diskdiagram.cli import main as cli_main
@@ -35,6 +41,21 @@ COMMANDS = [["check"], ["check", "--json"], ["embed", "--format", "json"],
 COMMANDS += [["realize", "--levels", str(n)] + strict
              for n in (5, 0, 9) for strict in ([], ["--strict-order"])]
 CENSUS_COMMANDS = [["check"], ["check", "--json"]]
+# GRAPH stands for the graph file, OUT for realize's SVG path
+USAGE = [
+    [], ["-h"], ["--help"], ["bogus"], ["chec", "GRAPH"], ["-x", "check", "GRAPH"],
+    ["check"], ["check", "-h"], ["check", "GRAPH", "extra"], ["check", "GRAPH", "a", "b"],
+    ["check", "--js", "GRAPH"], ["check", "--", "GRAPH"], ["check", "GRAPH", "--bogus"],
+    ["realize", "GRAPH"], ["realize", "-h"], ["realize", "GRAPH", "--out=OUT"],
+    ["realize", "GRAPH", "--out", "OUT", "--levels", "nine"],
+    ["realize", "GRAPH", "--out", "OUT", "--lev", "3", "--str"],
+    ["realize", "GRAPH", "GRAPH", "--out", "OUT"],
+    ["embed", "GRAPH", "--format", "xml"], ["embed", "-h"],
+    ["enumerate"], ["enumerate", "--max", "x"], ["enumerate", "-h"],
+    ["check", "GRAPH"], ["check", "GRAPH", "--json"], ["realize", "GRAPH", "--out", "OUT"],
+    ["realize", "GRAPH", "--out", "OUT", "--levels", "0"], ["embed", "GRAPH", "--format", "dot"],
+    ["enumerate", "--max", "3"], ["enumerate", "--max", "3", "--mode", "graphs"],
+]
 
 
 def inputs():
@@ -49,14 +70,19 @@ def inputs():
 
 
 def run(argv, out):
-    """The sha256 of one in-process CLI run; `out` is realize's SVG path."""
+    """The sha256 of one in-process CLI run; `out` is realize's SVG path,
+    and the paths in its output are cut to names relative to its folder."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
     h = hashlib.sha256(f"{code}\n".encode())
-    h.update(stdout.getvalue().replace(str(out), out.name).encode())
-    h.update(stderr.getvalue().encode())
-    if argv[0] == "realize" and code == 0:
+    folder = str(out.parent) + os.sep
+    h.update(stdout.getvalue().replace(folder, "").encode())
+    h.update(stderr.getvalue().replace(folder, "").encode())
+    if out.exists():
         h.update(out.read_bytes())
         out.unlink()
     return h.hexdigest()
@@ -65,6 +91,10 @@ def run(argv, out):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "graph.json", Path(tmp) / "witness.svg"
+        path.write_text(serialize(build("G1")), encoding="utf-8")
+        for template in USAGE:
+            argv = [a.replace("GRAPH", str(path)).replace("OUT", str(out)) for a in template]
+            print(f"{run(argv, out)}  usage  {' '.join(template) or '(none)'}")
         for label, g in inputs():
             text = serialize(g)
             path.write_text(text, encoding="utf-8")

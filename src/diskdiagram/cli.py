@@ -2,7 +2,8 @@
 
 Exit codes: 0 = accepted / success, 1 = input graph rejected (or, in
 `enumerate --mode trees`, the criterion disagrees with the oracle),
-2 = usage, file, or validation error.
+2 = usage, file, or validation error.  A known command is parsed by its
+own parser alone; help and usage errors go through the full parser.
 
 The witness layers (`realization`, `svg`, and numpy under them) are
 imported inside the code that draws, so deciding a graph, and
@@ -133,12 +134,20 @@ def cmd_enumerate(args):
     return 0
 
 
+def _levels(text):
+    if (n := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+_levels.__name__ = "int"  # a non-number still reads "invalid int value: 'x'"
+
+
 @functools.cache
 def make_parser():
-    """The argument parser, built once per process.
-
-    `parse_args` does not modify the parser, so every `main` call can
-    share it; building it costs more than deciding a small graph.
+    """The argument parser, built once per process.  `main` parses a known
+    command with its own parser in `.commands` alone, help and errors with
+    the full parser; parsing modifies neither, so every call shares them.
     """
     p = argparse.ArgumentParser(
         prog="diskdiagram",
@@ -158,7 +167,7 @@ def make_parser():
     r = sub.add_parser("realize", help="render a witness height function as SVG")
     r.add_argument("file")
     r.add_argument("--out", required=True, help="output SVG path")
-    r.add_argument("--levels", type=int, default=5, help="level curves to draw")
+    r.add_argument("--levels", type=_levels, default=5, help="level curves to draw")
     r.add_argument(
         "--strict-order",
         action="store_true",
@@ -175,12 +184,18 @@ def make_parser():
     n.add_argument("--max", type=int, required=True, help="largest vertex count")
     n.add_argument("--mode", choices=("trees", "graphs"), default="trees")
     n.set_defaults(func=cmd_enumerate)
+    p.commands = sub.choices
     return p
 
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or extra:  # help, errors and unknown commands
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DiskDiagramError as exc:

@@ -17,20 +17,24 @@ every (block, block above) pair of the closure, the drawing check over
 every pair of tree segments, each tree's Tutte system solved on its
 own, the fan rows and convexity test of one polygon at a time, and the
 level cut and SVG renderer that took one level and one number at a
-time.  Besides these, a Prüfer
-sequence decoder gives the tests labelled trees without a graph library.
+time, and the CLI entry point that parsed every argv with the full
+parser.  Besides these, a Prüfer sequence decoder gives the tests
+labelled trees without a graph library.
 """
 import json
 import math
 import random
+import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
+from diskdiagram.cli import make_parser
 from diskdiagram.conditions import ConditionReport
 from diskdiagram.errors import (
+    DiskDiagramError,
     InvariantViolation,
     MalformedFile,
     OrderCycle,
@@ -1021,3 +1025,14 @@ def render_svg(f, levels=5, size=600.0):
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def cli_main(argv=None):
+    """`cli.main` by the nested parse: the full parser's `parse_args`, whose
+    command action then runs that command's parser on the rest of argv."""
+    args = make_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except DiskDiagramError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

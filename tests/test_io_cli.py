@@ -462,6 +462,20 @@ class TestCliRealize:
         )
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_levels_is_usage_error(self, files, tmp_path, capsys):
+        out = tmp_path / "w.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", files["G1"], "--out", str(out), "--levels", "-2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: diskdiagram realize ")
+        assert captured.err.endswith(
+            "diskdiagram realize: error: argument --levels: must be >= 0, got -2\n"
+        )
+        assert not out.exists()
+        assert main(["realize", files["G1"], "--out", str(out), "--levels", "0"]) == 0
+
     def test_strict_order_flag(self, files, tmp_path):
         out = tmp_path / "strict.svg"
         assert (
@@ -675,6 +689,57 @@ class TestParserReuse:
         assert list(subs) == list(fresh_subs)
         for name, sub in subs.items():
             assert sub.format_help() == fresh_subs[name].format_help(), name
+
+
+def _run(entry, argv, svg, capsys):
+    """(code, stdout, stderr, SVG bytes or None) of ``entry(argv)``."""
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    drawn = svg.read_bytes() if svg.exists() else None
+    svg.unlink(missing_ok=True)
+    return code, out, err, drawn
+
+
+class TestOnePassDispatch:
+    """`main` parses a known command with that command's parser alone;
+    help, errors and anything else go through the full parser."""
+
+    def test_matches_nested_parse(self, load_script, files, tmp_path, capsys):
+        svg = tmp_path / "w.svg"
+        usage = load_script("output_hashes").USAGE + [
+            ["realize", "GRAPH", "--out", "OUT", "--levels", "-2"],
+            ["realize", "GRAPH", "--out", "OUT", "--levels", "x", "--bogus"],
+            ["check", "REJECT"], ["check", "REJECT", "--json"], ["check", "ABSENT"],
+            ["realize", "REJECT", "--out", "OUT"], ["embed", "REJECT", "--format", "json"],
+            ["realize", "G3", "--out", "OUT", "--levels", "9", "--strict-order"],
+            ["embed", "G3"], ["check", "G3", "--json"],
+            ["enumerate", "--max", "40"], ["enumerate", "--mode", "graphs", "--max", "2"],
+        ]
+        names = {"GRAPH": files["G1"], "G3": files["G3"], "OUT": str(svg),
+                 "REJECT": files["interleaved"], "ABSENT": str(tmp_path / "absent.json")}
+        codes = set()
+        for template in usage:
+            argv = [names.get(a, a.replace("=OUT", f"={svg}")) for a in template]
+            ours = _run(main, argv, svg, capsys)
+            assert ours == _run(references.cli_main, argv, svg, capsys), argv
+            codes.add(ours[0])
+        assert codes == {0, 1, 2}
+
+    def test_valid_call_parses_once(self, files, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(cli.make_parser(), "parse_args", refuse)
+        svg = tmp_path / "w.svg"
+        assert main(["check", files["G1"]]) == 0
+        assert main(["realize", files["G1"], "--out", str(svg)]) == 0
+        assert svg.read_bytes().startswith(b"<?xml")
+        for argv in (["bogus"], ["check", files["G1"], "extra"], ["-h"]):
+            with pytest.raises(AssertionError):
+                main(argv)
 
 
 # every name of `diskdiagram.__all__`, the witness layers' included

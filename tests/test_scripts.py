@@ -33,8 +33,8 @@ def test_run_corpus_strict(load_script, capsys):
 
 
 def test_output_hashes(load_script, capsys, monkeypatch):
-    """One sha256 per input and per CLI output, and one per census
-    command, the same on a second run."""
+    """One sha256 per input and per CLI output, one per usage argv and one
+    per census command, the same on a second run."""
     module = load_script("output_hashes")
     inputs, census_inputs = module.inputs, module.census_inputs
     monkeypatch.setattr(module, "inputs", lambda: itertools.islice(inputs(), 2))
@@ -44,12 +44,15 @@ def test_output_hashes(load_script, capsys, monkeypatch):
         assert module.main() == 0
         listings.append(capsys.readouterr().out)
     lines = listings[0].splitlines()
-    assert len(lines) == 2 * (1 + len(module.COMMANDS)) + len(module.CENSUS_COMMANDS)
+    usage = len(module.USAGE)
+    assert len(lines) == usage + 2 * (1 + len(module.COMMANDS)) + len(module.CENSUS_COMMANDS)
     assert [line.split("  ", 1)[1] for line in lines[-2:]] == [
         "census4  check",
         "census4  check --json",
     ]
-    for line in lines:
+    for line in lines[:usage]:
+        assert re.fullmatch(r"[0-9a-f]{64}  usage  \S.*", line), line
+    for line in lines[usage:]:
         assert re.fullmatch(r"[0-9a-f]{64}  \S+  (input|check|embed|realize)( .+)?", line), line
     assert listings[1] == listings[0]
 
