@@ -6,8 +6,9 @@ Exit codes: 0 = accepted / success, 1 = input graph rejected (or, in
 own parser alone; help and usage errors go through the full parser.
 
 The witness layers (`realization`, `svg`, and numpy under them) are
-imported inside the code that draws, so deciding a graph, and
-`check --json` with its heights, starts without them.
+imported inside the code that draws, and `census` inside `enumerate`,
+so deciding a graph, and `check --json` with its heights, starts
+without them.
 """
 from __future__ import annotations
 
@@ -16,12 +17,6 @@ import functools
 import json
 import sys
 
-from .census import (
-    format_graphs_census,
-    format_trees_census,
-    graphs_census,
-    trees_census,
-)
 from .conditions import is_delta_graph
 from .errors import DiskDiagramError, NotDeltaGraph
 from .formats import embedding_json, parse, to_dot
@@ -125,6 +120,8 @@ def cmd_embed(args):
 
 
 def cmd_enumerate(args):
+    from .census import format_graphs_census, format_trees_census, graphs_census, trees_census
+
     if args.mode == "trees":
         rows = trees_census(args.max)
         print(format_trees_census(rows))

@@ -17,7 +17,6 @@ and the extrema of the heights along the boundary cycle
 from __future__ import annotations
 
 import bisect
-import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -349,7 +348,11 @@ def assign_heights(g, dec, mode="default", seed=None):
             indeg[j] += 1
     rep = [min(b) for b in blocks]
     available = sorted((rep[i], i) for i, d in enumerate(indeg) if d == 0)
-    rng = random.Random(seed) if mode == "random" else None
+    rng = None
+    if mode == "random":
+        import random  # only random heights read it; a verdict starts without it
+
+        rng = random.Random(seed)
     ordered = []
     while available:
         if rng is None:

@@ -29,8 +29,7 @@ hold and the boundary cycle must bound a face.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 from .errors import (
@@ -182,8 +181,12 @@ def separation_ok(dec):
     and is popped at its last attachment.  A label met again below the
     top lies under an open label u pushed after it, which gives the
     pattern t, u, t, u; and in a pattern m, n, m, n the second m is met
-    while n is open above it.  On a reject the witness comes from the
-    scan of every pair of trees, in tree order.
+    while n is open above it.  The walk names its witness where it
+    stops: an attachment ``v`` of tree ``t``, not its first, met while
+    tree ``u`` is on top was opened after ``t``'s first attachment and
+    closes after ``v``, so ``(u, t, rings[t][0], v)`` has ``t`` in two
+    gaps of ``u``.  The pair depends on where ``gamma`` starts; A1 lists
+    ``gamma`` from its smallest vertex, so it is a function of the input.
     """
     tree_at, rings = dec.tree_at, dec.rings
     stack = []
@@ -195,28 +198,10 @@ def separation_ok(dec):
         if v == ring[0]:
             stack.append(t.index)
         elif stack[-1] != t.index:
-            return False, _separation_witness(dec)
+            return False, (stack[-1], t.index, ring[0], v)
         if v == ring[-1]:
             stack.pop()
     return True, None
-
-
-def _separation_witness(dec):
-    """``(m, n, b1, b2)`` for the first trees such that ``n`` spans two gaps of ``m``."""
-    pos = dec.position
-    for m, t in enumerate(dec.trees):
-        pa = [pos[v] for v in dec.rings[t.index]]
-        for n_, other in enumerate(dec.trees):
-            if n_ == m:
-                continue
-            gaps = {}
-            for b in sorted(other.attach):
-                gap = bisect_left(pa, pos[b]) % len(pa)
-                gaps.setdefault(gap, b)
-            if len(gaps) > 1:
-                reps = sorted(gaps.values())[:2]
-                return m, n_, reps[0], reps[1]
-    raise InvariantViolation("interleaved attachments but no tree spans two gaps")
 
 
 @dataclass(frozen=True)
@@ -242,9 +227,6 @@ class DiskEmbedding:
     @property
     def outer(self):
         return self.faces[self.outer_index]
-
-    def with_coords(self, coords):
-        return replace(self, coords=coords)
 
 
 def trace_faces(rotation, edges):

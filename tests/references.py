@@ -10,11 +10,12 @@ rotation system that walks the subtree behind every tree edge, a
 decomposition's tables built afresh from its trees, the
 face polygon built point by point, the polyline
 stitcher that scans for an unused segment with a generator, A1 by a
-full cycle search, S2's separation by a scan of every pair of trees,
-S3 by building every gap's arc, the masks below each element by
-inverting the masks above bit by bit, the level heights from a peel of
-every (block, block above) pair of the closure, the drawing check over
-every pair of tree segments, each tree's Tutte system solved on its
+full cycle search, S2's separation by a scan of every pair of trees
+(whose gap test also checks a witness the package names), S3 by
+building every gap's arc, the masks below each element by inverting
+the masks above bit by bit, the level heights from a peel of every
+(block, block above) pair of the closure, the drawing check over every
+pair of tree segments, each tree's Tutte system solved on its
 own, the fan rows and convexity test of one polygon at a time, and the
 level cut and SVG renderer that took one level and one number at a
 time, and the CLI entry point that parsed every argv with the full
@@ -720,6 +721,16 @@ def separation_ok(dec):
                 reps = sorted(gaps.values())[:2]
                 return False, (m, n_, reps[0], reps[1])
     return True, None
+
+
+def spans_two_gaps(dec, m, n_, b1, b2):
+    """Are ``b1`` and ``b2`` attachments of tree ``n_`` that fall in two
+    different gaps of tree ``m``, under `separation_ok`'s gap test?"""
+    pos = dec.position
+    pa = [pos[v] for v in dec.rings[m]]
+    attach = dec.trees[n_].attach
+    gaps = {bisect_left(pa, pos[b]) % len(pa) for b in (b1, b2)}
+    return m != n_ and b1 in attach and b2 in attach and len(gaps) == 2
 
 
 @dataclass(frozen=True)

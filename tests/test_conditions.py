@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -453,6 +453,20 @@ def renamed(g, rng):
     )
 
 
+def exchanged(g, dec, p, q):
+    """g with attachments ``p`` and ``q`` exchanged in every edge off the
+    boundary cycle of ``dec`` and in every generating order pair: each
+    takes the other's place on the boundary, with its tree and order."""
+    to = {p: q, q: p}
+    cycle = set(dec.gamma.edges)
+    edges = [
+        (e.a, e.b) if e in cycle else (to.get(e.a, e.a), to.get(e.b, e.b)) for e in g.edges
+    ]
+    at = [to.get(v, v) for v in g.order.elements]
+    pairs = [(at[i], at[j]) for i, ws in enumerate(g.order.succ) for j in ws]
+    return build_graph(g.vertices, edges, pairs)
+
+
 def flipped(g):
     """g with every order pair reversed (heights f -> -f)."""
     return build_graph(
@@ -582,6 +596,52 @@ class TestA2OnMemberIndices:
             assert any("compares unevenly" in w for w in report.witnesses)
 
 
+def assert_separation(dec, label=None):
+    """`separation_ok`'s verdict is the pairwise scan's, and a reject's
+    witness puts two attachments of tree n in two gaps of tree m."""
+    sep = separation_ok(dec)
+    assert sep[0] == references.separation_ok(dec)[0], label
+    assert sep[0] == (sep[1] is None), label
+    assert sep[0] or references.spans_two_gaps(dec, *sep[1]), (label, sep)
+    return sep
+
+
+class TestS2AtSize:
+    """Ladder shapes with attachments ``p`` and ``q`` of two different
+    trees exchanged.  Most exchanges break a boundary comparison and
+    fail A1; the rest reach S2, where the separation verdict is the
+    pairwise scan's, its witness is valid, and the failed condition
+    stays S2 under renaming and order reversal."""
+
+    # (depth, order mode, exchanges drawn)
+    SLICE = ((2, "minimal", 120), (2, "saturated", 40), (3, "minimal", 150),
+             (3, "saturated", 12), (4, "minimal", 60))
+
+    def test_exchanged_attachments(self):
+        rng = random.Random(22)
+        reached = {}
+        for d, mode, draws in self.SLICE:
+            g = build_instance(ladder_spec(d), mode)
+            dec = is_delta_graph(g).decomposition
+            pairs = [
+                (p, q)
+                for s, t in combinations(dec.trees, 2)
+                for p in sorted(s.attach)
+                for q in sorted(t.attach)
+            ]
+            for p, q in rng.sample(pairs, draws):
+                m = exchanged(g, dec, p, q)
+                verdict = is_delta_graph(m)
+                if verdict.failed_condition() != "S2":
+                    continue
+                label = (d, mode, p, q)
+                ok, _ = assert_separation(verdict.decomposition, label)
+                reached[d, mode] = reached.get((d, mode), 0) + (not ok)
+                for variant in (renamed(m, rng), flipped(m)):
+                    assert is_delta_graph(variant).failed_condition() == "S2", label
+        assert len(reached) == len(self.SLICE) and min(reached.values()) > 0, reached
+
+
 def ring_with_trees(ring, trees, start=0):
     """A decomposition: ``ring`` as the boundary cycle read from
     ``ring[start]``, and per tree its list of attachments, joined by one
@@ -640,7 +700,7 @@ class TestLinearScans:
         for label, _, dec in cases:
             if dec is None:
                 continue
-            assert separation_ok(dec) == references.separation_ok(dec), label
+            assert_separation(dec, label)
             assert check_S3(dec) == references.check_S3(dec), label
             decided += 1
         assert decided > 450
@@ -666,8 +726,7 @@ class TestLinearScans:
                 trees.append([ring[i] for i in free[:k]])
                 free = free[k:]
             dec = ring_with_trees(ring, trees, rng.randrange(n))
-            sep = separation_ok(dec)
-            assert sep == references.separation_ok(dec)
+            sep = assert_separation(dec)
             report = check_S3(dec)
             assert report == references.check_S3(dec)
             text = "".join(report.witnesses)

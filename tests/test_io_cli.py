@@ -1,4 +1,3 @@
-import argparse
 import errno
 import json
 import os
@@ -626,13 +625,6 @@ class TestCliEnumerate:
         assert err == "error: graphs census size must be between 2 and 4, got 9\n"
 
 
-def _subparsers(parser):
-    (action,) = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    return action.choices
-
-
 class TestParserReuse:
     def calls(self, files, tmp_path):
         svg = str(tmp_path / "w.svg")
@@ -684,7 +676,7 @@ class TestParserReuse:
         cached = cli.make_parser()
         fresh = cli.make_parser.__wrapped__()
         assert cached.format_help() == fresh.format_help()
-        subs, fresh_subs = _subparsers(cached), _subparsers(fresh)
+        subs, fresh_subs = cached.commands, fresh.commands
         assert list(subs) == ["check", "realize", "embed", "enumerate"]
         assert list(subs) == list(fresh_subs)
         for name, sub in subs.items():
@@ -761,11 +753,12 @@ PUBLIC_NAMES = """
 """.split()
 
 
-def run_fresh(script, *args):
-    """Stdout of ``script`` run in a fresh interpreter on this package."""
+def run_fresh(script, *args, flags=()):
+    """Stdout of ``script`` run in a fresh interpreter on this package,
+    started with the interpreter options ``flags``."""
     env = dict(os.environ, PYTHONPATH=str(Path(diskdiagram.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", script, *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -805,6 +798,18 @@ class TestImports:
         )
         out = run_fresh(script, files["G1"], files["g1_missing"], str(tmp_path / "w.svg"))
         assert out.splitlines() == ["[]", "[]", "[]", "['numpy']"]
+
+    def test_check_loads_neither_census_nor_random(self, files):
+        # -S keeps the site step's own imports out of sys.modules
+        script = (
+            "import contextlib, io, sys\n"
+            "import diskdiagram.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['check', sys.argv[1]]) == 0\n"
+            "    assert cli.main(['check', sys.argv[1], '--json']) == 0\n"
+            "print([m for m in ('diskdiagram.census', 'random') if m in sys.modules])\n"
+        )
+        assert run_fresh(script, files["G1"], flags=("-S",)) == "[]\n"
 
     def test_trees_census_loads_only_the_standard_library(self):
         script = LOADED + (

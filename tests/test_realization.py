@@ -1033,7 +1033,7 @@ class TestFaceFans:
         coords = dict(emb.coords)
         coords["c"] = (coords[e1.other("c")] + coords[e2.other("c")]) / 2
         with pytest.raises(DegenerateDrawing, match="not strictly convex"):
-            extend_to_faces(emb.with_coords(coords), f.heights)
+            extend_to_faces(replace(emb, coords=coords), f.heights)
 
 
 def mode_witnesses(verdict):
