@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, NotAForest
-from .graph import decompose, enumerate_simple_cycles
+from .graph import _cycles, decompose, enumerate_simple_cycles
 from .orders import bits, lowest
 from .planarity import _run_counts, separation_ok
 
@@ -39,41 +39,50 @@ class ConditionReport:
 
 
 # check_A1 counts the qualifying cycles up to this many; beyond it, the
-# search stops at the next one and the report says "more than" this many
+# search stops and the report says "more than" this many
 A1_COUNTED = 100
+
+
+def _comparable_edges(g):
+    """The edges of ``g`` whose two ends are comparable.
+
+    A cycle qualifies for A1 exactly when each of its edges joins two
+    comparable vertices, so the simple cycles of the subgraph of these
+    edges are the qualifying cycles of ``g``; the subgraph keeps the
+    sorted vertex list and each vertex's sorted neighbours, so they come
+    out in the order a search of all of ``g`` would list them.
+    """
+    above, index = g.order.above, g.order.index
+    return [e for e in g.edges if (above[e[0]] >> index[e[1]] | above[e[1]] >> index[e[0]]) & 1]
 
 
 def find_cr_cycles(g):
     """Simple cycles in which every pair of cycle-adjacent vertices is
-    comparable: all of them, up to ``A1_COUNTED + 1``.
-
-    The search runs over the comparable edges only.  A cycle qualifies
-    exactly when each of its edges joins two comparable vertices, so the
-    simple cycles of that subgraph are the qualifying cycles of ``g``;
-    the subgraph keeps the sorted vertex list and each vertex's sorted
-    incident edges, so they come out in the order a search of all of
-    ``g`` would list them.  On a Δ-graph the subgraph is the boundary
-    cycle alone (A2 makes tree vertices pairwise incomparable), so its
-    2-core is one cycle of degree-2 vertices, which
-    `enumerate_simple_cycles` walks once, with no search.  Any other
-    core is searched, and the search stops at the cycle past the count
-    `check_A1` reports.
+    comparable: the first ``A1_COUNTED + 1`` of them, in the order of
+    `enumerate_simple_cycles` over the comparable edges.
     """
-    above, index = g.order.above, g.order.index
-    comparable = [
-        e for e in g.edges if (above[e[0]] >> index[e[1]] | above[e[1]] >> index[e[0]]) & 1
-    ]
-    return enumerate_simple_cycles(g.vertices, comparable, limit=A1_COUNTED + 1)
+    return enumerate_simple_cycles(g.vertices, _comparable_edges(g), limit=A1_COUNTED + 1)
 
 
 def check_A1(g):
-    crs = find_cr_cycles(g)
-    if len(crs) == 1:
+    """Exactly one qualifying cycle (see `find_cr_cycles`).
+
+    One search over the simple graph of the comparable edges counts the
+    qualifying cycles, each bundle of parallel copies multiplying the
+    count, up to just past ``A1_COUNTED``, and lists only the first four,
+    which a rejection names.  On a Δ-graph the comparable edges form the
+    boundary cycle alone (A2 makes tree vertices pairwise incomparable),
+    so their 2-core is one cycle of degree-2 vertices, walked once with
+    no search.
+    """
+    count, crs = _cycles(g.order.elements, _comparable_edges(g), 4, A1_COUNTED)
+    if count == 1:
         return ConditionReport("A1", True), crs[0]
-    if not crs:
+    if not count:
         return ConditionReport("A1", False, ("no cycle with all adjacent pairs comparable",)), None
-    count = f"more than {A1_COUNTED}" if len(crs) > A1_COUNTED else len(crs)
-    wits = tuple(f"cycle {'-'.join(c.vertices)}" for c in crs[:4])
+    if count > A1_COUNTED:
+        count = f"more than {A1_COUNTED}"
+    wits = tuple(f"cycle {'-'.join(c.vertices)}" for c in crs)
     return ConditionReport("A1", False, (f"{count} qualifying cycles",) + wits), None
 
 

@@ -7,9 +7,11 @@ edges counts as a simple cycle of length two.  Self-loops are rejected.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import islice, product
+from math import prod
 from operator import itemgetter
 
 from .errors import (
@@ -229,52 +231,87 @@ def enumerate_simple_cycles(vertices, edges, limit=None):
     Works on raw vertex and edge collections so acyclic inputs (which
     PoGraph validation would refuse) can still be queried.  A pair of
     parallel edges counts as one cycle of length two.  Raises UnknownId
-    for an edge end outside ``vertices``.
+    for an edge end outside ``vertices``, and ValueError for a negative
+    ``limit``.
 
-    Each vertex lists its incident edges in sorted order, each with the
-    neighbour it leads to.  First the 2-core is peeled: a vertex with
-    fewer than two live edges lies on no cycle, so it is dropped, and
-    the drop cascades.  When every vertex left has exactly two live
-    edges, the core is a union of disjoint cycles; if one walk from its
-    smallest vertex covers it, that walk is the only cycle, listed from
-    its smallest vertex towards the smaller of its two neighbours.
-    Otherwise the 2-cycles of parallel edges come first, keys ascending,
-    and then a search runs from each start vertex in name order over the
-    2-core of the vertices not yet searched, dropping each start after
-    its search.  Each search thus lists exactly the cycles whose
-    smallest vertex is its start.  Before the path enters a vertex, a
-    search of the live vertices off the path checks that the vertex
-    still reaches the start (Read and Tarjan, "Bounds on backtrack
-    algorithms for listing cycles, paths, and spanning trees",
-    Networks 5 (1975)); a vertex that does not is skipped, as no cycle
-    closes through it.  This cuts no cycle and keeps their order, and
-    the search spends time polynomial in the graph's size before each
-    cycle it lists, so the first ``limit`` come quickly however many
-    cycles the graph holds.
+    The search runs over the simple graph: each vertex lists its
+    neighbours by name, each with its bundle of parallel copies in key
+    order.  First the 2-core is peeled: a vertex with fewer than two
+    live neighbours lies on no cycle longer than two, so it is dropped,
+    and the drop cascades.  The 2-cycles of parallel edges come first,
+    bundles in edge order and keys ascending.  When every vertex left
+    has exactly two live neighbours, the core is a union of disjoint
+    cycles; if one walk from its smallest vertex covers it, that walk,
+    towards the smaller of its two neighbours, is the only longer
+    cycle, and its choices of parallel copies follow in key order, the
+    last edge varying fastest.  Otherwise a search runs from each start
+    vertex in name order over the 2-core of the vertices not yet
+    searched, dropping each start after its search, so each search lists
+    exactly the cycles whose smallest vertex is its start.  The path
+    takes the first copy of each bundle it follows; when it leaves a
+    vertex it entered over a bundle of m copies, the cycles listed since
+    it entered are listed again with each of copies 2..m in its place,
+    the order in which a walk of every copy would list them.  Before the
+    path enters a vertex, a search of the live vertices off the path
+    checks that the vertex still reaches the start (Read and Tarjan,
+    "Bounds on backtrack algorithms for listing cycles, paths, and
+    spanning trees", Networks 5 (1975)); a vertex that does not is
+    skipped, as no cycle closes through it.  This cuts no cycle and
+    keeps their order, and the search spends time polynomial in the
+    graph's size before each simple cycle it finds, so the first
+    ``limit`` come quickly however many cycles the graph holds.
     """
-    nbrs = {v: [] for v in sorted(set(vertices))}  # v -> [(edge, neighbour)], edges sorted
-    edges = sorted(edges)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be None or at least 0, got {limit}")
+    return _cycles(sorted(set(vertices)), edges, sys.maxsize if limit is None else limit, 0)[1]
+
+
+def _cycles(names, edges, keep, cap):
+    """``(count, cycles)``: the number of simple cycles of the multigraph
+    on the sorted distinct ``names``, and the first ``keep`` of them, in
+    `enumerate_simple_cycles`'s order.
+
+    A bundle of m parallel copies holds m(m-1)/2 2-cycles, and a longer
+    simple cycle of the simple graph stands for the product of its
+    bundles' sizes, which the search keeps along its path.  It stops
+    once the count passes ``cap`` and ``keep`` cycles are listed; the
+    count is then a lower bound past ``cap``, and exact otherwise.
+    """
+    nbrs = {v: [] for v in names}  # v -> [(neighbour, bundle)], by name
+    multi = []  # the bundles of two or more copies, in edge order
+    count = 0
+    la = lb = None
     try:
-        for e in edges:
-            a, b = e[0], e[1]
-            nbrs[a].append((e, b))
-            nbrs[b].append((e, a))
+        # sorted edges hold each bundle's copies side by side, keys ascending
+        for e in sorted(edges):
+            a, b, _ = e
+            if b == lb and a == la:
+                count += len(bundle)  # the new copy pairs with each earlier one
+                if len(bundle) == 1:
+                    multi.append(bundle)
+                bundle.append(e)
+            else:
+                la, lb, bundle = a, b, [e]
+                nbrs[a].append((b, bundle))
+                nbrs[b].append((a, bundle))
     except KeyError as exc:
         raise UnknownId(exc.args[0], "edge list") from None
-    return list(islice(_cycles(nbrs, edges), limit))
-
-
-def _cycles(nbrs, edges):
-    """Yield the cycles `enumerate_simple_cycles` lists, in its order."""
+    out = []
+    if multi:
+        # length-2 cycles: each unordered pair of parallel copies, keys ascending
+        twos = (_cycle(x[:2], (x, y)) for b in multi for i, x in enumerate(b) for y in b[i + 1:])
+        out += islice(twos, keep)
+        if count > cap and len(out) >= keep:
+            return count, out
     live = {v: len(ps) for v, ps in nbrs.items()}
     alive = set(nbrs)
 
     def drop(v):
-        # remove v, then every vertex left with fewer than two live edges
+        # remove v, then every vertex left with fewer than two live neighbours
         alive.discard(v)
         todo = [v]
         while todo:
-            for _, w in nbrs[todo.pop()]:
+            for w, _ in nbrs[todo.pop()]:
                 if w in alive:
                     live[w] -= 1
                     if live[w] < 2:
@@ -285,37 +322,34 @@ def _cycles(nbrs, edges):
         if v in alive and live[v] < 2:
             drop(v)
     if alive and all(live[v] == 2 for v in alive):
-        # every core vertex has two core edges, so the core is a union of
-        # disjoint cycles; walk the one through its smallest vertex,
+        # every core vertex has two core neighbours, so the core is a union
+        # of disjoint cycles; walk the one through its smallest vertex,
         # towards the smaller neighbour, as the search would list it
         s = min(alive)
-        core = {v: [p for p in nbrs[v] if p[1] in alive] for v in alive}
-        path_v, path_e = [s], []
-        e, v = core[s][0]
-        while v != s:
-            path_e.append(e)
-            path_v.append(v)
-            p, q = core[v]
-            e, v = q if p[0] == e else p  # leave by the other core edge
-        path_e.append(e)
+        path_v, path_b = [s], []
+        u, v = None, s
+        while True:
+            for w, b in nbrs[v]:
+                if w != u and w in alive:  # leave by the other core neighbour
+                    break
+            path_b.append(b)
+            if w == s:
+                break
+            path_v.append(w)
+            u, v = v, w
         if len(path_v) == len(alive):
-            # the only cycle; a 2-cycle's edges come in key order
-            yield _cycle(tuple(path_v), tuple(path_e))
-            return
-    # length-2 cycles: each unordered pair of parallel edges, keys ascending;
-    # the sorted edges hold each group of parallel copies side by side
-    for i, e in enumerate(edges):
-        j = i + 1
-        while j < len(edges) and edges[j][1] == e[1] and edges[j][0] == e[0]:
-            yield _cycle(e[:2], (e, edges[j]))
-            j += 1
+            # the only longer simple cycle, once per choice of parallel copies
+            count += prod(map(len, path_b))
+            vs = tuple(path_v)
+            out += islice((_cycle(vs, es) for es in product(*path_b)), keep - len(out))
+            return count, out
 
     def reaches_start(w):
         # whether w reaches s through live vertices off the path
         seen = {w}
         todo = [w]
         for u in todo:
-            for _, x in nbrs[u]:
+            for x, _ in nbrs[u]:
                 if x == s:
                     return True
                 if x in alive and x not in seen and x not in on_path:
@@ -324,34 +358,59 @@ def _cycles(nbrs, edges):
         return False
 
     # depth-first search with an explicit stack, one iterator over the
-    # incident pairs per path vertex, so path length is not bounded by
-    # the interpreter's recursion limit; it yields one representative
-    # per rotation/reflection class: paths start at the smallest cycle
+    # neighbours per path vertex, so path length is not bounded by the
+    # interpreter's recursion limit; it lists one representative per
+    # rotation/reflection class: paths start at the smallest cycle
     # vertex, and the second-vs-last comparison fixes the direction
     for s in nbrs:
         if s not in alive:
             continue
         path_v, path_e, on_path = [s], [], {s}
+        entered = []  # per path vertex after s: its bundle, len(out) and copies before it
+        copies = 1  # choices of parallel copies along the path
         stack = [iter(nbrs[s])]
         while stack:
-            for e, w in stack[-1]:
-                # no set of used edges is needed: the edge the path came
-                # in by leads back onto the path, so it is never taken
+            for w, b in stack[-1]:
+                # the vertex the path came from is on it, so its bundle
+                # is never taken back
                 if w not in on_path:
                     if w in alive and reaches_start(w):
+                        entered.append((b, len(out), copies))
+                        copies *= len(b)
                         path_v.append(w)
-                        path_e.append(e)
+                        path_e.append(b[0])
                         on_path.add(w)
                         stack.append(iter(nbrs[w]))
                         break
                 elif w == s and len(path_v) >= 3 and path_v[1] < path_v[-1]:
-                    yield _cycle(tuple(path_v), (*path_e, e))
+                    count += copies * len(b)
+                    if len(out) < keep:
+                        vs = tuple(path_v)
+                        out += islice((_cycle(vs, (*path_e, e)) for e in b), keep - len(out))
+                    if count > cap and len(out) >= keep:
+                        return count, out
             else:
                 stack.pop()
-                if path_e:
+                if entered:
+                    b, mark, copies = entered.pop()
                     path_e.pop()
                     on_path.discard(path_v.pop())
+                    if len(b) > 1 and mark < len(out) < keep:
+                        # the cycles listed since the path entered the vertex
+                        # it leaves, again with each further copy in place
+                        d, since = len(path_e), out[mark:]
+                        out += islice(
+                            (
+                                _cycle(c.vertices, (*c.edges[:d], e, *c.edges[d + 1:]))
+                                for e in b[1:]
+                                for c in since
+                            ),
+                            keep - len(out),
+                        )
+                        if count > cap and len(out) >= keep:
+                            return count, out
         drop(s)
+    return count, out
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,46 @@ class TestA1:
             assert report.witnesses[0] == f"{count} qualifying cycles"
             assert (report, gamma) == references.check_A1(g)
 
+    def test_report_matches_reference_on_bundles(self):
+        def exact(result):
+            report, gamma = result
+            return report, gamma and (gamma.vertices, gamma.edges)
+
+        # a-b-c, a-b-c-d and their copies over the second a-b edge: the
+        # copies follow the whole search below b, not each cycle at once
+        g = build_graph("abcd", ["ab", "ab", "bc", "ca", "cd", "da"], ["ab", "bc", "cd"])
+        report, _ = check_A1(g)
+        assert report.witnesses == (
+            "6 qualifying cycles", "cycle a-b", "cycle a-b-c", "cycle a-b-c-d", "cycle a-b-c"
+        )
+        # seeded multigraphs on 3-7 vertices under random orders: each
+        # vertex pair a bundle of 0-3 copies, at least one along a ring
+        # through every vertex, so that every draw is a valid graph
+        rng = random.Random(37)
+        outcomes = {}
+        for _ in range(1200):
+            n = rng.randint(3, 7)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            ring = {frozenset((names[i - 1], names[i])) for i in range(n)}
+            dense = rng.random() ** 2
+            edges = []
+            for pair in combinations(names, 2):
+                if frozenset(pair) in ring:
+                    copies = 1 if rng.random() < 0.7 else rng.randint(2, 3)
+                else:
+                    copies = rng.randint(1, 3) if rng.random() < dense else 0
+                edges += [pair] * copies
+            rank = rng.sample(names, n)
+            p = rng.random()
+            order = [(rank[i], rank[j]) for i, j in combinations(range(n), 2) if rng.random() < p]
+            g = build_graph(names, edges, order)
+            got = exact(check_A1(g))
+            assert got == exact(references.check_A1(g)), (names, edges, order)
+            kind = "pass" if got[0].passed else got[0].witnesses[0].split()[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert outcomes["pass"] >= 100 and outcomes["more"] >= 100, outcomes
+
     def test_many_qualifying_cycles_decide_at_once(self):
         for label, g in many_cycles():
             t0 = time.perf_counter()
@@ -446,10 +486,11 @@ def renamed(g, rng):
     perm = names[:]
     rng.shuffle(perm)
     to = dict(zip(names, perm))
+    at = [to[v] for v in g.order.elements]
     return build_graph(
         perm,
         [(to[e.a], to[e.b]) for e in g.edges],
-        [(to[a], to[b]) for a, b in sorted(g.order.pairs)],
+        [(at[i], at[j]) for i, ws in enumerate(g.order.succ) for j in ws],
     )
 
 
@@ -468,11 +509,12 @@ def exchanged(g, dec, p, q):
 
 
 def flipped(g):
-    """g with every order pair reversed (heights f -> -f)."""
+    """g with every generating order pair reversed (heights f -> -f)."""
+    at = g.order.elements
     return build_graph(
         g.vertices,
         [(e.a, e.b) for e in g.edges],
-        [(b, a) for a, b in sorted(g.order.pairs)],
+        [(at[j], at[i]) for i, ws in enumerate(g.order.succ) for j in ws],
     )
 
 
@@ -615,7 +657,7 @@ class TestS2AtSize:
 
     # (depth, order mode, exchanges drawn)
     SLICE = ((2, "minimal", 120), (2, "saturated", 40), (3, "minimal", 150),
-             (3, "saturated", 12), (4, "minimal", 60))
+             (3, "saturated", 12), (4, "minimal", 60), (4, "saturated", 6))
 
     def test_exchanged_attachments(self):
         rng = random.Random(22)

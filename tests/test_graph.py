@@ -258,6 +258,10 @@ class TestLimit:
         several = sum(self.check(g.vertices, g.edges, rng) >= 3 for g in gs)
         assert several > 500
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_simple_cycles(["a", "b"], make_edges([("a", "b")] * 2), limit=-1)
+
     def test_random_multigraphs(self):
         rng = random.Random(34)
         several = 0
